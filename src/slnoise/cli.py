@@ -156,7 +156,37 @@ def _settings_from_args(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
+    _validate(settings, args)
     return settings
+
+
+def _validate(settings: dict, args):
+    """Refuse option values that every subcommand would otherwise reject
+    only deep inside a run, with a traceback or a runtime-error status."""
+    try:
+        grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    lam = settings["lambda"]
+    if lam is not None:
+        if not lam > 0:
+            raise ConfigError(f"lambda must be positive, got {lam:g}")
+        if settings["scheme"] == SchemeId.CONVEX.value:
+            raise ConfigError(
+                "the convex scheme has no separable cross-correlative pair; "
+                "lambda rescaling does not apply to it"
+            )
+    if getattr(args, "points", 1) < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if getattr(args, "runs_per_point", 2) < 2:
+        raise ConfigError(f"--runs-per-point must be >= 2, got {args.runs_per_point}")
+    max_lag = getattr(args, "max_lag", 0.0)
+    # the estimator's lag count round(max_lag/dt) must stay inside the
+    # window; written without round() so that nan and inf fail too
+    if not 0 <= max_lag / grid.dt < grid.n_phys - 0.5:
+        raise ConfigError(
+            f"--max-lag {max_lag:g} must lie in [0, t_max = {grid.t_max:g}]"
+        )
 
 
 def _open_output(settings):
@@ -332,6 +362,8 @@ def _cmd_scan_lambda(args):
             lambdas = [float(s) for s in args.lambdas.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --lambdas list: {args.lambdas!r}") from exc
+        if not all(lam > 0 for lam in lambdas):
+            raise ConfigError(f"--lambdas must all be positive: {args.lambdas!r}")
     else:
         lambdas = np.logspace(np.log10(0.01), np.log10(10.0), args.points)
     scan = scan_lambda(cfg, lambdas, args.runs_per_point)

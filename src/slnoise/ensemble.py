@@ -12,7 +12,8 @@ where single-step scatter would dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,15 +138,18 @@ def windowed_stats(traces: np.ndarray, window: int):
 
 
 def run_ensemble(cfg: RunConfig, batch_size: int = 256,
-                 force_nu_zero: bool = False) -> EnsembleStats:
+                 force_nu_zero: bool = False,
+                 filters: Optional[FilterSet] = None) -> EnsembleStats:
     """Synthesize, integrate and average an ensemble of trajectories.
 
     Deterministic for a fixed config: per-realization seeds come from
     seed_for and reduction order follows the realization index.
     force_nu_zero is a test hook that zeroes the trace-driving noise.
+    ``filters``, when given, must be ``cfg.filters()`` built beforehand;
+    it saves rebuilding them for runs that differ only in lam or size.
     """
     ngrid = cfg.noise_grid()
-    fs = cfg.filters()
+    fs = cfg.filters() if filters is None else filters
     n_half = ngrid.n_phys
     n_steps = cfg.grid.n_phys
     sum_tr = np.zeros(n_steps, dtype=complex)
@@ -252,7 +256,7 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     numbers), so repeated lambda values give identical results and the
     comparison between points is not blurred by independent sampling
     noise.  The reported figure of merit is the SE pooled over the final
-    stats window.
+    stats window.  The filters do not depend on lambda and are built once.
     """
     fs = cfg.filters()
     if fs.structure is FilterStructure.CONVEX or not fs.has_cross_pair:
@@ -264,20 +268,9 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
         raise ValueError("lambdas must be positive and non-empty")
     se_final = np.empty(lambdas.size)
     for j, lam in enumerate(lambdas):
-        sub = RunConfig(
-            scheme=cfg.scheme,
-            model=cfg.model,
-            grid=cfg.grid,
-            n_realizations=runs_per_point,
-            master_seed=cfg.master_seed,
-            bath=cfg.bath,
-            kernel=cfg.kernel,
-            gamma=cfg.gamma,
-            lam=float(lam),
-            stats_window=cfg.stats_window,
-            seed_group=cfg.seed_group,
-        )
-        stats = run_ensemble(sub, batch_size=batch_size)
+        sub = dataclasses.replace(cfg, n_realizations=runs_per_point,
+                                  lam=float(lam))
+        stats = run_ensemble(sub, batch_size=batch_size, filters=fs)
         se_final[j] = stats.se_tr[-1]
     best = float(lambdas[int(np.argmin(se_final))])
     return LambdaScan(lambdas=lambdas, se_final=se_final, best_lambda=best)

@@ -1,23 +1,33 @@
 """Bath spectral density and noise correlation kernels.
 
 The eta autocorrelation and the causal eta-nu cross-correlation are needed
-both in the time domain (by quadrature over the spectral density, or from
-a user-supplied kernel) and on the DFT frequency grid (by discrete
-transform of the time samples, keeping the table's transform pair exactly
-self-consistent).  Pointwise analytic transforms are also provided; the
-imaginary part of the cross-correlation transform is a Cauchy principal
-value integral evaluated with a singularity-subtraction technique whose
+both in the time domain and on the DFT frequency grid.  A kernel table
+samples the Drude kernels at every lag of a padded grid at once: the
+Fourier integral over [0, omega_c] is a piecewise-linear Filon quadrature
+on a fine uniform frequency grid whose last node is the hard cutoff, and
+the sum over its nodes at all lags k*dt is one chirp-z transform, so the
+table costs O(n log n).  A user-supplied kernel is sampled directly.  The
+frequency arrays of the table are the discrete transform of its time
+samples, keeping the table's transform pair exactly self-consistent.
+
+``kernel_time`` evaluates the same kernels at arbitrary lags by composite
+Gauss-Legendre quadrature; it serves pointwise targets and reference
+values.  Pointwise analytic transforms are also provided; the imaginary
+part of the cross-correlation transform is a Cauchy principal value
+integral evaluated with a singularity-subtraction technique whose
 residual integrand is smooth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from scipy.signal import czt
 
-from .exceptions import AsymmetryExceeded, SingularPoint
+from .exceptions import AsymmetryExceeded, ConfigError, SingularPoint
 from .grids import FrequencyGrid, flip_freq
 
 __all__ = [
@@ -134,6 +144,15 @@ def _pv_cutoff_integral(w: np.ndarray, params: BathParams,
     return smooth + analytic
 
 
+def _check_nyquist(grid: FrequencyGrid, params: BathParams):
+    if np.pi / grid.dt <= params.omega_c:
+        raise ConfigError(
+            f"Nyquist frequency pi/dt = {np.pi / grid.dt:.6g} of the kernel "
+            f"grid (dt = {grid.dt:g}) does not exceed the cutoff omega_c = "
+            f"{params.omega_c:g}, so the bath would be truncated; lower dt"
+        )
+
+
 def _check_cutoff(w: np.ndarray, params: BathParams):
     hit = np.abs(np.abs(w) - params.omega_c) < 1e-12 * params.omega_c
     if np.any(hit):
@@ -199,6 +218,52 @@ def kernel_time(t, params: BathParams, which: str,
     return out if np.asarray(t).ndim else complex(out[0])
 
 
+# Filon nodes over [0, omega_c] are FILON_NODES + 1.  The quadrature error
+# is O((omega_c / FILON_NODES)^2) at every lag, whatever the grid.
+FILON_NODES = 2**16
+
+
+def _half_hat(theta: np.ndarray) -> np.ndarray:
+    """int_0^1 (1 - x) e^{i theta x} dx = (1 + i theta - e^{i theta}) / theta^2.
+
+    The closed form cancels catastrophically for small theta, where the
+    series sum_k (i theta)^k / (k + 2)! is used instead; 13 terms reach
+    double precision for |theta| < 1/4.
+    """
+    out = np.empty(theta.shape, dtype=complex)
+    small = np.abs(theta) < 0.25
+    z = 1j * theta[small]
+    acc = np.full(z.shape, 1.0 / math.factorial(14), dtype=complex)
+    for k in range(11, -1, -1):
+        acc = acc * z + 1.0 / math.factorial(k + 2)
+    out[small] = acc
+    big = theta[~small]
+    out[~small] = (1.0 + 1j * big - np.exp(1j * big)) / big**2
+    return out
+
+
+def _filon_fourier(g: np.ndarray, omega_c: float, dt: float, m: int) -> np.ndarray:
+    """int_0^omega_c g(w) e^{i w t_k} dw at t_k = k dt, k = 0..m-1.
+
+    ``g`` holds samples on the uniform grid w_j = j omega_c / M,
+    j = 0..M, along its last axis.  g is replaced by its piecewise-linear
+    interpolant, whose integral against e^{i w t} is exact: an interior
+    node carries the hat weight h sinc^2(h t / 2) times e^{i w_j t}, the
+    two end nodes the half-hat weights.  The sum over nodes at all lags
+    is one chirp-z transform.
+    """
+    nodes = g.shape[-1]
+    h = omega_c / (nodes - 1)
+    t = dt * np.arange(m)
+    theta = h * t
+    hat = h * np.sinc(theta / (2.0 * np.pi)) ** 2
+    head = h * _half_hat(theta)
+    tail = np.exp(1j * omega_c * t)
+    sums = czt(g, m, w=np.exp(1j * h * dt), a=1.0)
+    return (hat * sums + (head - hat) * g[..., :1]
+            + (np.conj(head) - hat) * tail * g[..., -1:])
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Correlation kernels sampled on a common frequency/time grid.
@@ -220,18 +285,40 @@ class KernelTable:
 def build_kernel_table(grid: FrequencyGrid, source: KernelSource) -> KernelTable:
     """Construct a :class:`KernelTable` from a Drude bath or custom kernel.
 
+    For a Drude bath the time samples at t_k = k dt, k = 0..n/2, are
+    ``(1/pi) int_0^wc g(w) e^{i w t_k} dw`` with g = J coth(beta w/2)
+    (``k_etaeta_freq``, which carries the 2/beta limit at w = 0) and
+    g = J, by Filon quadrature on ``FILON_NODES`` intervals summed with
+    one chirp-z transform; the real part of the first gives K_etaeta and
+    the imaginary part of the second the sine integral of K_etanu.  The
+    negative lags follow by symmetry: K_etaeta is even and
+    ``K_etanu = -2i Theta(t) (sine integral)`` with Theta(0) = 1/2 vanishes
+    for t < 0.  A grid whose Nyquist frequency pi/dt does not exceed
+    omega_c raises :class:`ConfigError`; one with a bin on the cutoff
+    raises :class:`SingularPoint`.  A custom kernel is sampled at the
+    grid times.
+
     Symmetries (K_etaeta even; Re K_etanu odd, Im K_etanu even) are
     enforced numerically; a correction beyond 1e-6 relative raises
     :class:`AsymmetryExceeded`.
     """
-    times = grid.times
     if isinstance(source, BathParams):
+        _check_nyquist(grid, source)
         # the sampled transforms are still singular at the hard cutoff:
         # reject grids whose bins land on it
         _check_cutoff(grid.omega, source)
-        keta_t = kernel_time(times, source, "etaeta").real.astype(float)
-        ketanu_t = kernel_time(times, source, "etanu")
+        half = grid.n // 2
+        omega = np.linspace(0.0, source.omega_c, FILON_NODES + 1)
+        g = np.stack([k_etaeta_freq(omega, source),
+                      spectral_density(omega, source)])
+        cos_int, sin_int = _filon_fourier(g, source.omega_c, grid.dt,
+                                          half + 1) / np.pi
+        keta_t = np.concatenate([cos_int.real[:half], cos_int.real[half:0:-1]])
+        ketanu_t = np.zeros(grid.n, dtype=complex)
+        ketanu_t[:half] = -2j * sin_int.imag[:half]
+        ketanu_t[0] *= 0.5
     elif isinstance(source, CustomKernel):
+        times = grid.times
         kt = np.asarray(source.func(times), dtype=complex)
         theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
         keta_t = kt.real.astype(float)

@@ -103,6 +103,25 @@ def test_exit_code_config_error(tmp_path):
     assert main(["simulate", "--config", path]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--beta", "1", "--dt", "-1"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--lambda", "-1"],
+    ["scan-lambda", "--scheme", "like", "--beta", "1", "--points", "0"],
+    ["validate", "--scheme", "like", "--beta", "1", "--max-lag", "5",
+     "--t-max", "0.2"],
+    ["validate", "--scheme", "like", "--beta", "1", "--max-lag", "nan"],
+    ["simulate", "--scheme", "convex", "--beta", "1", "--lambda", "0.5"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--dt", "0.5",
+     "--t-max", "20", "--n", "2"],
+])
+def test_exit_code_bad_values(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     # put a frequency-grid point exactly on the hard cutoff: n = 2048,
     # dt = 0.01 puts bin k at 2*pi*k/20.48; choose omega_c on bin 100

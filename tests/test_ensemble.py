@@ -140,6 +140,26 @@ def test_scan_lambda_repeated_values_identical():
     assert scan.best_lambda in (0.5, 2.0)
 
 
+def test_scan_lambda_builds_filters_once(monkeypatch):
+    import slnoise.ensemble as ens
+
+    builds = []
+    real = ens.build_kernel_table
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ens, "build_kernel_table", counting)
+    cfg = small_cfg()
+    scan = scan_lambda(cfg, [0.5, 2.0], runs_per_point=16)
+    assert len(builds) == 1
+    # each point matches a stand-alone run that builds its own filters
+    for lam, se in zip(scan.lambdas, scan.se_final):
+        sub = small_cfg(n_realizations=16, lam=float(lam))
+        assert run_ensemble(sub).se_tr[-1] == se
+
+
 def test_scan_lambda_rejects_schemes_without_pair():
     with pytest.raises(ZeroComponent):
         scan_lambda(small_cfg(scheme=SchemeId.CONVEX), [0.5], 16)

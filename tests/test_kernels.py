@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from slnoise import (
     AsymmetryExceeded,
     BathParams,
+    ConfigError,
     CustomKernel,
     FrequencyGrid,
     SingularPoint,
@@ -17,7 +18,7 @@ from slnoise import (
     qnd_kernel,
     spectral_density,
 )
-from slnoise.kernels import _pv_cutoff_integral
+from slnoise.kernels import _half_hat, _pv_cutoff_integral
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 
@@ -197,6 +198,45 @@ class TestDrudeKernelTable:
         wc = 2.0 * np.pi * k / (n * dt)
         with pytest.raises(SingularPoint):
             build_kernel_table(FrequencyGrid(n, dt), BathParams(1.0, wc))
+
+
+def test_half_hat_weight_matches_quadrature():
+    # both the small-theta series and the closed form
+    theta = np.array([1e-6, 0.2, 0.3, 7.0])
+    for th, val in zip(theta, _half_hat(theta)):
+        re, _ = quad(lambda x: (1 - x) * np.cos(th * x), 0.0, 1.0)
+        im, _ = quad(lambda x: (1 - x) * np.sin(th * x), 0.0, 1.0)
+        assert val == pytest.approx(re + 1j * im, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n, dt", [(2048, 0.01), (16384, 0.0025)])
+def test_table_time_samples_match_quadrature(n, dt, beta):
+    # the table's Filon/chirp-z samples against pointwise Gauss-Legendre
+    # at ~64 lags, both signs, up to the last positive lag below n*dt/2
+    bath = BathParams(beta, 25.0)
+    grid = FrequencyGrid(n, dt)
+    table = build_kernel_table(grid, bath)
+    t = grid.times
+    idx = np.unique(np.r_[np.linspace(0, n - 1, 60).astype(int),
+                          1, n // 2 - 1, n // 2, n - 1])
+    k_ee = kernel_time(t[idx], bath, "etaeta").real
+    k_en = kernel_time(t[idx], bath, "etanu")
+    tol = 1e-8 * abs(k_ee[0])
+    assert np.max(np.abs(table.k_etaeta_t[idx] - k_ee)) < tol
+    assert np.max(np.abs(table.k_etanu_t[idx] - k_en)) < tol
+    # exact symmetries: K_etaeta(-t) = K_etaeta(t), K_etanu(t < 0) = 0
+    k = table.k_etaeta_t
+    assert np.array_equal(k[1:], k[:0:-1])
+    assert np.all(table.k_etanu_t[t < 0] == 0.0)
+
+
+def test_table_rejects_nyquist_below_cutoff():
+    # pi/dt = 12.6 < omega_c = 25: the grid cannot carry the bath
+    with pytest.raises(ConfigError, match="Nyquist"):
+        build_kernel_table(FrequencyGrid(256, 0.25), BATH)
+    with pytest.raises(ConfigError, match="Nyquist"):
+        build_kernel_table(FrequencyGrid(256, np.pi / 25.0), BATH)
 
 
 class TestCustomKernelTable:
