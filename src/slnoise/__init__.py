@@ -48,9 +48,11 @@ from .schemes import (
 from .noise import (
     CorrelationEstimate,
     NoisePair,
+    Synthesizer,
     estimate_correlations,
     sample_white,
     synthesize,
+    synthesize_batch,
     synthesize_from_white,
 )
 from .dynamics import (
@@ -63,6 +65,7 @@ from .dynamics import (
     SystemModel,
     Trajectory,
     integrate_batch,
+    integrate_blocks,
     integrate_trajectory,
     lz_asymptote,
     qnd_exact,

@@ -21,10 +21,10 @@ import numpy as np
 
 from .dynamics import QndModel, SystemModel, qnd_exact, qnd_kernel
 from .ensemble import RunConfig, run_coherence, run_ensemble, scan_lambda, seed_for
-from .exceptions import ConfigError, SlnoiseError
+from .exceptions import ConfigError, SlnoiseError, ZeroComponent
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, build_kernel_table, kernel_time
-from .noise import estimate_correlations, synthesize
+from .noise import check_memory, estimate_correlations, synthesize, synthesize_batch
 from .schemes import SchemeId, make_filters
 
 __all__ = ["main", "load_config", "build_run_config"]
@@ -167,15 +167,10 @@ def _validate(settings: dict, args):
         grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    check_memory(grid, rows=1)
     lam = settings["lambda"]
-    if lam is not None:
-        if not lam > 0:
-            raise ConfigError(f"lambda must be positive, got {lam:g}")
-        if settings["scheme"] == SchemeId.CONVEX.value:
-            raise ConfigError(
-                "the convex scheme has no separable cross-correlative pair; "
-                "lambda rescaling does not apply to it"
-            )
+    if lam is not None and not lam > 0:
+        raise ConfigError(f"lambda must be positive, got {lam:g}")
     if getattr(args, "points", 1) < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     if getattr(args, "runs_per_point", 2) < 2:
@@ -258,14 +253,19 @@ def _cmd_kernels(args):
         fh.close()
 
 
+def _noise_filters(settings):
+    """Run config and filters of the noise commands, which colour noise
+    on the dt grid itself (the ensemble commands use dt/2)."""
+    cfg = build_run_config(settings)
+    table = build_kernel_table(cfg.grid.freq(), cfg.bath)
+    return cfg, make_filters(cfg.scheme, table, cfg.gamma)
+
+
 def _cmd_gen_noise(args):
     settings = _settings_from_args(args)
-    cfg = build_run_config({**settings, "n_realizations": 2})
-    grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-    bath = BathParams(settings["beta"], settings["omega_c"])
-    fs = make_filters(cfg.scheme, build_kernel_table(grid.freq(), bath), cfg.gamma)
-    pair = synthesize(fs, grid, seed_for(cfg.master_seed, 0), cfg.lam)
-    t = grid.times
+    cfg, fs = _noise_filters({**settings, "n_realizations": 2})
+    pair = synthesize(fs, cfg.grid, seed_for(cfg.master_seed, 0), cfg.lam)
+    t = cfg.grid.times
     rows = zip(t, pair.eta_t.real, pair.eta_t.imag, pair.nu_t.real, pair.nu_t.imag)
     fh = _open_output(settings)
     _write_csv(fh, ["t", "re_eta", "im_eta", "re_nu", "im_nu"], rows)
@@ -275,18 +275,12 @@ def _cmd_gen_noise(args):
 
 def _cmd_validate(args):
     settings = _settings_from_args(args)
-    cfg = build_run_config(settings)
-    grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-    fg = grid.freq()
-    bath = BathParams(settings["beta"], settings["omega_c"])
-    fs = make_filters(cfg.scheme, build_kernel_table(fg, bath), cfg.gamma)
-    pairs = [
-        synthesize(fs, grid, seed_for(cfg.master_seed, i), cfg.lam)
-        for i in range(cfg.n_realizations)
-    ]
-    est = estimate_correlations(pairs, args.max_lag)
-    k_ee = kernel_time(est.lags, bath, "etaeta")
-    k_en = kernel_time(est.lags, bath, "etanu")
+    cfg, fs = _noise_filters(settings)
+    seeds = [seed_for(cfg.master_seed, i) for i in range(cfg.n_realizations)]
+    est = estimate_correlations(synthesize_batch(fs, cfg.grid, seeds, cfg.lam),
+                                args.max_lag)
+    k_ee = kernel_time(est.lags, cfg.bath, "etaeta")
+    k_en = kernel_time(est.lags, cfg.bath, "etanu")
     rows = zip(
         est.lags,
         k_ee.real, k_ee.imag, est.est_etaeta.real, est.est_etaeta.imag, est.se_etaeta,
@@ -423,7 +417,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ZeroComponent) as exc:
+        # ZeroComponent: rescaling asked of a scheme without a
+        # cross-correlative pair, refused before any noise is drawn
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SlnoiseError as exc:

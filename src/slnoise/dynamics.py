@@ -13,6 +13,14 @@ integrated with classical RK4.  The noise is pre-sampled on a half-step
 grid so the midpoint stages use exact samples rather than interpolants
 (the coloured noise is band-limited, hence smooth on the step scale).
 
+One kernel, :func:`integrate_blocks`, integrates a batch of trajectories.
+It reads the noise time-major, (half steps, trajectories), so that every
+stage works on contiguous rows, updates the four state components in
+place, and hands the states out in blocks of BLOCK_STEPS steps.  The
+divergence check runs once per block, and callers reduce a block as soon
+as it is written, so the states of a whole run are never held at once.
+:func:`integrate_batch` concatenates the blocks.
+
 The module also provides the exact solution of a pure-dephasing
 (quantum-non-demolition) model with kernel K(t) = (1/2) e^{-2|t|+i t},
 used as an oracle for the stochastic average.
@@ -38,6 +46,8 @@ __all__ = [
     "state_to_rho",
     "integrate_trajectory",
     "integrate_batch",
+    "integrate_blocks",
+    "BLOCK_STEPS",
     "lz_asymptote",
     "LZ_FINITE_WINDOW",
     "QndModel",
@@ -53,6 +63,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 DIVERGENCE_THRESHOLD = 1e12
+
+# Steps whose states are held at once by integrate_blocks; the divergence
+# check and the ensemble sums run once per block.
+BLOCK_STEPS = 128
 
 Drive = Union[float, Callable[[np.ndarray], np.ndarray]]
 
@@ -111,18 +125,24 @@ def _eval_drive(drive: Drive, t: np.ndarray) -> np.ndarray:
     return float(drive) * np.ones_like(t)
 
 
-def integrate_batch(model: SystemModel, eta_half: np.ndarray,
-                    nu_half: np.ndarray, dt_half: float):
-    """RK4 integration of a batch of trajectories.
+def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
+                     nu_t: np.ndarray, dt_half: float):
+    """RK4 integration of a batch of trajectories, streamed in blocks.
 
-    ``eta_half``/``nu_half`` have shape (batch, 2*n_steps + 1) sampled at
-    half the integration step.  Returns (states, first_div) where states
-    has shape (batch, n_steps + 1, 4) ordered (sx, sy, sz, tr) and
-    first_div is the first diverged step per trajectory (-1 if none).
+    ``eta_t``/``nu_t`` are time-major, shape (2*n_steps + 1, rows): row k
+    holds every trajectory's noise at half step k, so each RK4 stage reads
+    one contiguous row.  The state is kept as four component rows
+    (sx, sy, sz, tr) of shape (rows,) and updated in place.
+
+    Yields ``(start, states, new_div)`` for consecutive blocks of up to
+    BLOCK_STEPS steps.  ``states`` has shape (m, 4, rows) and holds steps
+    start .. start+m-1 (step 0 is the initial state); it is one buffer,
+    overwritten by the next block, so consume it before advancing.
+    ``new_div[r]`` is the step at which trajectory r first crossed the
+    divergence threshold if that happened in this block, else -1.  The
+    divergence check runs once per block, vectorised over its steps.
     """
-    eta_half = np.atleast_2d(eta_half)
-    nu_half = np.atleast_2d(nu_half)
-    nb, nh = eta_half.shape
+    nh, rows = eta_t.shape
     if nh % 2 == 0 or nh < 3:
         raise ValueError("half-step series must have odd length >= 3")
     n_steps = (nh - 1) // 2
@@ -131,46 +151,91 @@ def integrate_batch(model: SystemModel, eta_half: np.ndarray,
     eps = _eval_drive(model.epsilon, t_half)
     delta = _eval_drive(model.delta, t_half)
     alpha = model.alpha
-    # effective precession rate and trace drive at every half step
-    w = eps[None, :] - 2.0 * alpha * eta_half
-    v = 1j * alpha * nu_half
 
-    state0 = rho_to_state(model.rho0)
-    y = np.broadcast_to(state0, (nb, 4)).copy()
-    states = np.empty((nb, n_steps + 1, 4), dtype=complex)
-    states[:, 0] = y
-    first_div = np.full(nb, -1, dtype=int)
+    y = np.empty((4, rows), dtype=complex)
+    y[:] = rho_to_state(model.rho0)[:, None]
+    k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
+    tmp = np.empty(rows, dtype=complex)
+    y_, k1_, k2_, k3_, k4_, ys_ = (tuple(a) for a in (y, k1, k2, k3, k4, ys))
+    block = np.empty((min(BLOCK_STEPS, n_steps + 1), 4, rows), dtype=complex)
+    first_div = np.full(rows, -1)
 
-    def rhs(y, k):
-        sx, sy_, sz, tr = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-        wk = w[:, k]
-        vk = v[:, k]
-        dk = delta[k]
-        return np.stack(
-            [
-                -wk * sy_,
-                -dk * sz + wk * sx,
-                dk * sy_ + vk * tr,
-                vk * sz,
-            ],
-            axis=1,
-        )
+    # complex operands throughout: numpy multiplies a complex array by a
+    # real scalar as by scalar + 0j anyway, and skips the cast this way
+    half_h, full_h, two, sixth_h = (np.array(c, dtype=complex)
+                                    for c in (0.5 * h, h, 2.0, h / 6.0))
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def rhs(s, mw, v, md, out):
+        # (-w sy, w sx - d sz, d sy + v tr, v sz) from -w and -d alone:
+        # negating an operand and the operation together is exact
+        sx, sy, sz, tr = s
+        o0, o1, o2, o3 = out
+        mul(mw, sy, o0)
+        mul(md, sz, o1)
+        sub(o1, mul(mw, sx, tmp), o1)
+        mul(v, tr, o2)
+        sub(o2, mul(md, sy, tmp), o2)
+        mul(v, sz, o3)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            k0, k1, k2 = 2 * i, 2 * i + 1, 2 * i + 2
-            f1 = rhs(y, k0)
-            f2 = rhs(y + 0.5 * h * f1, k1)
-            f3 = rhs(y + 0.5 * h * f2, k1)
-            f4 = rhs(y + h * f3, k2)
-            y = y + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            states[:, i + 1] = y
-            bad = ~np.isfinite(y).all(axis=1) | (
-                np.abs(y).max(axis=1) > DIVERGENCE_THRESHOLD
-            )
-            newly = bad & (first_div < 0)
-            first_div[newly] = i + 1
-    return states, first_div
+        for start in range(0, n_steps + 1, BLOCK_STEPS):
+            m = min(BLOCK_STEPS, n_steps + 1 - start)
+            # minus the effective precession rate, the trace drive and
+            # minus the tunnelling at the half steps 2(i-1) .. 2i of every
+            # step i in the block
+            lo = max(2 * start - 2, 0)
+            hi = 2 * (start + m - 1) + 1
+            mw = 2.0 * alpha * eta_t[lo:hi]
+            mw -= eps[lo:hi, None]
+            v = 1j * alpha * nu_t[lo:hi]
+            md = -delta[lo:hi].astype(complex)
+            for j in range(m):
+                if start + j > 0:
+                    k = 2 * (start + j - 1) - lo
+                    mid = (mw[k + 1], v[k + 1], md[k + 1])
+                    rhs(y_, mw[k], v[k], md[k], k1_)
+                    add(y, mul(k1, half_h, ys), ys)
+                    rhs(ys_, *mid, k2_)
+                    add(y, mul(k2, half_h, ys), ys)
+                    rhs(ys_, *mid, k3_)
+                    add(y, mul(k3, full_h, ys), ys)
+                    rhs(ys_, mw[k + 2], v[k + 2], md[k + 2], k4_)
+                    # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                    add(k1, mul(k2, two, k2), k1)
+                    add(k1, mul(k3, two, k3), k1)
+                    add(k1, k4, k1)
+                    add(y, mul(k1, sixth_h, k1), y)
+                block[j] = y
+            states = block[:m]
+            # |component| <= threshold fails for inf and nan too
+            bad = ~(np.abs(states) <= DIVERGENCE_THRESHOLD).all(axis=1)
+            if start == 0:
+                bad[0] = False
+            hit = bad.any(axis=0) & (first_div < 0)
+            new_div = np.where(hit, start + bad.argmax(axis=0), -1)
+            first_div[hit] = new_div[hit]
+            yield start, states, new_div
+
+
+def integrate_batch(model: SystemModel, eta_half: np.ndarray,
+                    nu_half: np.ndarray, dt_half: float):
+    """RK4 integration of a batch of trajectories.
+
+    ``eta_half``/``nu_half`` have shape (batch, 2*n_steps + 1) sampled at
+    half the integration step.  Returns (states, first_div) where states
+    has shape (batch, n_steps + 1, 4) ordered (sx, sy, sz, tr) and
+    first_div is the first diverged step per trajectory (-1 if none).
+    The blocks of :func:`integrate_blocks`, concatenated.
+    """
+    eta_t = np.ascontiguousarray(np.atleast_2d(eta_half).T)
+    nu_t = np.ascontiguousarray(np.atleast_2d(nu_half).T)
+    blocks = []
+    first_div = np.full(eta_t.shape[1], -1)
+    for _, states, new_div in integrate_blocks(model, eta_t, nu_t, dt_half):
+        blocks.append(states.transpose(2, 0, 1).copy())
+        first_div = np.where(new_div >= 0, new_div, first_div)
+    return np.concatenate(blocks, axis=1), first_div
 
 
 def integrate_trajectory(model: SystemModel, eta_half: np.ndarray,

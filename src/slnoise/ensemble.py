@@ -1,8 +1,20 @@
 """Ensemble runs: batched trajectory averaging and the lambda scan.
 
 Realizations are independent; each gets its own counter-based RNG stream
-derived from the master seed so results are bit-reproducible regardless
-of batching.  Statistics are accumulated in fixed realization order.
+derived from the master seed, so results are reproducible regardless of
+batching.  Statistics are accumulated in fixed realization order.
+
+One loop produces the noise of every ensemble run, batch by batch
+(``batch_size`` realizations).  A batch's noise is synthesized in chunks
+of CHUNK_ROWS realizations spread over SYNTH_THREADS threads: the Philox
+fills and the FFTs release the interpreter lock, so the chunks run on all
+cores.  Each chunk writes its own columns of the batch's time-major noise
+arrays, and a realization's noise depends only on its seed and its chunk,
+never on the thread that computed it.  RK4 and every reduction run on the
+calling thread in batch order, on the state blocks streamed by
+:func:`integrate_blocks`, while the threads synthesize the next batch;
+only running sums are kept, never the states of a whole batch.  Output is
+therefore bitwise independent of SYNTH_THREADS.
 
 The trace variance and standard error are pooled over sliding windows of
 time steps (default 100): every step inside a window is treated as a
@@ -13,17 +25,21 @@ where single-step scatter would dominate.
 from __future__ import annotations
 
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import SystemModel, integrate_batch
-from .exceptions import ZeroComponent
+# integrate_batch, sample_white and synthesize_from_white are not called
+# here; perfbench/spans.py traces the layers through these names.
+from .dynamics import SystemModel, integrate_batch, integrate_blocks  # noqa: F401
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
-from .noise import sample_white, synthesize_from_white
-from .schemes import FilterSet, FilterStructure, SchemeId, make_filters
+from .noise import (CHUNK_ROWS, Synthesizer, check_memory,  # noqa: F401
+                    sample_white, synthesize_from_white)
+from .schemes import FilterSet, SchemeId, make_filters
 
 __all__ = [
     "RunConfig",
@@ -35,6 +51,9 @@ __all__ = [
     "windowed_stats",
     "scan_lambda",
 ]
+
+# Threads that synthesize noise chunks: one per core this process may use.
+SYNTH_THREADS = len(os.sched_getaffinity(0))
 
 
 def seed_for(master_seed: int, index: int,
@@ -137,6 +156,54 @@ def windowed_stats(traces: np.ndarray, window: int):
     return _pooled_window_stats(sum_tr, sum_abs2, traces.shape[0], window)
 
 
+def _check_memory(ngrid: TimeGrid, batch_rows: int) -> None:
+    # the noise of two batches is held at once: the one being integrated
+    # and the next one, synthesized meanwhile
+    check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS)
+
+
+def _synthesizer(cfg: RunConfig, batch_size: int,
+                 filters: Optional[FilterSet] = None) -> Synthesizer:
+    """Refuse what cannot run (batches too large for memory, rescaling
+    without a cross-correlative pair) before any noise is drawn."""
+    ngrid = cfg.noise_grid()
+    _check_memory(ngrid, min(batch_size, cfg.n_realizations))
+    fs = cfg.filters() if filters is None else filters
+    return Synthesizer(fs, ngrid, cfg.lam)
+
+
+def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
+                  force_nu_zero: bool = False):
+    """The noise-batch loop: synthesize each batch, integrate it, and yield
+    its :func:`integrate_blocks` blocks, batch after batch.  The threads
+    synthesize the next batch while the current one is integrated."""
+    nreal = cfg.n_realizations
+
+    def submit(pool, start):
+        stop = min(start + batch_size, nreal)
+        seeds = [seed_for(cfg.master_seed, i, cfg.seed_group)
+                 for i in range(start, stop)]
+        eta = np.empty((synth.n_phys, stop - start), dtype=complex)
+        nu = np.empty_like(eta)
+        jobs = [pool.submit(synth.fill, seeds[a:a + CHUNK_ROWS],
+                            eta[:, a:a + CHUNK_ROWS], nu[:, a:a + CHUNK_ROWS])
+                for a in range(0, stop - start, CHUNK_ROWS)]
+        return eta, nu, jobs
+
+    with ThreadPoolExecutor(SYNTH_THREADS) as pool:
+        pending = submit(pool, 0)
+        for start in range(0, nreal, batch_size):
+            eta, nu, jobs = pending
+            for job in jobs:
+                job.result()
+            if start + batch_size < nreal:
+                pending = submit(pool, start + batch_size)
+            if force_nu_zero:
+                nu[:] = 0.0
+            yield from integrate_blocks(cfg.model, eta, nu, synth.grid.dt)
+            del eta, nu
+
+
 def run_ensemble(cfg: RunConfig, batch_size: int = 256,
                  force_nu_zero: bool = False,
                  filters: Optional[FilterSet] = None) -> EnsembleStats:
@@ -148,42 +215,22 @@ def run_ensemble(cfg: RunConfig, batch_size: int = 256,
     ``filters``, when given, must be ``cfg.filters()`` built beforehand;
     it saves rebuilding them for runs that differ only in lam or size.
     """
-    ngrid = cfg.noise_grid()
-    fs = cfg.filters() if filters is None else filters
-    n_half = ngrid.n_phys
+    synth = _synthesizer(cfg, batch_size, filters)
     n_steps = cfg.grid.n_phys
     sum_tr = np.zeros(n_steps, dtype=complex)
     sum_abs2 = np.zeros(n_steps)
-    sum_sx = np.zeros(n_steps, dtype=complex)
-    sum_sy = np.zeros(n_steps, dtype=complex)
-    sum_sz = np.zeros(n_steps, dtype=complex)
-    div_counts = np.zeros(n_steps, dtype=int)
+    sum_s = np.zeros((3, n_steps), dtype=complex)
+    first_divs = np.zeros(n_steps, dtype=int)
     nreal = cfg.n_realizations
-    for start in range(0, nreal, batch_size):
-        stop = min(start + batch_size, nreal)
-        nb = stop - start
-        eta = np.empty((nb, n_half), dtype=complex)
-        nu = np.empty((nb, n_half), dtype=complex)
-        for j, idx in enumerate(range(start, stop)):
-            seed = seed_for(cfg.master_seed, idx, cfg.seed_group)
-            white = sample_white(ngrid, seed, fs.n_channels)
-            pair = synthesize_from_white(fs, ngrid, white, cfg.lam, seed)
-            eta[j] = pair.eta_t
-            nu[j] = pair.nu_t
-        if force_nu_zero:
-            nu[:] = 0.0
-        states, first_div = integrate_batch(cfg.model, eta, nu,
-                                            ngrid.dt)
-        tr = states[:, :, 3]
-        with np.errstate(over="ignore", invalid="ignore"):
-            sum_tr += tr.sum(axis=0)
-            sum_abs2 += (np.abs(tr) ** 2).sum(axis=0)
-            sum_sx += states[:, :, 0].sum(axis=0)
-            sum_sy += states[:, :, 1].sum(axis=0)
-            sum_sz += states[:, :, 2].sum(axis=0)
-        for d in first_div:
-            if d >= 0:
-                div_counts[d:] += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, states, new_div in _state_blocks(cfg, synth, batch_size,
+                                                    force_nu_zero):
+            steps = slice(start, start + len(states))
+            tr = states[:, 3]
+            sum_tr[steps] += tr.sum(axis=1)
+            sum_abs2[steps] += (np.abs(tr) ** 2).sum(axis=1)
+            sum_s[:, steps] += states[:, :3].sum(axis=2).T
+            np.add.at(first_divs, new_div[new_div >= 0], 1)
     var, se = _pooled_window_stats(sum_tr, sum_abs2, nreal, cfg.stats_window)
     mean_tr = sum_tr / nreal
     t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
@@ -193,10 +240,10 @@ def run_ensemble(cfg: RunConfig, batch_size: int = 256,
         abs_mean_tr=np.abs(mean_tr),
         var_tr=var,
         se_tr=se,
-        mean_sx=sum_sx / nreal,
-        mean_sy=sum_sy / nreal,
-        mean_sz=sum_sz / nreal,
-        diverged=div_counts,
+        mean_sx=sum_s[0] / nreal,
+        mean_sy=sum_s[1] / nreal,
+        mean_sz=sum_s[2] / nreal,
+        diverged=np.cumsum(first_divs),
         n_realizations=nreal,
         stats_window=cfg.stats_window,
     )
@@ -210,27 +257,16 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
     solution; the SE here is per step (not windowed) since the coherence
     is smooth.
     """
-    ngrid = cfg.noise_grid()
-    fs = cfg.filters()
+    synth = _synthesizer(cfg, batch_size)
     n_steps = cfg.grid.n_phys
     sum_r = np.zeros(n_steps, dtype=complex)
     sum_abs2 = np.zeros(n_steps)
     nreal = cfg.n_realizations
-    for start in range(0, nreal, batch_size):
-        stop = min(start + batch_size, nreal)
-        nb = stop - start
-        eta = np.empty((nb, ngrid.n_phys), dtype=complex)
-        nu = np.empty((nb, ngrid.n_phys), dtype=complex)
-        for j, idx in enumerate(range(start, stop)):
-            seed = seed_for(cfg.master_seed, idx, cfg.seed_group)
-            white = sample_white(ngrid, seed, fs.n_channels)
-            pair = synthesize_from_white(fs, ngrid, white, cfg.lam, seed)
-            eta[j] = pair.eta_t
-            nu[j] = pair.nu_t
-        states, _ = integrate_batch(cfg.model, eta, nu, ngrid.dt)
-        r01 = 0.5 * (states[:, :, 0] - 1j * states[:, :, 1])
-        sum_r += r01.sum(axis=0)
-        sum_abs2 += (np.abs(r01) ** 2).sum(axis=0)
+    for start, states, _ in _state_blocks(cfg, synth, batch_size):
+        steps = slice(start, start + len(states))
+        r01 = 0.5 * (states[:, 0] - 1j * states[:, 1])
+        sum_r[steps] += r01.sum(axis=1)
+        sum_abs2[steps] += (np.abs(r01) ** 2).sum(axis=1)
     mean = sum_r / nreal
     var = np.maximum(sum_abs2 / nreal - np.abs(mean) ** 2, 0.0) * nreal / max(nreal - 1, 1)
     se = np.sqrt(var / nreal)
@@ -258,14 +294,11 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     noise.  The reported figure of merit is the SE pooled over the final
     stats window.  The filters do not depend on lambda and are built once.
     """
-    fs = cfg.filters()
-    if fs.structure is FilterStructure.CONVEX or not fs.has_cross_pair:
-        raise ZeroComponent(
-            "lambda scan requires a scheme with a cross-correlative pair"
-        )
     lambdas = np.asarray(list(lambdas), dtype=float)
     if lambdas.size == 0 or np.any(lambdas <= 0):
         raise ValueError("lambdas must be positive and non-empty")
+    _check_memory(cfg.noise_grid(), min(batch_size, runs_per_point))
+    fs = cfg.filters()
     se_final = np.empty(lambdas.size)
     for j, lam in enumerate(lambdas):
         sub = dataclasses.replace(cfg, n_realizations=runs_per_point,

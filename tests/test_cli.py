@@ -113,6 +113,8 @@ def test_exit_code_config_error(tmp_path):
     ["simulate", "--scheme", "convex", "--beta", "1", "--lambda", "0.5"],
     ["simulate", "--scheme", "like", "--beta", "1", "--dt", "0.5",
      "--t-max", "20", "--n", "2"],
+    ["scan-lambda", "--scheme", "convex", "--beta", "1", "--lambdas", "1"],
+    ["simulate", "--scheme", "constrained", "--beta", "1", "--lambda", "0.5"],
 ])
 def test_exit_code_bad_values(argv, capsys):
     assert main(argv) == 1
@@ -120,6 +122,25 @@ def test_exit_code_bad_values(argv, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_grid_larger_than_memory_is_refused(capsys):
+    # 2.7e11 samples per channel: refused before any array of the grid's
+    # size exists
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scheme", "like", "--beta", "1",
+                     "--dt", "1e-7", "--t-max", "1e4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    assert err.count("\n") == 1
+    assert peak < 16 * 2**20
 
 
 def test_exit_code_runtime_error(tmp_path, capsys):

@@ -5,18 +5,23 @@ import pytest
 
 from slnoise import (
     BathParams,
+    ConfigError,
     RunConfig,
     SIGMA_Z,
     SchemeId,
+    Synthesizer,
     SystemModel,
     TimeGrid,
     ZeroComponent,
+    integrate_batch,
+    run_coherence,
     run_ensemble,
     sample_white,
     scan_lambda,
     seed_for,
     windowed_stats,
 )
+from slnoise.noise import CHUNK_ROWS
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 RHO0 = 0.5 * (np.eye(2) + SIGMA_Z)
@@ -115,6 +120,68 @@ def test_run_ensemble_batch_size_invariant():
     b = run_ensemble(small_cfg(), batch_size=1000)
     assert np.allclose(a.mean_tr, b.mean_tr, rtol=1e-12, atol=1e-14)
     assert np.allclose(a.var_tr, b.var_tr, rtol=1e-10, atol=1e-14)
+
+
+def test_output_independent_of_synthesis_thread_count(monkeypatch):
+    # more threads than cores, switching as often as the interpreter
+    # allows: a chunk written to the wrong columns or lost would show
+    import sys
+
+    import slnoise.ensemble as ens
+
+    cfg = small_cfg(n_realizations=3 * CHUNK_ROWS + 5)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(ens, "SYNTH_THREADS", threads)
+            runs.append((run_ensemble(cfg, batch_size=2 * CHUNK_ROWS + 3),
+                         run_coherence(cfg, batch_size=2 * CHUNK_ROWS + 3)))
+    finally:
+        sys.setswitchinterval(interval)
+    (ens1, coh1) = runs[0]
+    for ens_n, coh_n in runs[1:]:
+        for name in ("mean_tr", "var_tr", "se_tr", "mean_sx", "mean_sy",
+                     "mean_sz", "diverged"):
+            assert np.array_equal(getattr(ens1, name), getattr(ens_n, name)), name
+        for a, b in zip(coh1, coh_n):
+            assert np.array_equal(a, b)
+
+
+def test_streamed_sums_match_integrated_states():
+    # a strongly coupled run in which some trajectories diverge; the
+    # reference integrates the same noise with integrate_batch and reduces
+    # the full state array
+    cfg = small_cfg(scheme=SchemeId.LIKE, n_realizations=3 * CHUNK_ROWS,
+                    model=SystemModel(1.0, -1.0, 2.0, RHO0))
+    stats = run_ensemble(cfg, batch_size=2 * CHUNK_ROWS)
+    ngrid = cfg.noise_grid()
+    synth = Synthesizer(cfg.filters(), ngrid)
+    n = cfg.n_realizations
+    eta = np.empty((ngrid.n_phys, n), dtype=complex)
+    nu = np.empty_like(eta)
+    for a in range(0, n, CHUNK_ROWS):
+        synth.fill([seed_for(cfg.master_seed, i) for i in range(a, a + CHUNK_ROWS)],
+                   eta[:, a:a + CHUNK_ROWS], nu[:, a:a + CHUNK_ROWS])
+    states, first_div = integrate_batch(cfg.model, eta.T, nu.T, ngrid.dt)
+    assert 0 < np.sum(first_div >= 0) < n
+    steps = np.arange(states.shape[1])
+    diverged = ((first_div[:, None] >= 0) & (first_div[:, None] <= steps)).sum(axis=0)
+    assert np.array_equal(stats.diverged, diverged)
+    tr = states[:, :, 3]
+    var, se = windowed_stats(tr, cfg.stats_window)
+    for got, want in ((stats.mean_tr, tr.mean(axis=0)),
+                      (stats.var_tr, var), (stats.se_tr, se),
+                      (stats.mean_sx, states[:, :, 0].mean(axis=0)),
+                      (stats.mean_sy, states[:, :, 1].mean(axis=0)),
+                      (stats.mean_sz, states[:, :, 2].mean(axis=0))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_run_ensemble_refuses_grid_larger_than_memory():
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_ensemble(small_cfg(grid=TimeGrid(dt=1e-7, t_max=1e4)))
 
 
 def test_mean_trace_near_unity():

@@ -5,9 +5,11 @@ import pytest
 
 from slnoise import (
     BathParams,
+    FilterStructure,
     GridMismatch,
     InsufficientSample,
     SchemeId,
+    Synthesizer,
     TimeGrid,
     ZeroComponent,
     build_kernel_table,
@@ -15,10 +17,13 @@ from slnoise import (
     expected_nu_power,
     kernel_time,
     make_filters,
+    rescale_factor,
     sample_white,
     synthesize,
+    synthesize_batch,
     synthesize_from_white,
 )
+from slnoise.noise import CHUNK_ROWS
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 GRID = TimeGrid(dt=0.01, t_max=5.0)
@@ -202,3 +207,57 @@ def test_constrained_rescaling_undefined(table):
     fs = make_filters(SchemeId.CONSTRAINED, table, gamma=0.01)
     with pytest.raises(ZeroComponent):
         synthesize(fs, GRID, 0, lam=0.5)
+
+
+def _per_channel_reference(fs, white, lam):
+    """Per-channel synthesis, fft(f * ifft(x)) for each filter and white
+    channel, with the wiring of the FilterSet docstring."""
+    def filt(f, x):
+        return np.fft.fft(f * np.fft.ifft(x))
+
+    n = GRID.n_phys
+    if fs.structure is FilterStructure.CONVEX:
+        x1, x2 = white
+        eta = filt(fs.f1_w, x1) + 1j * filt(fs.f2_w, x2)
+        nu = filt(fs.g1_w, x1) + 1j * filt(fs.g1_w, x2)
+        return eta[:n], nu[:n]
+    x1, x2, x3, x4 = white
+    eta_main = filt(fs.f1_w, x1)[:n]
+    eta0 = (filt(fs.f2_w, x2) + 1j * filt(fs.f2_w, x3))[:n]
+    nu_main = (1j * filt(fs.g1_w, x1) + filt(fs.g1_w, x4))[:n]
+    nu0 = (filt(fs.g2_w, x3) + 1j * filt(fs.g2_w, x2))[:n]
+    factor = 1.0 if lam is None else rescale_factor(eta0, nu0, lam)
+    return eta_main + factor * eta0, nu_main + nu0 / factor
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+@pytest.mark.parametrize("rows", [1, CHUNK_ROWS + 5])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam):
+    # both batched outputs: the NoisePairs (transformed with the
+    # cross-correlative pair apart) and the time-major fill of the
+    # ensemble (summed spectra when lam is unset)
+    fs = make_filters(scheme, table, gamma=0.01)
+    seeds = [100 + i for i in range(rows)]
+    if lam is not None and not fs.has_cross_pair:
+        with pytest.raises(ZeroComponent):
+            Synthesizer(fs, GRID, lam)
+        with pytest.raises(ZeroComponent):
+            synthesize_batch(fs, GRID, seeds, lam)
+        return
+    pairs = synthesize_batch(fs, GRID, seeds, lam)
+    synth = Synthesizer(fs, GRID, lam)
+    eta_t = np.empty((GRID.n_phys, rows), dtype=complex)
+    nu_t = np.empty_like(eta_t)
+    for a in range(0, rows, CHUNK_ROWS):
+        synth.fill(seeds[a:a + CHUNK_ROWS], eta_t[:, a:a + CHUNK_ROWS],
+                   nu_t[:, a:a + CHUNK_ROWS])
+    for j, seed in enumerate(seeds):
+        white = sample_white(GRID, seed, fs.n_channels)
+        eta, nu = _per_channel_reference(fs, white, lam)
+        for got_eta, got_nu in ((pairs[j].eta_t, pairs[j].nu_t),
+                                (eta_t[:, j], nu_t[:, j])):
+            for got, want in ((got_eta, eta), (got_nu, nu)):
+                scale = np.max(np.abs(want))
+                assert scale > 0
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
