@@ -15,6 +15,7 @@ follows the usual OMP_NUM_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -184,17 +185,15 @@ def _validate(settings: dict, args):
         )
 
 
-def _open_output(settings):
+def _write_csv(settings, header, rows):
+    """Write the CSV to the ``output`` file, closed even when writing
+    raises, or to stdout, which is never closed."""
     path = settings.get("output")
-    if path:
-        return open(path, "w", newline="")
-    return sys.stdout
-
-
-def _write_csv(fh, header, rows):
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+    out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _fmt(x):
@@ -247,10 +246,7 @@ def _cmd_kernels(args):
         table.k_etanu_w.real[order],
         table.k_etanu_w.imag[order],
     )
-    fh = _open_output(settings)
-    _write_csv(fh, ["omega", "k_etaeta", "re_k_etanu", "im_k_etanu"], rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_csv(settings, ["omega", "k_etaeta", "re_k_etanu", "im_k_etanu"], rows)
 
 
 def _noise_filters(settings):
@@ -267,10 +263,7 @@ def _cmd_gen_noise(args):
     pair = synthesize(fs, cfg.grid, seed_for(cfg.master_seed, 0), cfg.lam)
     t = cfg.grid.times
     rows = zip(t, pair.eta_t.real, pair.eta_t.imag, pair.nu_t.real, pair.nu_t.imag)
-    fh = _open_output(settings)
-    _write_csv(fh, ["t", "re_eta", "im_eta", "re_nu", "im_nu"], rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_csv(settings, ["t", "re_eta", "im_eta", "re_nu", "im_nu"], rows)
 
 
 def _cmd_validate(args):
@@ -293,10 +286,7 @@ def _cmd_validate(args):
         "re_k_etanu", "im_k_etanu", "re_est_etanu", "im_est_etanu", "se_etanu",
         "re_est_nunu", "im_est_nunu", "se_nunu",
     ]
-    fh = _open_output(settings)
-    _write_csv(fh, header, rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_csv(settings, header, rows)
 
 
 def _cmd_simulate(args):
@@ -312,10 +302,7 @@ def _cmd_simulate(args):
     )
     header = ["t", "re_mean_tr", "im_mean_tr", "abs_mean_tr", "var_tr",
               "se_tr", "mean_sx", "mean_sy", "mean_sz", "diverged"]
-    fh = _open_output(settings)
-    _write_csv(fh, header, rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_csv(settings, header, rows)
 
 
 def _cmd_qnd_verify(args):
@@ -342,10 +329,7 @@ def _cmd_qnd_verify(args):
     rows = zip(t, exact.real, mean_r01.real, exact.imag, mean_r01.imag, se)
     header = ["t", "re_rho01_exact", "re_rho01_sln",
               "im_rho01_exact", "im_rho01_sln", "se"]
-    fh = _open_output(settings)
-    _write_csv(fh, header, rows)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_csv(settings, header, rows)
 
 
 def _cmd_scan_lambda(args):
@@ -361,10 +345,7 @@ def _cmd_scan_lambda(args):
     else:
         lambdas = np.logspace(np.log10(0.01), np.log10(10.0), args.points)
     scan = scan_lambda(cfg, lambdas, args.runs_per_point)
-    fh = _open_output(settings)
-    _write_csv(fh, ["lambda", "se_final"], zip(scan.lambdas, scan.se_final))
-    if fh is not sys.stdout:
-        fh.close()
+    _write_csv(settings, ["lambda", "se_final"], zip(scan.lambdas, scan.se_final))
 
 
 def _build_parser() -> _Parser:

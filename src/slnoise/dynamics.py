@@ -126,13 +126,19 @@ def _eval_drive(drive: Drive, t: np.ndarray) -> np.ndarray:
 
 
 def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
-                     nu_t: np.ndarray, dt_half: float):
+                     nu_t: np.ndarray, dt_half: float, cross=None):
     """RK4 integration of a batch of trajectories, streamed in blocks.
 
     ``eta_t``/``nu_t`` are time-major, shape (2*n_steps + 1, rows): row k
     holds every trajectory's noise at half step k, so each RK4 stage reads
     one contiguous row.  The state is kept as four component rows
     (sx, sy, sz, tr) of shape (rows,) and updated in place.
+
+    ``cross`` = (eta0_t, nu0_t, factor) adds a rescaled cross-correlative
+    pair: the noise is eta_t + factor * eta0_t and nu_t + nu0_t / factor,
+    with one factor per trajectory, shape (rows,).  It is formed one block
+    at a time, rounded exactly as when formed in full beforehand, so that
+    several factor rows can drive the same noise without a copy of it.
 
     Yields ``(start, states, new_div)`` for consecutive blocks of up to
     BLOCK_STEPS steps.  ``states`` has shape (m, 4, rows) and holds steps
@@ -159,6 +165,10 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     y_, k1_, k2_, k3_, k4_, ys_ = (tuple(a) for a in (y, k1, k2, k3, k4, ys))
     block = np.empty((min(BLOCK_STEPS, n_steps + 1), 4, rows), dtype=complex)
     first_div = np.full(rows, -1)
+    # the noise terms of a block's half steps
+    mw_buf = np.empty((min(2 * BLOCK_STEPS + 1, nh), rows), dtype=complex)
+    v_buf = np.empty_like(mw_buf)
+    two_alpha, i_alpha = 2.0 * alpha, 1j * alpha
 
     # complex operands throughout: numpy multiplies a complex array by a
     # real scalar as by scalar + 0j anyway, and skips the cast this way
@@ -186,9 +196,19 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
             # step i in the block
             lo = max(2 * start - 2, 0)
             hi = 2 * (start + m - 1) + 1
-            mw = 2.0 * alpha * eta_t[lo:hi]
+            mw, v = mw_buf[:hi - lo], v_buf[:hi - lo]
+            if cross is None:
+                mul(eta_t[lo:hi], two_alpha, mw)
+                mul(nu_t[lo:hi], i_alpha, v)
+            else:
+                eta0_t, nu0_t, factor = cross
+                mul(eta0_t[lo:hi], factor, mw)
+                add(mw, eta_t[lo:hi], mw)
+                mul(mw, two_alpha, mw)
+                np.divide(nu0_t[lo:hi], factor, v)
+                add(v, nu_t[lo:hi], v)
+                mul(v, i_alpha, v)
             mw -= eps[lo:hi, None]
-            v = 1j * alpha * nu_t[lo:hi]
             md = -delta[lo:hi].astype(complex)
             for j in range(m):
                 if start + j > 0:

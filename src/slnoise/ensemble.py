@@ -16,6 +16,15 @@ calling thread in batch order, on the state blocks streamed by
 only running sums are kept, never the states of a whole batch.  Output is
 therefore bitwise independent of SYNTH_THREADS.
 
+Rescaled runs synthesize each realization's noise once, whatever the
+number of rescaling strengths lambda: a batch keeps its noise without the
+cross-correlative pair, the unscaled pair and the per-realization rescale
+factors of every strength, and is integrated once per strength, the
+factors applied block by block.  The running sums are kept per strength,
+in batch order, so each point of :func:`scan_lambda` equals a stand-alone
+:func:`run_ensemble` with that lambda, bitwise; a single rescaled run is
+the one-strength case.
+
 The trace variance and standard error are pooled over sliding windows of
 time steps (default 100): every step inside a window is treated as a
 sample alongside the realizations, which stabilises the estimate exactly
@@ -157,96 +166,132 @@ def windowed_stats(traces: np.ndarray, window: int):
 
 
 def _check_memory(ngrid: TimeGrid, batch_rows: int) -> None:
-    # the noise of two batches is held at once: the one being integrated
-    # and the next one, synthesized meanwhile
+    # the loop holds the noise of two unrescaled batches of two series at
+    # once (the one being integrated and the next, synthesized meanwhile)
+    # or of one rescaled batch of four series
     check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS)
 
 
-def _synthesizer(cfg: RunConfig, batch_size: int,
-                 filters: Optional[FilterSet] = None) -> Synthesizer:
-    """Refuse what cannot run (batches too large for memory, rescaling
-    without a cross-correlative pair) before any noise is drawn."""
+def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
+    """The run's synthesizer, for the rescaling strengths ``lams`` (by
+    default ``cfg.lam`` alone, if set).  Refuses what cannot run (batches
+    too large for memory, rescaling without a cross-correlative pair)
+    before any noise is drawn; the filters are built once."""
+    if lams is None and cfg.lam is not None:
+        lams = [cfg.lam]
     ngrid = cfg.noise_grid()
     _check_memory(ngrid, min(batch_size, cfg.n_realizations))
-    fs = cfg.filters() if filters is None else filters
-    return Synthesizer(fs, ngrid, cfg.lam)
+    return Synthesizer(cfg.filters(), ngrid, lams)
 
 
 def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
                   force_nu_zero: bool = False):
-    """The noise-batch loop: synthesize each batch, integrate it, and yield
-    its :func:`integrate_blocks` blocks, batch after batch.  The threads
-    synthesize the next batch while the current one is integrated."""
+    """The noise-batch loop: synthesize each batch once, integrate it once
+    per rescaling strength of ``synth`` (once if it has none) and yield
+    ``(point, start, states, new_div)`` for every :func:`integrate_blocks`
+    block, batch after batch; ``point`` indexes the strength.
+
+    The threads synthesize the next unrescaled batch while the current one
+    is integrated.  A rescaled batch holds four series instead of two, so
+    it is synthesized only once the previous one is released."""
     nreal = cfg.n_realizations
+    n_points = 0 if synth.lam is None else len(synth.lam)
 
     def submit(pool, start):
         stop = min(start + batch_size, nreal)
         seeds = [seed_for(cfg.master_seed, i, cfg.seed_group)
                  for i in range(start, stop)]
-        eta = np.empty((synth.n_phys, stop - start), dtype=complex)
-        nu = np.empty_like(eta)
-        jobs = [pool.submit(synth.fill, seeds[a:a + CHUNK_ROWS],
-                            eta[:, a:a + CHUNK_ROWS], nu[:, a:a + CHUNK_ROWS])
-                for a in range(0, stop - start, CHUNK_ROWS)]
-        return eta, nu, jobs
+        # eta, nu and, when rescaled, the unscaled pair eta0, nu0
+        series = [np.empty((synth.n_phys, stop - start), dtype=complex)
+                  for _ in range(4 if n_points else 2)]
+        factors = np.empty((n_points, stop - start))
+        jobs = []
+        for a in range(0, stop - start, CHUNK_ROWS):
+            cols = slice(a, a + CHUNK_ROWS)
+            eta, nu, *pair = (s[:, cols] for s in series)
+            cross = (*pair, factors[:, cols]) if n_points else None
+            jobs.append(pool.submit(synth.fill, seeds[cols], eta, nu, cross))
+        return series, factors, jobs
 
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
-        pending = submit(pool, 0)
+        batch = submit(pool, 0)
         for start in range(0, nreal, batch_size):
-            eta, nu, jobs = pending
+            series, factors, jobs = batch
             for job in jobs:
                 job.result()
-            if start + batch_size < nreal:
-                pending = submit(pool, start + batch_size)
+            ahead = start + batch_size < nreal
+            batch = None
+            if ahead and not n_points:
+                batch = submit(pool, start + batch_size)
             if force_nu_zero:
-                nu[:] = 0.0
-            yield from integrate_blocks(cfg.model, eta, nu, synth.grid.dt)
-            del eta, nu
+                for nu in series[1::2]:
+                    nu[:] = 0.0
+            eta, nu, *pair = series
+            crosses = [(*pair, f) for f in factors] if n_points else [None]
+            for point, cross in enumerate(crosses):
+                for block in integrate_blocks(cfg.model, eta, nu,
+                                              synth.grid.dt, cross):
+                    yield (point, *block)
+            del series, eta, nu, pair, crosses, cross
+            if ahead and batch is None:
+                batch = submit(pool, start + batch_size)
+
+
+def _ensembles(cfg: RunConfig, batch_size: int, lams=None,
+               force_nu_zero: bool = False):
+    """One run of the noise-batch loop reduced to one EnsembleStats per
+    rescaling strength of :func:`_synthesizer`, or to one unrescaled
+    EnsembleStats."""
+    synth = _synthesizer(cfg, batch_size, lams)
+    n_points = 1 if synth.lam is None else len(synth.lam)
+    n_steps = cfg.grid.n_phys
+    sum_tr = np.zeros((n_points, n_steps), dtype=complex)
+    sum_abs2 = np.zeros((n_points, n_steps))
+    sum_s = np.zeros((n_points, 3, n_steps), dtype=complex)
+    first_divs = np.zeros((n_points, n_steps), dtype=int)
+    nreal = cfg.n_realizations
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, start, states, new_div in _state_blocks(cfg, synth, batch_size,
+                                                       force_nu_zero):
+            steps = slice(start, start + len(states))
+            tr = states[:, 3]
+            sum_tr[p, steps] += tr.sum(axis=1)
+            sum_abs2[p, steps] += (np.abs(tr) ** 2).sum(axis=1)
+            sum_s[p, :, steps] += states[:, :3].sum(axis=2).T
+            np.add.at(first_divs[p], new_div[new_div >= 0], 1)
+    t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
+    runs = []
+    for p in range(n_points):
+        var, se = _pooled_window_stats(sum_tr[p], sum_abs2[p], nreal,
+                                       cfg.stats_window)
+        mean_tr = sum_tr[p] / nreal
+        runs.append(EnsembleStats(
+            t=t,
+            mean_tr=mean_tr,
+            abs_mean_tr=np.abs(mean_tr),
+            var_tr=var,
+            se_tr=se,
+            mean_sx=sum_s[p, 0] / nreal,
+            mean_sy=sum_s[p, 1] / nreal,
+            mean_sz=sum_s[p, 2] / nreal,
+            diverged=np.cumsum(first_divs[p]),
+            n_realizations=nreal,
+            stats_window=cfg.stats_window,
+        ))
+    return runs
 
 
 def run_ensemble(cfg: RunConfig, batch_size: int = 256,
-                 force_nu_zero: bool = False,
-                 filters: Optional[FilterSet] = None) -> EnsembleStats:
+                 force_nu_zero: bool = False) -> EnsembleStats:
     """Synthesize, integrate and average an ensemble of trajectories.
 
     Deterministic for a fixed config: per-realization seeds come from
     seed_for and reduction order follows the realization index.
     force_nu_zero is a test hook that zeroes the trace-driving noise.
-    ``filters``, when given, must be ``cfg.filters()`` built beforehand;
-    it saves rebuilding them for runs that differ only in lam or size.
+    A rescaled run (``cfg.lam`` set) is the one-point case of
+    :func:`scan_lambda`'s loop.
     """
-    synth = _synthesizer(cfg, batch_size, filters)
-    n_steps = cfg.grid.n_phys
-    sum_tr = np.zeros(n_steps, dtype=complex)
-    sum_abs2 = np.zeros(n_steps)
-    sum_s = np.zeros((3, n_steps), dtype=complex)
-    first_divs = np.zeros(n_steps, dtype=int)
-    nreal = cfg.n_realizations
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, states, new_div in _state_blocks(cfg, synth, batch_size,
-                                                    force_nu_zero):
-            steps = slice(start, start + len(states))
-            tr = states[:, 3]
-            sum_tr[steps] += tr.sum(axis=1)
-            sum_abs2[steps] += (np.abs(tr) ** 2).sum(axis=1)
-            sum_s[:, steps] += states[:, :3].sum(axis=2).T
-            np.add.at(first_divs, new_div[new_div >= 0], 1)
-    var, se = _pooled_window_stats(sum_tr, sum_abs2, nreal, cfg.stats_window)
-    mean_tr = sum_tr / nreal
-    t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
-    return EnsembleStats(
-        t=t,
-        mean_tr=mean_tr,
-        abs_mean_tr=np.abs(mean_tr),
-        var_tr=var,
-        se_tr=se,
-        mean_sx=sum_s[0] / nreal,
-        mean_sy=sum_s[1] / nreal,
-        mean_sz=sum_s[2] / nreal,
-        diverged=np.cumsum(first_divs),
-        n_realizations=nreal,
-        stats_window=cfg.stats_window,
-    )
+    return _ensembles(cfg, batch_size, force_nu_zero=force_nu_zero)[0]
 
 
 def run_coherence(cfg: RunConfig, batch_size: int = 256):
@@ -255,20 +300,31 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
 
     Used to compare the stochastic average against an exact dephasing
     solution; the SE here is per step (not windowed) since the coherence
-    is smooth.
+    is smooth.  The variance is summed shifted by the first realization's
+    rho01 at each step, which keeps it free of the cancellation of
+    E|r|^2 - |E r|^2 where the realizations (nearly) agree, as at t = 0.
     """
     synth = _synthesizer(cfg, batch_size)
     n_steps = cfg.grid.n_phys
     sum_r = np.zeros(n_steps, dtype=complex)
-    sum_abs2 = np.zeros(n_steps)
+    shift = np.empty(n_steps, dtype=complex)
+    sum_d = np.zeros(n_steps, dtype=complex)
+    sum_d2 = np.zeros(n_steps)
+    shifted = 0
     nreal = cfg.n_realizations
-    for start, states, _ in _state_blocks(cfg, synth, batch_size):
+    for _, start, states, _ in _state_blocks(cfg, synth, batch_size):
         steps = slice(start, start + len(states))
         r01 = 0.5 * (states[:, 0] - 1j * states[:, 1])
+        if steps.stop > shifted:
+            # the first batch: column 0 is realization 0
+            shift[steps] = r01[:, 0]
+            shifted = steps.stop
         sum_r[steps] += r01.sum(axis=1)
-        sum_abs2[steps] += (np.abs(r01) ** 2).sum(axis=1)
+        d = r01 - shift[steps, None]
+        sum_d[steps] += d.sum(axis=1)
+        sum_d2[steps] += (np.abs(d) ** 2).sum(axis=1)
     mean = sum_r / nreal
-    var = np.maximum(sum_abs2 / nreal - np.abs(mean) ** 2, 0.0) * nreal / max(nreal - 1, 1)
+    var = np.maximum(sum_d2 - np.abs(sum_d) ** 2 / nreal, 0.0) / max(nreal - 1, 1)
     se = np.sqrt(var / nreal)
     t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
     return t, mean, se
@@ -292,18 +348,16 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     numbers), so repeated lambda values give identical results and the
     comparison between points is not blurred by independent sampling
     noise.  The reported figure of merit is the SE pooled over the final
-    stats window.  The filters do not depend on lambda and are built once.
+    stats window.  The filters are built once and each realization's noise
+    is synthesized once: RK4 runs once per point on that noise, applying
+    the point's rescale factors block by block.  Every point equals a
+    stand-alone :func:`run_ensemble` with ``lam`` set to it, bitwise.
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
     if lambdas.size == 0 or np.any(lambdas <= 0):
         raise ValueError("lambdas must be positive and non-empty")
-    _check_memory(cfg.noise_grid(), min(batch_size, runs_per_point))
-    fs = cfg.filters()
-    se_final = np.empty(lambdas.size)
-    for j, lam in enumerate(lambdas):
-        sub = dataclasses.replace(cfg, n_realizations=runs_per_point,
-                                  lam=float(lam))
-        stats = run_ensemble(sub, batch_size=batch_size, filters=fs)
-        se_final[j] = stats.se_tr[-1]
+    sub = dataclasses.replace(cfg, n_realizations=runs_per_point)
+    runs = _ensembles(sub, batch_size, lambdas)
+    se_final = np.array([stats.se_tr[-1] for stats in runs])
     best = float(lambdas[int(np.argmin(se_final))])
     return LambdaScan(lambdas=lambdas, se_final=se_final, best_lambda=best)

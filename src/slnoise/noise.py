@@ -31,6 +31,13 @@ cross-correlative pair ``fft(f2 z2)``, ``fft(i g2 c2)`` apart from the rest
 of eta and nu: 6 FFTs.  Convex wiring packs ``z = ifft(x1 + i x2)``; then
 ``eta = fft(((f1 + f2) z + (f1 - f2) c)/2)`` and ``nu = fft(g1 z)``: 3
 FFTs instead of 6.  The results equal the per-channel form up to rounding.
+
+The ensemble synthesizes each realization's noise once, whatever the
+number of rescaling strengths lambda: :meth:`Synthesizer.fill` writes the
+noise without the cross-correlative pair, the unscaled pair and a table
+of the realization's rescale factors, one per strength.  RK4 applies one
+strength's factors block by block
+(:func:`~slnoise.dynamics.integrate_blocks`).
 """
 
 from __future__ import annotations
@@ -105,9 +112,11 @@ def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
 def check_memory(grid: TimeGrid, rows: int, threads: int = 1) -> None:
     """Refuse a grid whose working set exceeds physical memory.
 
-    ``rows`` is the number of realizations whose noise is held at once on
-    the physical window (two complex series each) and ``threads`` the
-    number of chunks coloured at once on the padded grid; the kernel
+    ``rows`` counts the pairs of complex series held at once on the
+    physical window, one pair per realization: the ensemble loop holds
+    two unrescaled batches of two series each (the one being integrated
+    and the next), or one rescaled batch of four series.  ``threads`` is
+    the number of chunks coloured at once on the padded grid; the kernel
     table and the filters are counted too.  Raises :class:`ConfigError`
     before any of it is allocated.
     """
@@ -133,18 +142,19 @@ def _conj_flip(z: np.ndarray) -> np.ndarray:
 class Synthesizer:
     """Colours chunks of realizations with one filter set on one grid.
 
-    ``scale`` multiplies the white channels; the default 1/sqrt(dt) turns
-    the unit normals of :meth:`draw` into white noise of variance 1/dt,
-    and 1 suits channels drawn by :func:`sample_white`.  Construction
-    refuses a filter set built on another grid and a rescaling request
-    for a scheme without a cross-correlative pair, so neither can first
-    surface while noise is drawn.  Afterwards the object is only read:
-    several threads may call :meth:`fill` at once, and each realization's
-    result does not depend on which thread computed it.
+    ``lam`` is the rescaling strength, or for :meth:`fill` an array of
+    strengths.  ``scale`` multiplies the white channels; the default
+    1/sqrt(dt) turns the unit normals of :meth:`draw` into white noise of
+    variance 1/dt, and 1 suits channels drawn by :func:`sample_white`.
+    Construction refuses a filter set built on another grid and a
+    rescaling request for a scheme without a cross-correlative pair, so
+    neither can first surface while noise is drawn.  Afterwards the object
+    is only read: several threads may call :meth:`fill` at once, and each
+    realization's result does not depend on which thread computed it.
     """
 
-    def __init__(self, fs: FilterSet, grid: TimeGrid,
-                 lam: Optional[float] = None, scale: Optional[float] = None):
+    def __init__(self, fs: FilterSet, grid: TimeGrid, lam=None,
+                 scale: Optional[float] = None):
         fg = grid.freq()
         if fg.n != fs.grid.n or fg.dt != fs.grid.dt:
             raise GridMismatch(
@@ -181,9 +191,9 @@ class Synthesizer:
         """Noise on the physical window from white channels (rows, channels, n).
 
         Returns (eta, nu, eta0, nu0), each of shape (rows, n_phys).  The
-        cross-correlative components eta0/nu0 are transformed apart only
-        when ``split`` is set or ``lam`` is; otherwise they are None.  With
-        ``lam`` they are rescaled per realization, and eta/nu include them.
+        cross-correlative components eta0/nu0 are transformed apart, and
+        left out of eta/nu, only when ``split`` is set or ``lam`` is;
+        otherwise they are None.  They are never rescaled here.
         """
         n_phys = self.n_phys
         if self.fs.structure is FilterStructure.CONVEX:
@@ -218,22 +228,32 @@ class Synthesizer:
         c[:, 1] *= c2
         eta = scipy.fft.fft(z, axis=-1, overwrite_x=True)[:, :, :n_phys]
         nu = scipy.fft.fft(c, axis=-1, overwrite_x=True)[:, :, :n_phys]
-        factor = 1.0
-        if self.lam is not None:
-            factor = np.array([[rescale_factor(e, v, self.lam)]
-                               for e, v in zip(eta[:, 1], nu[:, 1])])
-        # new arrays, which let the padded transforms go
-        eta0 = factor * eta[:, 1]
-        nu0 = nu[:, 1] / factor
-        return eta[:, 0] + eta0, nu[:, 0] + nu0, eta0, nu0
+        return eta[:, 0], nu[:, 0], eta[:, 1], nu[:, 1]
+
+    def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
+        """:func:`rescale_factor` of each row of eta0/nu0 at ``lam``, shape
+        (rows,) + shape of ``lam``."""
+        return np.array([rescale_factor(e, v, self.lam) for e, v in zip(eta0, nu0)])
 
     def fill(self, seeds: Sequence[SeedLike], eta_out: np.ndarray,
-             nu_out: np.ndarray) -> None:
+             nu_out: np.ndarray, cross=None) -> None:
         """Draw and colour one chunk into time-major views of shape
-        (n_phys, len(seeds)): column j is the realization of seeds[j]."""
-        eta, nu, _, _ = self.colour(self.draw(seeds))
+        (n_phys, len(seeds)): column j is the realization of seeds[j].
+
+        With ``lam`` set, ``cross`` is (eta0_out, nu0_out, factors_out):
+        eta_out/nu_out then take the noise without the cross-correlative
+        pair, eta0_out/nu0_out the unscaled pair, and factors_out, of shape
+        (len(lam), len(seeds)), the rescale factor of each column at each
+        strength.  The rescaled noise is eta + f eta0 and nu + nu0 / f.
+        """
+        eta, nu, eta0, nu0 = self.colour(self.draw(seeds))
         eta_out[...] = eta.T
         nu_out[...] = nu.T
+        if self.lam is not None:
+            eta0_out, nu0_out, factors_out = cross
+            eta0_out[...] = eta0.T
+            nu0_out[...] = nu0.T
+            factors_out[...] = self.factors(eta0, nu0).T
 
     def pairs(self, white: np.ndarray, seeds: Sequence[object]) -> List[NoisePair]:
         """NoisePairs of white channels (rows, channels, n), one per seed."""
@@ -241,8 +261,12 @@ class Synthesizer:
         if self.fs.structure is FilterStructure.CONVEX:
             eta0, nu0 = np.zeros_like(eta), np.zeros_like(nu)
         lam = 1.0 if self.lam is None else self.lam
+        factor = 1.0 if self.lam is None else self.factors(eta0, nu0)[:, None]
+        # new arrays, which let the padded transforms go
+        eta0 = factor * eta0
+        nu0 = nu0 / factor
         return [NoisePair(*rows, self.grid.dt, self.fs.scheme, seed, lam)
-                for *rows, seed in zip(eta, nu, eta0, nu0, seeds)]
+                for *rows, seed in zip(eta + eta0, nu + nu0, eta0, nu0, seeds)]
 
 
 def synthesize_batch(fs: FilterSet, grid: TimeGrid, seeds: Sequence[SeedLike],

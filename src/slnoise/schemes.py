@@ -412,15 +412,18 @@ def mixing_power(kt: KernelTable, a_w: np.ndarray, total: bool = False) -> float
     return float(np.sum(integrand)) / (kt.grid.n * kt.grid.dt)
 
 
-def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam: float) -> float:
+def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam):
     """Per-realization rescaling of the cross-correlative components.
 
     Returns sqrt(sum|nu0| / sum|eta0|) / sqrt(lam); the caller multiplies
     eta0 by it and divides nu0 by it, which leaves the cross-correlation
     invariant and makes lam the realized amplitude ratio
-    sum|nu0| / sum|eta0| after scaling.
+    sum|nu0| / sum|eta0| after scaling.  ``lam`` may be an array of
+    strengths, giving an array of factors with its shape; each equals the
+    factor of that strength alone.
     """
-    if not lam > 0:
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
         raise ValueError("lambda must be positive")
     s_eta = float(np.sum(np.abs(eta0)))
     s_nu = float(np.sum(np.abs(nu0)))
@@ -428,7 +431,8 @@ def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam: float) -> float:
         raise ZeroComponent(
             "scheme has no cross-correlative components; rescaling undefined"
         )
-    return float(np.sqrt(s_nu / s_eta) / np.sqrt(lam))
+    factor = np.sqrt(s_nu / s_eta) / np.sqrt(lam)
+    return float(factor) if factor.ndim == 0 else factor
 
 
 def reality_defect(filter_w: np.ndarray) -> np.ndarray:

@@ -154,6 +154,51 @@ def test_exit_code_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_python_m_slnoise_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import slnoise
+
+    src = str(Path(slnoise.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "slnoise", "--help"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: slnoise")
+
+
+def test_csv_output_file_closed_when_writing_raises(tmp_path, monkeypatch):
+    import builtins
+
+    import slnoise.cli as cli
+
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    def rows():
+        yield (1.0, 2)
+        raise RuntimeError("row failed")
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    with pytest.raises(RuntimeError, match="row failed"):
+        cli._write_csv({"output": str(tmp_path / "x.csv")}, ["a", "b"], rows())
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_csv_to_stdout_leaves_it_open(capsys):
+    import sys
+
+    assert main(["kernels", "--beta", "1", "--t-max", "1"]) == 0
+    assert not sys.stdout.closed
+    assert capsys.readouterr().out.startswith("omega,k_etaeta,re_k_etanu,im_k_etanu\n")
+
+
 # ------------------------------------------------------------- subcommands
 
 

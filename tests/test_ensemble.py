@@ -6,6 +6,8 @@ import pytest
 from slnoise import (
     BathParams,
     ConfigError,
+    CustomKernel,
+    QndModel,
     RunConfig,
     SIGMA_Z,
     SchemeId,
@@ -14,11 +16,13 @@ from slnoise import (
     TimeGrid,
     ZeroComponent,
     integrate_batch,
+    qnd_kernel,
     run_coherence,
     run_ensemble,
     sample_white,
     scan_lambda,
     seed_for,
+    synthesize_batch,
     windowed_stats,
 )
 from slnoise.noise import CHUNK_ROWS
@@ -179,9 +183,28 @@ def test_streamed_sums_match_integrated_states():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def test_run_ensemble_refuses_grid_larger_than_memory():
+def _count_drawn_rows(monkeypatch):
+    """Patch Synthesizer.draw to count the rows it draws; returns the
+    list of counts."""
+    drawn = []
+    real = Synthesizer.draw
+
+    def counting(self, seeds):
+        drawn.append(len(seeds))
+        return real(self, seeds)
+
+    monkeypatch.setattr(Synthesizer, "draw", counting)
+    return drawn
+
+
+def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
+    drawn = _count_drawn_rows(monkeypatch)
+    huge = small_cfg(grid=TimeGrid(dt=1e-7, t_max=1e4))
     with pytest.raises(ConfigError, match="physical memory"):
-        run_ensemble(small_cfg(grid=TimeGrid(dt=1e-7, t_max=1e4)))
+        run_ensemble(huge)
+    with pytest.raises(ConfigError, match="physical memory"):
+        scan_lambda(huge, [0.5, 2.0], runs_per_point=16)
+    assert drawn == []
 
 
 def test_mean_trace_near_unity():
@@ -225,6 +248,104 @@ def test_scan_lambda_builds_filters_once(monkeypatch):
     for lam, se in zip(scan.lambdas, scan.se_final):
         sub = small_cfg(n_realizations=16, lam=float(lam))
         assert run_ensemble(sub).se_tr[-1] == se
+
+
+def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
+    # three batches of a full and a partial chunk, a repeated lambda, and
+    # the factor table of each batch written by 1, 2 and 5 threads that
+    # switch as often as the interpreter allows
+    import dataclasses
+    import sys
+
+    import slnoise.ensemble as ens
+
+    cfg = small_cfg()
+    runs, batch = 3 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
+    lambdas = [0.5, 0.05, 2.0, 0.5]
+    scans = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(ens, "SYNTH_THREADS", threads)
+            scans.append(scan_lambda(cfg, lambdas, runs_per_point=runs,
+                                     batch_size=batch).se_final)
+    finally:
+        sys.setswitchinterval(interval)
+    for se_final in scans[1:]:
+        assert np.array_equal(se_final, scans[0])
+    for lam, se in zip(lambdas, scans[0]):
+        sub = dataclasses.replace(cfg, lam=lam, n_realizations=runs)
+        assert run_ensemble(sub, batch_size=batch).se_tr[-1] == se
+
+
+def test_scan_lambda_synthesizes_each_realization_once(monkeypatch):
+    drawn = _count_drawn_rows(monkeypatch)
+    scan_lambda(small_cfg(), [0.5, 1.0, 2.0], runs_per_point=2 * CHUNK_ROWS + 5)
+    assert sum(drawn) == 2 * CHUNK_ROWS + 5
+
+
+def test_rescaled_run_matches_integrated_noise_pairs():
+    # the reference folds the rescale factors in at synthesis (the
+    # NoisePair path) and integrates the whole batch at once
+    cfg = small_cfg(lam=0.5, n_realizations=3 * CHUNK_ROWS)
+    stats = run_ensemble(cfg, batch_size=2 * CHUNK_ROWS + 3)
+    ngrid = cfg.noise_grid()
+    seeds = [seed_for(cfg.master_seed, i) for i in range(cfg.n_realizations)]
+    pairs = synthesize_batch(cfg.filters(), ngrid, seeds, cfg.lam)
+    states, first_div = integrate_batch(cfg.model, [p.eta_t for p in pairs],
+                                        [p.nu_t for p in pairs], ngrid.dt)
+    assert np.all(first_div < 0) and np.all(stats.diverged == 0)
+    tr = states[:, :, 3]
+    var, se = windowed_stats(tr, cfg.stats_window)
+    for got, want in ((stats.mean_tr, tr.mean(axis=0)),
+                      (stats.var_tr, var), (stats.se_tr, se),
+                      (stats.mean_sx, states[:, :, 0].mean(axis=0)),
+                      (stats.mean_sy, states[:, :, 1].mean(axis=0)),
+                      (stats.mean_sz, states[:, :, 2].mean(axis=0))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def qnd_cfg(**kw):
+    base = dict(
+        scheme=SchemeId.ETANU_OPTIMISED,
+        model=SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
+                          rho0=QndModel().rho0),
+        grid=TimeGrid(dt=0.01, t_max=0.2),
+        n_realizations=64,
+        master_seed=0,
+        kernel=CustomKernel(qnd_kernel),
+    )
+    base.update(kw)
+    return RunConfig(**base)
+
+
+def test_coherence_se_vanishes_where_realizations_agree():
+    # every realization starts from the same rho01
+    t, mean, se = run_coherence(qnd_cfg())
+    assert se[0] == 0.0
+    assert mean[0] == pytest.approx(QndModel().rho0[0, 1], rel=1e-15)
+    assert np.all(se[1:] > 0)
+
+
+def test_coherence_se_matches_two_pass_variance():
+    cfg = qnd_cfg(grid=TimeGrid(dt=0.01, t_max=1.0), n_realizations=3 * CHUNK_ROWS)
+    t, mean, se = run_coherence(cfg, batch_size=2 * CHUNK_ROWS)
+    ngrid = cfg.noise_grid()
+    synth = Synthesizer(cfg.filters(), ngrid)
+    n = cfg.n_realizations
+    eta = np.empty((ngrid.n_phys, n), dtype=complex)
+    nu = np.empty_like(eta)
+    for a in range(0, n, CHUNK_ROWS):
+        synth.fill([seed_for(cfg.master_seed, i) for i in range(a, a + CHUNK_ROWS)],
+                   eta[:, a:a + CHUNK_ROWS], nu[:, a:a + CHUNK_ROWS])
+    states, _ = integrate_batch(cfg.model, eta.T, nu.T, ngrid.dt)
+    r01 = 0.5 * (states[:, :, 0] - 1j * states[:, :, 1])
+    want_mean = r01.mean(axis=0)
+    var = np.sum(np.abs(r01 - want_mean) ** 2, axis=0) / (n - 1)
+    np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=0)
+    # at t = 0 the exact value is 0, which the other test pins
+    np.testing.assert_allclose(se[1:], np.sqrt(var / n)[1:], rtol=1e-12, atol=0)
 
 
 def test_scan_lambda_rejects_schemes_without_pair():

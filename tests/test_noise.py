@@ -236,7 +236,8 @@ def _per_channel_reference(fs, white, lam):
 def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam):
     # both batched outputs: the NoisePairs (transformed with the
     # cross-correlative pair apart) and the time-major fill of the
-    # ensemble (summed spectra when lam is unset)
+    # ensemble (summed spectra when lam is unset, the parts and the
+    # rescale factors when it is set)
     fs = make_filters(scheme, table, gamma=0.01)
     seeds = [100 + i for i in range(rows)]
     if lam is not None and not fs.has_cross_pair:
@@ -247,11 +248,20 @@ def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam
         return
     pairs = synthesize_batch(fs, GRID, seeds, lam)
     synth = Synthesizer(fs, GRID, lam)
-    eta_t = np.empty((GRID.n_phys, rows), dtype=complex)
-    nu_t = np.empty_like(eta_t)
+    eta_t, nu_t, eta0_t, nu0_t = (np.empty((GRID.n_phys, rows), dtype=complex)
+                                  for _ in range(4))
+    factors = np.empty((1, rows))
     for a in range(0, rows, CHUNK_ROWS):
-        synth.fill(seeds[a:a + CHUNK_ROWS], eta_t[:, a:a + CHUNK_ROWS],
-                   nu_t[:, a:a + CHUNK_ROWS])
+        cols = slice(a, a + CHUNK_ROWS)
+        cross = (eta0_t[:, cols], nu0_t[:, cols], factors[:, cols])
+        synth.fill(seeds[cols], eta_t[:, cols], nu_t[:, cols], cross)
+    if lam is not None:
+        # the rescaled noise that RK4 forms from the parts, bitwise the
+        # noise of the NoisePairs
+        eta_t += factors * eta0_t
+        nu_t += nu0_t / factors
+        assert np.array_equal(eta_t.T, [p.eta_t for p in pairs])
+        assert np.array_equal(nu_t.T, [p.nu_t for p in pairs])
     for j, seed in enumerate(seeds):
         white = sample_white(GRID, seed, fs.n_channels)
         eta, nu = _per_channel_reference(fs, white, lam)
