@@ -340,8 +340,9 @@ def _cmd_scan_lambda(args):
             lambdas = [float(s) for s in args.lambdas.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --lambdas list: {args.lambdas!r}") from exc
-        if not all(lam > 0 for lam in lambdas):
-            raise ConfigError(f"--lambdas must all be positive: {args.lambdas!r}")
+        if not all(0 < lam < np.inf for lam in lambdas):
+            raise ConfigError(
+                f"--lambdas must all be positive and finite: {args.lambdas!r}")
     else:
         lambdas = np.logspace(np.log10(0.01), np.log10(10.0), args.points)
     scan = scan_lambda(cfg, lambdas, args.runs_per_point)

@@ -21,6 +21,15 @@ divergence check runs once per block, and callers reduce a block as soon
 as it is written, so the states of a whole run are never held at once.
 :func:`integrate_batch` concatenates the blocks.
 
+A rescaled batch may be integrated at several rescaling strengths in one
+pass: with a table of L factor rows, the kernel runs L x rows columns, the
+batch's noise rescaled by each row of factors in turn.  The cost of a
+column-step falls as the width grows (fewer ufunc calls per column), and
+each column's arithmetic is that of a stand-alone run, so every column is
+bitwise the same.  The wider the table, the fewer steps a block covers,
+so that it holds no more column-steps than a one-row block of a full
+batch; callers cap the width.
+
 The module also provides the exact solution of a pure-dephasing
 (quantum-non-demolition) model with kernel K(t) = (1/2) e^{-2|t|+i t},
 used as an oracle for the stochastic average.
@@ -48,6 +57,7 @@ __all__ = [
     "integrate_batch",
     "integrate_blocks",
     "BLOCK_STEPS",
+    "rk4_bytes",
     "lz_asymptote",
     "LZ_FINITE_WINDOW",
     "QndModel",
@@ -67,6 +77,25 @@ DIVERGENCE_THRESHOLD = 1e12
 # Steps whose states are held at once by integrate_blocks; the divergence
 # check and the ensemble sums run once per block.
 BLOCK_STEPS = 128
+# A block of a factor table is cut to BLOCK_STEPS x max(rows, BLOCK_COLUMNS)
+# column-steps, the size of a one-row block of a full batch.
+BLOCK_COLUMNS = 256
+
+
+def _block_steps(rows: int, n_points: int, n_steps: int) -> int:
+    """Steps per block of ``n_points`` x ``rows`` columns (at least one)."""
+    steps = BLOCK_STEPS * max(rows, BLOCK_COLUMNS) // (n_points * rows)
+    return max(min(steps, BLOCK_STEPS, n_steps + 1), 1)
+
+
+def rk4_bytes(rows: int, n_steps: int, n_points: int = 1) -> int:
+    """Bytes of the buffers :func:`integrate_blocks` allocates for ``rows``
+    trajectories over ``n_steps`` steps, with a table of ``n_points``
+    factor rows: the state, the four stages, the stage sum and a scratch
+    row, the block of states and its two noise buffers."""
+    steps = _block_steps(rows, n_points, n_steps)
+    half_steps = min(2 * steps + 1, 2 * n_steps + 1)
+    return 16 * rows * n_points * (6 * 4 + 1 + 4 * steps + 2 * half_steps)
 
 Drive = Union[float, Callable[[np.ndarray], np.ndarray]]
 
@@ -136,37 +165,52 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
 
     ``cross`` = (eta0_t, nu0_t, factor) adds a rescaled cross-correlative
     pair: the noise is eta_t + factor * eta0_t and nu_t + nu0_t / factor,
-    with one factor per trajectory, shape (rows,).  It is formed one block
-    at a time, rounded exactly as when formed in full beforehand, so that
-    several factor rows can drive the same noise without a copy of it.
+    with one factor per trajectory, shape (rows,), or a table of L factor
+    rows, shape (L, rows).  A table integrates L x rows columns in one
+    pass: column l * rows + r is trajectory r rescaled by factor[l, r].
+    The noise is formed one block at a time, by broadcasting over the
+    table's rows, and rounded exactly as when formed in full beforehand,
+    so every column equals a stand-alone run with its factor row, bitwise,
+    and no copy of the noise is made per row.
 
     Yields ``(start, states, new_div)`` for consecutive blocks of up to
-    BLOCK_STEPS steps.  ``states`` has shape (m, 4, rows) and holds steps
+    BLOCK_STEPS steps, fewer for a wide table: a block holds at most
+    BLOCK_STEPS x max(rows, BLOCK_COLUMNS) column-steps whatever L is (but
+    at least one step); the caller caps the width L x rows.
+    ``states`` has shape (m, 4, width) and holds steps
     start .. start+m-1 (step 0 is the initial state); it is one buffer,
     overwritten by the next block, so consume it before advancing.
-    ``new_div[r]`` is the step at which trajectory r first crossed the
+    ``new_div[c]`` is the step at which column c first crossed the
     divergence threshold if that happened in this block, else -1.  The
     divergence check runs once per block, vectorised over its steps.
+    :func:`rk4_bytes` counts the buffers.
     """
     nh, rows = eta_t.shape
     if nh % 2 == 0 or nh < 3:
         raise ValueError("half-step series must have odd length >= 3")
     n_steps = (nh - 1) // 2
+    n_points = 1
+    if cross is not None:
+        eta0_t, nu0_t, factor = cross
+        factor = np.reshape(factor, (-1, rows))
+        n_points = len(factor)
+    width = n_points * rows
+    block_steps = _block_steps(rows, n_points, n_steps)
     h = 2.0 * dt_half
     t_half = model.t0 + dt_half * np.arange(nh)
     eps = _eval_drive(model.epsilon, t_half)
     delta = _eval_drive(model.delta, t_half)
     alpha = model.alpha
 
-    y = np.empty((4, rows), dtype=complex)
+    y = np.empty((4, width), dtype=complex)
     y[:] = rho_to_state(model.rho0)[:, None]
     k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
-    tmp = np.empty(rows, dtype=complex)
+    tmp = np.empty(width, dtype=complex)
     y_, k1_, k2_, k3_, k4_, ys_ = (tuple(a) for a in (y, k1, k2, k3, k4, ys))
-    block = np.empty((min(BLOCK_STEPS, n_steps + 1), 4, rows), dtype=complex)
-    first_div = np.full(rows, -1)
+    block = np.empty((block_steps, 4, width), dtype=complex)
+    first_div = np.full(width, -1)
     # the noise terms of a block's half steps
-    mw_buf = np.empty((min(2 * BLOCK_STEPS + 1, nh), rows), dtype=complex)
+    mw_buf = np.empty((min(2 * block_steps + 1, nh), width), dtype=complex)
     v_buf = np.empty_like(mw_buf)
     two_alpha, i_alpha = 2.0 * alpha, 1j * alpha
 
@@ -189,8 +233,8 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
         mul(v, sz, o3)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps + 1, BLOCK_STEPS):
-            m = min(BLOCK_STEPS, n_steps + 1 - start)
+        for start in range(0, n_steps + 1, block_steps):
+            m = min(block_steps, n_steps + 1 - start)
             # minus the effective precession rate, the trace drive and
             # minus the tunnelling at the half steps 2(i-1) .. 2i of every
             # step i in the block
@@ -201,12 +245,14 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
                 mul(eta_t[lo:hi], two_alpha, mw)
                 mul(nu_t[lo:hi], i_alpha, v)
             else:
-                eta0_t, nu0_t, factor = cross
-                mul(eta0_t[lo:hi], factor, mw)
-                add(mw, eta_t[lo:hi], mw)
+                # (half steps, factor rows, trajectories) views
+                mw3 = mw.reshape(hi - lo, n_points, rows)
+                v3 = v.reshape(hi - lo, n_points, rows)
+                mul(eta0_t[lo:hi, None], factor, mw3)
+                add(mw3, eta_t[lo:hi, None], mw3)
                 mul(mw, two_alpha, mw)
-                np.divide(nu0_t[lo:hi], factor, v)
-                add(v, nu_t[lo:hi], v)
+                np.divide(nu0_t[lo:hi, None], factor, v3)
+                add(v3, nu_t[lo:hi, None], v3)
                 mul(v, i_alpha, v)
             mw -= eps[lo:hi, None]
             md = -delta[lo:hi].astype(complex)

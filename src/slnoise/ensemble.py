@@ -19,11 +19,14 @@ therefore bitwise independent of SYNTH_THREADS.
 Rescaled runs synthesize each realization's noise once, whatever the
 number of rescaling strengths lambda: a batch keeps its noise without the
 cross-correlative pair, the unscaled pair and the per-realization rescale
-factors of every strength, and is integrated once per strength, the
-factors applied block by block.  The running sums are kept per strength,
-in batch order, so each point of :func:`scan_lambda` equals a stand-alone
-:func:`run_ensemble` with that lambda, bitwise; a single rescaled run is
-the one-strength case.
+factors of every strength.  RK4 integrates the batch at all strengths in
+one pass, as one array of strengths x realizations columns, the factors
+applied block by block; strengths are grouped so that a pass has at most
+RK4_COLUMNS columns, which bounds its buffers whatever the number of
+strengths.  Each block is reduced for every strength of the pass at once,
+into running sums kept per strength, in batch order, so each point of
+:func:`scan_lambda` equals a stand-alone :func:`run_ensemble` with that
+lambda, bitwise; a single rescaled run is the one-strength case.
 
 The trace variance and standard error are pooled over sliding windows of
 time steps (default 100): every step inside a window is treated as a
@@ -43,7 +46,8 @@ import numpy as np
 
 # integrate_batch, sample_white and synthesize_from_white are not called
 # here; perfbench/spans.py traces the layers through these names.
-from .dynamics import SystemModel, integrate_batch, integrate_blocks  # noqa: F401
+from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
+                       integrate_blocks, rk4_bytes)
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
 from .noise import (CHUNK_ROWS, Synthesizer, check_memory,  # noqa: F401
@@ -63,6 +67,11 @@ __all__ = [
 
 # Threads that synthesize noise chunks: one per core this process may use.
 SYNTH_THREADS = len(os.sched_getaffinity(0))
+
+# Columns (strengths x realizations) RK4 integrates in one pass of a
+# rescaled batch: wide enough that the cost per column-step has levelled
+# off, small enough that the pass's buffers stay a few MB.
+RK4_COLUMNS = 4096
 
 
 def seed_for(master_seed: int, index: int,
@@ -141,15 +150,17 @@ def _window_slices(n_steps: int, window: int):
 
 def _pooled_window_stats(sum_tr: np.ndarray, sum_abs2: np.ndarray,
                          nreal: int, window: int):
-    """Windowed pooled variance/SE series from per-step accumulators."""
+    """Windowed pooled variance/SE series from per-step accumulators
+    (inf or nan where diverged trajectories overflowed them)."""
     n_steps = sum_tr.shape[0]
     var = np.empty(n_steps)
-    for sl in _window_slices(n_steps, window):
-        m = (sl.stop - sl.start) * nreal
-        s1 = np.sum(sum_tr[sl])
-        s2 = np.sum(sum_abs2[sl])
-        v = (s2 - np.abs(s1) ** 2 / m) / max(m - 1, 1)
-        var[sl] = max(v, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl in _window_slices(n_steps, window):
+            m = (sl.stop - sl.start) * nreal
+            s1 = np.sum(sum_tr[sl])
+            s2 = np.sum(sum_abs2[sl])
+            v = (s2 - np.abs(s1) ** 2 / m) / max(m - 1, 1)
+            var[sl] = max(v, 0.0)
     se = np.sqrt(var / nreal)
     return var, se
 
@@ -165,11 +176,19 @@ def windowed_stats(traces: np.ndarray, window: int):
     return _pooled_window_stats(sum_tr, sum_abs2, traces.shape[0], window)
 
 
-def _check_memory(ngrid: TimeGrid, batch_rows: int) -> None:
+def _points_per_pass(rows: int, n_points: int) -> int:
+    """Strengths RK4 integrates in one pass of a batch of ``rows``."""
+    return min(max(RK4_COLUMNS // rows, 1), n_points)
+
+
+def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int) -> None:
     # the loop holds the noise of two unrescaled batches of two series at
     # once (the one being integrated and the next, synthesized meanwhile)
-    # or of one rescaled batch of four series
-    check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS)
+    # or of one rescaled batch of four series, and the buffers of one RK4
+    # pass over up to RK4_COLUMNS columns
+    n_steps = (ngrid.n_phys - 1) // 2
+    rk4 = rk4_bytes(batch_rows, n_steps, _points_per_pass(batch_rows, n_points))
+    check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS, rk4)
 
 
 def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
@@ -180,16 +199,19 @@ def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
     if lams is None and cfg.lam is not None:
         lams = [cfg.lam]
     ngrid = cfg.noise_grid()
-    _check_memory(ngrid, min(batch_size, cfg.n_realizations))
+    _check_memory(ngrid, min(batch_size, cfg.n_realizations),
+                  1 if lams is None else len(lams))
     return Synthesizer(cfg.filters(), ngrid, lams)
 
 
 def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
                   force_nu_zero: bool = False):
-    """The noise-batch loop: synthesize each batch once, integrate it once
-    per rescaling strength of ``synth`` (once if it has none) and yield
-    ``(point, start, states, new_div)`` for every :func:`integrate_blocks`
-    block, batch after batch; ``point`` indexes the strength.
+    """The noise-batch loop: synthesize each batch once, integrate it at
+    every rescaling strength of ``synth`` (once if it has none) in passes
+    of at most RK4_COLUMNS columns, and yield ``(points, start, states,
+    new_div)`` for every :func:`integrate_blocks` block, batch after batch.
+    ``points`` is the slice of strengths of the pass; the block's columns
+    are those strengths' realizations, strength-major.
 
     The threads synthesize the next unrescaled batch while the current one
     is integrated.  A rescaled batch holds four series instead of two, so
@@ -227,12 +249,15 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
                 for nu in series[1::2]:
                     nu[:] = 0.0
             eta, nu, *pair = series
-            crosses = [(*pair, f) for f in factors] if n_points else [None]
-            for point, cross in enumerate(crosses):
+            n = n_points or 1
+            group = _points_per_pass(eta.shape[1], n)
+            for p in range(0, n, group):
+                points = slice(p, min(p + group, n))
+                cross = (*pair, factors[points]) if n_points else None
                 for block in integrate_blocks(cfg.model, eta, nu,
                                               synth.grid.dt, cross):
-                    yield (point, *block)
-            del series, eta, nu, pair, crosses, cross
+                    yield (points, *block)
+            del series, eta, nu, pair, cross
             if ahead and batch is None:
                 batch = submit(pool, start + batch_size)
 
@@ -251,14 +276,22 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None,
     first_divs = np.zeros((n_points, n_steps), dtype=int)
     nreal = cfg.n_realizations
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, start, states, new_div in _state_blocks(cfg, synth, batch_size,
-                                                       force_nu_zero):
-            steps = slice(start, start + len(states))
-            tr = states[:, 3]
-            sum_tr[p, steps] += tr.sum(axis=1)
-            sum_abs2[p, steps] += (np.abs(tr) ** 2).sum(axis=1)
-            sum_s[p, :, steps] += states[:, :3].sum(axis=2).T
-            np.add.at(first_divs[p], new_div[new_div >= 0], 1)
+        for points, start, states, new_div in _state_blocks(
+                cfg, synth, batch_size, force_nu_zero):
+            m, _, width = states.shape
+            n = points.stop - points.start
+            rows = width // n
+            steps = slice(start, start + m)
+            # (steps, strengths, realizations): each strength's row sums
+            # are those of its own columns alone
+            tr = states[:, 3].reshape(m, n, rows)
+            sum_tr[points, steps] += tr.sum(axis=2).T
+            sum_abs2[points, steps] += (np.abs(tr) ** 2).sum(axis=2).T
+            sum_s[points, :, steps] += (
+                states[:, :3].reshape(m, 3, n, rows).sum(axis=3).transpose(2, 1, 0))
+            new_div = new_div.reshape(n, rows)
+            point, col = np.nonzero(new_div >= 0)
+            np.add.at(first_divs[points], (point, new_div[point, col]), 1)
     t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
     runs = []
     for p in range(n_points):
@@ -349,13 +382,14 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     comparison between points is not blurred by independent sampling
     noise.  The reported figure of merit is the SE pooled over the final
     stats window.  The filters are built once and each realization's noise
-    is synthesized once: RK4 runs once per point on that noise, applying
-    the point's rescale factors block by block.  Every point equals a
+    is synthesized once.  RK4 runs once per batch on that noise, for every
+    point at once (in passes of at most RK4_COLUMNS columns), applying
+    each point's rescale factors block by block.  Every point equals a
     stand-alone :func:`run_ensemble` with ``lam`` set to it, bitwise.
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
-    if lambdas.size == 0 or np.any(lambdas <= 0):
-        raise ValueError("lambdas must be positive and non-empty")
+    if lambdas.size == 0 or not np.all((lambdas > 0) & (lambdas < np.inf)):
+        raise ValueError("lambdas must be positive, finite and non-empty")
     sub = dataclasses.replace(cfg, n_realizations=runs_per_point)
     runs = _ensembles(sub, batch_size, lambdas)
     se_final = np.array([stats.se_tr[-1] for stats in runs])

@@ -35,8 +35,8 @@ FFTs instead of 6.  The results equal the per-channel form up to rounding.
 The ensemble synthesizes each realization's noise once, whatever the
 number of rescaling strengths lambda: :meth:`Synthesizer.fill` writes the
 noise without the cross-correlative pair, the unscaled pair and a table
-of the realization's rescale factors, one per strength.  RK4 applies one
-strength's factors block by block
+of the realization's rescale factors, one per strength.  RK4 applies
+the factors block by block, for several strengths in one pass
 (:func:`~slnoise.dynamics.integrate_blocks`).
 """
 
@@ -109,7 +109,8 @@ def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
     return rng.standard_normal((channels, grid.n)) / np.sqrt(grid.dt)
 
 
-def check_memory(grid: TimeGrid, rows: int, threads: int = 1) -> None:
+def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
+                 rk4: int = 0) -> None:
     """Refuse a grid whose working set exceeds physical memory.
 
     ``rows`` counts the pairs of complex series held at once on the
@@ -117,11 +118,13 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1) -> None:
     two unrescaled batches of two series each (the one being integrated
     and the next), or one rescaled batch of four series.  ``threads`` is
     the number of chunks coloured at once on the padded grid; the kernel
-    table and the filters are counted too.  Raises :class:`ConfigError`
-    before any of it is allocated.
+    table and the filters are counted too.  ``rk4`` is the bytes of the
+    RK4 state, stage and block buffers of one integration pass, at the
+    widest pass the run makes (:func:`~slnoise.dynamics.rk4_bytes`).
+    Raises :class:`ConfigError` before any of it is allocated.
     """
     chunk_rows = min(rows, CHUNK_ROWS) * threads
-    need = 32 * grid.n_phys * rows + grid.n * (160 * chunk_rows + 320)
+    need = 32 * grid.n_phys * rows + grid.n * (160 * chunk_rows + 320) + rk4
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

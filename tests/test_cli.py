@@ -115,6 +115,7 @@ def test_exit_code_config_error(tmp_path):
      "--t-max", "20", "--n", "2"],
     ["scan-lambda", "--scheme", "convex", "--beta", "1", "--lambdas", "1"],
     ["simulate", "--scheme", "constrained", "--beta", "1", "--lambda", "0.5"],
+    ["scan-lambda", "--scheme", "like", "--beta", "1", "--lambdas", "0.5,inf"],
 ])
 def test_exit_code_bad_values(argv, capsys):
     assert main(argv) == 1

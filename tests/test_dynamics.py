@@ -13,6 +13,7 @@ from slnoise import (
     SIGMA_Z,
     SystemModel,
     integrate_batch,
+    integrate_blocks,
     integrate_trajectory,
     lz_asymptote,
     qnd_exact,
@@ -22,7 +23,7 @@ from slnoise import (
     rho_to_state,
     state_to_rho,
 )
-from slnoise.dynamics import QndModel
+from slnoise.dynamics import BLOCK_STEPS, QndModel
 
 
 def test_state_round_trip():
@@ -269,3 +270,49 @@ def test_qnd_noise_free_coherence_rotates():
     rho01 = 0.5 * (tr.sx - 1j * tr.sy)
     expect = model.rho0[0, 1] * np.exp(1j * tr.t)
     assert np.max(np.abs(rho01 - expect)) < 1e-9
+
+
+def _streamed(model, eta_t, nu_t, dt_half, cross):
+    """States of every step, first-divergence steps and block length of
+    one integrate_blocks call, checking that each block's new_div names a
+    step of that block and no column twice."""
+    blocks = []
+    first_div = np.full(np.size(cross[2]), -1)
+    for start, states, new_div in integrate_blocks(model, eta_t, nu_t,
+                                                   dt_half, cross):
+        hit = new_div >= 0
+        assert np.all(first_div[hit] < 0)
+        assert np.all((new_div[hit] >= start) & (new_div[hit] < start + len(states)))
+        first_div[hit] = new_div[hit]
+        blocks.append(states.copy())
+    return np.concatenate(blocks), first_div, len(blocks[0])
+
+
+def test_factor_table_columns_equal_one_row_runs():
+    # a table of L factor rows integrates L x rows columns in blocks cut
+    # to the column-steps of a one-row block; every column must equal the
+    # one-row call of its factor row, bitwise, also in the partial last
+    # block and in columns that diverge
+    rng = np.random.default_rng(11)
+    n, rows, n_points = 300, 90, 4
+
+    def series():
+        return np.ascontiguousarray(
+            rng.standard_normal((2 * n + 1, rows))
+            + 1j * rng.standard_normal((2 * n + 1, rows)))
+
+    eta, nu, eta0, nu0 = series(), series(), series(), series()
+    factors = np.exp(rng.uniform(-6.0, 2.0, (n_points, rows)))
+    model = SystemModel(1.0, -1.0, 2.0, 0.5 * (np.eye(2) + SIGMA_Z))
+    wide, wide_div, wide_block = _streamed(model, eta, nu, 0.005,
+                                           (eta0, nu0, factors))
+    assert wide.shape == (n + 1, 4, n_points * rows)
+    assert wide_block < BLOCK_STEPS and (n + 1) % wide_block
+    assert 0 < np.sum(wide_div >= 0) < n_points * rows
+    for p in range(n_points):
+        one, one_div, one_block = _streamed(model, eta, nu, 0.005,
+                                            (eta0, nu0, factors[p]))
+        assert one_block == BLOCK_STEPS and (n + 1) % one_block
+        cols = slice(p * rows, (p + 1) * rows)
+        assert np.array_equal(wide[:, :, cols], one, equal_nan=True)
+        assert np.array_equal(wide_div[cols], one_div)

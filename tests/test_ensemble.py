@@ -198,13 +198,39 @@ def _count_drawn_rows(monkeypatch):
 
 
 def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
+    import slnoise.ensemble as ens
+
     drawn = _count_drawn_rows(monkeypatch)
     huge = small_cfg(grid=TimeGrid(dt=1e-7, t_max=1e4))
     with pytest.raises(ConfigError, match="physical memory"):
         run_ensemble(huge)
     with pytest.raises(ConfigError, match="physical memory"):
         scan_lambda(huge, [0.5, 2.0], runs_per_point=16)
+    # a short grid whose noise takes tens of MB, but whose RK4 pass over
+    # 10^6 lambdas x 10^5 realizations at once would take tens of TiB;
+    # capped at RK4_COLUMNS columns, the same pass fits
+    short = small_cfg(grid=TimeGrid(dt=0.01, t_max=0.02))
+    ens._check_memory(short.noise_grid(), 10**5, 10**6)
+    monkeypatch.setattr(ens, "RK4_COLUMNS", 2**62)
+    with pytest.raises(ConfigError, match="physical memory"):
+        scan_lambda(short, [0.5] * 10**6, runs_per_point=10**5,
+                    batch_size=10**5)
     assert drawn == []
+
+
+def test_diverged_run_warns_nothing():
+    # diverged trajectories overflow the running sums; the pooled
+    # statistics of those sums must not print floating-point warnings
+    import warnings
+
+    cfg = small_cfg(scheme=SchemeId.LIKE, model=SystemModel(1.0, -1.0, 2.0, RHO0),
+                    grid=TimeGrid(dt=0.01, t_max=40.0), n_realizations=48,
+                    master_seed=1, bath=BathParams(beta=0.1, omega_c=25.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stats = run_ensemble(cfg)
+    assert stats.diverged[-1] > 0
+    assert np.isnan(stats.var_tr[-1])
 
 
 def test_mean_trace_near_unity():
@@ -277,6 +303,28 @@ def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
     for lam, se in zip(lambdas, scans[0]):
         sub = dataclasses.replace(cfg, lam=lam, n_realizations=runs)
         assert run_ensemble(sub, batch_size=batch).se_tr[-1] == se
+
+
+def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeypatch):
+    # RK4_COLUMNS set below the width of all lambdas: full batches of 19
+    # rows run in passes of 2, 2 and 1 lambdas, the last batch of 15 rows
+    # in passes of 3 and 2; every statistic of every point, diverged
+    # counts included, must equal a stand-alone run's, bitwise
+    import dataclasses
+
+    import slnoise.ensemble as ens
+
+    monkeypatch.setattr(ens, "RK4_COLUMNS", 45)
+    cfg = small_cfg(model=SystemModel(1.0, -1.0, 2.0, RHO0),
+                    n_realizations=2 * (CHUNK_ROWS + 3) + 15)
+    lambdas = [0.5, 0.02, 2.0, 0.5, 5.0]
+    runs = ens._ensembles(cfg, CHUNK_ROWS + 3, lambdas)
+    assert 0 < sum(int(r.diverged[-1]) for r in runs) < len(lambdas) * cfg.n_realizations
+    for lam, got in zip(lambdas, runs):
+        want = run_ensemble(dataclasses.replace(cfg, lam=lam),
+                            batch_size=CHUNK_ROWS + 3)
+        for name, value in dataclasses.asdict(want).items():
+            assert np.array_equal(getattr(got, name), value, equal_nan=True), name
 
 
 def test_scan_lambda_synthesizes_each_realization_once(monkeypatch):
@@ -360,6 +408,12 @@ def test_scan_lambda_validates_grid():
         scan_lambda(small_cfg(), [], 16)
     with pytest.raises(ValueError):
         scan_lambda(small_cfg(), [-1.0], 16)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_scan_lambda_refuses_non_finite_lambda(bad):
+    with pytest.raises(ValueError, match="finite"):
+        scan_lambda(small_cfg(), [0.5, bad], 16)
 
 
 def test_noise_grid_halves_step():
