@@ -31,7 +31,6 @@ from .schemes import (
     ConstraintReport,
     FilterSet,
     FilterStructure,
-    MixingFunction,
     SchemeId,
     convex_c,
     expected_nu_power,
@@ -83,7 +82,6 @@ from .ensemble import (
     run_ensemble,
     scan_lambda,
     seed_for,
-    windowed_stats,
 )
 
 __version__ = "0.1.0"

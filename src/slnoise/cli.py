@@ -102,19 +102,47 @@ def _scheme_from_name(name: str) -> SchemeId:
         raise ConfigError(f"unknown scheme {name!r}; valid: {valid}") from None
 
 
-def build_run_config(settings: dict) -> RunConfig:
-    """Validated RunConfig from a settings dict (Drude bath mode)."""
+def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
+    """Validated RunConfig from a settings dict: the spin-boson model in a
+    Drude bath, or with ``qnd`` the pure-dephasing model of qnd-verify."""
     if settings["scheme"] is None:
         raise ConfigError("missing required key 'scheme'")
-    if settings["beta"] is None:
+    if not qnd and settings["beta"] is None:
         raise ConfigError("missing required key 'beta' (Drude bath mode)")
     scheme = _scheme_from_name(settings["scheme"])
-    if settings["gamma"] == 0 and scheme in (SchemeId.CONSTRAINED,):
+    # the pure-dephasing spectrum has no zero bin to divide by
+    if not qnd and settings["gamma"] == 0 and scheme is SchemeId.CONSTRAINED:
         raise ConfigError(
             "gamma=0 is invalid for the constrained scheme: the hard cutoff "
             "makes the spectrum exactly zero on high-frequency bins, so the "
             "bare spectral division diverges; set gamma > 0"
         )
+    try:
+        if qnd:
+            model = SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
+                                rho0=QndModel().rho0)
+            source = dict(kernel=CustomKernel(qnd_kernel))
+        else:
+            model = _spin_boson(settings)
+            source = dict(bath=BathParams(settings["beta"], settings["omega_c"]))
+        grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
+        return RunConfig(
+            scheme=scheme,
+            model=model,
+            grid=grid,
+            n_realizations=settings["n_realizations"],
+            master_seed=settings["seed"],
+            gamma=settings["gamma"],
+            lam=settings["lambda"],
+            stats_window=settings["stats_window"],
+            **source,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _spin_boson(settings: dict) -> SystemModel:
+    """The driven two-level system of a settings dict."""
     if settings["kappa"] is not None:
         kappa = float(settings["kappa"])
         epsilon = lambda t, k=kappa: k * t  # noqa: E731
@@ -127,28 +155,13 @@ def build_run_config(settings: dict) -> RunConfig:
         ],
         dtype=complex,
     )
-    model = SystemModel(
+    return SystemModel(
         delta=settings["delta"],
         epsilon=epsilon,
         alpha=settings["alpha"],
         rho0=rho0,
         t0=settings["t0"],
     )
-    try:
-        grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-        return RunConfig(
-            scheme=scheme,
-            model=model,
-            grid=grid,
-            n_realizations=settings["n_realizations"],
-            master_seed=settings["seed"],
-            bath=BathParams(settings["beta"], settings["omega_c"]),
-            gamma=settings["gamma"],
-            lam=settings["lambda"],
-            stats_window=settings["stats_window"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _settings_from_args(args) -> dict:
@@ -309,22 +322,7 @@ def _cmd_qnd_verify(args):
     settings = _settings_from_args(args)
     if settings["scheme"] is None:
         settings["scheme"] = SchemeId.ETANU_OPTIMISED.value
-    scheme = _scheme_from_name(settings["scheme"])
-    rho0 = QndModel().rho0
-    model = SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0, rho0=rho0)
-    grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-    cfg = RunConfig(
-        scheme=scheme,
-        model=model,
-        grid=grid,
-        n_realizations=settings["n_realizations"],
-        master_seed=settings["seed"],
-        kernel=CustomKernel(qnd_kernel),
-        gamma=settings["gamma"],
-        lam=settings["lambda"],
-        stats_window=settings["stats_window"],
-    )
-    t, mean_r01, se = run_coherence(cfg)
+    t, mean_r01, se = run_coherence(build_run_config(settings, qnd=True))
     exact = qnd_exact(QndModel(), t)[..., 0, 1]
     rows = zip(t, exact.real, mean_r01.real, exact.imag, mean_r01.imag, se)
     header = ["t", "re_rho01_exact", "re_rho01_sln",

@@ -61,7 +61,6 @@ __all__ = [
     "seed_for",
     "run_ensemble",
     "run_coherence",
-    "windowed_stats",
     "scan_lambda",
 ]
 
@@ -107,6 +106,10 @@ class RunConfig:
             raise ValueError("stats_window must be >= 1")
         if (self.bath is None) == (self.kernel is None):
             raise ValueError("exactly one of bath or kernel must be given")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma:g}")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
 
     def noise_grid(self) -> TimeGrid:
         """Noise is sampled at half the integration step for RK4 stages."""
@@ -165,30 +168,27 @@ def _pooled_window_stats(sum_tr: np.ndarray, sum_abs2: np.ndarray,
     return var, se
 
 
-def windowed_stats(traces: np.ndarray, window: int):
-    """Windowed pooled variance and SE of a (realizations, steps) trace
-    array; every step in a window shares the pooled value."""
-    traces = np.asarray(traces)
-    if window > traces.shape[1]:
-        raise ValueError("window exceeds series length")
-    sum_tr = traces.sum(axis=0)
-    sum_abs2 = (np.abs(traces) ** 2).sum(axis=0)
-    return _pooled_window_stats(sum_tr, sum_abs2, traces.shape[0], window)
-
-
 def _points_per_pass(rows: int, n_points: int) -> int:
     """Strengths RK4 integrates in one pass of a batch of ``rows``."""
     return min(max(RK4_COLUMNS // rows, 1), n_points)
 
 
+# Bytes per strength and state step that a run keeps to its end: the
+# running sums of the trace, its |.|^2, the three spin components and the
+# first divergences, then the EnsembleStats built from them (mean trace,
+# its modulus, variance, SE, three spin means and diverged counts).
+_POINT_STEP_BYTES = (16 + 8 + 3 * 16 + 8) + (16 + 8 + 8 + 8 + 3 * 16 + 8)
+
+
 def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int) -> None:
     # the loop holds the noise of two unrescaled batches of two series at
     # once (the one being integrated and the next, synthesized meanwhile)
-    # or of one rescaled batch of four series, and the buffers of one RK4
-    # pass over up to RK4_COLUMNS columns
+    # or of one rescaled batch of four series, the buffers of one RK4
+    # pass over up to RK4_COLUMNS columns, and every strength's statistics
     n_steps = (ngrid.n_phys - 1) // 2
     rk4 = rk4_bytes(batch_rows, n_steps, _points_per_pass(batch_rows, n_points))
-    check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS, rk4)
+    stats = _POINT_STEP_BYTES * n_points * (n_steps + 1)
+    check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS, rk4 + stats)
 
 
 def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
@@ -204,8 +204,7 @@ def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
     return Synthesizer(cfg.filters(), ngrid, lams)
 
 
-def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
-                  force_nu_zero: bool = False):
+def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
     """The noise-batch loop: synthesize each batch once, integrate it at
     every rescaling strength of ``synth`` (once if it has none) in passes
     of at most RK4_COLUMNS columns, and yield ``(points, start, states,
@@ -245,9 +244,6 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
             batch = None
             if ahead and not n_points:
                 batch = submit(pool, start + batch_size)
-            if force_nu_zero:
-                for nu in series[1::2]:
-                    nu[:] = 0.0
             eta, nu, *pair = series
             n = n_points or 1
             group = _points_per_pass(eta.shape[1], n)
@@ -262,8 +258,7 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
                 batch = submit(pool, start + batch_size)
 
 
-def _ensembles(cfg: RunConfig, batch_size: int, lams=None,
-               force_nu_zero: bool = False):
+def _ensembles(cfg: RunConfig, batch_size: int, lams=None):
     """One run of the noise-batch loop reduced to one EnsembleStats per
     rescaling strength of :func:`_synthesizer`, or to one unrescaled
     EnsembleStats."""
@@ -277,7 +272,7 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None,
     nreal = cfg.n_realizations
     with np.errstate(over="ignore", invalid="ignore"):
         for points, start, states, new_div in _state_blocks(
-                cfg, synth, batch_size, force_nu_zero):
+                cfg, synth, batch_size):
             m, _, width = states.shape
             n = points.stop - points.start
             rows = width // n
@@ -314,17 +309,15 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None,
     return runs
 
 
-def run_ensemble(cfg: RunConfig, batch_size: int = 256,
-                 force_nu_zero: bool = False) -> EnsembleStats:
+def run_ensemble(cfg: RunConfig, batch_size: int = 256) -> EnsembleStats:
     """Synthesize, integrate and average an ensemble of trajectories.
 
     Deterministic for a fixed config: per-realization seeds come from
     seed_for and reduction order follows the realization index.
-    force_nu_zero is a test hook that zeroes the trace-driving noise.
     A rescaled run (``cfg.lam`` set) is the one-point case of
     :func:`scan_lambda`'s loop.
     """
-    return _ensembles(cfg, batch_size, force_nu_zero=force_nu_zero)[0]
+    return _ensembles(cfg, batch_size)[0]
 
 
 def run_coherence(cfg: RunConfig, batch_size: int = 256):

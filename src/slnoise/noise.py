@@ -110,7 +110,7 @@ def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
 
 
 def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
-                 rk4: int = 0) -> None:
+                 extra: int = 0) -> None:
     """Refuse a grid whose working set exceeds physical memory.
 
     ``rows`` counts the pairs of complex series held at once on the
@@ -118,13 +118,15 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
     two unrescaled batches of two series each (the one being integrated
     and the next), or one rescaled batch of four series.  ``threads`` is
     the number of chunks coloured at once on the padded grid; the kernel
-    table and the filters are counted too.  ``rk4`` is the bytes of the
-    RK4 state, stage and block buffers of one integration pass, at the
-    widest pass the run makes (:func:`~slnoise.dynamics.rk4_bytes`).
+    table and the filters are counted too.  ``extra`` is the bytes of the
+    run's other buffers: the RK4 state, stage and block buffers of one
+    integration pass, at the widest pass the run makes
+    (:func:`~slnoise.dynamics.rk4_bytes`), and the statistics the run
+    keeps per rescaling strength.
     Raises :class:`ConfigError` before any of it is allocated.
     """
     chunk_rows = min(rows, CHUNK_ROWS) * threads
-    need = 32 * grid.n_phys * rows + grid.n * (160 * chunk_rows + 320) + rk4
+    need = 32 * grid.n_phys * rows + grid.n * (160 * chunk_rows + 320) + extra
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

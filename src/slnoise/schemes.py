@@ -3,14 +3,25 @@
 Every scheme factorises the target correlations into linear filters acting
 on white noise.  The eta autocorrelation always fixes the autocorrelative
 filter to sqrt(K_etaeta); the cross-correlation leaves freedom which each
-scheme resolves differently: a raw delta pairing, a fully constrained
-spectral division, a symmetric ("like") square-root split, a binary or
-analytically optimised blend of the two, or a convex-optimisation form
-without an explicit mixing function.
+scheme resolves differently.
 
-Divisions by the spectrum go through a Wiener-regularised inverse
-controlled by gamma; complex square roots use the principal branch and
-bins on the branch cut are recorded, not smoothed.
+Five schemes resolve it by a real, even mixing function a(w) between the
+constrained branch (a = 0: the whole cross-correlation carried by g1, a
+spectral division) and the like branch (a = 1: symmetric square-root
+filters f2, g2), and are built by :func:`mixed_filters` alone.  A private
+table gives each one's mixing rule and whether g1 divides through the
+Wiener-regularised inverse, which is what makes gamma matter:
+
+    like             a = 1                         bare sqrt(K)
+    constrained      a = 0                         Wiener inverse
+    reduced          :func:`mixing_reduced`        Wiener inverse
+    nu-optimised     :func:`mixing_optimised`, 1/4 bare sqrt(K)
+    etanu-optimised  :func:`mixing_optimised`, 1/2 bare sqrt(K)
+
+The delta scheme (a raw white nu) and the convex scheme (a convex
+optimisation without an explicit mixing function) are built apart.
+Complex square roots use the principal branch and bins on the branch cut
+are recorded, not smoothed.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ __all__ = [
     "SchemeId",
     "FilterStructure",
     "FilterSet",
-    "MixingFunction",
     "ConstraintReport",
     "wiener_inverse",
     "mixing_reduced",
@@ -62,13 +72,6 @@ class FilterStructure(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MixingFunction:
-    """Real, even per-frequency blend between constrained (0) and like (1)."""
-
-    a_w: np.ndarray
-
-
-@dataclass(frozen=True)
 class FilterSet:
     """Frequency-domain filters plus their white-noise wiring.
 
@@ -84,10 +87,7 @@ class FilterSet:
     f2_w: np.ndarray
     g1_w: np.ndarray
     g2_w: Optional[np.ndarray]
-    gamma: float = 0.0
-    zeta: float = 0.0
     branch_bins: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    special_bins: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def n_channels(self) -> int:
@@ -124,18 +124,18 @@ def wiener_inverse(k_etaeta_w: np.ndarray, gamma: float) -> np.ndarray:
     return root / (k + gamma * root.max())
 
 
-def mixing_reduced(k_etaeta_w: np.ndarray, r_w: np.ndarray) -> MixingFunction:
+def mixing_reduced(k_etaeta_w: np.ndarray, r_w: np.ndarray) -> np.ndarray:
     """Binary per-bin choice: constrained (0) where |R| <= K_etaeta, else
     like (1).  Bins with zero spectrum fall back to the like branch."""
     k = np.asarray(k_etaeta_w, dtype=float)
     rabs = np.abs(r_w)
     a = np.ones_like(k)
     a[(rabs <= k) & (k > 0)] = 0.0
-    return MixingFunction(a)
+    return a
 
 
 def mixing_optimised(k_etaeta_w: np.ndarray, r_w: np.ndarray,
-                     zeta: float) -> MixingFunction:
+                     zeta: float) -> np.ndarray:
     """Optimised mixing function max(0, 1 - zeta * K_etaeta / |R|).
 
     zeta = 1/4 minimises the mean square nu amplitude, zeta = 1/2 the sum
@@ -152,7 +152,7 @@ def mixing_optimised(k_etaeta_w: np.ndarray, r_w: np.ndarray,
     rabs = np.abs(r_w)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(rabs > 0, 1.0 - zeta * k / np.where(rabs > 0, rabs, 1.0), 0.0)
-    return MixingFunction(np.maximum(a, 0.0))
+    return np.maximum(a, 0.0)
 
 
 def convex_c(k_etaeta_w: np.ndarray, r_w: np.ndarray) -> np.ndarray:
@@ -175,94 +175,69 @@ def _branch_bins(radicand: np.ndarray) -> np.ndarray:
     return np.flatnonzero((z.real < 0) & (np.abs(z.imag) <= 1e-12 * np.abs(z.real)))
 
 
-def mixed_filters(kt: KernelTable, mixing: MixingFunction,
+def mixed_filters(scheme: SchemeId, kt: KernelTable, a_w: np.ndarray,
                   gamma: float) -> FilterSet:
-    """Orthogonal-decomposition filters for an arbitrary mixing function.
+    """Orthogonal-decomposition filters of a mixing function a(w),
+    labelled ``scheme``.
 
-    gamma = 0 is accepted only if every zero-spectrum bin has mixing 1
-    (pure like branch there), since those bins would otherwise require
-    bare division by zero.
+    g1 = R(-w) (1 - a(-w)) divided by sqrt(K) through the Wiener inverse
+    for gamma > 0.  With gamma = 0 the division is bare, so it is accepted
+    only where no zero-spectrum bin has a nonzero numerator (mixing 1, or
+    R = 0, there); those bins get g1 = 0.
     """
     k = kt.k_etaeta_w
-    r = kt.r_w
-    a = np.asarray(mixing.a_w, dtype=float)
-    f1 = np.sqrt(k)
+    r = np.asarray(kt.r_w, dtype=complex)
+    a = np.asarray(a_w, dtype=float)
     rad_f2 = 0.5 * a * r
     rad_g2 = 0.5 * flip_freq(a) * flip_freq(r)
-    f2 = np.sqrt(rad_f2.astype(complex))
-    g2 = np.sqrt(rad_g2.astype(complex))
-    one_minus = 1.0 - flip_freq(a)
+    num = flip_freq(r) * (1.0 - flip_freq(a))
     if gamma == 0:
-        if np.any((one_minus != 0) & (k == 0)):
+        if np.any((num != 0) & (k == 0)):
             raise DivisionByZeroSpectrum(
-                "gamma=0 requires mixing 1 on every zero-spectrum bin"
+                "gamma=0 would divide by zero-spectrum bins; set gamma > 0"
             )
-        winv = np.zeros_like(k)
         pos = k > 0
-        winv[pos] = 1.0 / np.sqrt(k[pos])
+        g1 = np.where(pos, num / np.sqrt(np.where(pos, k, 1.0)), 0.0)
     else:
-        winv = wiener_inverse(k, gamma)
-    g1 = (flip_freq(r) * winv * one_minus).astype(complex)
-    branch = np.union1d(_branch_bins(rad_f2), _branch_bins(rad_g2))
-    return FilterSet(
-        scheme=SchemeId.REDUCED,
-        structure=FilterStructure.ORTHOGONAL,
-        grid=kt.grid,
-        f1_w=f1,
-        f2_w=f2,
-        g1_w=g1,
-        g2_w=g2,
-        gamma=gamma,
-        branch_bins=branch,
-    )
-
-
-def _optimised_filters(kt: KernelTable, zeta: float, scheme: SchemeId) -> FilterSet:
-    k = kt.k_etaeta_w
-    r = kt.r_w
-    rabs = np.abs(r)
-    zero_r = np.flatnonzero((rabs == 0) & (k > 0))
-    a = mixing_optimised(k, r, zeta).a_w
-    rad_f2 = 0.5 * r * a
-    rad_g2 = 0.5 * flip_freq(r) * flip_freq(a)
-    f2 = np.sqrt(rad_f2.astype(complex))
-    g2 = np.sqrt(rad_g2.astype(complex))
-    # g1 = R(-w) * (1 - A) / sqrt(K); where the spectrum vanishes the
-    # mixing is 1 (pure like branch), so the quotient is 0/0 -> 0 there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g1 = np.where(
-            k > 0,
-            flip_freq(r) * (1.0 - a) / np.sqrt(np.where(k > 0, k, 1.0)),
-            0.0,
-        ).astype(complex)
-    branch = np.union1d(_branch_bins(rad_f2), _branch_bins(rad_g2))
+        g1 = num * wiener_inverse(k, gamma)
     return FilterSet(
         scheme=scheme,
         structure=FilterStructure.ORTHOGONAL,
         grid=kt.grid,
         f1_w=np.sqrt(k),
-        f2_w=f2,
+        f2_w=np.sqrt(rad_f2),
         g1_w=g1,
-        g2_w=g2,
-        zeta=zeta,
-        branch_bins=branch,
-        special_bins=zero_r,
+        g2_w=np.sqrt(rad_g2),
+        branch_bins=np.union1d(_branch_bins(rad_f2), _branch_bins(rad_g2)),
     )
+
+
+# The schemes built by mixed_filters: each one's mixing rule a(K, R), and
+# whether its g1 divides through the Wiener inverse, i.e. uses gamma.
+_MIXING_RULES = {
+    SchemeId.LIKE: (lambda k, r: np.ones_like(k), False),
+    SchemeId.CONSTRAINED: (lambda k, r: np.zeros_like(k), True),
+    SchemeId.REDUCED: (mixing_reduced, True),
+    SchemeId.NU_OPTIMISED: (lambda k, r: mixing_optimised(k, r, 0.25), False),
+    SchemeId.ETANU_OPTIMISED: (lambda k, r: mixing_optimised(k, r, 0.5), False),
+}
 
 
 def make_filters(scheme: SchemeId, kt: KernelTable,
                  gamma: float = 0.0) -> FilterSet:
     """Build the filter set for a scheme from a kernel table.
 
-    The constrained and reduced schemes divide by the spectrum and require
-    gamma > 0 whenever the spectrum has zero bins that the mixing function
+    Only the constrained and reduced schemes use gamma; they require
+    gamma > 0 whenever the spectrum has zero bins that the mixing rule
     does not avoid (always the case for the constrained scheme with a hard
     cutoff).
     """
     k = kt.k_etaeta_w
     r = kt.r_w
+    if scheme in _MIXING_RULES:
+        rule, wiener = _MIXING_RULES[scheme]
+        return mixed_filters(scheme, kt, rule(k, r), gamma if wiener else 0.0)
     f1 = np.sqrt(k)
-    zeros = np.zeros(kt.grid.n, dtype=complex)
     if scheme is SchemeId.DELTA:
         return FilterSet(
             scheme=scheme,
@@ -270,47 +245,15 @@ def make_filters(scheme: SchemeId, kt: KernelTable,
             grid=kt.grid,
             f1_w=f1,
             f2_w=0.5 * r,
-            g1_w=zeros,
+            g1_w=np.zeros(kt.grid.n, dtype=complex),
             g2_w=np.ones(kt.grid.n, dtype=complex),
         )
-    if scheme is SchemeId.CONSTRAINED:
-        g1 = (flip_freq(r) * wiener_inverse(k, gamma)).astype(complex)
-        return FilterSet(
-            scheme=scheme,
-            structure=FilterStructure.ORTHOGONAL,
-            grid=kt.grid,
-            f1_w=f1,
-            f2_w=zeros,
-            g1_w=g1,
-            g2_w=zeros.copy(),
-            gamma=gamma,
-        )
-    if scheme is SchemeId.LIKE:
-        rad_f2 = 0.5 * r
-        rad_g2 = 0.5 * flip_freq(r)
-        return FilterSet(
-            scheme=scheme,
-            structure=FilterStructure.ORTHOGONAL,
-            grid=kt.grid,
-            f1_w=f1,
-            f2_w=np.sqrt(rad_f2),
-            g1_w=zeros,
-            g2_w=np.sqrt(rad_g2),
-            branch_bins=np.union1d(_branch_bins(rad_f2), _branch_bins(rad_g2)),
-        )
-    if scheme is SchemeId.REDUCED:
-        fs = mixed_filters(kt, mixing_reduced(k, r), gamma)
-        return fs
-    if scheme is SchemeId.NU_OPTIMISED:
-        return _optimised_filters(kt, 0.25, scheme)
-    if scheme is SchemeId.ETANU_OPTIMISED:
-        return _optimised_filters(kt, 0.5, scheme)
     if scheme is SchemeId.CONVEX:
         rabs = np.abs(r)
         c = convex_c(k, r)
         den = 1.0 - 2.0 * c
-        f1c = (1.0 - c) / np.sqrt(den) * np.sqrt(k)
-        f2c = c / np.sqrt(den) * np.sqrt(k)
+        f1c = (1.0 - c) / np.sqrt(den) * f1
+        f2c = c / np.sqrt(den) * f1
         # stable form of sqrt(1-2C)/sqrt(K): the ratio (1-2C)/K tends to
         # 1/(2|R|) as K -> 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,7 +271,6 @@ def make_filters(scheme: SchemeId, kt: KernelTable,
             f2_w=f2c.astype(complex),
             g1_w=g1c,
             g2_w=None,
-            special_bins=np.flatnonzero((k == 0) & (rabs > 0)),
         )
     raise ValueError(f"unknown scheme {scheme!r}")
 

@@ -116,6 +116,13 @@ def test_exit_code_config_error(tmp_path):
     ["scan-lambda", "--scheme", "convex", "--beta", "1", "--lambdas", "1"],
     ["simulate", "--scheme", "constrained", "--beta", "1", "--lambda", "0.5"],
     ["scan-lambda", "--scheme", "like", "--beta", "1", "--lambdas", "0.5,inf"],
+    ["simulate", "--scheme", "constrained", "--beta", "1", "--gamma", "nan"],
+    ["simulate", "--scheme", "reduced", "--beta", "1", "--gamma", "nan"],
+    ["simulate", "--scheme", "constrained", "--beta", "1", "--gamma", "-1"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--seed", "-1"],
+    ["gen-noise", "--scheme", "like", "--beta", "1", "--seed", "-1"],
+    ["qnd-verify", "--n", "1"],
+    ["qnd-verify", "--scheme", "constrained", "--gamma", "-1"],
 ])
 def test_exit_code_bad_values(argv, capsys):
     assert main(argv) == 1
@@ -274,6 +281,16 @@ def test_qnd_verify_csv(tmp_path):
                       "im_rho01_exact", "im_rho01_sln", "se"]
     assert data[0, 1] == pytest.approx(0.5)
     assert data[0, 3] == pytest.approx(-0.6)
+
+
+def test_qnd_verify_constrained_runs_at_gamma_zero(tmp_path):
+    # unlike the Drude spectrum, the pure-dephasing one has no zero bin,
+    # so the bare spectral division of the constrained scheme is finite
+    out = str(tmp_path / "q.csv")
+    assert main(["qnd-verify", "--scheme", "constrained", "--gamma", "0",
+                 "--t-max", "0.5", "--n", "8", "--output", out]) == 0
+    _, data = read_csv(out)
+    assert np.all(np.isfinite(data))
 
 
 def test_scan_lambda_csv(tmp_path):

@@ -23,8 +23,8 @@ from slnoise import (
     scan_lambda,
     seed_for,
     synthesize_batch,
-    windowed_stats,
 )
+from slnoise.ensemble import _pooled_window_stats
 from slnoise.noise import CHUNK_ROWS
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
@@ -71,6 +71,21 @@ def test_config_validation():
         small_cfg(bath=None)
     with pytest.raises(ValueError):
         small_cfg(stats_window=0)
+    for gamma in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="gamma"):
+            small_cfg(gamma=gamma)
+    with pytest.raises(ValueError, match="seed"):
+        small_cfg(master_seed=-1)
+    small_cfg(gamma=0.0, master_seed=0)
+
+
+def windowed_stats(traces, window):
+    """Pooled window statistics of a (realizations, steps) trace array,
+    from the per-step sums the ensemble loop accumulates."""
+    traces = np.asarray(traces)
+    return _pooled_window_stats(traces.sum(axis=0),
+                                (np.abs(traces) ** 2).sum(axis=0),
+                                traces.shape[0], window)
 
 
 def test_windowed_stats_constant_series():
@@ -100,13 +115,16 @@ def test_windowed_stats_window_pooling_shrinks_se():
     assert np.unique(v50).size == 2  # one pooled value per window
 
 
-def test_windowed_stats_rejects_oversized_window():
-    with pytest.raises(ValueError):
-        windowed_stats(np.ones((4, 10)), 11)
+def test_force_nu_zero_keeps_trace_constant(monkeypatch):
+    # the trace-driving noise nu zeroed as each chunk is synthesized
+    real = Synthesizer.fill
 
+    def zero_nu(self, seeds, eta_out, nu_out, cross=None):
+        real(self, seeds, eta_out, nu_out, cross)
+        nu_out[...] = 0.0
 
-def test_force_nu_zero_keeps_trace_constant():
-    stats = run_ensemble(small_cfg(), force_nu_zero=True)
+    monkeypatch.setattr(Synthesizer, "fill", zero_nu)
+    stats = run_ensemble(small_cfg())
     assert np.max(np.abs(stats.mean_tr - 1.0)) == 0.0
     assert np.all(stats.var_tr == 0.0)
     assert np.all(stats.diverged == 0)
@@ -216,6 +234,40 @@ def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
         scan_lambda(short, [0.5] * 10**6, runs_per_point=10**5,
                     batch_size=10**5)
     assert drawn == []
+
+
+def test_scan_memory_charges_every_lambda(monkeypatch, capsys):
+    # every strength keeps its running sums and statistics to the end of
+    # the scan, so a scan of lambda_scan.cfg's shape at 10^5 points (about
+    # 19 GB of them) is refused, at a physical memory of 8 GiB that its 13
+    # points fit in; nothing of that size is allocated
+    import os
+    from pathlib import Path
+
+    import slnoise.ensemble as ens
+    from slnoise.cli import main
+
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**21 if name == "SC_PHYS_PAGES"
+                        else 4096 if name == "SC_PAGE_SIZE" else real(name))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the memory check let the scan through")
+
+    ngrid = small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0)).noise_grid()
+    ens._check_memory(ngrid, 256, 13)
+    with pytest.raises(ConfigError, match="physical memory"):
+        ens._check_memory(ngrid, 256, 10**5)
+    monkeypatch.setattr(ens, "Synthesizer", refused)
+    with pytest.raises(ConfigError, match="physical memory"):
+        scan_lambda(small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0)),
+                    np.full(10**5, 0.5), runs_per_point=1000)
+    config = Path(__file__).resolve().parents[1] / "configs" / "lambda_scan.cfg"
+    assert main(["scan-lambda", "--config", str(config),
+                 "--points", "100000", "--runs-per-point", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    assert err.count("\n") == 1
 
 
 def test_diverged_run_warns_nothing():

@@ -23,7 +23,7 @@ from slnoise import (
     verify_constraint,
     wiener_inverse,
 )
-from slnoise.schemes import FilterStructure, MixingFunction, reality_defect
+from slnoise.schemes import FilterStructure, reality_defect
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def test_wiener_inverse_rejects_negative():
 def test_mixing_reduced_binary_rule():
     k = np.array([2.0, 1.0, 0.0])
     r = np.array([1.0, 2.0, 0.5])
-    a = mixing_reduced(k, r).a_w
+    a = mixing_reduced(k, r)
     assert a[0] == 0.0  # |R| <= K
     assert a[1] == 1.0  # |R| > K
     assert a[2] == 1.0  # constrained branch divergent
@@ -95,16 +95,16 @@ def test_mixing_reduced_binary_rule():
 def test_mixing_optimised_values():
     k = np.array([4.0, 2.0, 1e-12, 40.0])
     r = np.array([1.0, 1.0, 1.0, 1.0])
-    a4 = mixing_optimised(k, r, 0.25).a_w
+    a4 = mixing_optimised(k, r, 0.25)
     assert a4[0] == pytest.approx(0.0)
     assert a4[2] == pytest.approx(1.0)
     assert a4[3] == 0.0  # stationary value negative -> clamped at boundary
-    a2 = mixing_optimised(k, r, 0.5).a_w
+    a2 = mixing_optimised(k, r, 0.5)
     assert a2[1] == pytest.approx(0.0)
 
 
 def test_mixing_optimised_zero_r_bins():
-    a = mixing_optimised(np.array([1.0]), np.array([0.0]), 0.25).a_w
+    a = mixing_optimised(np.array([1.0]), np.array([0.0]), 0.25)
     assert a[0] == 0.0
 
 
@@ -119,7 +119,7 @@ def test_mixing_even(table):
         lambda: mixing_optimised(table.k_etaeta_w, table.r_w, 0.25),
         lambda: mixing_optimised(table.k_etaeta_w, table.r_w, 0.5),
     ):
-        a = build().a_w
+        a = build()
         assert np.max(np.abs(a - flip_freq(a))) < 1e-12
 
 
@@ -185,14 +185,15 @@ def test_constrained_residual_decreases_with_gamma_on_interior(table):
 
 def test_reduced_degenerate_cases(table):
     n = table.grid.n
-    as_constrained = mixed_filters(table, MixingFunction(np.zeros(n)), gamma=0.01)
+    as_constrained = mixed_filters(SchemeId.CONSTRAINED, table, np.zeros(n),
+                                   gamma=0.01)
     constrained = make_filters(SchemeId.CONSTRAINED, table, gamma=0.01)
     assert np.array_equal(as_constrained.g1_w, constrained.g1_w)
     assert np.array_equal(as_constrained.f1_w, constrained.f1_w)
     assert np.all(as_constrained.f2_w == 0.0)
     assert np.all(as_constrained.g2_w == 0.0)
 
-    as_like = mixed_filters(table, MixingFunction(np.ones(n)), gamma=0.0)
+    as_like = mixed_filters(SchemeId.LIKE, table, np.ones(n), gamma=0.0)
     like = make_filters(SchemeId.LIKE, table)
     assert np.array_equal(as_like.f2_w, like.f2_w)
     assert np.array_equal(as_like.g2_w, like.g2_w)
@@ -203,7 +204,7 @@ def test_mixed_filters_gamma_zero_rejected_when_zero_bins_need_division(table):
     n = table.grid.n
     # mixing 0 everywhere forces the constrained branch on the dead bins
     with pytest.raises(DivisionByZeroSpectrum):
-        mixed_filters(table, MixingFunction(np.zeros(n)), gamma=0.0)
+        mixed_filters(SchemeId.CONSTRAINED, table, np.zeros(n), gamma=0.0)
 
 
 def test_reduced_gamma_zero_allowed_by_builtin_mixing(table):
@@ -212,6 +213,20 @@ def test_reduced_gamma_zero_allowed_by_builtin_mixing(table):
     fs = make_filters(SchemeId.REDUCED, table, gamma=0.0)
     rep = verify_constraint(fs, table)
     assert rep.max_residual <= 1e-10 * rep.scale
+
+
+def test_filters_carry_their_scheme(table):
+    for scheme in SchemeId:
+        assert make_filters(scheme, table, gamma=0.01).scheme is scheme
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.LIKE, SchemeId.NU_OPTIMISED,
+                                    SchemeId.ETANU_OPTIMISED])
+def test_gamma_ignored_by_schemes_without_wiener_inverse(table, scheme):
+    at_zero = make_filters(scheme, table, gamma=0.0)
+    at_tenth = make_filters(scheme, table, gamma=0.1)
+    for name in ("f1_w", "f2_w", "g1_w", "g2_w", "branch_bins"):
+        assert np.array_equal(getattr(at_zero, name), getattr(at_tenth, name)), name
 
 
 def test_filters_reality(table):
@@ -272,7 +287,7 @@ def test_etanu_optimised_beats_nu_optimised_on_total_power(table, table_hot):
 @pytest.mark.parametrize("zeta,total", [(0.25, False), (0.5, True)])
 def test_optimised_mixing_is_a_minimum(table_hot, zeta, total):
     kt = table_hot
-    a0 = mixing_optimised(kt.k_etaeta_w, kt.r_w, zeta).a_w
+    a0 = mixing_optimised(kt.k_etaeta_w, kt.r_w, zeta)
     base = mixing_power(kt, a0, total=total)
     rng = np.random.default_rng(7)
     interior = np.flatnonzero((kt.k_etaeta_w > 0) & (np.abs(kt.r_w) > 0))
@@ -289,11 +304,11 @@ def test_optimised_mixing_is_a_minimum(table_hot, zeta, total):
 
 def test_mixing_power_matches_filter_power(table):
     a = mixing_reduced(table.k_etaeta_w, table.r_w)
-    fs = mixed_filters(table, a, gamma=0.0)
-    assert mixing_power(table, a.a_w) == pytest.approx(
+    fs = mixed_filters(SchemeId.REDUCED, table, a, gamma=0.0)
+    assert mixing_power(table, a) == pytest.approx(
         expected_nu_power(fs), rel=1e-10
     )
-    assert mixing_power(table, a.a_w, total=True) == pytest.approx(
+    assert mixing_power(table, a, total=True) == pytest.approx(
         expected_total_power(fs), rel=1e-10
     )
 
@@ -303,7 +318,7 @@ def test_etanu_optimised_nu_power_equals_like(table):
     # the optimum is interior, the nu integrand reduces to |R|, the same
     # as the like scheme's
     k, r = table.k_etaeta_w, table.r_w
-    a = mixing_optimised(k, r, 0.5).a_w
+    a = mixing_optimised(k, r, 0.5)
     interior = (a > 0) & (a < 1)
     rabs = np.abs(r)
     with np.errstate(divide="ignore", invalid="ignore"):
