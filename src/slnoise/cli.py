@@ -102,6 +102,16 @@ def _scheme_from_name(name: str) -> SchemeId:
         raise ConfigError(f"unknown scheme {name!r}; valid: {valid}") from None
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Report the ValueError of a refused constructor argument (a grid,
+    a bath, a run config) as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
     """Validated RunConfig from a settings dict: the spin-boson model in a
     Drude bath, or with ``qnd`` the pure-dephasing model of qnd-verify."""
@@ -117,7 +127,7 @@ def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
             "makes the spectrum exactly zero on high-frequency bins, so the "
             "bare spectral division diverges; set gamma > 0"
         )
-    try:
+    with _config_errors():
         if qnd:
             model = SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
                                 rho0=QndModel().rho0)
@@ -137,8 +147,6 @@ def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
             stats_window=settings["stats_window"],
             **source,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _spin_boson(settings: dict) -> SystemModel:
@@ -177,10 +185,8 @@ def _settings_from_args(args) -> dict:
 def _validate(settings: dict, args):
     """Refuse option values that every subcommand would otherwise reject
     only deep inside a run, with a traceback or a runtime-error status."""
-    try:
+    with _config_errors():
         grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     check_memory(grid, rows=1)
     lam = settings["lambda"]
     if lam is not None and not lam > 0:
@@ -250,8 +256,10 @@ def _cmd_kernels(args):
     settings = _settings_from_args(args)
     if settings["beta"] is None:
         raise ConfigError("missing required key 'beta'")
+    with _config_errors():
+        bath = BathParams(settings["beta"], settings["omega_c"])
     grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"]).freq()
-    table = build_kernel_table(grid, BathParams(settings["beta"], settings["omega_c"]))
+    table = build_kernel_table(grid, bath)
     order = np.argsort(grid.omega, kind="stable")
     rows = zip(
         grid.omega[order],

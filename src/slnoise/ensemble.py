@@ -6,12 +6,14 @@ batching.  Statistics are accumulated in fixed realization order.
 
 One loop produces the noise of every ensemble run, batch by batch
 (``batch_size`` realizations).  A batch's noise is synthesized in chunks
-of CHUNK_ROWS realizations spread over SYNTH_THREADS threads: the Philox
-fills and the FFTs release the interpreter lock, so the chunks run on all
-cores.  Each chunk writes its own columns of the batch's time-major noise
-arrays, and a realization's noise depends only on its seed and its chunk,
-never on the thread that computed it.  RK4 and every reduction run on the
-calling thread in batch order, on the state blocks streamed by
+of the synthesizer's ``chunk_rows`` realizations (at most 16, fewer on
+long grids) spread over SYNTH_THREADS threads: the Philox fills and the
+FFTs release the interpreter lock, so the chunks run on all cores.  Each
+thread colours its chunks in one workspace that it allocates once per
+run.  Each chunk writes its own columns of the batch's time-major noise
+arrays, and a realization's noise depends only on its seed, never on the
+thread that computed it or on its chunk.  RK4 and every reduction run on
+the calling thread in batch order, on the state blocks streamed by
 :func:`integrate_blocks`, while the threads synthesize the next batch;
 only running sums are kept, never the states of a whole batch.  Output is
 therefore bitwise independent of SYNTH_THREADS.
@@ -50,8 +52,8 @@ from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
-from .noise import (CHUNK_ROWS, Synthesizer, check_memory,  # noqa: F401
-                    sample_white, synthesize_from_white)
+from .noise import (Synthesizer, check_memory, sample_white,  # noqa: F401
+                    synthesize_from_white)
 from .schemes import FilterSet, SchemeId, make_filters
 
 __all__ = [
@@ -180,15 +182,17 @@ def _points_per_pass(rows: int, n_points: int) -> int:
 _POINT_STEP_BYTES = (16 + 8 + 3 * 16 + 8) + (16 + 8 + 8 + 8 + 3 * 16 + 8)
 
 
-def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int) -> None:
+def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int,
+                  channels: int = 4) -> None:
     # the loop holds the noise of two unrescaled batches of two series at
     # once (the one being integrated and the next, synthesized meanwhile)
-    # or of one rescaled batch of four series, the buffers of one RK4
-    # pass over up to RK4_COLUMNS columns, and every strength's statistics
+    # or of one rescaled batch of four series, each synthesis thread's
+    # workspace, the buffers of one RK4 pass over up to RK4_COLUMNS
+    # columns, and every strength's statistics
     n_steps = (ngrid.n_phys - 1) // 2
     rk4 = rk4_bytes(batch_rows, n_steps, _points_per_pass(batch_rows, n_points))
     stats = _POINT_STEP_BYTES * n_points * (n_steps + 1)
-    check_memory(ngrid, 2 * batch_rows, SYNTH_THREADS, rk4 + stats)
+    check_memory(ngrid, batch_rows, SYNTH_THREADS, rk4 + stats, channels)
 
 
 def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
@@ -199,9 +203,10 @@ def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
     if lams is None and cfg.lam is not None:
         lams = [cfg.lam]
     ngrid = cfg.noise_grid()
-    _check_memory(ngrid, min(batch_size, cfg.n_realizations),
-                  1 if lams is None else len(lams))
-    return Synthesizer(cfg.filters(), ngrid, lams)
+    rows = min(batch_size, cfg.n_realizations)
+    _check_memory(ngrid, rows, 1 if lams is None else len(lams),
+                  2 if cfg.scheme is SchemeId.CONVEX else 4)
+    return Synthesizer(cfg.filters(), ngrid, lams, rows=rows)
 
 
 def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
@@ -227,8 +232,8 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
                   for _ in range(4 if n_points else 2)]
         factors = np.empty((n_points, stop - start))
         jobs = []
-        for a in range(0, stop - start, CHUNK_ROWS):
-            cols = slice(a, a + CHUNK_ROWS)
+        for a in range(0, stop - start, synth.chunk_rows):
+            cols = slice(a, a + synth.chunk_rows)
             eta, nu, *pair = (s[:, cols] for s in series)
             cross = (*pair, factors[:, cols]) if n_points else None
             jobs.append(pool.submit(synth.fill, seeds[cols], eta, nu, cross))

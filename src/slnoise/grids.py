@@ -71,10 +71,10 @@ class TimeGrid:
     pad_factor: int = 2
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.pad_factor < 2:
             raise ValueError(f"pad_factor must be >= 2, got {self.pad_factor}")
 

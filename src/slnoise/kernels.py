@@ -10,6 +10,14 @@ table costs O(n log n).  A user-supplied kernel is sampled directly.  The
 frequency arrays of the table are the discrete transform of its time
 samples, keeping the table's transform pair exactly self-consistent.
 
+The chirp-z transform is Bluestein's (Bluestein 1968; Rabiner, Schafer &
+Rader, Bell Syst. Tech. J. 48, 1249 (1969)): a convolution of the chirped
+samples with a chirp, done by FFT on one zero-padded buffer that every
+step overwrites in place.  It repeats the operations of
+``scipy.signal.czt`` in the same order, so the table is bitwise what that
+function gives, without importing ``scipy.signal`` (about 50 MB and most
+of a second of start-up per process).
+
 ``kernel_time`` evaluates the same kernels at arbitrary lags by composite
 Gauss-Legendre quadrature; it serves pointwise targets and reference
 values.  Pointwise analytic transforms are also provided; the imaginary
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.signal import czt
+from scipy.fft import fft, ifft, next_fast_len
 
 from .exceptions import AsymmetryExceeded, ConfigError, SingularPoint
 from .grids import FrequencyGrid, flip_freq
@@ -242,6 +250,29 @@ def _half_hat(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
+    """sum_j x_j w^(j k) for k = 0..m-1 along the last axis.
+
+    Bluestein's algorithm with ``w^(j k) = w^(j^2/2) w^(k^2/2) /
+    w^((k-j)^2/2)``, step for step as ``scipy.signal.czt`` computes it
+    with the start point a = 1 (whose powers it multiplies in, so they
+    are kept for its roundings), but with the forward FFT, the product
+    with the chirp's spectrum and the inverse FFT all done in one buffer.
+    """
+    n = x.shape[-1]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
+    wk2 = w**(k**2 / 2.)
+    awk2 = 1.0**-k[:n] * wk2[:n]
+    nfft = next_fast_len(n + m - 1)
+    fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    buf = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
+    np.multiply(x, awk2, out=buf[..., :n])
+    fft(buf, overwrite_x=True)
+    np.multiply(fwk2, buf, out=buf)
+    ifft(buf, overwrite_x=True)
+    return buf[..., n - 1:n + m - 1] * wk2[:m]
+
+
 def _filon_fourier(g: np.ndarray, omega_c: float, dt: float, m: int) -> np.ndarray:
     """int_0^omega_c g(w) e^{i w t_k} dw at t_k = k dt, k = 0..m-1.
 
@@ -259,9 +290,29 @@ def _filon_fourier(g: np.ndarray, omega_c: float, dt: float, m: int) -> np.ndarr
     hat = h * np.sinc(theta / (2.0 * np.pi)) ** 2
     head = h * _half_hat(theta)
     tail = np.exp(1j * omega_c * t)
-    sums = czt(g, m, w=np.exp(1j * h * dt), a=1.0)
+    sums = _czt(g, m, np.exp(1j * h * dt))
     return (hat * sums + (head - hat) * g[..., :1]
             + (np.conj(head) - hat) * tail * g[..., -1:])
+
+
+def _time_samples(grid: FrequencyGrid, source: KernelSource):
+    """K_etaeta and K_etanu at the grid times, in fft ordering."""
+    if isinstance(source, CustomKernel):
+        times = grid.times
+        kt = np.asarray(source.func(times), dtype=complex)
+        theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
+        return kt.real.astype(float), 2j * theta * kt.imag
+    half = grid.n // 2
+    omega = np.linspace(0.0, source.omega_c, FILON_NODES + 1)
+    g = np.stack([k_etaeta_freq(omega, source),
+                  spectral_density(omega, source)])
+    cos_int, sin_int = _filon_fourier(g, source.omega_c, grid.dt,
+                                      half + 1) / np.pi
+    keta_t = np.concatenate([cos_int.real[:half], cos_int.real[half:0:-1]])
+    ketanu_t = np.zeros(grid.n, dtype=complex)
+    ketanu_t[:half] = -2j * sin_int.imag[:half]
+    ketanu_t[0] *= 0.5
+    return keta_t, ketanu_t
 
 
 @dataclass(frozen=True)
@@ -295,8 +346,9 @@ def build_kernel_table(grid: FrequencyGrid, source: KernelSource) -> KernelTable
     ``K_etanu = -2i Theta(t) (sine integral)`` with Theta(0) = 1/2 vanishes
     for t < 0.  A grid whose Nyquist frequency pi/dt does not exceed
     omega_c raises :class:`ConfigError`; one with a bin on the cutoff
-    raises :class:`SingularPoint`.  A custom kernel is sampled at the
-    grid times.
+    raises :class:`SingularPoint`, and one whose samples are not finite
+    (beta so small that they exceed double precision) raises
+    :class:`ConfigError`.  A custom kernel is sampled at the grid times.
 
     Symmetries (K_etaeta even; Re K_etanu odd, Im K_etanu even) are
     enforced numerically; a correction beyond 1e-6 relative raises
@@ -307,32 +359,26 @@ def build_kernel_table(grid: FrequencyGrid, source: KernelSource) -> KernelTable
         # the sampled transforms are still singular at the hard cutoff:
         # reject grids whose bins land on it
         _check_cutoff(grid.omega, source)
-        half = grid.n // 2
-        omega = np.linspace(0.0, source.omega_c, FILON_NODES + 1)
-        g = np.stack([k_etaeta_freq(omega, source),
-                      spectral_density(omega, source)])
-        cos_int, sin_int = _filon_fourier(g, source.omega_c, grid.dt,
-                                          half + 1) / np.pi
-        keta_t = np.concatenate([cos_int.real[:half], cos_int.real[half:0:-1]])
-        ketanu_t = np.zeros(grid.n, dtype=complex)
-        ketanu_t[:half] = -2j * sin_int.imag[:half]
-        ketanu_t[0] *= 0.5
-    elif isinstance(source, CustomKernel):
-        times = grid.times
-        kt = np.asarray(source.func(times), dtype=complex)
-        theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
-        keta_t = kt.real.astype(float)
-        ketanu_t = 2j * theta * kt.imag
-    else:
+    elif not isinstance(source, CustomKernel):
         raise TypeError(f"unsupported kernel source {source!r}")
-    # frequency arrays are the DFT approximants of the sampled time
-    # kernels (scaled to the continuous transform), so the transform pair
-    # in the table is self-consistent; the leakage of the slowly decaying
-    # kernel tails is then carried in the spectrum rather than silently
-    # broken between the two representations
-    scale = grid.n * grid.dt
-    keta_w_raw = scale * np.fft.ifft(keta_t)
-    ketanu_w_raw = scale * np.fft.ifft(ketanu_t)
+    # a kernel too large for doubles (beta near 0) overflows on the way;
+    # it is refused below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        keta_t, ketanu_t = _time_samples(grid, source)
+        # frequency arrays are the DFT approximants of the sampled time
+        # kernels (scaled to the continuous transform), so the transform
+        # pair in the table is self-consistent; the leakage of the slowly
+        # decaying kernel tails is then carried in the spectrum rather than
+        # silently broken between the two representations
+        scale = grid.n * grid.dt
+        keta_w_raw = scale * np.fft.ifft(keta_t)
+        ketanu_w_raw = scale * np.fft.ifft(ketanu_t)
+    if not all(np.all(np.isfinite(a))
+               for a in (keta_t, ketanu_t, keta_w_raw, ketanu_w_raw)):
+        raise ConfigError(
+            f"the kernel table of {source} is not finite on the grid "
+            f"(n={grid.n}, dt={grid.dt:g}): its values exceed double precision"
+        )
     # K_etaeta even real; K_etanu(-w) = -conj(K_etanu(w))
     keta_w = 0.5 * (keta_w_raw + flip_freq(keta_w_raw)).real
     ketanu_w = 0.5 * (ketanu_w_raw - np.conj(flip_freq(ketanu_w_raw)))

@@ -38,17 +38,31 @@ noise without the cross-correlative pair, the unscaled pair and a table
 of the realization's rescale factors, one per strength.  RK4 applies
 the factors block by block, for several strengths in one pass
 (:func:`~slnoise.dynamics.integrate_blocks`).
+
+Every thread that colours noise with a :class:`Synthesizer` holds one
+workspace for it: the white channels (rows, channels, n), and the two
+complex transform buffers z and c, (2, rows, n) each, that every step of
+the colouring overwrites in place.  The thread allocates it on its first
+chunk and reuses it for every later one, so a run pays the page faults
+of its chunk buffers once per thread, not once per chunk.  A chunk is at
+most CHUNK_ROWS realizations, and fewer where that many would take more
+than CHUNK_BYTES (16 rows at n <= 16384, 8 at n = 32768); the rows of a
+chunk do not change any output bit.  :func:`check_memory` charges the
+workspaces with :func:`workspace_bytes`, the helper that sizes them.
+The correlation estimator's lagged products are one FFT convolution
+each, computed with ``scipy.fft`` as ``scipy.signal.fftconvolve``
+computes it for complex input.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft
-from scipy.signal import fftconvolve
 
 from .exceptions import ConfigError, GridMismatch, InsufficientSample, ZeroComponent
 from .grids import TimeGrid
@@ -58,8 +72,11 @@ __all__ = [
     "NoisePair",
     "CorrelationEstimate",
     "CHUNK_ROWS",
+    "CHUNK_BYTES",
     "Synthesizer",
+    "chunk_rows",
     "check_memory",
+    "workspace_bytes",
     "sample_white",
     "synthesize",
     "synthesize_batch",
@@ -70,8 +87,25 @@ __all__ = [
 SeedLike = Union[int, np.random.SeedSequence]
 
 # Realizations coloured together: enough rows for the batched FFTs to pay
-# off; one chunk's buffers take about 24 MB at n = 16384.
+# off, but no more than CHUNK_BYTES of workspace per thread, the
+# 4-channel footprint of CHUNK_ROWS rows at n = 16384 (24 MiB).
 CHUNK_ROWS = 16
+CHUNK_BYTES = 24 * 2**20
+
+
+def workspace_bytes(rows: int, channels: int, n: int) -> int:
+    """Bytes of one thread's colouring workspace for ``rows`` realizations
+    of ``channels`` white channels on ``n`` samples: the channels, and the
+    complex (2, rows, n) buffers z and c."""
+    return rows * n * (8 * channels + 2 * 2 * 16)
+
+
+def chunk_rows(n: int, channels: int, rows: int = CHUNK_ROWS) -> int:
+    """Realizations coloured together on ``n`` samples, when at most
+    ``rows`` are asked for: at most CHUNK_ROWS, and fewer where their
+    workspace would exceed CHUNK_BYTES, but at least one."""
+    fit = CHUNK_BYTES // workspace_bytes(1, channels, n)
+    return max(1, min(rows, CHUNK_ROWS, fit))
 
 
 @dataclass(frozen=True)
@@ -110,23 +144,27 @@ def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
 
 
 def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
-                 extra: int = 0) -> None:
+                 extra: int = 0, channels: int = 4) -> None:
     """Refuse a grid whose working set exceeds physical memory.
 
-    ``rows`` counts the pairs of complex series held at once on the
-    physical window, one pair per realization: the ensemble loop holds
+    ``rows`` is the most realizations synthesized at once, each kept as
+    four complex series on the physical window: the ensemble loop holds
     two unrescaled batches of two series each (the one being integrated
-    and the next), or one rescaled batch of four series.  ``threads`` is
-    the number of chunks coloured at once on the padded grid; the kernel
-    table and the filters are counted too.  ``extra`` is the bytes of the
-    run's other buffers: the RK4 state, stage and block buffers of one
-    integration pass, at the widest pass the run makes
+    and the next), or one rescaled batch of four series, and a NoisePair
+    holds four.  Each of ``threads`` threads holds the colouring
+    workspace of a :class:`Synthesizer` asked for ``rows`` realizations of
+    ``channels`` white channels (:func:`workspace_bytes` of
+    :func:`chunk_rows`); the kernel table and the filters on the padded
+    grid are counted too.  ``extra`` is the bytes of the run's other
+    buffers: the RK4 state, stage and block buffers of one integration
+    pass, at the widest pass the run makes
     (:func:`~slnoise.dynamics.rk4_bytes`), and the statistics the run
     keeps per rescaling strength.
     Raises :class:`ConfigError` before any of it is allocated.
     """
-    chunk_rows = min(rows, CHUNK_ROWS) * threads
-    need = 32 * grid.n_phys * rows + grid.n * (160 * chunk_rows + 320) + extra
+    workspace = workspace_bytes(chunk_rows(grid.n, channels, rows), channels, grid.n)
+    need = (64 * grid.n_phys * rows + threads * workspace + 320 * grid.n
+            + extra)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
@@ -136,12 +174,11 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
         )
 
 
-def _conj_flip(z: np.ndarray) -> np.ndarray:
-    """conj(z(-w)) along the last axis, in fft ordering."""
-    c = np.empty_like(z)
-    np.conjugate(z[..., :1], out=c[..., :1])
-    np.conjugate(z[..., :0:-1], out=c[..., 1:])
-    return c
+def _conj_flip(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """conj(z(-w)) along the last axis, in fft ordering, into ``out``."""
+    np.conjugate(z[..., :1], out=out[..., :1])
+    np.conjugate(z[..., :0:-1], out=out[..., 1:])
+    return out
 
 
 class Synthesizer:
@@ -151,15 +188,19 @@ class Synthesizer:
     strengths.  ``scale`` multiplies the white channels; the default
     1/sqrt(dt) turns the unit normals of :meth:`draw` into white noise of
     variance 1/dt, and 1 suits channels drawn by :func:`sample_white`.
+    ``rows`` is the most realizations a caller asks of one call; with the
+    grid and the channel count it fixes :attr:`chunk_rows`, the rows of
+    each thread's workspace (:func:`chunk_rows`).
     Construction refuses a filter set built on another grid and a
     rescaling request for a scheme without a cross-correlative pair, so
     neither can first surface while noise is drawn.  Afterwards the object
-    is only read: several threads may call :meth:`fill` at once, and each
-    realization's result does not depend on which thread computed it.
+    is only read, apart from each thread's own workspace: several threads
+    may call :meth:`fill` at once, and each realization's result does not
+    depend on which thread computed it, nor on the rows of its chunk.
     """
 
     def __init__(self, fs: FilterSet, grid: TimeGrid, lam=None,
-                 scale: Optional[float] = None):
+                 scale: Optional[float] = None, rows: int = CHUNK_ROWS):
         fg = grid.freq()
         if fg.n != fs.grid.n or fg.dt != fs.grid.dt:
             raise GridMismatch(
@@ -176,6 +217,8 @@ class Synthesizer:
         self.grid = grid
         self.lam = lam
         self.n_phys = grid.n_phys
+        self.chunk_rows = chunk_rows(grid.n, fs.n_channels, rows)
+        self._local = threading.local()
         if fs.structure is FilterStructure.CONVEX:
             self._taps = (0.5 * s * (fs.f1_w + fs.f2_w),
                           0.5 * s * (fs.f1_w - fs.f2_w),
@@ -184,56 +227,78 @@ class Synthesizer:
             self._taps = (0.5 * s * fs.f1_w, s * fs.f2_w,
                           1j * s * fs.g1_w, 1j * s * fs.g2_w)
 
-    def draw(self, seeds: Sequence[SeedLike]) -> np.ndarray:
-        """Unit-normal channels, shape (len(seeds), channels, n): one
-        Philox stream per seed, the numbers of :func:`sample_white`."""
-        white = np.empty((len(seeds), self.fs.n_channels, self.grid.n))
-        for row, seed in zip(white, seeds):
+    def _workspace(self, rows: int):
+        """The calling thread's white (rows, channels, n), z and c
+        (2, rows, n) buffers: allocated with :attr:`chunk_rows` rows on the
+        thread's first call, then reused, so their pages are touched once
+        per thread.  z and c keep their two halves apart in memory, so an
+        in-place sum of one half into the other needs no copy."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            n = self.grid.n
+            ws = self._local.ws = (
+                np.empty((self.chunk_rows, self.fs.n_channels, n)),
+                np.empty((2, self.chunk_rows, n), dtype=complex),
+                np.empty((2, self.chunk_rows, n), dtype=complex),
+            )
+        white, z, c = ws
+        return white[:rows], z[:, :rows], c[:, :rows]
+
+    def draw(self, seeds: Sequence[SeedLike], out: np.ndarray) -> np.ndarray:
+        """Unit-normal channels into ``out``, shape (len(seeds), channels,
+        n): one Philox stream per seed, the numbers of
+        :func:`sample_white`."""
+        for row, seed in zip(out, seeds):
             _generator(seed).standard_normal(out=row)
-        return white
+        return out
 
-    def colour(self, white: np.ndarray, split: bool = False):
-        """Noise on the physical window from white channels (rows, channels, n).
+    def _colour(self, white: np.ndarray, split: bool = False):
+        """Noise on the physical window from white channels (rows, channels, n),
+        rows <= :attr:`chunk_rows`.
 
-        Returns (eta, nu, eta0, nu0), each of shape (rows, n_phys).  The
+        Returns (eta, nu, eta0, nu0), each of shape (rows, n_phys), views
+        of the thread's workspace that its next call overwrites.  The
         cross-correlative components eta0/nu0 are transformed apart, and
         left out of eta/nu, only when ``split`` is set or ``lam`` is;
         otherwise they are None.  They are never rescaled here.
         """
         n_phys = self.n_phys
+        _, z, c = self._workspace(len(white))
         if self.fs.structure is FilterStructure.CONVEX:
             p, q, g = self._taps
-            z = np.empty((len(white), white.shape[-1]), dtype=complex)
-            z.real, z.imag = white[:, 0], white[:, 1]
-            z = scipy.fft.ifft(z, axis=-1, overwrite_x=True)
-            spec = np.empty((len(z), 2, z.shape[-1]), dtype=complex)
-            np.multiply(_conj_flip(z), q, out=spec[:, 0])
-            spec[:, 0] += p * z
-            np.multiply(z, g, out=spec[:, 1])
-            out = scipy.fft.fft(spec, axis=-1, overwrite_x=True)
-            return out[:, 0, :n_phys], out[:, 1, :n_phys], None, None
+            # z's halves: the transform and a scratch for p z; c takes
+            # eta's and nu's spectra
+            zc, pz = z
+            zc.real, zc.imag = white[:, 0], white[:, 1]
+            zc = scipy.fft.ifft(zc, axis=-1, overwrite_x=True)
+            _conj_flip(zc, out=c[0])
+            c[0] *= q
+            np.multiply(p, zc, out=pz)
+            c[0] += pz
+            np.multiply(zc, g, out=c[1])
+            out = scipy.fft.fft(c, axis=-1, overwrite_x=True)
+            return out[0, :, :n_phys], out[1, :, :n_phys], None, None
         a1, b, c1, c2 = self._taps
-        z = np.empty((len(white), 2, white.shape[-1]), dtype=complex)
-        z[:, 0].real, z[:, 0].imag = white[:, 0], white[:, 3]
-        z[:, 1].real, z[:, 1].imag = white[:, 1], white[:, 2]
+        z[0].real, z[0].imag = white[:, 0], white[:, 3]
+        z[1].real, z[1].imag = white[:, 1], white[:, 2]
         z = scipy.fft.ifft(z, axis=-1, overwrite_x=True)
-        c = _conj_flip(z)
-        z[:, 0] += c[:, 0]
-        z[:, 0] *= a1
-        z[:, 1] *= b
+        _conj_flip(z, out=c)
+        z[0] += c[0]
+        z[0] *= a1
+        z[1] *= b
         if not (split or self.lam is not None):
-            # eta's spectrum into z[:, 0], nu's into z[:, 1]
-            z[:, 0] += z[:, 1]
-            np.multiply(c[:, 0], c1, out=z[:, 1])
-            c[:, 1] *= c2
-            z[:, 1] += c[:, 1]
+            # eta's spectrum into z[0], nu's into z[1]
+            z[0] += z[1]
+            np.multiply(c[0], c1, out=z[1])
+            c[1] *= c2
+            z[1] += c[1]
             out = scipy.fft.fft(z, axis=-1, overwrite_x=True)
-            return out[:, 0, :n_phys], out[:, 1, :n_phys], None, None
-        c[:, 0] *= c1
-        c[:, 1] *= c2
-        eta = scipy.fft.fft(z, axis=-1, overwrite_x=True)[:, :, :n_phys]
-        nu = scipy.fft.fft(c, axis=-1, overwrite_x=True)[:, :, :n_phys]
-        return eta[:, 0], nu[:, 0], eta[:, 1], nu[:, 1]
+            return out[0, :, :n_phys], out[1, :, :n_phys], None, None
+        c[0] *= c1
+        c[1] *= c2
+        eta = scipy.fft.fft(z, axis=-1, overwrite_x=True)[..., :n_phys]
+        nu = scipy.fft.fft(c, axis=-1, overwrite_x=True)[..., :n_phys]
+        return eta[0], nu[0], eta[1], nu[1]
 
     def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
         """:func:`rescale_factor` of each row of eta0/nu0 at ``lam``, shape
@@ -242,8 +307,9 @@ class Synthesizer:
 
     def fill(self, seeds: Sequence[SeedLike], eta_out: np.ndarray,
              nu_out: np.ndarray, cross=None) -> None:
-        """Draw and colour one chunk into time-major views of shape
-        (n_phys, len(seeds)): column j is the realization of seeds[j].
+        """Draw and colour realizations, :attr:`chunk_rows` at a time, into
+        time-major views of shape (n_phys, len(seeds)): column j is the
+        realization of seeds[j].
 
         With ``lam`` set, ``cross`` is (eta0_out, nu0_out, factors_out):
         eta_out/nu_out then take the noise without the cross-correlative
@@ -251,38 +317,47 @@ class Synthesizer:
         (len(lam), len(seeds)), the rescale factor of each column at each
         strength.  The rescaled noise is eta + f eta0 and nu + nu0 / f.
         """
-        eta, nu, eta0, nu0 = self.colour(self.draw(seeds))
-        eta_out[...] = eta.T
-        nu_out[...] = nu.T
-        if self.lam is not None:
-            eta0_out, nu0_out, factors_out = cross
-            eta0_out[...] = eta0.T
-            nu0_out[...] = nu0.T
-            factors_out[...] = self.factors(eta0, nu0).T
+        for a in range(0, len(seeds), self.chunk_rows):
+            cols = slice(a, a + self.chunk_rows)
+            chunk = seeds[cols]
+            white = self.draw(chunk, self._workspace(len(chunk))[0])
+            eta, nu, eta0, nu0 = self._colour(white)
+            eta_out[:, cols] = eta.T
+            nu_out[:, cols] = nu.T
+            if self.lam is not None:
+                eta0_out, nu0_out, factors_out = cross
+                eta0_out[:, cols] = eta0.T
+                nu0_out[:, cols] = nu0.T
+                factors_out[:, cols] = self.factors(eta0, nu0).T
 
-    def pairs(self, white: np.ndarray, seeds: Sequence[object]) -> List[NoisePair]:
-        """NoisePairs of white channels (rows, channels, n), one per seed."""
-        eta, nu, eta0, nu0 = self.colour(white, split=True)
-        if self.fs.structure is FilterStructure.CONVEX:
-            eta0, nu0 = np.zeros_like(eta), np.zeros_like(nu)
-        lam = 1.0 if self.lam is None else self.lam
-        factor = 1.0 if self.lam is None else self.factors(eta0, nu0)[:, None]
-        # new arrays, which let the padded transforms go
-        eta0 = factor * eta0
-        nu0 = nu0 / factor
-        return [NoisePair(*rows, self.grid.dt, self.fs.scheme, seed, lam)
-                for *rows, seed in zip(eta + eta0, nu + nu0, eta0, nu0, seeds)]
+    def pairs(self, seeds: Sequence[object],
+              white: Optional[np.ndarray] = None) -> List[NoisePair]:
+        """NoisePairs, one per seed, coloured :attr:`chunk_rows` at a time:
+        of the white channels (len(seeds), channels, n) if given, else of
+        those :meth:`draw` gives for the seeds."""
+        pairs: List[NoisePair] = []
+        for a in range(0, len(seeds), self.chunk_rows):
+            chunk = seeds[a:a + self.chunk_rows]
+            x = (self.draw(chunk, self._workspace(len(chunk))[0])
+                 if white is None else white[a:a + self.chunk_rows])
+            eta, nu, eta0, nu0 = self._colour(x, split=True)
+            if self.fs.structure is FilterStructure.CONVEX:
+                eta0, nu0 = np.zeros_like(eta), np.zeros_like(nu)
+            lam = 1.0 if self.lam is None else self.lam
+            factor = 1.0 if self.lam is None else self.factors(eta0, nu0)[:, None]
+            # new arrays, which leave the workspace to the next chunk
+            eta0 = factor * eta0
+            nu0 = nu0 / factor
+            pairs += [NoisePair(*rows, self.grid.dt, self.fs.scheme, seed, lam)
+                      for *rows, seed in zip(eta + eta0, nu + nu0, eta0, nu0, chunk)]
+        return pairs
 
 
 def synthesize_batch(fs: FilterSet, grid: TimeGrid, seeds: Sequence[SeedLike],
                      lam: Optional[float] = None) -> List[NoisePair]:
-    """Draw and colour one realization per seed, in chunks of CHUNK_ROWS."""
-    synth = Synthesizer(fs, grid, lam)
-    pairs: List[NoisePair] = []
-    for start in range(0, len(seeds), CHUNK_ROWS):
-        chunk = seeds[start:start + CHUNK_ROWS]
-        pairs += synth.pairs(synth.draw(chunk), chunk)
-    return pairs
+    """Draw and colour one realization per seed, in chunks of at most
+    CHUNK_ROWS."""
+    return Synthesizer(fs, grid, lam, rows=len(seeds)).pairs(seeds)
 
 
 def synthesize_from_white(fs: FilterSet, grid: TimeGrid, white: np.ndarray,
@@ -297,7 +372,8 @@ def synthesize_from_white(fs: FilterSet, grid: TimeGrid, white: np.ndarray,
     eta = f1*x1 + i f2*x2, nu = g1*(x1 + i x2); there is no orthogonal
     component pair, so rescaling is undefined.
     """
-    return Synthesizer(fs, grid, lam, scale=1.0).pairs(white[None], [seed])[0]
+    synth = Synthesizer(fs, grid, lam, scale=1.0, rows=1)
+    return synth.pairs([seed], white[None])[0]
 
 
 def synthesize(fs: FilterSet, grid: TimeGrid, seed: SeedLike,
@@ -328,7 +404,13 @@ def _lagged_products(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     products.  Averages over all admissible time origins at each lag.
     """
     t = a.shape[-1]
-    full = fftconvolve(a, b[::-1])
+    # the 'full' convolution of a with reversed b, as fftconvolve forms it
+    # for complex input: complex FFTs at the next fast length
+    size = 2 * t - 1
+    fsize = scipy.fft.next_fast_len(size, False)
+    full = scipy.fft.ifftn(scipy.fft.fftn(a, [fsize], axes=[0])
+                           * scipy.fft.fftn(b[::-1], [fsize], axes=[0]),
+                           [fsize], axes=[0])
     sums = full[t - 1 - m:t + m]
     counts = t - np.abs(np.arange(-m, m + 1))
     return sums / counts

@@ -123,6 +123,14 @@ def test_exit_code_config_error(tmp_path):
     ["gen-noise", "--scheme", "like", "--beta", "1", "--seed", "-1"],
     ["qnd-verify", "--n", "1"],
     ["qnd-verify", "--scheme", "constrained", "--gamma", "-1"],
+    ["simulate", "--scheme", "like", "--beta", "1e-300", "--t-max", "1",
+     "--n", "20"],
+    ["gen-noise", "--scheme", "like", "--beta", "1e-300", "--t-max", "1"],
+    ["kernels", "--beta", "1e-300", "--t-max", "1"],
+    ["kernels", "--beta", "0"],
+    ["kernels", "--beta", "-1"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--dt", "inf"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--t-max", "inf"],
 ])
 def test_exit_code_bad_values(argv, capsys):
     assert main(argv) == 1
@@ -176,6 +184,26 @@ def test_python_m_slnoise_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: slnoise")
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs every process about 50 MB and most of a second
+    # of start-up; the library and the CLI must not pull it in
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import slnoise
+
+    src = str(Path(slnoise.__file__).resolve().parents[1])
+    code = ("import sys, slnoise, slnoise.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_csv_output_file_closed_when_writing_raises(tmp_path, monkeypatch):

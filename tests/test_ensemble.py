@@ -207,9 +207,9 @@ def _count_drawn_rows(monkeypatch):
     drawn = []
     real = Synthesizer.draw
 
-    def counting(self, seeds):
+    def counting(self, seeds, out):
         drawn.append(len(seeds))
-        return real(self, seeds)
+        return real(self, seeds, out)
 
     monkeypatch.setattr(Synthesizer, "draw", counting)
     return drawn

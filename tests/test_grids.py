@@ -72,3 +72,10 @@ def test_time_grid_freq_roundtrip():
     fg = tg.freq()
     assert fg.n == tg.n
     assert fg.dt == tg.dt
+
+
+@pytest.mark.parametrize("dt, t_max", [(np.inf, 1.0), (0.01, np.inf),
+                                       (np.nan, 1.0), (0.01, np.nan)])
+def test_time_grid_rejects_non_finite(dt, t_max):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(dt=dt, t_max=t_max)

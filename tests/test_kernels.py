@@ -18,7 +18,7 @@ from slnoise import (
     qnd_kernel,
     spectral_density,
 )
-from slnoise.kernels import _half_hat, _pv_cutoff_integral
+from slnoise.kernels import FILON_NODES, _czt, _half_hat, _pv_cutoff_integral
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 
@@ -237,6 +237,31 @@ def test_table_rejects_nyquist_below_cutoff():
         build_kernel_table(FrequencyGrid(256, 0.25), BATH)
     with pytest.raises(ConfigError, match="Nyquist"):
         build_kernel_table(FrequencyGrid(256, np.pi / 25.0), BATH)
+
+
+def test_table_rejects_non_finite_samples():
+    # at beta = 1e-300 the Drude kernel, about 2/beta, overflows in the
+    # chirp-z sums; no RuntimeWarning, a ConfigError
+    with pytest.raises(ConfigError, match="not finite"):
+        build_kernel_table(FrequencyGrid(256, 0.01), BathParams(1e-300, 25.0))
+    with pytest.raises(ConfigError, match="not finite"):
+        build_kernel_table(FrequencyGrid(256, 0.01),
+                           CustomKernel(lambda t: np.full(t.shape, np.nan)))
+
+
+@pytest.mark.parametrize("n, dt", [(4096, 0.005), (32768, 0.005)])
+def test_czt_equals_scipy_signal_czt(n, dt):
+    # the table's shapes: both kernels on the Filon nodes, the lags 0..n/2
+    from scipy.signal import czt
+
+    omega = np.linspace(0.0, BATH.omega_c, FILON_NODES + 1)
+    g = np.stack([k_etaeta_freq(omega, BATH), spectral_density(omega, BATH)])
+    m = n // 2 + 1
+    w = np.exp(1j * (BATH.omega_c / FILON_NODES) * dt)
+    got = _czt(g, m, w)
+    want = czt(g, m, w=w, a=1.0)
+    assert got.shape == want.shape == (2, m)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCustomKernelTable:

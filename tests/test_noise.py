@@ -23,7 +23,8 @@ from slnoise import (
     synthesize_batch,
     synthesize_from_white,
 )
-from slnoise.noise import CHUNK_ROWS
+from slnoise import noise
+from slnoise.noise import CHUNK_ROWS, _lagged_products, chunk_rows, workspace_bytes
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 GRID = TimeGrid(dt=0.01, t_max=5.0)
@@ -271,3 +272,99 @@ def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam
                 scale = np.max(np.abs(want))
                 assert scale > 0
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_lagged_products_equal_fftconvolve():
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(3)
+    a, b = (rng.standard_normal(3001) + 1j * rng.standard_normal(3001)
+            for _ in range(2))
+    t, m = a.size, 400
+    want = fftconvolve(a, b[::-1])[t - 1 - m:t + m] / (t - np.abs(np.arange(-m, m + 1)))
+    assert _lagged_products(a, b, m).tobytes() == want.tobytes()
+
+
+def test_chunk_rows_bounded_in_bytes():
+    # 16 rows up to n = 16384, then as many as fit in the 16-row
+    # footprint at n = 16384; the workspace is exactly what is charged
+    assert [chunk_rows(n, 4) for n in (1024, 16384, 32768, 65536)] == [16, 16, 8, 4]
+    assert chunk_rows(2**30, 4) == 1
+    assert chunk_rows(1024, 4, rows=3) == 3
+    assert workspace_bytes(16, 4, 16384) == noise.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.LIKE, SchemeId.CONVEX])
+def test_workspace_is_what_check_memory_charges(table, scheme):
+    fs = make_filters(scheme, table)
+    synth = Synthesizer(fs, GRID, rows=7)
+    assert synth.chunk_rows == 7
+    nbytes = sum(a.nbytes for a in synth._workspace(synth.chunk_rows))
+    assert nbytes == workspace_bytes(7, fs.n_channels, GRID.n)
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+def test_second_fill_reuses_the_workspace(lam):
+    # a grid on which one chunk's series (2 MiB) dwarf numpy's fixed-size
+    # ufunc buffers (256 KiB at most)
+    import tracemalloc
+
+    grid = TimeGrid(dt=0.01, t_max=40.0)
+    fs = make_filters(SchemeId.ETANU_OPTIMISED, build_kernel_table(grid.freq(), BATH))
+    rows = CHUNK_ROWS
+    seeds = [[7 + i for i in range(rows)], [300 + i for i in range(rows)]]
+
+    def buffers():
+        return ([np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
+                + [np.empty((1, rows))])
+
+    def fill(synth, chunk, bufs):
+        eta, nu, eta0, nu0, factors = bufs
+        synth.fill(chunk, eta, nu, (eta0, nu0, factors))
+
+    synth = Synthesizer(fs, grid, lam)
+    first, second = buffers(), buffers()
+    fill(synth, seeds[0], first)
+    tracemalloc.start()
+    try:
+        fill(synth, seeds[1], second)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a quarter of one complex series of the chunk on the padded grid,
+    # far below any of the workspace's buffers
+    assert peak < rows * grid.n * 4
+    fresh = buffers()
+    fill(Synthesizer(fs, grid, lam), seeds[1], fresh)
+    n_out = 5 if lam is not None else 2
+    for got, want in zip(second[:n_out], fresh[:n_out]):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_one_row_chunks_equal_full_chunks(table, monkeypatch, scheme, lam):
+    # a byte budget forced down to one row per chunk changes no bit of
+    # the NoisePairs nor of the ensemble's fill
+    fs = make_filters(scheme, table, gamma=0.01)
+    if lam is not None and not fs.has_cross_pair:
+        return
+    rows = CHUNK_ROWS + 5
+    seeds = [100 + i for i in range(rows)]
+
+    def run():
+        synth = Synthesizer(fs, GRID, lam, rows=rows)
+        bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
+        factors = np.empty((1, rows))
+        synth.fill(seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
+        pairs = synthesize_batch(fs, GRID, seeds, lam)
+        arrays = [p_.eta_t for p_ in pairs] + [p_.nu_t for p_ in pairs] + bufs[:2]
+        if lam is not None:
+            arrays += bufs[2:] + [factors]
+        return synth.chunk_rows, [a.tobytes() for a in arrays]
+
+    wide, want = run()
+    monkeypatch.setattr(noise, "CHUNK_BYTES", workspace_bytes(1, 4, GRID.n))
+    narrow, got = run()
+    assert (wide, narrow) == (CHUNK_ROWS, 1)
+    assert got == want
