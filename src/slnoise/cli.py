@@ -153,16 +153,21 @@ def _spin_boson(settings: dict) -> SystemModel:
     """The driven two-level system of a settings dict."""
     if settings["kappa"] is not None:
         kappa = float(settings["kappa"])
+        if not np.isfinite(kappa):
+            raise ConfigError(f"kappa must be finite, got {kappa:g}")
         epsilon = lambda t, k=kappa: k * t  # noqa: E731
     else:
         epsilon = settings["epsilon"]
-    rho0 = 0.5 * np.array(
-        [
-            [1.0 + settings["sz0"], settings["sx0"] - 1j * settings["sy0"]],
-            [settings["sx0"] + 1j * settings["sy0"], 1.0 - settings["sz0"]],
-        ],
-        dtype=complex,
-    )
+    # a non-finite Bloch component makes inf * 0 here; SystemModel
+    # refuses the matrix
+    with np.errstate(invalid="ignore"):
+        rho0 = 0.5 * np.array(
+            [
+                [1.0 + settings["sz0"], settings["sx0"] - 1j * settings["sy0"]],
+                [settings["sx0"] + 1j * settings["sy0"], 1.0 - settings["sz0"]],
+            ],
+            dtype=complex,
+        )
     return SystemModel(
         delta=settings["delta"],
         epsilon=epsilon,
@@ -189,8 +194,8 @@ def _validate(settings: dict, args):
         grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
     check_memory(grid, rows=1)
     lam = settings["lambda"]
-    if lam is not None and not lam > 0:
-        raise ConfigError(f"lambda must be positive, got {lam:g}")
+    if lam is not None and not 0 < lam < np.inf:
+        raise ConfigError(f"lambda must be positive and finite, got {lam:g}")
     if getattr(args, "points", 1) < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     if getattr(args, "runs_per_point", 2) < 2:

@@ -37,6 +37,7 @@ used as an oracle for the stochastic average.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -132,6 +133,14 @@ class SystemModel:
     alpha: float
     rho0: np.ndarray
     t0: float = 0.0
+
+    def __post_init__(self):
+        for name in ("alpha", "t0", "delta", "epsilon"):
+            value = getattr(self, name)
+            if not callable(value) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value:g}")
+        if not np.all(np.isfinite(self.rho0)):
+            raise ValueError("rho0 must have finite entries")
 
 
 @dataclass(frozen=True)

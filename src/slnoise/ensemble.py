@@ -112,6 +112,8 @@ class RunConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma:g}")
         if self.master_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.master_seed}")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam:g}")
 
     def noise_grid(self) -> TimeGrid:
         """Noise is sampled at half the integration step for RK4 stages."""

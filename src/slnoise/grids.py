@@ -75,6 +75,9 @@ class TimeGrid:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        if self.t_max < self.dt:
+            raise ValueError(f"t_max = {self.t_max:g} is shorter than one step "
+                             f"dt = {self.dt:g}")
         if self.pad_factor < 2:
             raise ValueError(f"pad_factor must be >= 2, got {self.pad_factor}")
 

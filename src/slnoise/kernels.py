@@ -14,9 +14,10 @@ The chirp-z transform is Bluestein's (Bluestein 1968; Rabiner, Schafer &
 Rader, Bell Syst. Tech. J. 48, 1249 (1969)): a convolution of the chirped
 samples with a chirp, done by FFT on one zero-padded buffer that every
 step overwrites in place.  It repeats the operations of
-``scipy.signal.czt`` in the same order, so the table is bitwise what that
-function gives, without importing ``scipy.signal`` (about 50 MB and most
-of a second of start-up per process).
+``scipy.signal.czt`` in the same order, less an exact multiply by one, so
+the table is bitwise what that function gives, without importing
+``scipy.signal`` (about 50 MB and most of a second of start-up per
+process).
 
 ``kernel_time`` evaluates the same kernels at arbitrary lags by composite
 Gauss-Legendre quadrature; it serves pointwise targets and reference
@@ -250,23 +251,41 @@ def _half_hat(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chirp(w: complex, size: int) -> np.ndarray:
+    """w^(k^2/2) for k = 0..size-1, bit for bit ``w**(k**2 / 2.)``.
+
+    numpy raises a complex base to a power as cexp(e clog(w)), except
+    at integer exponents below 100, which it forms by repeated
+    multiplication.  So one complex logarithm serves every k, and the
+    few entries with e < 100 are taken from the power itself.
+    """
+    k = np.arange(size, dtype=np.min_scalar_type(-size**2))
+    e = k**2 / 2.
+    out = np.exp(e * np.log(w))
+    small = e < 100
+    out[small] = w**e[small]
+    return out
+
+
 def _czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
     """sum_j x_j w^(j k) for k = 0..m-1 along the last axis.
 
     Bluestein's algorithm with ``w^(j k) = w^(j^2/2) w^(k^2/2) /
-    w^((k-j)^2/2)``, step for step as ``scipy.signal.czt`` computes it
-    with the start point a = 1 (whose powers it multiplies in, so they
-    are kept for its roundings), but with the forward FFT, the product
-    with the chirp's spectrum and the inverse FFT all done in one buffer.
+    w^((k-j)^2/2)``, as ``scipy.signal.czt`` computes it with the start
+    point a = 1: the same chirp ``w**(k**2 / 2.)`` (from ``_chirp``, which
+    is that power bit for bit), the same FFT length ``next_fast_len(n + m
+    - 1)``, the spectrum of the chirp's reciprocal, and the forward FFT,
+    spectrum product, inverse FFT and final chirp in that order.  scipy
+    also multiplies by a^-k, an exact multiply by one that is left out;
+    the forward FFT, the product and the inverse FFT are done in one
+    buffer.
     """
     n = x.shape[-1]
-    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
-    wk2 = w**(k**2 / 2.)
-    awk2 = 1.0**-k[:n] * wk2[:n]
+    wk2 = _chirp(w, max(m, n))
     nfft = next_fast_len(n + m - 1)
     fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
     buf = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
-    np.multiply(x, awk2, out=buf[..., :n])
+    np.multiply(x, wk2[:n], out=buf[..., :n])
     fft(buf, overwrite_x=True)
     np.multiply(fwk2, buf, out=buf)
     ifft(buf, overwrite_x=True)

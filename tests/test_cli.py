@@ -131,6 +131,14 @@ def test_exit_code_config_error(tmp_path):
     ["kernels", "--beta", "-1"],
     ["simulate", "--scheme", "like", "--beta", "1", "--dt", "inf"],
     ["simulate", "--scheme", "like", "--beta", "1", "--t-max", "inf"],
+    ["simulate", "--scheme", "etanu-optimised", "--beta", "1", "--dt", "0.01",
+     "--t-max", "0.5", "--n", "4", "--lambda", "inf"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--dt", "0.01",
+     "--t-max", "0.004"],
+    ["gen-noise", "--scheme", "like", "--beta", "1", "--dt", "0.01",
+     "--t-max", "0.004"],
+    ["kernels", "--beta", "1", "--dt", "0.01", "--t-max", "0.004"],
+    ["simulate", "--scheme", "like", "--beta", "1", "--t-max", "1e-300"],
 ])
 def test_exit_code_bad_values(argv, capsys):
     assert main(argv) == 1
@@ -138,6 +146,18 @@ def test_exit_code_bad_values(argv, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["alpha", "delta", "epsilon", "kappa", "t0",
+                                 "sx0", "sy0", "sz0"])
+def test_non_finite_model_parameter_is_refused(tmp_path, capsys, key, value):
+    path = write(tmp_path, f"scheme = like\nbeta = 1\nt_max = 0.5\n"
+                           f"n_realizations = 4\n{key} = {value}\n")
+    assert main(["simulate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_grid_larger_than_memory_is_refused(capsys):

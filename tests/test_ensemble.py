@@ -76,7 +76,10 @@ def test_config_validation():
             small_cfg(gamma=gamma)
     with pytest.raises(ValueError, match="seed"):
         small_cfg(master_seed=-1)
-    small_cfg(gamma=0.0, master_seed=0)
+    for lam in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda"):
+            small_cfg(lam=lam)
+    small_cfg(gamma=0.0, master_seed=0, lam=0.5)
 
 
 def windowed_stats(traces, window):

@@ -79,3 +79,10 @@ def test_time_grid_freq_roundtrip():
 def test_time_grid_rejects_non_finite(dt, t_max):
     with pytest.raises(ValueError, match="finite"):
         TimeGrid(dt=dt, t_max=t_max)
+
+
+@pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 1e-300)])
+def test_time_grid_rejects_window_shorter_than_a_step(dt, t_max):
+    with pytest.raises(ValueError, match="shorter than one step"):
+        TimeGrid(dt=dt, t_max=t_max)
+    assert TimeGrid(dt=dt, t_max=dt).n == 2

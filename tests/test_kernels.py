@@ -18,7 +18,7 @@ from slnoise import (
     qnd_kernel,
     spectral_density,
 )
-from slnoise.kernels import FILON_NODES, _czt, _half_hat, _pv_cutoff_integral
+from slnoise.kernels import FILON_NODES, _chirp, _czt, _half_hat, _pv_cutoff_integral
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 
@@ -249,7 +249,18 @@ def test_table_rejects_non_finite_samples():
                            CustomKernel(lambda t: np.full(t.shape, np.nan)))
 
 
-@pytest.mark.parametrize("n, dt", [(4096, 0.005), (32768, 0.005)])
+@pytest.mark.parametrize("dt", [0.00125, 0.0025, 0.005, 0.01])
+def test_chirp_is_numpy_power_bit_for_bit(dt):
+    # the table's w at the noise grid of the three benchmark workloads
+    # (dt 0.005) and at dt 0.0025 and 0.01 with their noise grids
+    size = FILON_NODES + 1
+    w = np.exp(1j * (BATH.omega_c / FILON_NODES) * dt)
+    k = np.arange(size, dtype=np.min_scalar_type(-size**2))
+    assert _chirp(w, size).tobytes() == (w**(k**2 / 2.)).tobytes()
+
+
+@pytest.mark.parametrize("n, dt", [(4096, 0.005), (4096, 0.01), (16384, 0.005),
+                                   (32768, 0.005)])
 def test_czt_equals_scipy_signal_czt(n, dt):
     # the table's shapes: both kernels on the Filon nodes, the lags 0..n/2
     from scipy.signal import czt
