@@ -7,9 +7,10 @@ target correlations), ``simulate`` (ensemble statistics), ``qnd-verify``
 (rescaling-strength scan).  All output is plain CSV with a header row.
 
 Configuration is a flat ``key=value`` file ('#' starts a comment);
-command-line flags override file values.  Exit status: 0 success, 1
-configuration error, 2 runtime error.  Linear-algebra thread count
-follows the usual OMP_NUM_THREADS environment variable.
+command-line flags override file values.  This module only parses them:
+the library refuses every bad value with ConfigError.  Exit status: 0
+success, 1 configuration error, 2 runtime error, each printed as one
+line on stderr.  Linear-algebra thread count follows OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -102,16 +103,6 @@ def _scheme_from_name(name: str) -> SchemeId:
         raise ConfigError(f"unknown scheme {name!r}; valid: {valid}") from None
 
 
-@contextlib.contextmanager
-def _config_errors():
-    """Report the ValueError of a refused constructor argument (a grid,
-    a bath, a run config) as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
     """Validated RunConfig from a settings dict: the spin-boson model in a
     Drude bath, or with ``qnd`` the pure-dephasing model of qnd-verify."""
@@ -120,33 +111,24 @@ def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
     if not qnd and settings["beta"] is None:
         raise ConfigError("missing required key 'beta' (Drude bath mode)")
     scheme = _scheme_from_name(settings["scheme"])
-    # the pure-dephasing spectrum has no zero bin to divide by
-    if not qnd and settings["gamma"] == 0 and scheme is SchemeId.CONSTRAINED:
-        raise ConfigError(
-            "gamma=0 is invalid for the constrained scheme: the hard cutoff "
-            "makes the spectrum exactly zero on high-frequency bins, so the "
-            "bare spectral division diverges; set gamma > 0"
-        )
-    with _config_errors():
-        if qnd:
-            model = SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
-                                rho0=QndModel().rho0)
-            source = dict(kernel=CustomKernel(qnd_kernel))
-        else:
-            model = _spin_boson(settings)
-            source = dict(bath=BathParams(settings["beta"], settings["omega_c"]))
-        grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-        return RunConfig(
-            scheme=scheme,
-            model=model,
-            grid=grid,
-            n_realizations=settings["n_realizations"],
-            master_seed=settings["seed"],
-            gamma=settings["gamma"],
-            lam=settings["lambda"],
-            stats_window=settings["stats_window"],
-            **source,
-        )
+    if qnd:
+        model = SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
+                            rho0=QndModel().rho0)
+        source = dict(kernel=CustomKernel(qnd_kernel))
+    else:
+        model = _spin_boson(settings)
+        source = dict(bath=BathParams(settings["beta"], settings["omega_c"]))
+    return RunConfig(
+        scheme=scheme,
+        model=model,
+        grid=TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"]),
+        n_realizations=settings["n_realizations"],
+        master_seed=settings["seed"],
+        gamma=settings["gamma"],
+        lam=settings["lambda"],
+        stats_window=settings["stats_window"],
+        **source,
+    )
 
 
 def _spin_boson(settings: dict) -> SystemModel:
@@ -183,30 +165,7 @@ def _settings_from_args(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    _validate(settings, args)
     return settings
-
-
-def _validate(settings: dict, args):
-    """Refuse option values that every subcommand would otherwise reject
-    only deep inside a run, with a traceback or a runtime-error status."""
-    with _config_errors():
-        grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-    check_memory(grid, rows=1)
-    lam = settings["lambda"]
-    if lam is not None and not 0 < lam < np.inf:
-        raise ConfigError(f"lambda must be positive and finite, got {lam:g}")
-    if getattr(args, "points", 1) < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
-    if getattr(args, "runs_per_point", 2) < 2:
-        raise ConfigError(f"--runs-per-point must be >= 2, got {args.runs_per_point}")
-    max_lag = getattr(args, "max_lag", 0.0)
-    # the estimator's lag count round(max_lag/dt) must stay inside the
-    # window; written without round() so that nan and inf fail too
-    if not 0 <= max_lag / grid.dt < grid.n_phys - 0.5:
-        raise ConfigError(
-            f"--max-lag {max_lag:g} must lie in [0, t_max = {grid.t_max:g}]"
-        )
 
 
 def _write_csv(settings, header, rows):
@@ -261,9 +220,10 @@ def _cmd_kernels(args):
     settings = _settings_from_args(args)
     if settings["beta"] is None:
         raise ConfigError("missing required key 'beta'")
-    with _config_errors():
-        bath = BathParams(settings["beta"], settings["omega_c"])
-    grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"]).freq()
+    bath = BathParams(settings["beta"], settings["omega_c"])
+    time_grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
+    check_memory(time_grid, rows=1)
+    grid = time_grid.freq()
     table = build_kernel_table(grid, bath)
     order = np.argsort(grid.omega, kind="stable")
     rows = zip(
@@ -277,8 +237,12 @@ def _cmd_kernels(args):
 
 def _noise_filters(settings):
     """Run config and filters of the noise commands, which colour noise
-    on the dt grid itself (the ensemble commands use dt/2)."""
+    on the dt grid itself (the ensemble commands use dt/2).  First refuses
+    a grid too large for memory: validate holds every realization, and
+    its estimate up to three rows of lagged products per realization."""
     cfg = build_run_config(settings)
+    rows = cfg.n_realizations
+    check_memory(cfg.grid, rows, extra=3 * 16 * (2 * cfg.grid.n_phys - 1) * rows)
     table = build_kernel_table(cfg.grid.freq(), cfg.bath)
     return cfg, make_filters(cfg.scheme, table, cfg.gamma)
 
@@ -345,15 +309,15 @@ def _cmd_qnd_verify(args):
 
 def _cmd_scan_lambda(args):
     settings = _settings_from_args(args)
+    # np.logspace refuses a negative count with a bare ValueError
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     cfg = build_run_config(settings)
     if args.lambdas:
         try:
             lambdas = [float(s) for s in args.lambdas.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --lambdas list: {args.lambdas!r}") from exc
-        if not all(0 < lam < np.inf for lam in lambdas):
-            raise ConfigError(
-                f"--lambdas must all be positive and finite: {args.lambdas!r}")
     else:
         lambdas = np.logspace(np.log10(0.01), np.log10(10.0), args.points)
     scan = scan_lambda(cfg, lambdas, args.runs_per_point)

@@ -43,6 +43,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .exceptions import ConfigError
 from .grids import FrequencyGrid
 from .kernels import CustomKernel, build_kernel_table
 
@@ -138,9 +139,9 @@ class SystemModel:
         for name in ("alpha", "t0", "delta", "epsilon"):
             value = getattr(self, name)
             if not callable(value) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value:g}")
+                raise ConfigError(f"{name} must be finite, got {value:g}")
         if not np.all(np.isfinite(self.rho0)):
-            raise ValueError("rho0 must have finite entries")
+            raise ConfigError("rho0 must have finite entries")
 
 
 @dataclass(frozen=True)

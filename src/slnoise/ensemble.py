@@ -50,6 +50,7 @@ import numpy as np
 # here; perfbench/spans.py traces the layers through these names.
 from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
+from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
 from .noise import (Synthesizer, check_memory, sample_white,  # noqa: F401
@@ -103,17 +104,24 @@ class RunConfig:
 
     def __post_init__(self):
         if self.n_realizations < 2:
-            raise ValueError("n_realizations must be >= 2")
+            raise ConfigError("n_realizations must be >= 2")
         if self.stats_window < 1:
-            raise ValueError("stats_window must be >= 1")
+            raise ConfigError("stats_window must be >= 1")
         if (self.bath is None) == (self.kernel is None):
-            raise ValueError("exactly one of bath or kernel must be given")
+            raise ConfigError("exactly one of bath or kernel must be given")
         if not 0 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma:g}")
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma:g}")
+        # a custom kernel's spectrum may have no zero bin to divide by
+        if (self.gamma == 0 and self.scheme is SchemeId.CONSTRAINED
+                and self.bath is not None):
+            raise ConfigError(
+                "gamma=0 is invalid for the constrained scheme: the hard cutoff "
+                "makes the spectrum exactly zero on high-frequency bins, so the "
+                "bare spectral division diverges; set gamma > 0")
         if self.master_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if self.lam is not None and not 0 < self.lam < np.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam:g}")
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam:g}")
 
     def noise_grid(self) -> TimeGrid:
         """Noise is sampled at half the integration step for RK4 stages."""
@@ -336,6 +344,8 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
     is smooth.  The variance is summed shifted by the first realization's
     rho01 at each step, which keeps it free of the cancellation of
     E|r|^2 - |E r|^2 where the realizations (nearly) agree, as at t = 0.
+    Raises :class:`SlnoiseError` if any trajectory diverged, since the
+    mean and SE are then not finite.
     """
     synth = _synthesizer(cfg, batch_size)
     n_steps = cfg.grid.n_phys
@@ -344,18 +354,27 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
     sum_d = np.zeros(n_steps, dtype=complex)
     sum_d2 = np.zeros(n_steps)
     shifted = 0
+    diverged, first_div = 0, n_steps
     nreal = cfg.n_realizations
-    for _, start, states, _ in _state_blocks(cfg, synth, batch_size):
-        steps = slice(start, start + len(states))
-        r01 = 0.5 * (states[:, 0] - 1j * states[:, 1])
-        if steps.stop > shifted:
-            # the first batch: column 0 is realization 0
-            shift[steps] = r01[:, 0]
-            shifted = steps.stop
-        sum_r[steps] += r01.sum(axis=1)
-        d = r01 - shift[steps, None]
-        sum_d[steps] += d.sum(axis=1)
-        sum_d2[steps] += (np.abs(d) ** 2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, start, states, new_div in _state_blocks(cfg, synth, batch_size):
+            steps = slice(start, start + len(states))
+            r01 = 0.5 * (states[:, 0] - 1j * states[:, 1])
+            if steps.stop > shifted:
+                # the first batch: column 0 is realization 0
+                shift[steps] = r01[:, 0]
+                shifted = steps.stop
+            sum_r[steps] += r01.sum(axis=1)
+            d = r01 - shift[steps, None]
+            sum_d[steps] += d.sum(axis=1)
+            sum_d2[steps] += (np.abs(d) ** 2).sum(axis=1)
+            hit = new_div[new_div >= 0]
+            diverged += hit.size
+            first_div = hit.min(initial=first_div)
+    if diverged:
+        raise SlnoiseError(
+            f"{diverged} of {nreal} trajectories diverged, the first at step "
+            f"{first_div} (t = {cfg.model.t0 + cfg.grid.dt * first_div:g})")
     mean = sum_r / nreal
     var = np.maximum(sum_d2 - np.abs(sum_d) ** 2 / nreal, 0.0) / max(nreal - 1, 1)
     se = np.sqrt(var / nreal)
@@ -386,12 +405,16 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     point at once (in passes of at most RK4_COLUMNS columns), applying
     each point's rescale factors block by block.  Every point equals a
     stand-alone :func:`run_ensemble` with ``lam`` set to it, bitwise.
+    A point whose trajectories diverged reads nan and is never the best
+    lambda; if every point did, :class:`SlnoiseError` is raised.
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
     if lambdas.size == 0 or not np.all((lambdas > 0) & (lambdas < np.inf)):
-        raise ValueError("lambdas must be positive, finite and non-empty")
+        raise ConfigError("lambdas must be positive, finite and non-empty")
     sub = dataclasses.replace(cfg, n_realizations=runs_per_point)
     runs = _ensembles(sub, batch_size, lambdas)
     se_final = np.array([stats.se_tr[-1] for stats in runs])
-    best = float(lambdas[int(np.argmin(se_final))])
+    if not np.isfinite(se_final).any():
+        raise SlnoiseError("the trajectories diverged at every lambda of the scan")
+    best = float(lambdas[np.argmin(np.nan_to_num(se_final, nan=np.inf))])
     return LambdaScan(lambdas=lambdas, se_final=se_final, best_lambda=best)

@@ -33,5 +33,6 @@ class InsufficientSample(SlnoiseError):
     """Too few realizations for the requested statistic."""
 
 
-class ConfigError(SlnoiseError):
-    """Invalid configuration file or command-line options."""
+class ConfigError(SlnoiseError, ValueError):
+    """Invalid configuration: a refused value, config file or option.
+    Also a ValueError."""

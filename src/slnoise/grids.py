@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConfigError
+
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -28,9 +30,9 @@ class FrequencyGrid:
 
     def __post_init__(self):
         if not _is_pow2(self.n) or self.n < 2:
-            raise ValueError(f"n must be a power of two >= 2, got {self.n}")
+            raise ConfigError(f"n must be a power of two >= 2, got {self.n}")
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ConfigError(f"dt must be positive, got {self.dt}")
 
     @property
     def domega(self) -> float:
@@ -72,14 +74,14 @@ class TimeGrid:
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.t_max < self.dt:
-            raise ValueError(f"t_max = {self.t_max:g} is shorter than one step "
+            raise ConfigError(f"t_max = {self.t_max:g} is shorter than one step "
                              f"dt = {self.dt:g}")
         if self.pad_factor < 2:
-            raise ValueError(f"pad_factor must be >= 2, got {self.pad_factor}")
+            raise ConfigError(f"pad_factor must be >= 2, got {self.pad_factor}")
 
     @property
     def n(self) -> int:

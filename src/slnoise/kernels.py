@@ -60,9 +60,9 @@ class BathParams:
 
     def __post_init__(self):
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ConfigError(f"beta must be positive, got {self.beta}")
         if not self.omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
+            raise ConfigError(f"omega_c must be positive, got {self.omega_c}")
 
 
 @dataclass(frozen=True)

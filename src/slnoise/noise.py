@@ -64,7 +64,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 import scipy.fft
 
-from .exceptions import ConfigError, GridMismatch, InsufficientSample, ZeroComponent
+from .exceptions import (ConfigError, GridMismatch, InsufficientSample,
+                         SlnoiseError, ZeroComponent)
 from .grids import TimeGrid
 from .schemes import FilterSet, FilterStructure, SchemeId, rescale_factor
 
@@ -423,7 +424,9 @@ def estimate_correlations(pairs: Sequence[NoisePair],
     Lag resolution equals the sampling step; both signs of the lag are
     returned (the eta-nu correlation is causal, so its negative-lag values
     measure acausal leakage).  Standard errors are the realization-to-
-    realization scatter of the per-realization estimates.
+    realization scatter of the per-realization estimates.  Refuses a
+    ``max_lag`` outside [0, t_max] with :class:`ConfigError`, and an
+    estimate that is not finite (overflowed noise) with :class:`SlnoiseError`.
     """
     if len(pairs) < 2:
         raise InsufficientSample("need at least 2 realizations")
@@ -433,21 +436,25 @@ def estimate_correlations(pairs: Sequence[NoisePair],
     for p in pairs:
         if p.dt != dt or p.scheme is not scheme or p.eta_t.shape[-1] != n:
             raise GridMismatch("all realizations must share grid and scheme")
+    # round(max_lag/dt) < n, written without round() so nan and inf fail
+    if not 0 <= max_lag / dt < n - 0.5:
+        raise ConfigError(
+            f"max_lag {max_lag:g} must lie in [0, t_max = {(n - 1) * dt:g}]")
     m = int(round(max_lag / dt))
-    if m >= n:
-        raise ValueError("max_lag exceeds the physical window")
-    per = {key: [] for key in ("etaeta", "etanu", "nunu")}
-    for p in pairs:
-        per["etaeta"].append(_lagged_products(p.eta_t, p.eta_t, m))
-        per["etanu"].append(_lagged_products(p.eta_t, p.nu_t, m))
-        per["nunu"].append(_lagged_products(p.nu_t, p.nu_t, m))
     est, se = {}, {}
     nreal = len(pairs)
-    for key, rows in per.items():
-        arr = np.array(rows)
-        est[key] = arr.mean(axis=0)
-        var = np.sum(np.abs(arr - est[key]) ** 2, axis=0) / (nreal - 1)
-        se[key] = np.sqrt(var / nreal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, a, b in (("etaeta", "eta_t", "eta_t"), ("etanu", "eta_t", "nu_t"),
+                          ("nunu", "nu_t", "nu_t")):
+            arr = np.array([_lagged_products(getattr(p, a), getattr(p, b), m)
+                            for p in pairs])
+            est[key] = arr.mean(axis=0)
+            var = np.sum(np.abs(arr - est[key]) ** 2, axis=0) / (nreal - 1)
+            se[key] = np.sqrt(var / nreal)
+            # a mean that is not finite makes its SE not finite too
+            if not np.all(np.isfinite(se[key])):
+                raise SlnoiseError(f"the {key} correlation estimate is not "
+                                   "finite: the noise overflows its products")
     lags = dt * np.arange(-m, m + 1)
     return CorrelationEstimate(
         lags=lags,

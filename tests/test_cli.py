@@ -160,6 +160,71 @@ def test_non_finite_model_parameter_is_refused(tmp_path, capsys, key, value):
     assert err.count("\n") == 1
 
 
+# The smallest run of each subcommand; the sweep appends one flag=value
+# to it (the = form lets argparse take "-inf"), which overrides any
+# earlier value of that flag.
+_SWEEP_BASE = {
+    "kernels": ["kernels", "--beta", "1", "--t-max", "0.5"],
+    "gen-noise": ["gen-noise", "--scheme", "etanu-optimised", "--beta", "1",
+                  "--t-max", "0.5"],
+    "validate": ["validate", "--scheme", "etanu-optimised", "--beta", "1",
+                 "--t-max", "0.5", "--n", "4", "--max-lag", "0.1"],
+    "simulate": ["simulate", "--scheme", "etanu-optimised", "--beta", "1",
+                 "--t-max", "0.5", "--n", "4"],
+    "qnd-verify": ["qnd-verify", "--t-max", "0.5", "--n", "4"],
+    "scan-lambda": ["scan-lambda", "--scheme", "etanu-optimised", "--beta", "1",
+                    "--t-max", "0.5", "--points", "2", "--runs-per-point", "4"],
+}
+_FLOAT_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300"]
+_INT_VALUES = ["-1", "0", "1", "2"]
+
+
+def _sweep_cases():
+    """(subcommand, flag, value) for every numeric flag of every
+    subcommand, read from the parser itself; --lambdas is swept as one
+    float."""
+    import argparse
+
+    from slnoise.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for cmd, parser in sub.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if action.type is float or flag == "--lambdas":
+                cases += [(cmd, flag, v) for v in _FLOAT_VALUES]
+            elif action.type is int:
+                cases += [(cmd, flag, v) for v in _INT_VALUES]
+    return cases
+
+
+@pytest.mark.parametrize("cmd,flag,value", _sweep_cases(), ids=str)
+def test_every_numeric_flag_value_ends_cleanly(cmd, flag, value, tmp_path, capsys):
+    # one of three ends: a finite CSV (a diverged simulate may carry
+    # non-finite statistics), one "error:" line with exit 1, or one
+    # "runtime error:" line with exit 2; never a warning or a traceback
+    import warnings
+
+    out = tmp_path / "out.csv"
+    argv = [*_SWEEP_BASE[cmd], f"{flag}={value}", "--output", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert err == ""
+        header, data = read_csv(out)
+        if cmd == "simulate" and data[-1, header.index("diverged")] > 0:
+            return
+        assert np.all(np.isfinite(data))
+    else:
+        prefix = {1: "error: ", 2: "runtime error: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def test_grid_larger_than_memory_is_refused(capsys):
     # 2.7e11 samples per channel: refused before any array of the grid's
     # size exists
@@ -169,6 +234,25 @@ def test_grid_larger_than_memory_is_refused(capsys):
     try:
         code = main(["simulate", "--scheme", "like", "--beta", "1",
                      "--dt", "1e-7", "--t-max", "1e4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    assert err.count("\n") == 1
+    assert peak < 16 * 2**20
+
+
+def test_validate_refuses_realizations_larger_than_memory(capsys):
+    # validate keeps every realization's noise and lagged products:
+    # refused for all of them, before any is drawn
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--scheme", "like", "--beta", "1",
+                     "--n", "1000000000", "--t-max", "2"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

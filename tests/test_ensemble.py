@@ -11,6 +11,7 @@ from slnoise import (
     RunConfig,
     SIGMA_Z,
     SchemeId,
+    SlnoiseError,
     Synthesizer,
     SystemModel,
     TimeGrid,
@@ -65,21 +66,26 @@ def test_seed_for_streams_are_independent():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         small_cfg(n_realizations=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         small_cfg(bath=None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         small_cfg(stats_window=0)
     for gamma in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ConfigError, match="gamma"):
             small_cfg(gamma=gamma)
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         small_cfg(master_seed=-1)
     for lam in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="lambda"):
+        with pytest.raises(ConfigError, match="lambda"):
             small_cfg(lam=lam)
+    # the hard cutoff zeroes the Drude spectrum's high bins, which the
+    # bare division of the constrained scheme cannot divide by
+    with pytest.raises(ConfigError, match="gamma=0"):
+        small_cfg(scheme=SchemeId.CONSTRAINED, gamma=0.0)
     small_cfg(gamma=0.0, master_seed=0, lam=0.5)
+    qnd_cfg(scheme=SchemeId.CONSTRAINED, gamma=0.0)
 
 
 def windowed_stats(traces, window):
@@ -459,16 +465,40 @@ def test_scan_lambda_rejects_schemes_without_pair():
 
 
 def test_scan_lambda_validates_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         scan_lambda(small_cfg(), [], 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         scan_lambda(small_cfg(), [-1.0], 16)
+    with pytest.raises(ConfigError, match="n_realizations"):
+        scan_lambda(small_cfg(), [0.5], 1)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_scan_lambda_refuses_non_finite_lambda(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         scan_lambda(small_cfg(), [0.5, bad], 16)
+
+
+def test_scan_lambda_best_lambda_skips_diverged_points():
+    # at 1e-300 and 1e300 the rescaled noise overflows and every
+    # trajectory diverges: those points read nan and cannot be the best
+    cfg = small_cfg(grid=TimeGrid(dt=0.01, t_max=0.5))
+    scan = scan_lambda(cfg, [1e-300, 1.0, 1e300], 4)
+    assert np.isnan(scan.se_final[[0, 2]]).all()
+    assert np.isfinite(scan.se_final[1])
+    assert scan.best_lambda == 1.0
+    with pytest.raises(SlnoiseError, match="every lambda"):
+        scan_lambda(cfg, [1e-300, 1e300], 4)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-30])
+def test_coherence_refuses_diverged_trajectories(lam):
+    # qnd-verify --dt 0.05 --t-max 2 --n 4 --lambda 1e-300 wrote nan rows;
+    # at 1e-30 the diverged sums also overflowed with a RuntimeWarning
+    cfg = qnd_cfg(grid=TimeGrid(dt=0.05, t_max=2.0), n_realizations=4, lam=lam)
+    with pytest.raises(SlnoiseError, match=r"4 of 4 trajectories diverged, "
+                                           r"the first at step 1 \(t = 0.05\)"):
+        run_coherence(cfg)
 
 
 def test_noise_grid_halves_step():

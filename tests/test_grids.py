@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from slnoise import FrequencyGrid, TimeGrid, flip_freq
+from slnoise import ConfigError, FrequencyGrid, TimeGrid, flip_freq
 
 
 def test_frequency_grid_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         FrequencyGrid(100, 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         FrequencyGrid(0, 0.01)
 
 
 def test_frequency_grid_rejects_bad_dt():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         FrequencyGrid(64, 0.0)
 
 
@@ -63,7 +63,7 @@ def test_time_grid_covers_padded_window():
 
 def test_time_grid_pad_factor():
     assert TimeGrid(0.01, 5.0, pad_factor=4).n >= 2 * TimeGrid(0.01, 5.0).n / 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TimeGrid(0.01, 5.0, pad_factor=1)
 
 
@@ -77,12 +77,12 @@ def test_time_grid_freq_roundtrip():
 @pytest.mark.parametrize("dt, t_max", [(np.inf, 1.0), (0.01, np.inf),
                                        (np.nan, 1.0), (0.01, np.nan)])
 def test_time_grid_rejects_non_finite(dt, t_max):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         TimeGrid(dt=dt, t_max=t_max)
 
 
 @pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 1e-300)])
 def test_time_grid_rejects_window_shorter_than_a_step(dt, t_max):
-    with pytest.raises(ValueError, match="shorter than one step"):
+    with pytest.raises(ConfigError, match="shorter than one step"):
         TimeGrid(dt=dt, t_max=t_max)
     assert TimeGrid(dt=dt, t_max=dt).n == 2

@@ -24,9 +24,9 @@ BATH = BathParams(beta=1.0, omega_c=25.0)
 
 
 def test_bath_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BathParams(beta=0.0, omega_c=25.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BathParams(beta=1.0, omega_c=-1.0)
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from slnoise import (
     BathParams,
+    ConfigError,
     FilterStructure,
     GridMismatch,
     InsufficientSample,
     SchemeId,
+    SlnoiseError,
     Synthesizer,
     TimeGrid,
     ZeroComponent,
@@ -132,6 +134,26 @@ def test_estimate_requires_two_realizations(table):
     fs = make_filters(SchemeId.LIKE, table)
     with pytest.raises(InsufficientSample):
         estimate_correlations([synthesize(fs, GRID, 0)], max_lag=0.5)
+
+
+@pytest.mark.parametrize("max_lag", [-1.0, np.nan, np.inf, 5.0 + 0.006])
+def test_estimate_refuses_lag_outside_the_window(table, max_lag):
+    fs = make_filters(SchemeId.LIKE, table)
+    pairs = synthesize_batch(fs, GRID, [0, 1])
+    with pytest.raises(ConfigError, match="max_lag"):
+        estimate_correlations(pairs, max_lag=max_lag)
+    assert estimate_correlations(pairs, max_lag=5.0).lags[-1] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e300])
+def test_estimate_refuses_overflowed_noise(lam):
+    # the rescale factor (or its inverse) of about 1e150 makes products
+    # of about 1e300, whose squares overflow
+    grid = TimeGrid(dt=0.01, t_max=0.5)
+    fs = make_filters(SchemeId.ETANU_OPTIMISED, build_kernel_table(grid.freq(), BATH))
+    pairs = synthesize_batch(fs, grid, [0, 1, 2, 3], lam)
+    with pytest.raises(SlnoiseError, match="not finite"):
+        estimate_correlations(pairs, max_lag=0.1)
 
 
 def test_acausal_leakage_grows_with_regularisation(table):
