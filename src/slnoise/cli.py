@@ -26,7 +26,8 @@ from .ensemble import RunConfig, run_coherence, run_ensemble, scan_lambda, seed_
 from .exceptions import ConfigError, SlnoiseError, ZeroComponent
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, build_kernel_table, kernel_time
-from .noise import check_memory, estimate_correlations, synthesize, synthesize_batch
+from .noise import (check_memory, estimate_correlations, lag_steps, synthesize,
+                    synthesize_batch)
 from .schemes import SchemeId, make_filters
 
 __all__ = ["main", "load_config", "build_run_config"]
@@ -259,6 +260,7 @@ def _cmd_gen_noise(args):
 def _cmd_validate(args):
     settings = _settings_from_args(args)
     cfg, fs = _noise_filters(settings)
+    lag_steps(args.max_lag, cfg.grid.dt, cfg.grid.n_phys)
     seeds = [seed_for(cfg.master_seed, i) for i in range(cfg.n_realizations)]
     est = estimate_correlations(synthesize_batch(fs, cfg.grid, seeds, cfg.lam),
                                 args.max_lag)

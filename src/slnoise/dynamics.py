@@ -13,22 +13,35 @@ integrated with classical RK4.  The noise is pre-sampled on a half-step
 grid so the midpoint stages use exact samples rather than interpolants
 (the coloured noise is band-limited, hence smooth on the step scale).
 
-One kernel, :func:`integrate_blocks`, integrates a batch of trajectories.
-It reads the noise time-major, (half steps, trajectories), so that every
-stage works on contiguous rows, updates the four state components in
-place, and hands the states out in blocks of BLOCK_STEPS steps.  The
-divergence check runs once per block, and callers reduce a block as soon
-as it is written, so the states of a whole run are never held at once.
-:func:`integrate_batch` concatenates the blocks.
+One function, :func:`integrate_blocks`, integrates a batch of
+trajectories.  It reads the noise time-major, (half steps, trajectories),
+updates the four state components of every trajectory in place, and hands
+the states out in blocks of BLOCK_STEPS steps; callers reduce a block as
+soon as it is written, so the states of a whole run are never held at
+once.  :func:`integrate_batch` concatenates the blocks.
+
+It has two kernels that give the same bits.  The numpy kernel, the
+reference and the fallback, is a chain of ufunc calls over contiguous
+component rows, with the divergence check once per block; it holds the
+interpreter lock between the calls, so it runs on one core.  The native
+kernel (``_rk4.c``) fuses the noise formation, the RK4 steps and the
+divergence check in one C loop per column, with numpy's operations in
+numpy's order.  It is compiled on first use into a cache outside the
+package (``$XDG_CACHE_HOME/slnoise``, else ``~/.cache/slnoise``, else a
+private directory under the temp dir), loaded with ctypes, and checked
+against the numpy kernel on a small batch before it is used; it releases
+the interpreter lock, so the column slabs of a block run on several
+threads at once.  Without a compiler, a writable cache or a bitwise
+match, the numpy kernel runs.
 
 A rescaled batch may be integrated at several rescaling strengths in one
 pass: with a table of L factor rows, the kernel runs L x rows columns, the
 batch's noise rescaled by each row of factors in turn.  The cost of a
-column-step falls as the width grows (fewer ufunc calls per column), and
-each column's arithmetic is that of a stand-alone run, so every column is
-bitwise the same.  The wider the table, the fewer steps a block covers,
-so that it holds no more column-steps than a one-row block of a full
-batch; callers cap the width.
+column-step falls as the width grows (in the numpy kernel, fewer ufunc
+calls per column), and each column's arithmetic is that of a stand-alone
+run, so every column is bitwise the same.  The wider the table, the fewer
+steps a block covers, so that it holds no more column-steps than a
+one-row block of a full batch; callers cap the width.
 
 The module also provides the exact solution of a pure-dephasing
 (quantum-non-demolition) model with kernel K(t) = (1/2) e^{-2|t|+i t},
@@ -37,9 +50,20 @@ used as an oracle for the stochastic average.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import stat
+import subprocess
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -91,13 +115,23 @@ def _block_steps(rows: int, n_points: int, n_steps: int) -> int:
 
 
 def rk4_bytes(rows: int, n_steps: int, n_points: int = 1) -> int:
-    """Bytes of the buffers :func:`integrate_blocks` allocates for ``rows``
+    """Bytes :func:`integrate_blocks` holds at once for ``rows``
     trajectories over ``n_steps`` steps, with a table of ``n_points``
-    factor rows: the state, the four stages, the stage sum and a scratch
-    row, the block of states and its two noise buffers."""
+    factor rows, in the larger of its two kernels, the numpy one.  Per
+    column: the state, the four stages, the stage sum, a scratch entry,
+    the first divergences and the divergence bookkeeping of two blocks.
+    Per column and block step: the block of states, the |state| array and
+    mask of the divergence check, and the previous block's mask.  Per
+    column and half step of a block: the two noise buffers.  And the
+    drives on the half-step grid.  The native kernel holds the split
+    state, the block and two divergence rows; its scratch is a few kB of
+    stack per thread."""
     steps = _block_steps(rows, n_points, n_steps)
     half_steps = min(2 * steps + 1, 2 * n_steps + 1)
-    return 16 * rows * n_points * (6 * 4 + 1 + 4 * steps + 2 * half_steps)
+    width = rows * n_points
+    return (width * (16 * (6 * 4 + 1) + 40 + (64 + 37) * steps + 32 * half_steps)
+            + 32 * (2 * n_steps + 1 + half_steps))
+
 
 Drive = Union[float, Callable[[np.ndarray], np.ndarray]]
 
@@ -165,7 +199,8 @@ def _eval_drive(drive: Drive, t: np.ndarray) -> np.ndarray:
 
 
 def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
-                     nu_t: np.ndarray, dt_half: float, cross=None):
+                     nu_t: np.ndarray, dt_half: float, cross=None, *,
+                     threads: int = 1):
     """RK4 integration of a batch of trajectories, streamed in blocks.
 
     ``eta_t``/``nu_t`` are time-major, shape (2*n_steps + 1, rows): row k
@@ -191,9 +226,17 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     start .. start+m-1 (step 0 is the initial state); it is one buffer,
     overwritten by the next block, so consume it before advancing.
     ``new_div[c]`` is the step at which column c first crossed the
-    divergence threshold if that happened in this block, else -1.  The
-    divergence check runs once per block, vectorised over its steps.
+    divergence threshold if that happened in this block, else -1.
     :func:`rk4_bytes` counts the buffers.
+
+    Two kernels compute the blocks, with the same bits.  The native one
+    (``_rk4.c``, see :func:`_native_kernel`) runs whenever it could be
+    built, the noise is contiguous complex128 and the factors are finite,
+    non-zero and contiguous float64: each block is cut into
+    ``threads`` column slabs, integrated at once outside the interpreter
+    lock, one on the calling thread and the rest on a pool of this call,
+    each slab writing its own columns of the block.  Otherwise the numpy
+    kernel, the reference, runs on the calling thread.
     """
     nh, rows = eta_t.shape
     if nh % 2 == 0 or nh < 3:
@@ -202,18 +245,46 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     n_points = 1
     if cross is not None:
         eta0_t, nu0_t, factor = cross
-        factor = np.reshape(factor, (-1, rows))
-        n_points = len(factor)
-    width = n_points * rows
-    block_steps = _block_steps(rows, n_points, n_steps)
-    h = 2.0 * dt_half
+        cross = eta0_t, nu0_t, np.reshape(factor, (-1, rows))
+        n_points = len(cross[2])
     t_half = model.t0 + dt_half * np.arange(nh)
-    eps = _eval_drive(model.epsilon, t_half)
-    delta = _eval_drive(model.delta, t_half)
-    alpha = model.alpha
+    run = _Run(rho_to_state(model.rho0), model.alpha, 2.0 * dt_half,
+               _eval_drive(model.epsilon, t_half),
+               _eval_drive(model.delta, t_half), eta_t, nu_t, cross,
+               _block_steps(rows, n_points, n_steps))
+    rk4 = _native_kernel() if _native_fits(run) else None
+    yield from (_numpy_blocks(run) if rk4 is None
+                else _native_blocks(run, rk4, threads))
+
+
+class _Run(NamedTuple):
+    """One integration: the initial state, the coupling, the step, the
+    drives at the half steps, the noise and the block length."""
+
+    y0: np.ndarray
+    alpha: float
+    h: float
+    eps: np.ndarray
+    delta: np.ndarray
+    eta_t: np.ndarray
+    nu_t: np.ndarray
+    cross: Optional[tuple]
+    block_steps: int
+
+
+def _numpy_blocks(run: _Run):
+    """The numpy kernel of :func:`integrate_blocks`: a chain of ufunc calls
+    over whole component rows, the divergence check once per block."""
+    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps = run
+    nh, rows = eta_t.shape
+    n_steps = (nh - 1) // 2
+    if cross is not None:
+        eta0_t, nu0_t, factor = cross
+    n_points = 1 if cross is None else len(factor)
+    width = n_points * rows
 
     y = np.empty((4, width), dtype=complex)
-    y[:] = rho_to_state(model.rho0)[:, None]
+    y[:] = y0[:, None]
     k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
     tmp = np.empty(width, dtype=complex)
     y_, k1_, k2_, k3_, k4_, ys_ = (tuple(a) for a in (y, k1, k2, k3, k4, ys))
@@ -292,6 +363,194 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
             new_div = np.where(hit, start + bad.argmax(axis=0), -1)
             first_div[hit] = new_div[hit]
             yield start, states, new_div
+
+
+class _Args(ctypes.Structure):
+    """The ``sln_run`` struct of ``_rk4.c``."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "eta", "nu", "eta0", "nu0", "factor", "eps", "delta", "y", "block",
+        "first_div", "new_div")] + [
+        ("rows", ctypes.c_int64), ("width", ctypes.c_int64)] + [
+        (name, ctypes.c_double) for name in (
+            "two_alpha", "i_alpha_re", "i_alpha_im", "half_h", "full_h", "two",
+            "sixth_h", "threshold")]
+
+
+def _native_fits(run: _Run) -> bool:
+    """Whether the native kernel can read the run's arrays as they are:
+    contiguous complex128 noise of one shape, and finite non-zero float64
+    factors (numpy divides by them with Smith's method, which the kernel
+    writes out for that case only)."""
+    series = (run.eta_t, run.nu_t) + (run.cross[:2] if run.cross else ())
+    if not all(s.dtype == np.complex128 and s.flags.c_contiguous
+               and s.shape == run.eta_t.shape for s in series):
+        return False
+    if run.cross is None:
+        return True
+    factor = run.cross[2]
+    return (factor.dtype == np.float64 and factor.flags.c_contiguous
+            and bool(np.all(np.isfinite(factor) & (factor != 0))))
+
+
+def _native_blocks(run: _Run, rk4, threads: int):
+    """The native kernel of :func:`integrate_blocks`: each block in
+    ``threads`` column slabs, each one GIL-released call to ``rk4``."""
+    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps = run
+    nh, rows = eta_t.shape
+    n_steps = (nh - 1) // 2
+    width = rows if cross is None else cross[2].size
+    y = np.empty((2, 4, width))
+    y[0], y[1] = y0.real[:, None], y0.imag[:, None]
+    block = np.empty((block_steps, 4, width), dtype=complex)
+    first_div = np.full(width, -1, dtype=np.int64)
+    new_div = np.empty(width, dtype=np.int64)
+    eta0_t, nu0_t, factor = cross if cross is not None else (None,) * 3
+    i_alpha = 1j * alpha
+    args = ctypes.byref(_Args(
+        *(None if a is None else a.ctypes.data
+          for a in (eta_t, nu_t, eta0_t, nu0_t, factor, eps, delta, y, block,
+                    first_div, new_div)),
+        rows, width, 2.0 * alpha, i_alpha.real, i_alpha.imag, 0.5 * h, h,
+        2.0, h / 6.0, DIVERGENCE_THRESHOLD))
+    n = max(min(threads, width), 1)
+    cuts = [width * s // n for s in range(n + 1)]
+    slabs = list(zip(cuts[:-1], cuts[1:]))
+    with ThreadPoolExecutor(n - 1) if n > 1 else contextlib.nullcontext() as pool:
+        for start in range(0, n_steps + 1, block_steps):
+            m = min(block_steps, n_steps + 1 - start)
+            jobs = [pool.submit(rk4, args, start, m, *slab) for slab in slabs[1:]]
+            rk4(args, start, m, *slabs[0])
+            for job in jobs:
+                job.result()
+            yield start, block[:m], new_div.copy()
+
+
+# The native kernel's source, and the compiler that builds it.
+_RK4_SOURCE = Path(__file__).with_name("_rk4.c")
+_COMPILER = "gcc"
+
+
+def _cache_dirs():
+    """Where the built kernel is kept: the user's cache directory, else a
+    private directory under the temp dir."""
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    return (os.path.join(base, "slnoise"),
+            os.path.join(tempfile.gettempdir(), f"slnoise-{os.getuid()}"))
+
+
+def _compile_flags() -> list:
+    """Optimised, with numpy's rounding (no contraction, no fast math); FMA
+    and AVX2 instructions where the processor has them.  The ggc
+    parameters make gcc collect its garbage more often, which keeps a
+    first compile near 60 MB of memory instead of 70."""
+    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
+             "--param", "ggc-min-heapsize=8192", "--param", "ggc-min-expand=20"]
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split() for line in f if line.startswith("flags")), [])
+    except OSError:
+        cpu = []
+    if {"fma", "avx2"} <= set(cpu):
+        flags += ["-mfma", "-mavx2"]
+    return flags
+
+
+def _private_dir(path: str) -> bool:
+    """Creates ``path`` if needed; whether it is a directory of this user's
+    that no one else may write to, so that a library in it can be trusted."""
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return False
+    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & 0o022)
+
+
+def _build() -> Optional[str]:
+    """Path of the kernel library, compiled on first use into the first
+    usable cache directory, or None.  The file name hashes the source, the
+    flags and the compiler's version; the library is written under a
+    unique name and renamed into place, so that processes building at once
+    never load a half-written file."""
+    cc = shutil.which(_COMPILER)
+    if cc is None:
+        return None
+    flags = _compile_flags()
+    version = subprocess.run([cc, "--version"], capture_output=True, check=True,
+                             timeout=60).stdout
+    key = hashlib.sha256(b"\0".join(
+        [_RK4_SOURCE.read_bytes(), *map(str.encode, flags), version])).hexdigest()
+    for directory in _cache_dirs():
+        if not _private_dir(directory):
+            continue
+        lib = os.path.join(directory, f"rk4-{key[:24]}.so")
+        if os.path.exists(lib):
+            return lib
+        try:
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+        except OSError:
+            continue
+        os.close(fd)
+        try:
+            subprocess.run([cc, *flags, "-o", tmp, str(_RK4_SOURCE), "-lm"],
+                           capture_output=True, check=True, timeout=600)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return lib
+    return None
+
+
+def _probe(rk4) -> bool:
+    """Whether ``rk4`` gives the numpy kernel's bits on a small random
+    batch, with and without a factor table; one trajectory crosses the
+    divergence threshold and ends in nan."""
+    rng = np.random.default_rng(2020)
+    rows, n_steps, block_steps = 5, 6, 4
+    nh = 2 * n_steps + 1
+
+    def noise():
+        return 3.0 * (rng.standard_normal((nh, rows))
+                      + 1j * rng.standard_normal((nh, rows)))
+
+    eta_t, nu_t, eta0_t, nu0_t = (noise() for _ in range(4))
+    nu_t[:, 0] *= 1e60
+    y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    drives = rng.standard_normal((2, nh))
+    for cross in (None, (eta0_t, nu0_t, rng.uniform(0.1, 10.0, (3, rows)))):
+        run = _Run(y0, 0.7, 0.05, *drives, eta_t, nu_t, cross, block_steps)
+        for (s0, a, da), (s1, b, db) in zip(_numpy_blocks(run),
+                                            _native_blocks(run, rk4, 1)):
+            if not (s0 == s1 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                    and np.array_equal(da, db)):
+                return False
+    return True
+
+
+@functools.cache
+def _native_kernel():
+    """The native RK4 function that reproduces the numpy kernel bit for
+    bit (the fused or the textbook complex multiply, whichever numpy
+    uses), or None when it cannot be built, loaded or matched; then
+    :func:`integrate_blocks` runs its numpy kernel, silently."""
+    try:
+        path = _build()
+        if path is None:
+            return None
+        lib = ctypes.CDLL(path)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    for name in ("sln_rk4_fma", "sln_rk4_plain"):
+        rk4 = getattr(lib, name)
+        rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 4
+        rk4.restype = None
+        if _probe(rk4):
+            return rk4
+    return None
 
 
 def integrate_batch(model: SystemModel, eta_half: np.ndarray,

@@ -12,11 +12,16 @@ FFTs release the interpreter lock, so the chunks run on all cores.  Each
 thread colours its chunks in one workspace that it allocates once per
 run.  Each chunk writes its own columns of the batch's time-major noise
 arrays, and a realization's noise depends only on its seed, never on the
-thread that computed it or on its chunk.  RK4 and every reduction run on
-the calling thread in batch order, on the state blocks streamed by
-:func:`integrate_blocks`, while the threads synthesize the next batch;
-only running sums are kept, never the states of a whole batch.  Output is
-therefore bitwise independent of SYNTH_THREADS.
+thread that computed it or on its chunk.  RK4 integrates each block in
+SYNTH_THREADS column slabs, on a pool of its own so that the slabs never
+wait behind the synthesis chunks, and its native kernel releases the
+interpreter lock; each slab writes its own columns of the block, whose
+bits depend neither on the slab count nor on the kernel that ran
+(:func:`integrate_blocks`).  Every reduction runs on the calling thread
+in batch order, on the state blocks streamed by :func:`integrate_blocks`,
+while the threads synthesize the next batch; only running sums are kept,
+never the states of a whole batch.  Output is therefore bitwise
+independent of SYNTH_THREADS.
 
 Rescaled runs synthesize each realization's noise once, whatever the
 number of rescaling strengths lambda: a batch keeps its noise without the
@@ -50,6 +55,7 @@ import numpy as np
 # here; perfbench/spans.py traces the layers through these names.
 from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
+from .dynamics import _native_kernel
 from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
@@ -67,7 +73,8 @@ __all__ = [
     "scan_lambda",
 ]
 
-# Threads that synthesize noise chunks: one per core this process may use.
+# Threads that synthesize noise chunks, and column slabs of an RK4 block:
+# one per core this process may use.
 SYNTH_THREADS = len(os.sched_getaffinity(0))
 
 # Columns (strengths x realizations) RK4 integrates in one pass of a
@@ -180,6 +187,14 @@ def _pooled_window_stats(sum_tr: np.ndarray, sum_abs2: np.ndarray,
     return var, se
 
 
+def _check_finite(*stats: np.ndarray) -> None:
+    """Refuse statistics that are not finite although no trajectory
+    diverged: the integration, not the physics, went wrong."""
+    if not all(np.isfinite(s).all() for s in stats):
+        raise SlnoiseError("the ensemble statistics are not finite although "
+                           "no trajectory diverged")
+
+
 def _points_per_pass(rows: int, n_points: int) -> int:
     """Strengths RK4 integrates in one pass of a batch of ``rows``."""
     return min(max(RK4_COLUMNS // rows, 1), n_points)
@@ -249,6 +264,9 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
             jobs.append(pool.submit(synth.fill, seeds[cols], eta, nu, cross))
         return series, factors, jobs
 
+    # load the native RK4 kernel before any noise exists: should it have
+    # to be compiled first, the compiler then runs beside a small process
+    _native_kernel()
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
         batch = submit(pool, 0)
         for start in range(0, nreal, batch_size):
@@ -266,7 +284,8 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
                 points = slice(p, min(p + group, n))
                 cross = (*pair, factors[points]) if n_points else None
                 for block in integrate_blocks(cfg.model, eta, nu,
-                                              synth.grid.dt, cross):
+                                              synth.grid.dt, cross,
+                                              threads=SYNTH_THREADS):
                     yield (points, *block)
             del series, eta, nu, pair, cross
             if ahead and batch is None:
@@ -307,6 +326,8 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None):
     for p in range(n_points):
         var, se = _pooled_window_stats(sum_tr[p], sum_abs2[p], nreal,
                                        cfg.stats_window)
+        if not first_divs[p].any():
+            _check_finite(sum_tr[p], sum_s[p], var, se)
         mean_tr = sum_tr[p] / nreal
         runs.append(EnsembleStats(
             t=t,
@@ -378,6 +399,7 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
     mean = sum_r / nreal
     var = np.maximum(sum_d2 - np.abs(sum_d) ** 2 / nreal, 0.0) / max(nreal - 1, 1)
     se = np.sqrt(var / nreal)
+    _check_finite(mean, se)
     t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
     return t, mean, se
 

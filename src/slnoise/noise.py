@@ -83,6 +83,7 @@ __all__ = [
     "synthesize_batch",
     "synthesize_from_white",
     "estimate_correlations",
+    "lag_steps",
 ]
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -417,6 +418,17 @@ def _lagged_products(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return sums / counts
 
 
+def lag_steps(max_lag: float, dt: float, n: int) -> int:
+    """Steps round(max_lag/dt) of the longest lag a correlation estimate
+    over ``n`` samples of step ``dt`` reaches; refuses a ``max_lag``
+    outside [0, t_max] with :class:`ConfigError`."""
+    # round(max_lag/dt) < n, written without round() so nan and inf fail
+    if not 0 <= max_lag / dt < n - 0.5:
+        raise ConfigError(
+            f"max_lag {max_lag:g} must lie in [0, t_max = {(n - 1) * dt:g}]")
+    return int(round(max_lag / dt))
+
+
 def estimate_correlations(pairs: Sequence[NoisePair],
                           max_lag: float) -> CorrelationEstimate:
     """Estimate eta-eta, eta-nu and nu-nu correlations from realizations.
@@ -436,11 +448,7 @@ def estimate_correlations(pairs: Sequence[NoisePair],
     for p in pairs:
         if p.dt != dt or p.scheme is not scheme or p.eta_t.shape[-1] != n:
             raise GridMismatch("all realizations must share grid and scheme")
-    # round(max_lag/dt) < n, written without round() so nan and inf fail
-    if not 0 <= max_lag / dt < n - 0.5:
-        raise ConfigError(
-            f"max_lag {max_lag:g} must lie in [0, t_max = {(n - 1) * dt:g}]")
-    m = int(round(max_lag / dt))
+    m = lag_steps(max_lag, dt, n)
     est, se = {}, {}
     nreal = len(pairs)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -263,6 +263,22 @@ def test_validate_refuses_realizations_larger_than_memory(capsys):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("max_lag", ["nan", "-0.1", "11", "inf"])
+def test_validate_refuses_max_lag_before_drawing_noise(max_lag, monkeypatch, capsys):
+    # the lag window is the library's rule (noise.lag_steps), checked
+    # before the realizations are synthesized
+    import slnoise.cli as cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("noise drawn before --max-lag was checked")
+
+    monkeypatch.setattr(cli, "synthesize_batch", refused)
+    assert main(["validate", "--scheme", "like", "--beta", "1", "--n", "2000",
+                 "--max-lag", max_lag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_lag ") and err.count("\n") == 1
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     # put a frequency-grid point exactly on the hard cutoff: n = 2048,
     # dt = 0.01 puts bin k at 2*pi*k/20.48; choose omega_c on bin 100

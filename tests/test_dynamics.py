@@ -1,5 +1,7 @@
 """Tests for the trajectory integrator and the dephasing oracle."""
 
+import shutil
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -23,7 +25,8 @@ from slnoise import (
     rho_to_state,
     state_to_rho,
 )
-from slnoise.dynamics import BLOCK_STEPS, QndModel
+from slnoise import dynamics
+from slnoise.dynamics import BLOCK_STEPS, QndModel, rk4_bytes
 
 
 def test_state_round_trip():
@@ -316,3 +319,174 @@ def test_factor_table_columns_equal_one_row_runs():
         cols = slice(p * rows, (p + 1) * rows)
         assert np.array_equal(wide[:, :, cols], one, equal_nan=True)
         assert np.array_equal(wide_div[cols], one_div)
+
+
+# ------------------------------------------------------ native kernel
+
+needs_compiler = pytest.mark.skipif(shutil.which(dynamics._COMPILER) is None,
+                                    reason="no C compiler to build the kernel")
+
+
+@pytest.fixture
+def rebuild():
+    """Forget the loaded native kernel before and after the test."""
+    dynamics._native_kernel.cache_clear()
+    yield
+    dynamics._native_kernel.cache_clear()
+
+
+def _blocks(model, eta_t, nu_t, cross, threads=1):
+    return [(start, states.copy(), new_div)
+            for start, states, new_div in integrate_blocks(
+                model, eta_t, nu_t, 0.005, cross, threads=threads)]
+
+
+def _numpy_kernel_blocks(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_native_kernel", lambda: None)
+        return _blocks(*args)
+
+
+def _assert_same_bits(a, b):
+    assert len(a) == len(b)
+    for (s0, x, d0), (s1, y, d1) in zip(a, b):
+        assert s0 == s1
+        assert x.dtype == y.dtype == complex
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        assert d0.dtype == d1.dtype and np.array_equal(d0, d1)
+
+
+def _noise(rng, n, rows, scale=1.0):
+    return [scale * (rng.standard_normal((2 * n + 1, rows))
+                     + 1j * rng.standard_normal((2 * n + 1, rows)))
+            for _ in range(4)]
+
+
+@needs_compiler
+@pytest.mark.parametrize("table", [None, "row", "table"])
+@pytest.mark.parametrize("alpha, scale", [(0.3, 2.0), (40.0, 30.0)])
+def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
+                                                   monkeypatch):
+    # every yielded state and new_div, by its bits; at alpha = 40 the
+    # trajectories diverge through inf into nan
+    assert dynamics._native_kernel() is not None
+    rng = np.random.default_rng(7)
+    n, rows = 260, 29
+    eta, nu, eta0, nu0 = _noise(rng, n, rows, scale)
+    shape = {"row": rows, "table": (3, rows)}.get(table)
+    cross = None if table is None else (eta0, nu0, rng.uniform(0.05, 20.0, shape))
+    model = SystemModel(lambda t: 1.0 + 0.1 * t, -1.0, alpha,
+                        np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))
+    ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
+    _assert_same_bits(ref, _blocks(model, eta, nu, cross, threads=2))
+    states = np.concatenate([s for _, s, _ in ref])
+    if alpha > 1:
+        assert np.isnan(states).any() and np.isinf(states).any()
+        assert any((d >= 0).any() for _, _, d in ref)
+    else:
+        assert np.isfinite(states).all()
+
+
+@needs_compiler
+def test_native_kernel_independent_of_slab_count(monkeypatch):
+    # 13 x 37 columns split into 1, 2 and 5 slabs, none of equal width
+    assert dynamics._native_kernel() is not None
+    rng = np.random.default_rng(8)
+    eta, nu, eta0, nu0 = _noise(rng, 150, 37, 3.0)
+    cross = (eta0, nu0, np.exp(rng.uniform(-4.0, 2.0, (13, 37))))
+    model = SystemModel(1.0, -1.0, 2.0, 0.5 * (np.eye(2) + SIGMA_Z))
+    ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
+    assert any((d >= 0).any() for _, _, d in ref)
+    for threads in (1, 2, 5):
+        _assert_same_bits(ref, _blocks(model, eta, nu, cross, threads))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("n_points", [1, 13])
+def test_rk4_bytes_bounds_what_integrate_blocks_allocates(native, n_points,
+                                                          monkeypatch):
+    # rk4_bytes is the numpy kernel's peak, and at least the native one's
+    import tracemalloc
+
+    if native:
+        if shutil.which(dynamics._COMPILER) is None:
+            pytest.skip("no C compiler to build the kernel")
+        assert dynamics._native_kernel() is not None
+    else:
+        monkeypatch.setattr(dynamics, "_native_kernel", lambda: None)
+    rng = np.random.default_rng(9)
+    n, rows = 400, 64
+    eta, nu, eta0, nu0 = _noise(rng, n, rows)
+    cross = (eta0, nu0, rng.uniform(0.5, 2.0, (n_points, rows)))
+    model = SystemModel(1.0, -1.0, 0.1, 0.5 * (np.eye(2) + SIGMA_Z))
+    tracemalloc.start()
+    try:
+        for _ in integrate_blocks(model, eta, nu, 0.005, cross, threads=2):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = rk4_bytes(rows, n, n_points)
+    assert peak <= bound
+    if not native:
+        assert peak >= 0.97 * bound
+
+
+def _fallback_is_silent(monkeypatch):
+    """The kernel is not built, and integrate_blocks runs the numpy
+    kernel without a warning."""
+    import warnings
+
+    rng = np.random.default_rng(10)
+    eta, nu, _, _ = _noise(rng, 20, 5)
+    model = SystemModel(1.0, -1.0, 0.3, 0.5 * (np.eye(2) + SIGMA_Z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dynamics._native_kernel() is None
+        got = _blocks(model, eta, nu, None)
+    _assert_same_bits(_numpy_kernel_blocks(monkeypatch, model, eta, nu, None), got)
+
+
+def test_native_kernel_falls_back_without_compiler(rebuild, monkeypatch):
+    monkeypatch.setattr(dynamics, "_COMPILER", "no-such-compiler-for-slnoise")
+    _fallback_is_silent(monkeypatch)
+
+
+@needs_compiler
+def test_native_kernel_falls_back_without_writable_cache(rebuild, monkeypatch,
+                                                        tmp_path):
+    # directories under a regular file cannot be created, even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(dynamics, "_cache_dirs",
+                        lambda: (str(blocker / "a"), str(blocker / "b")))
+    _fallback_is_silent(monkeypatch)
+
+
+@needs_compiler
+def test_native_kernel_builds_once_into_a_private_cache(rebuild, monkeypatch,
+                                                        tmp_path):
+    # the first usable directory receives one library, renamed into place
+    # from a temporary name, and a second process would load it as it is
+    import os
+
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(dynamics, "_cache_dirs", lambda: (str(cache),))
+    assert dynamics._native_kernel() is not None
+    (lib,) = os.listdir(cache)
+    assert lib.startswith("rk4-") and lib.endswith(".so")
+    assert os.stat(cache).st_mode & 0o077 == 0
+    built = os.stat(cache / lib).st_mtime_ns
+    dynamics._native_kernel.cache_clear()
+    assert dynamics._native_kernel() is not None
+    assert os.listdir(cache) == [lib]
+    assert os.stat(cache / lib).st_mtime_ns == built
+
+
+def test_kernel_source_ships_with_the_package():
+    from pathlib import Path
+
+    assert dynamics._RK4_SOURCE.is_file()
+    assert dynamics._RK4_SOURCE.parent == Path(dynamics.__file__).parent
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert '"_rk4.c"' in pyproject.read_text()

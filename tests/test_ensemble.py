@@ -508,3 +508,33 @@ def test_noise_grid_halves_step():
     assert ng.t_max == cfg.grid.t_max
     # one noise sample for every RK4 half step
     assert ng.n_phys == 2 * (cfg.grid.n_phys - 1) + 1
+
+
+def _nan_block_without_divergence(monkeypatch):
+    """Patch the noise-batch loop so that the last states of its first
+    block are nan while no new_div flags a divergence, as a faulty kernel
+    would."""
+    import slnoise.ensemble as ens
+
+    real = ens._state_blocks
+
+    def faulty(*args):
+        for i, (points, start, states, new_div) in enumerate(real(*args)):
+            if i == 0:
+                states[-1, :, 0] = np.nan
+            yield points, start, states, new_div
+
+    monkeypatch.setattr(ens, "_state_blocks", faulty)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_ensemble(small_cfg(n_realizations=8)),
+    lambda: scan_lambda(small_cfg(n_realizations=8), [0.5, 2.0], 8),
+    lambda: run_coherence(qnd_cfg(grid=TimeGrid(dt=0.05, t_max=2.0),
+                                  n_realizations=4)),
+], ids=["run_ensemble", "scan_lambda", "run_coherence"])
+def test_non_finite_statistics_without_divergence_are_refused(run, monkeypatch):
+    _nan_block_without_divergence(monkeypatch)
+    with pytest.raises(SlnoiseError, match="not finite although no trajectory "
+                                           "diverged"):
+        run()
