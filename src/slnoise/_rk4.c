@@ -1,18 +1,18 @@
 /* The RK4 kernel of slnoise.dynamics.integrate_blocks, in C.
  *
- * sln_rk4_fma and sln_rk4_plain integrate columns c0 .. c1-1 of one block
- * and are called from Python through ctypes, which releases the
- * interpreter lock, so that column slabs of one block run on several
- * threads at once.  Every operation is that of the numpy kernel, in its
- * order and with its operands in their order: the noise of a half step
- * is formed as (eta + f*eta0)*2a - eps and (nu + nu0/f)*ia, the
- * right-hand side and the stage sums are the same chain of complex
- * multiplies, adds and subtracts, and the divergence check decides as
- * np.abs(x) <= threshold does.  The two variants differ in the complex
- * multiply alone: numpy's fused form, re = fma(ar, br, -(ai*bi)) and
- * im = fma(ar, bi, ai*br), or the textbook one; the caller picks the one
- * that reproduces numpy.  Build with -ffp-contract=off and never with
- * -ffast-math, or the compiler reassociates and fuses what numpy does not.
+ * sln_rk4 integrates columns c0 .. c1-1 of one block and is called from
+ * Python through ctypes, which releases the interpreter lock, so that
+ * column slabs of one block run on several threads at once.  Every
+ * operation is that of the numpy kernel, in its order and with its
+ * operands in their order: the noise of a half step is formed as
+ * (eta + f*eta0)*2a - eps and (nu + nu0/f)*ia, the right-hand side and
+ * the stage sums are the same chain of complex multiplies, adds and
+ * subtracts, and the divergence check decides as np.abs(x) <= threshold
+ * does.  The complex multiply is numpy's fused form,
+ * re = fma(ar, br, -(ai*bi)) and im = fma(ar, bi, ai*br); the caller
+ * checks that the library reproduces numpy before it uses it.  Build
+ * with -ffp-contract=off and never with -ffast-math, or the compiler
+ * reassociates and fuses what numpy does not.
  *
  * The columns are worked through in tiles of at most TILE consecutive
  * trajectories of one factor row.  A tile's state, its stages and the
@@ -42,23 +42,18 @@ typedef struct {
     double threshold;
 } sln_run;
 
-INLINE void cmul(int fused, double ar, double ai, double br, double bi,
+INLINE void cmul(double ar, double ai, double br, double bi,
                  double *re, double *im)
 {
-    if (fused) {
-        *re = fma(ar, br, -(ai * bi));
-        *im = fma(ar, bi, ai * br);
-    } else {
-        *re = ar * br - ai * bi;
-        *im = ar * bi + ai * br;
-    }
+    *re = fma(ar, br, -(ai * bi));
+    *im = fma(ar, bi, ai * br);
 }
 
 /* Noise terms -w = 2a*eta' - eps and v = ia*nu' at half step k, for the
    n columns of factor row l that start at trajectory r0; rat and scl are
    numpy's Smith-division terms of each column's factor. */
-INLINE void noise(int fused, const sln_run *p, int64_t k, int64_t l,
-                  int64_t r0, int n, const double *rat, const double *scl,
+INLINE void noise(const sln_run *p, int64_t k, int64_t l, int64_t r0,
+                  int n, const double *rat, const double *scl,
                   double *mwr, double *mwi, double *vr, double *vi)
 {
     const int64_t at = 2 * (k * p->rows + r0);
@@ -69,25 +64,25 @@ INLINE void noise(int fused, const sln_run *p, int64_t k, int64_t l,
         const double *f = p->factor + l * p->rows + r0;
         for (int c = 0; c < n; c++) {
             double ar, ai, br, bi;
-            cmul(fused, eta0[2 * c], eta0[2 * c + 1], f[c], 0.0, &ar, &ai);
+            cmul(eta0[2 * c], eta0[2 * c + 1], f[c], 0.0, &ar, &ai);
             ar = ar + eta[2 * c];
             ai = ai + eta[2 * c + 1];
-            cmul(fused, ar, ai, p->two_alpha, 0.0, &ar, &ai);
+            cmul(ar, ai, p->two_alpha, 0.0, &ar, &ai);
             mwr[c] = ar - eps;
             mwi[c] = ai - 0.0;
             br = (nu0[2 * c] + nu0[2 * c + 1] * rat[c]) * scl[c];
             bi = (nu0[2 * c + 1] - nu0[2 * c] * rat[c]) * scl[c];
             br = br + nu[2 * c];
             bi = bi + nu[2 * c + 1];
-            cmul(fused, br, bi, p->i_alpha_re, p->i_alpha_im, &vr[c], &vi[c]);
+            cmul(br, bi, p->i_alpha_re, p->i_alpha_im, &vr[c], &vi[c]);
         }
     } else {
         for (int c = 0; c < n; c++) {
             double ar, ai;
-            cmul(fused, eta[2 * c], eta[2 * c + 1], p->two_alpha, 0.0, &ar, &ai);
+            cmul(eta[2 * c], eta[2 * c + 1], p->two_alpha, 0.0, &ar, &ai);
             mwr[c] = ar - eps;
             mwi[c] = ai - 0.0;
-            cmul(fused, nu[2 * c], nu[2 * c + 1], p->i_alpha_re, p->i_alpha_im,
+            cmul(nu[2 * c], nu[2 * c + 1], p->i_alpha_re, p->i_alpha_im,
                  &vr[c], &vi[c]);
         }
     }
@@ -96,29 +91,28 @@ INLINE void noise(int fused, const sln_run *p, int64_t k, int64_t l,
 /* (-w sy, w sx - d sz, d sy + v tr, v sz) from -w and -d, as numpy forms
    it: o1 = (-d) sz - (-w) sx and o2 = v tr - (-d) sy.  s and o hold the
    four components' real parts, then their imaginary parts. */
-INLINE void rhs(int fused, const double *s, double mwr, double mwi,
-                double vr, double vi, double mdr, double mdi, double *o)
+INLINE void rhs(const double *s, double mwr, double mwi, double vr,
+                double vi, double mdr, double mdi, double *o)
 {
     double tr_, ti_;
-    cmul(fused, mwr, mwi, s[1], s[5], &o[0], &o[4]);
-    cmul(fused, mdr, mdi, s[2], s[6], &o[1], &o[5]);
-    cmul(fused, mwr, mwi, s[0], s[4], &tr_, &ti_);
+    cmul(mwr, mwi, s[1], s[5], &o[0], &o[4]);
+    cmul(mdr, mdi, s[2], s[6], &o[1], &o[5]);
+    cmul(mwr, mwi, s[0], s[4], &tr_, &ti_);
     o[1] = o[1] - tr_;
     o[5] = o[5] - ti_;
-    cmul(fused, vr, vi, s[3], s[7], &o[2], &o[6]);
-    cmul(fused, mdr, mdi, s[1], s[5], &tr_, &ti_);
+    cmul(vr, vi, s[3], s[7], &o[2], &o[6]);
+    cmul(mdr, mdi, s[1], s[5], &tr_, &ti_);
     o[2] = o[2] - tr_;
     o[6] = o[6] - ti_;
-    cmul(fused, vr, vi, s[2], s[6], &o[3], &o[7]);
+    cmul(vr, vi, s[2], s[6], &o[3], &o[7]);
 }
 
 /* a + b*(c + 0i), component by component */
-INLINE void axpy(int fused, const double *a, const double *b, double c,
-                 double *out)
+INLINE void axpy(const double *a, const double *b, double c, double *out)
 {
     for (int q = 0; q < 4; q++) {
         double re, im;
-        cmul(fused, b[q], b[q + 4], c, 0.0, &re, &im);
+        cmul(b[q], b[q + 4], c, 0.0, &re, &im);
         out[q] = a[q] + re;
         out[q + 4] = a[q + 4] + im;
     }
@@ -134,8 +128,8 @@ INLINE int within(const double (*y)[TILE], int c, double threshold)
     return 1;
 }
 
-INLINE void tile(int fused, const sln_run *p, int64_t start, int64_t m,
-                 int64_t l, int64_t r0, int n)
+INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
+                 int64_t r0, int n)
 {
     const int64_t c0 = l * p->rows + r0, width = p->width;
     const double half_t = 0.5 * p->threshold;
@@ -157,7 +151,7 @@ INLINE void tile(int fused, const sln_run *p, int64_t start, int64_t m,
     for (int c = 0; c < n; c++)
         p->new_div[c0 + c] = -1;
     /* the first step's first half step */
-    noise(fused, p, start > 0 ? 2 * start - 2 : 0, l, r0, n, rat, scl,
+    noise(p, start > 0 ? 2 * start - 2 : 0, l, r0, n, rat, scl,
           a[0], a[1], a[2], a[3]);
 
     for (int64_t j = 0; j < m; j++) {
@@ -166,25 +160,25 @@ INLINE void tile(int fused, const sln_run *p, int64_t start, int64_t m,
             const int64_t k = 2 * (i - 1);
             const double md0r = -p->delta[k], md1r = -p->delta[k + 1],
                          md2r = -p->delta[k + 2], mdi = -0.0;
-            noise(fused, p, k + 1, l, r0, n, rat, scl, b[0], b[1], b[2], b[3]);
-            noise(fused, p, k + 2, l, r0, n, rat, scl, e[0], e[1], e[2], e[3]);
+            noise(p, k + 1, l, r0, n, rat, scl, b[0], b[1], b[2], b[3]);
+            noise(p, k + 2, l, r0, n, rat, scl, e[0], e[1], e[2], e[3]);
             for (int c = 0; c < n; c++) {
                 double s[8], k1[8], k2[8], k3[8], k4[8], ys[8];
                 for (int q = 0; q < 8; q++)
                     s[q] = y[q][c];
-                rhs(fused, s, a[0][c], a[1][c], a[2][c], a[3][c], md0r, mdi, k1);
-                axpy(fused, s, k1, p->half_h, ys);
-                rhs(fused, ys, b[0][c], b[1][c], b[2][c], b[3][c], md1r, mdi, k2);
-                axpy(fused, s, k2, p->half_h, ys);
-                rhs(fused, ys, b[0][c], b[1][c], b[2][c], b[3][c], md1r, mdi, k3);
-                axpy(fused, s, k3, p->full_h, ys);
-                rhs(fused, ys, e[0][c], e[1][c], e[2][c], e[3][c], md2r, mdi, k4);
+                rhs(s, a[0][c], a[1][c], a[2][c], a[3][c], md0r, mdi, k1);
+                axpy(s, k1, p->half_h, ys);
+                rhs(ys, b[0][c], b[1][c], b[2][c], b[3][c], md1r, mdi, k2);
+                axpy(s, k2, p->half_h, ys);
+                rhs(ys, b[0][c], b[1][c], b[2][c], b[3][c], md1r, mdi, k3);
+                axpy(s, k3, p->full_h, ys);
+                rhs(ys, e[0][c], e[1][c], e[2][c], e[3][c], md2r, mdi, k4);
                 /* y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right */
-                axpy(fused, k1, k2, p->two, k1);
-                axpy(fused, k1, k3, p->two, k1);
+                axpy(k1, k2, p->two, k1);
+                axpy(k1, k3, p->two, k1);
                 for (int q = 0; q < 8; q++)
                     k1[q] = k1[q] + k4[q];
-                axpy(fused, s, k1, p->sixth_h, s);
+                axpy(s, k1, p->sixth_h, s);
                 for (int q = 0; q < 8; q++)
                     y[q][c] = s[q];
             }
@@ -216,8 +210,11 @@ INLINE void tile(int fused, const sln_run *p, int64_t start, int64_t m,
             p->y[q * width + c0 + c] = y[q][c];
 }
 
-INLINE void slab(int fused, const sln_run *p, int64_t start, int64_t m,
-                 int64_t c0, int64_t c1)
+/* Steps start .. start+m-1 of columns c0 .. c1-1 into block rows 0 .. m-1;
+   new_div[c] is the step at which column c first crossed the threshold
+   in this block, else -1. */
+void sln_rk4(const sln_run *p, int64_t start, int64_t m, int64_t c0,
+             int64_t c1)
 {
     for (int64_t c = c0; c < c1;) {
         const int64_t l = c / p->rows, r = c % p->rows;
@@ -226,22 +223,7 @@ INLINE void slab(int fused, const sln_run *p, int64_t start, int64_t m,
             n = c1 - c;
         if (n > TILE)
             n = TILE;
-        tile(fused, p, start, m, l, r, (int)n);
+        tile(p, start, m, l, r, (int)n);
         c += n;
     }
-}
-
-/* Steps start .. start+m-1 of columns c0 .. c1-1 into block rows 0 .. m-1;
-   new_div[c] is the step at which column c first crossed the threshold
-   in this block, else -1. */
-void sln_rk4_fma(const sln_run *p, int64_t start, int64_t m, int64_t c0,
-                 int64_t c1)
-{
-    slab(1, p, start, m, c0, c1);
-}
-
-void sln_rk4_plain(const sln_run *p, int64_t start, int64_t m, int64_t c0,
-                   int64_t c1)
-{
-    slab(0, p, start, m, c0, c1);
 }

@@ -103,6 +103,9 @@ DIVERGENCE_THRESHOLD = 1e12
 # Steps whose states are held at once by integrate_blocks; the divergence
 # check and the ensemble sums run once per block.
 BLOCK_STEPS = 128
+# Column slabs of a block the native kernel integrates at once: one per
+# core this process may use.
+RK4_THREADS = len(os.sched_getaffinity(0))
 # A block of a factor table is cut to BLOCK_STEPS x max(rows, BLOCK_COLUMNS)
 # column-steps, the size of a one-row block of a full batch.
 BLOCK_COLUMNS = 256
@@ -199,8 +202,7 @@ def _eval_drive(drive: Drive, t: np.ndarray) -> np.ndarray:
 
 
 def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
-                     nu_t: np.ndarray, dt_half: float, cross=None, *,
-                     threads: int = 1):
+                     nu_t: np.ndarray, dt_half: float, cross=None):
     """RK4 integration of a batch of trajectories, streamed in blocks.
 
     ``eta_t``/``nu_t`` are time-major, shape (2*n_steps + 1, rows): row k
@@ -233,7 +235,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     (``_rk4.c``, see :func:`_native_kernel`) runs whenever it could be
     built, the noise is contiguous complex128 and the factors are finite,
     non-zero and contiguous float64: each block is cut into
-    ``threads`` column slabs, integrated at once outside the interpreter
+    RK4_THREADS column slabs, integrated at once outside the interpreter
     lock, one on the calling thread and the rest on a pool of this call,
     each slab writing its own columns of the block.  Otherwise the numpy
     kernel, the reference, runs on the calling thread.
@@ -254,7 +256,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
                _block_steps(rows, n_points, n_steps))
     rk4 = _native_kernel() if _native_fits(run) else None
     yield from (_numpy_blocks(run) if rk4 is None
-                else _native_blocks(run, rk4, threads))
+                else _native_blocks(run, rk4, RK4_THREADS))
 
 
 class _Run(NamedTuple):
@@ -472,21 +474,25 @@ def _private_dir(path: str) -> bool:
 def _build() -> Optional[str]:
     """Path of the kernel library, compiled on first use into the first
     usable cache directory, or None.  The file name hashes the source, the
-    flags and the compiler's version; the library is written under a
+    flags and the compiler's path, inode, size and modification time, so
+    that an upgraded compiler builds anew; the library is written under a
     unique name and renamed into place, so that processes building at once
-    never load a half-written file."""
+    never load a half-written file.  A new library replaces the older
+    ones in its directory."""
     cc = shutil.which(_COMPILER)
     if cc is None:
         return None
     flags = _compile_flags()
-    version = subprocess.run([cc, "--version"], capture_output=True, check=True,
-                             timeout=60).stdout
+    cc = os.path.realpath(cc)
+    st = os.stat(cc)
     key = hashlib.sha256(b"\0".join(
-        [_RK4_SOURCE.read_bytes(), *map(str.encode, flags), version])).hexdigest()
+        [_RK4_SOURCE.read_bytes(), *map(str.encode, flags),
+         f"{cc}:{st.st_ino}:{st.st_size}:{st.st_mtime_ns}".encode()])).hexdigest()
     for directory in _cache_dirs():
         if not _private_dir(directory):
             continue
-        lib = os.path.join(directory, f"rk4-{key[:24]}.so")
+        name = f"rk4-{key[:24]}.so"
+        lib = os.path.join(directory, name)
         if os.path.exists(lib):
             return lib
         try:
@@ -501,6 +507,10 @@ def _build() -> Optional[str]:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in os.listdir(directory):
+            if old.startswith("rk4-") and old.endswith(".so") and old != name:
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(directory, old))
         return lib
     return None
 
@@ -533,24 +543,20 @@ def _probe(rk4) -> bool:
 
 @functools.cache
 def _native_kernel():
-    """The native RK4 function that reproduces the numpy kernel bit for
-    bit (the fused or the textbook complex multiply, whichever numpy
-    uses), or None when it cannot be built, loaded or matched; then
+    """The native RK4 function, if it reproduces the numpy kernel bit for
+    bit (its complex multiply is fused, as numpy's is where the processor
+    has FMA), or None when it cannot be built, loaded or matched; then
     :func:`integrate_blocks` runs its numpy kernel, silently."""
     try:
         path = _build()
         if path is None:
             return None
-        lib = ctypes.CDLL(path)
+        rk4 = ctypes.CDLL(path).sln_rk4
     except (OSError, subprocess.SubprocessError):
         return None
-    for name in ("sln_rk4_fma", "sln_rk4_plain"):
-        rk4 = getattr(lib, name)
-        rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 4
-        rk4.restype = None
-        if _probe(rk4):
-            return rk4
-    return None
+    rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 4
+    rk4.restype = None
+    return rk4 if _probe(rk4) else None
 
 
 def integrate_batch(model: SystemModel, eta_half: np.ndarray,

@@ -13,7 +13,7 @@ thread colours its chunks in one workspace that it allocates once per
 run.  Each chunk writes its own columns of the batch's time-major noise
 arrays, and a realization's noise depends only on its seed, never on the
 thread that computed it or on its chunk.  RK4 integrates each block in
-SYNTH_THREADS column slabs, on a pool of its own so that the slabs never
+RK4_THREADS column slabs, on a pool of its own so that the slabs never
 wait behind the synthesis chunks, and its native kernel releases the
 interpreter lock; each slab writes its own columns of the block, whose
 bits depend neither on the slab count nor on the kernel that ran
@@ -44,7 +44,6 @@ where single-step scatter would dominate.
 from __future__ import annotations
 
 import dataclasses
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -55,7 +54,7 @@ import numpy as np
 # here; perfbench/spans.py traces the layers through these names.
 from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
-from .dynamics import _native_kernel
+from .dynamics import RK4_THREADS, _native_kernel
 from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
@@ -73,9 +72,8 @@ __all__ = [
     "scan_lambda",
 ]
 
-# Threads that synthesize noise chunks, and column slabs of an RK4 block:
-# one per core this process may use.
-SYNTH_THREADS = len(os.sched_getaffinity(0))
+# Threads that synthesize noise chunks: one per core this process may use.
+SYNTH_THREADS = RK4_THREADS
 
 # Columns (strengths x realizations) RK4 integrates in one pass of a
 # rescaled batch: wide enough that the cost per column-step has levelled
@@ -284,8 +282,7 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
                 points = slice(p, min(p + group, n))
                 cross = (*pair, factors[points]) if n_points else None
                 for block in integrate_blocks(cfg.model, eta, nu,
-                                              synth.grid.dt, cross,
-                                              threads=SYNTH_THREADS):
+                                              synth.grid.dt, cross):
                     yield (points, *block)
             del series, eta, nu, pair, cross
             if ahead and batch is None:

@@ -335,10 +335,10 @@ def rebuild():
     dynamics._native_kernel.cache_clear()
 
 
-def _blocks(model, eta_t, nu_t, cross, threads=1):
+def _blocks(model, eta_t, nu_t, cross):
     return [(start, states.copy(), new_div)
             for start, states, new_div in integrate_blocks(
-                model, eta_t, nu_t, 0.005, cross, threads=threads)]
+                model, eta_t, nu_t, 0.005, cross)]
 
 
 def _numpy_kernel_blocks(monkeypatch, *args):
@@ -378,7 +378,8 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
     model = SystemModel(lambda t: 1.0 + 0.1 * t, -1.0, alpha,
                         np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))
     ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
-    _assert_same_bits(ref, _blocks(model, eta, nu, cross, threads=2))
+    monkeypatch.setattr(dynamics, "RK4_THREADS", 2)
+    _assert_same_bits(ref, _blocks(model, eta, nu, cross))
     states = np.concatenate([s for _, s, _ in ref])
     if alpha > 1:
         assert np.isnan(states).any() and np.isinf(states).any()
@@ -398,7 +399,8 @@ def test_native_kernel_independent_of_slab_count(monkeypatch):
     ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
     assert any((d >= 0).any() for _, _, d in ref)
     for threads in (1, 2, 5):
-        _assert_same_bits(ref, _blocks(model, eta, nu, cross, threads))
+        monkeypatch.setattr(dynamics, "RK4_THREADS", threads)
+        _assert_same_bits(ref, _blocks(model, eta, nu, cross))
 
 
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
@@ -419,9 +421,10 @@ def test_rk4_bytes_bounds_what_integrate_blocks_allocates(native, n_points,
     eta, nu, eta0, nu0 = _noise(rng, n, rows)
     cross = (eta0, nu0, rng.uniform(0.5, 2.0, (n_points, rows)))
     model = SystemModel(1.0, -1.0, 0.1, 0.5 * (np.eye(2) + SIGMA_Z))
+    monkeypatch.setattr(dynamics, "RK4_THREADS", 2)
     tracemalloc.start()
     try:
-        for _ in integrate_blocks(model, eta, nu, 0.005, cross, threads=2):
+        for _ in integrate_blocks(model, eta, nu, 0.005, cross):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -467,13 +470,17 @@ def test_native_kernel_falls_back_without_writable_cache(rebuild, monkeypatch,
 def test_native_kernel_builds_once_into_a_private_cache(rebuild, monkeypatch,
                                                         tmp_path):
     # the first usable directory receives one library, renamed into place
-    # from a temporary name, and a second process would load it as it is
+    # from a temporary name, which replaces an older build; a second
+    # process would load it as it is
     import os
 
     cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    (cache / "rk4-older.so").write_bytes(b"")
     monkeypatch.setattr(dynamics, "_cache_dirs", lambda: (str(cache),))
     assert dynamics._native_kernel() is not None
     (lib,) = os.listdir(cache)
+    assert lib != "rk4-older.so"
     assert lib.startswith("rk4-") and lib.endswith(".so")
     assert os.stat(cache).st_mode & 0o077 == 0
     built = os.stat(cache / lib).st_mtime_ns
@@ -481,6 +488,13 @@ def test_native_kernel_builds_once_into_a_private_cache(rebuild, monkeypatch,
     assert dynamics._native_kernel() is not None
     assert os.listdir(cache) == [lib]
     assert os.stat(cache / lib).st_mtime_ns == built
+
+
+@needs_compiler
+def test_native_kernel_falls_back_when_it_does_not_match_numpy(rebuild,
+                                                              monkeypatch):
+    monkeypatch.setattr(dynamics, "_probe", lambda rk4: False)
+    _fallback_is_silent(monkeypatch)
 
 
 def test_kernel_source_ships_with_the_package():
