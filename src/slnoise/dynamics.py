@@ -24,15 +24,14 @@ It has two kernels that give the same bits.  The numpy kernel, the
 reference and the fallback, is a chain of ufunc calls over contiguous
 component rows, with the divergence check once per block; it holds the
 interpreter lock between the calls, so it runs on one core.  The native
-kernel (``_rk4.c``) fuses the noise formation, the RK4 steps and the
-divergence check in one C loop per column, with numpy's operations in
-numpy's order.  It is compiled on first use into a cache outside the
-package (``$XDG_CACHE_HOME/slnoise``, else ``~/.cache/slnoise``, else a
-private directory under the temp dir), loaded with ctypes, and checked
-against the numpy kernel on a small batch before it is used; it releases
-the interpreter lock, so the column slabs of a block run on several
-threads at once.  Without a compiler, a writable cache or a bitwise
-match, the numpy kernel runs.
+kernel (``sln_rk4`` in ``_native.c``) fuses the noise formation, the RK4
+steps and the divergence check in one C loop per column, with numpy's
+operations in numpy's order.  It is compiled on first use into a cache
+outside the package (see :mod:`slnoise._native`), loaded with ctypes,
+and checked against the numpy kernel on a small batch before it is used;
+it releases the interpreter lock, so the column slabs of a block run on
+several threads at once.  Without a compiler, a writable cache or a
+bitwise match, the numpy kernel runs.
 
 A rescaled batch may be integrated at several rescaling strengths in one
 pass: with a table of L factor rows, the kernel runs L x rows columns, the
@@ -53,20 +52,15 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import hashlib
 import math
 import os
-import shutil
-import stat
-import subprocess
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import _native
 from .exceptions import ConfigError
 from .grids import FrequencyGrid
 from .kernels import CustomKernel, build_kernel_table
@@ -232,7 +226,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     :func:`rk4_bytes` counts the buffers.
 
     Two kernels compute the blocks, with the same bits.  The native one
-    (``_rk4.c``, see :func:`_native_kernel`) runs whenever it could be
+    (``sln_rk4``, see :func:`_native_kernel`) runs whenever it could be
     built, the noise is contiguous complex128 and the factors are finite,
     non-zero and contiguous float64: each block is cut into
     RK4_THREADS column slabs, integrated at once outside the interpreter
@@ -368,7 +362,7 @@ def _numpy_blocks(run: _Run):
 
 
 class _Args(ctypes.Structure):
-    """The ``sln_run`` struct of ``_rk4.c``."""
+    """The ``sln_run`` struct of ``_native.c``."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "eta", "nu", "eta0", "nu0", "factor", "eps", "delta", "y", "block",
@@ -428,93 +422,6 @@ def _native_blocks(run: _Run, rk4, threads: int):
             yield start, block[:m], new_div.copy()
 
 
-# The native kernel's source, and the compiler that builds it.
-_RK4_SOURCE = Path(__file__).with_name("_rk4.c")
-_COMPILER = "gcc"
-
-
-def _cache_dirs():
-    """Where the built kernel is kept: the user's cache directory, else a
-    private directory under the temp dir."""
-    base = (os.environ.get("XDG_CACHE_HOME")
-            or os.path.join(os.path.expanduser("~"), ".cache"))
-    return (os.path.join(base, "slnoise"),
-            os.path.join(tempfile.gettempdir(), f"slnoise-{os.getuid()}"))
-
-
-def _compile_flags() -> list:
-    """Optimised, with numpy's rounding (no contraction, no fast math); FMA
-    and AVX2 instructions where the processor has them.  The ggc
-    parameters make gcc collect its garbage more often, which keeps a
-    first compile near 60 MB of memory instead of 70."""
-    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
-             "--param", "ggc-min-heapsize=8192", "--param", "ggc-min-expand=20"]
-    try:
-        with open("/proc/cpuinfo") as f:
-            cpu = next((line.split() for line in f if line.startswith("flags")), [])
-    except OSError:
-        cpu = []
-    if {"fma", "avx2"} <= set(cpu):
-        flags += ["-mfma", "-mavx2"]
-    return flags
-
-
-def _private_dir(path: str) -> bool:
-    """Creates ``path`` if needed; whether it is a directory of this user's
-    that no one else may write to, so that a library in it can be trusted."""
-    try:
-        os.makedirs(path, mode=0o700, exist_ok=True)
-        st = os.stat(path)
-    except OSError:
-        return False
-    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
-            and not st.st_mode & 0o022)
-
-
-def _build() -> Optional[str]:
-    """Path of the kernel library, compiled on first use into the first
-    usable cache directory, or None.  The file name hashes the source, the
-    flags and the compiler's path, inode, size and modification time, so
-    that an upgraded compiler builds anew; the library is written under a
-    unique name and renamed into place, so that processes building at once
-    never load a half-written file.  A new library replaces the older
-    ones in its directory."""
-    cc = shutil.which(_COMPILER)
-    if cc is None:
-        return None
-    flags = _compile_flags()
-    cc = os.path.realpath(cc)
-    st = os.stat(cc)
-    key = hashlib.sha256(b"\0".join(
-        [_RK4_SOURCE.read_bytes(), *map(str.encode, flags),
-         f"{cc}:{st.st_ino}:{st.st_size}:{st.st_mtime_ns}".encode()])).hexdigest()
-    for directory in _cache_dirs():
-        if not _private_dir(directory):
-            continue
-        name = f"rk4-{key[:24]}.so"
-        lib = os.path.join(directory, name)
-        if os.path.exists(lib):
-            return lib
-        try:
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
-        except OSError:
-            continue
-        os.close(fd)
-        try:
-            subprocess.run([cc, *flags, "-o", tmp, str(_RK4_SOURCE), "-lm"],
-                           capture_output=True, check=True, timeout=600)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        for old in os.listdir(directory):
-            if old.startswith("rk4-") and old.endswith(".so") and old != name:
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(directory, old))
-        return lib
-    return None
-
-
 def _probe(rk4) -> bool:
     """Whether ``rk4`` gives the numpy kernel's bits on a small random
     batch, with and without a factor table; one trajectory crosses the
@@ -543,17 +450,15 @@ def _probe(rk4) -> bool:
 
 @functools.cache
 def _native_kernel():
-    """The native RK4 function, if it reproduces the numpy kernel bit for
-    bit (its complex multiply is fused, as numpy's is where the processor
-    has FMA), or None when it cannot be built, loaded or matched; then
+    """The native RK4 function, ``sln_rk4`` of :func:`_native.library`, if
+    it reproduces the numpy kernel bit for bit (its complex multiply is
+    fused, as numpy's is where the processor has FMA), or None when it
+    cannot be built, loaded or matched; then
     :func:`integrate_blocks` runs its numpy kernel, silently."""
-    try:
-        path = _build()
-        if path is None:
-            return None
-        rk4 = ctypes.CDLL(path).sln_rk4
-    except (OSError, subprocess.SubprocessError):
+    lib = _native.library()
+    if lib is None:
         return None
+    rk4 = lib["sln_rk4"]
     rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 4
     rk4.restype = None
     return rk4 if _probe(rk4) else None

@@ -7,12 +7,13 @@ batching.  Statistics are accumulated in fixed realization order.
 One loop produces the noise of every ensemble run, batch by batch
 (``batch_size`` realizations).  A batch's noise is synthesized in chunks
 of the synthesizer's ``chunk_rows`` realizations (at most 16, fewer on
-long grids) spread over SYNTH_THREADS threads: the Philox fills and the
-FFTs release the interpreter lock, so the chunks run on all cores.  Each
-thread colours its chunks in one workspace that it allocates once per
-run.  Each chunk writes its own columns of the batch's time-major noise
-arrays, and a realization's noise depends only on its seed, never on the
-thread that computed it or on its chunk.  RK4 integrates each block in
+long grids) spread over SYNTH_THREADS threads: the normal draw (native,
+or numpy's Philox fills) and the FFTs release the interpreter lock, so
+the chunks run on all cores.  Each thread colours its chunks in one
+workspace that it allocates once per run.  Each chunk writes its own
+columns of the batch's time-major noise arrays, and a realization's noise
+depends only on its seed, never on the thread that computed it, on its
+chunk or on which draw ran.  RK4 integrates each block in
 RK4_THREADS column slabs, on a pool of its own so that the slabs never
 wait behind the synthesis chunks, and its native kernel releases the
 interpreter lock; each slab writes its own columns of the block, whose
@@ -60,6 +61,7 @@ from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
 from .noise import (Synthesizer, check_memory, sample_white,  # noqa: F401
                     synthesize_from_white)
+from .noise import _native_normals
 from .schemes import FilterSet, SchemeId, make_filters
 
 __all__ = [
@@ -262,9 +264,12 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
             jobs.append(pool.submit(synth.fill, seeds[cols], eta, nu, cross))
         return series, factors, jobs
 
-    # load the native RK4 kernel before any noise exists: should it have
-    # to be compiled first, the compiler then runs beside a small process
+    # load the native RK4 kernel and normal draw before any noise exists:
+    # should the library have to be compiled first, the compiler then runs
+    # beside a small process, and the synthesis threads never compile or
+    # probe
     _native_kernel()
+    _native_normals()
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
         batch = submit(pool, 0)
         for start in range(0, nreal, batch_size):

@@ -14,7 +14,13 @@ at once, with fewer transforms than the per-channel form:
 
 * Each realization draws its channels from its own Philox stream as unit
   normals (the stream of :func:`sample_white`); the 1/sqrt(dt) white-noise
-  scale is folded into the filters instead of into the draws.
+  scale is folded into the filters instead of into the draws.  The draw
+  of a chunk is one call of the native library's ``sln_normals``
+  (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
+  the interpreter lock, bitwise numpy's
+  ``Generator(Philox(seed)).standard_normal``; numpy's generators, the
+  reference, draw instead where the library cannot be built or does not
+  reproduce numpy's bits on a probe stream (:func:`_native_normals`).
 * Two real channels share one complex inverse FFT: for
   ``z = ifft(x_a + i x_b)`` and the conjugate flip ``c(w) = conj(z(-w))``,
   Hermitian symmetry gives ``ifft(x_a) = (z + c)/2`` and
@@ -56,6 +62,8 @@ computes it for complex input.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -64,6 +72,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 import scipy.fft
 
+from . import _native
 from .exceptions import (ConfigError, GridMismatch, InsufficientSample,
                          SlnoiseError, ZeroComponent)
 from .grids import TimeGrid
@@ -129,9 +138,51 @@ class NoisePair:
     lambda_applied: float = 1.0
 
 
+def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
 def _generator(seed: SeedLike) -> np.random.Generator:
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+
+
+def _philox_key(seed: SeedLike) -> np.ndarray:
+    """The key of ``Philox(seed)``: two words of the seed's SeedSequence."""
+    return _seed_sequence(seed).generate_state(2, np.uint64)
+
+
+# The normals probe draws 2**16 normals of this seed, among which are
+# wedge and tail samples of the ziggurat.
+_PROBE_SEED = 2020
+_PROBE_COUNT = 2**16
+
+
+def _probe(normals) -> bool:
+    """Whether ``normals`` gives numpy's bits on the first _PROBE_COUNT
+    normals of _PROBE_SEED's stream, compared 4096 at a time, which keeps
+    the probe's memory to the one stream."""
+    key, got = _philox_key(_PROBE_SEED), np.empty(_PROBE_COUNT)
+    normals(key.ctypes.data, 1, _PROBE_COUNT, got.ctypes.data)
+    numpy_stream = _generator(_PROBE_SEED)
+    return all(np.array_equal(part.view(np.uint64),
+                              numpy_stream.standard_normal(len(part)).view(np.uint64))
+               for part in np.split(got, _PROBE_COUNT // 4096))
+
+
+@functools.cache
+def _native_normals():
+    """The native draw, ``sln_normals`` of :func:`_native.library`, if it
+    reproduces numpy's normals bit for bit, or None when it cannot be
+    built, loaded or matched; then :meth:`Synthesizer.draw` runs numpy's
+    generators, silently."""
+    lib = _native.library()
+    if lib is None:
+        return None
+    normals = lib["sln_normals"]
+    normals.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                        ctypes.c_void_p]
+    normals.restype = None
+    return normals if _probe(normals) else None
 
 
 def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
@@ -249,9 +300,26 @@ class Synthesizer:
     def draw(self, seeds: Sequence[SeedLike], out: np.ndarray) -> np.ndarray:
         """Unit-normal channels into ``out``, shape (len(seeds), channels,
         n): one Philox stream per seed, the numbers of
-        :func:`sample_white`."""
-        for row, seed in zip(out, seeds):
-            _generator(seed).standard_normal(out=row)
+        :func:`sample_white`, those of
+        ``Generator(Philox(seed)).standard_normal``.
+
+        The native draw (:func:`_native_normals`) fills all the rows in
+        one call outside the interpreter lock, from each seed's Philox
+        key; where it is not available, or ``out`` is not contiguous
+        float64, numpy's generators fill the rows one by one.  Both give
+        the same bits."""
+        normals = _native_normals()
+        if (normals is None or out.dtype != np.float64
+                or not out.flags.c_contiguous):
+            for row, seed in zip(out, seeds):
+                _generator(seed).standard_normal(out=row)
+            return out
+        rows = min(len(seeds), len(out))
+        keys = np.empty((rows, 2), dtype=np.uint64)
+        for key, seed in zip(keys, seeds):
+            key[:] = _philox_key(seed)
+        normals(keys.ctypes.data, rows, out[0].size if rows else 0,
+                out.ctypes.data)
         return out
 
     def _colour(self, white: np.ndarray, split: bool = False):

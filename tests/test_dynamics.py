@@ -25,7 +25,7 @@ from slnoise import (
     rho_to_state,
     state_to_rho,
 )
-from slnoise import dynamics
+from slnoise import _native, dynamics
 from slnoise.dynamics import BLOCK_STEPS, QndModel, rk4_bytes
 
 
@@ -323,16 +323,8 @@ def test_factor_table_columns_equal_one_row_runs():
 
 # ------------------------------------------------------ native kernel
 
-needs_compiler = pytest.mark.skipif(shutil.which(dynamics._COMPILER) is None,
+needs_compiler = pytest.mark.skipif(shutil.which(_native._COMPILER) is None,
                                     reason="no C compiler to build the kernel")
-
-
-@pytest.fixture
-def rebuild():
-    """Forget the loaded native kernel before and after the test."""
-    dynamics._native_kernel.cache_clear()
-    yield
-    dynamics._native_kernel.cache_clear()
 
 
 def _blocks(model, eta_t, nu_t, cross):
@@ -411,7 +403,7 @@ def test_rk4_bytes_bounds_what_integrate_blocks_allocates(native, n_points,
     import tracemalloc
 
     if native:
-        if shutil.which(dynamics._COMPILER) is None:
+        if shutil.which(_native._COMPILER) is None:
             pytest.skip("no C compiler to build the kernel")
         assert dynamics._native_kernel() is not None
     else:
@@ -451,7 +443,7 @@ def _fallback_is_silent(monkeypatch):
 
 
 def test_native_kernel_falls_back_without_compiler(rebuild, monkeypatch):
-    monkeypatch.setattr(dynamics, "_COMPILER", "no-such-compiler-for-slnoise")
+    monkeypatch.setattr(_native, "_COMPILER", "no-such-compiler-for-slnoise")
     _fallback_is_silent(monkeypatch)
 
 
@@ -461,7 +453,7 @@ def test_native_kernel_falls_back_without_writable_cache(rebuild, monkeypatch,
     # directories under a regular file cannot be created, even by root
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.setattr(dynamics, "_cache_dirs",
+    monkeypatch.setattr(_native, "_cache_dirs",
                         lambda: (str(blocker / "a"), str(blocker / "b")))
     _fallback_is_silent(monkeypatch)
 
@@ -470,20 +462,23 @@ def test_native_kernel_falls_back_without_writable_cache(rebuild, monkeypatch,
 def test_native_kernel_builds_once_into_a_private_cache(rebuild, monkeypatch,
                                                         tmp_path):
     # the first usable directory receives one library, renamed into place
-    # from a temporary name, which replaces an older build; a second
+    # from a temporary name, which replaces older builds of it and of the
+    # RK4-only library that preceded it; a second
     # process would load it as it is
     import os
 
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
+    (cache / "native-older.so").write_bytes(b"")
     (cache / "rk4-older.so").write_bytes(b"")
-    monkeypatch.setattr(dynamics, "_cache_dirs", lambda: (str(cache),))
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(cache),))
     assert dynamics._native_kernel() is not None
     (lib,) = os.listdir(cache)
-    assert lib != "rk4-older.so"
-    assert lib.startswith("rk4-") and lib.endswith(".so")
+    assert lib != "native-older.so"
+    assert lib.startswith("native-") and lib.endswith(".so")
     assert os.stat(cache).st_mode & 0o077 == 0
     built = os.stat(cache / lib).st_mtime_ns
+    _native.library.cache_clear()
     dynamics._native_kernel.cache_clear()
     assert dynamics._native_kernel() is not None
     assert os.listdir(cache) == [lib]
@@ -500,7 +495,7 @@ def test_native_kernel_falls_back_when_it_does_not_match_numpy(rebuild,
 def test_kernel_source_ships_with_the_package():
     from pathlib import Path
 
-    assert dynamics._RK4_SOURCE.is_file()
-    assert dynamics._RK4_SOURCE.parent == Path(dynamics.__file__).parent
+    assert _native._SOURCE.is_file()
+    assert _native._SOURCE.parent == Path(dynamics.__file__).parent
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert '"_rk4.c"' in pyproject.read_text()
+    assert '"_native.c"' in pyproject.read_text()

@@ -1,5 +1,8 @@
 """Tests for white-noise sampling and coloured-noise synthesis."""
 
+import ctypes
+import shutil
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,8 @@ from slnoise import (
     synthesize_batch,
     synthesize_from_white,
 )
-from slnoise import noise
+from slnoise import _native, dynamics, noise
+from slnoise.ensemble import seed_for
 from slnoise.noise import CHUNK_ROWS, _lagged_products, chunk_rows, workspace_bytes
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
@@ -390,3 +394,188 @@ def test_one_row_chunks_equal_full_chunks(table, monkeypatch, scheme, lam):
     narrow, got = run()
     assert (wide, narrow) == (CHUNK_ROWS, 1)
     assert got == want
+
+
+# ------------------------------------------------------ native normal draw
+
+# the radius of numpy's ziggurat: normals beyond it come from its tail
+ZIGGURAT_R = 3.6541528853610087963519472518
+
+needs_compiler = pytest.mark.skipif(shutil.which(_native._COMPILER) is None,
+                                    reason="no C compiler to build the library")
+
+
+def _numpy_normals(seed, shape):
+    return np.random.Generator(np.random.Philox(seed)).standard_normal(shape)
+
+
+def _seeds(kind, rows):
+    if kind == "int":
+        return [3 + 1000 * i for i in range(rows)]
+    return [seed_for(11, i, (2, 5)) for i in range(rows)]
+
+
+@pytest.mark.parametrize("seed", [0, 2020, 2**70, np.random.SeedSequence(5),
+                                  seed_for(11, 3), seed_for(11, 3, (2, 5))])
+def test_philox_key_is_the_key_of_philox(seed):
+    key = noise._philox_key(seed)
+    assert key.dtype == np.uint64 and key.shape == (2,)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    assert np.array_equal(key, np.random.Philox(ss).state["state"]["key"])
+
+
+@needs_compiler
+@pytest.mark.parametrize("rows", [1, 3, 16])
+@pytest.mark.parametrize("kind", ["int", "seed_for"])
+def test_native_draw_bitwise_equals_numpy(table, kind, rows):
+    assert noise._native_normals() is not None
+    synth = Synthesizer(make_filters(SchemeId.LIKE, table), GRID, rows=rows)
+    seeds = _seeds(kind, rows)
+    out = synth.draw(seeds, np.full((rows, 4, GRID.n), np.nan))
+    want = np.array([_numpy_normals(seed, (4, GRID.n)) for seed in seeds])
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+@needs_compiler
+def test_native_draw_bitwise_equals_numpy_on_a_long_stream():
+    # 10^7 normals of one stream, among them a few thousand from the
+    # ziggurat's tail, beyond its radius
+    normals = noise._native_normals()
+    assert normals is not None
+    count = 10**7
+    keys = noise._philox_key(77)[None].copy()
+    got = np.empty((1, count))
+    normals(keys.ctypes.data, 1, count, got.ctypes.data)
+    want = _numpy_normals(77, count)
+    assert np.array_equal(got[0].view(np.uint64), want.view(np.uint64))
+    assert (np.abs(want) > ZIGGURAT_R).sum() > 1000
+
+
+def _ziggurat_tables():
+    """ki, wi and fi of the ziggurat, as the library's source writes them."""
+    import re
+
+    text = _native._SOURCE.read_text()
+
+    def table(name, cast):
+        body = re.search(name + r"\[256\] = \{(.*?)\};", text, re.S).group(1)
+        values = [cast(v.strip()) for v in body.split(",") if v.strip()]
+        assert len(values) == 256
+        return values
+
+    return (table("ki_double", lambda v: int(v.rstrip("ULL"), 16)),
+            table("wi_double", float.fromhex), table("fi_double", float.fromhex))
+
+
+def test_probe_seed_reaches_the_wedges_and_the_tail():
+    # numpy's ziggurat replayed in Python on the probe seed's raw Philox
+    # output, with the tables of the library: it gives numpy's normals,
+    # and its first 2^16 draws take both the wedge and the tail branch
+    import math
+
+    ki, wi, fi = _ziggurat_tables()
+    raw = iter(np.random.Philox(noise._PROBE_SEED).random_raw(2 * noise._PROBE_COUNT).tolist())
+    r_, inv_r = ZIGGURAT_R, 0.27366123732975827203338247596
+
+    def uniform():
+        return (next(raw) >> 11) * (1.0 / 9007199254740992.0)
+
+    branches = {"wedge": 0, "tail": 0}
+
+    def normal():
+        while True:
+            r = next(raw)
+            idx = r & 0xFF
+            r >>= 8
+            rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
+            x = rabs * wi[idx]
+            if r & 1:
+                x = -x
+            if rabs < ki[idx]:
+                return x
+            if idx == 0:
+                branches["tail"] += 1
+                while True:
+                    xx = -inv_r * math.log1p(-uniform())
+                    yy = -math.log1p(-uniform())
+                    if yy + yy > xx * xx:
+                        return -(r_ + xx) if (rabs >> 8) & 1 else r_ + xx
+            branches["wedge"] += 1
+            if (fi[idx - 1] - fi[idx]) * uniform() + fi[idx] < math.exp(-0.5 * x * x):
+                return x
+
+    got = np.array([normal() for _ in range(noise._PROBE_COUNT)])
+    want = _numpy_normals(noise._PROBE_SEED, noise._PROBE_COUNT)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert branches["wedge"] > 0 and branches["tail"] > 0
+
+
+@pytest.mark.parametrize("flip", [None, 0, 2**16 - 1], ids=["same", "first", "last"])
+def test_probe_refuses_a_draw_one_bit_off(flip):
+    # a stand-in for the library that writes numpy's probe stream, with
+    # the last bit of one normal flipped
+    def normals(keys, rows, count, out):
+        assert (rows, count) == (1, noise._PROBE_COUNT)
+        got = np.ctypeslib.as_array(ctypes.cast(out, ctypes.POINTER(ctypes.c_double)),
+                                    (count,))
+        got[:] = _numpy_normals(noise._PROBE_SEED, count)
+        if flip is not None:
+            got.view(np.uint64)[flip] ^= 1
+
+    assert noise._probe(normals) is (flip is None)
+
+
+def _fill_and_pairs(table):
+    """Bytes of an ensemble fill (rescaled at two strengths) and of
+    NoisePairs, 19 realizations of seed_for seeds each."""
+    fs = make_filters(SchemeId.ETANU_OPTIMISED, table)
+    seeds = _seeds("seed_for", 19)
+    lam = np.array([0.5, 2.0])
+    synth = Synthesizer(fs, GRID, lam, rows=len(seeds))
+    bufs = [np.empty((GRID.n_phys, len(seeds)), dtype=complex) for _ in range(4)]
+    factors = np.empty((len(lam), len(seeds)))
+    synth.fill(seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
+    pairs = synthesize_batch(fs, GRID, seeds, 0.5)
+    arrays = bufs + [factors] + [a for p in pairs for a in (p.eta_t, p.nu_t)]
+    return [a.tobytes() for a in arrays]
+
+
+def _numpy_draw_is_silent(table, native):
+    """The normals are drawn by numpy, without a warning, with the bits of
+    the native draw ``native``."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert noise._native_normals() is None
+        assert _fill_and_pairs(table) == native
+
+
+@needs_compiler
+def test_native_draw_falls_back_without_compiler(table, rebuild, monkeypatch):
+    assert noise._native_normals() is not None
+    native = _fill_and_pairs(table)
+    _native.library.cache_clear()
+    noise._native_normals.cache_clear()
+    monkeypatch.setattr(_native, "_COMPILER", "no-such-compiler-for-slnoise")
+    _numpy_draw_is_silent(table, native)
+
+
+@needs_compiler
+def test_native_draw_falls_back_when_it_does_not_match_numpy(table, rebuild,
+                                                            monkeypatch):
+    # the RK4 kernel of the same library runs on its own probe's result
+    assert noise._native_normals() is not None
+    native = _fill_and_pairs(table)
+    noise._native_normals.cache_clear()
+    monkeypatch.setattr(noise, "_probe", lambda normals: False)
+    _numpy_draw_is_silent(table, native)
+    assert dynamics._native_kernel() is not None
+
+
+@needs_compiler
+def test_native_draw_runs_when_the_rk4_kernel_does_not_match(rebuild,
+                                                            monkeypatch):
+    monkeypatch.setattr(dynamics, "_probe", lambda rk4: False)
+    assert dynamics._native_kernel() is None
+    assert noise._native_normals() is not None
