@@ -1,11 +1,12 @@
 /* The native kernels of slnoise, in C: the RK4 kernel of
- * slnoise.dynamics.integrate_blocks (sln_rk4) and the unit-normal draw of
- * slnoise.noise.Synthesizer.draw (sln_normals).  Both are called from
- * Python through ctypes, which releases the interpreter lock, so that
- * several threads run them at once.  Each gives the bits of its numpy
- * counterpart, and the caller checks that it does before it uses it.
- * Build with -ffp-contract=off and never with -ffast-math, or the
- * compiler reassociates and fuses what numpy does not.
+ * slnoise.dynamics.integrate_blocks (sln_rk4), the unit-normal draw of
+ * slnoise.noise.Synthesizer.draw (sln_normals), and the pointwise passes
+ * of slnoise.noise.Synthesizer's colouring (sln_mix, sln_transpose).  All
+ * are called from Python through ctypes, which releases the interpreter
+ * lock, so that several threads run them at once.  Each gives the bits of
+ * its numpy counterpart, and the caller checks that it does before it
+ * uses it.  Build with -ffp-contract=off and never with -ffast-math, or
+ * the compiler reassociates and fuses what numpy does not.
  *
  * sln_rk4 integrates columns c0 .. c1-1 of one block.  Every operation
  * is that of the numpy kernel, in its order and with its operands in
@@ -647,33 +648,156 @@ static __attribute__((noinline)) double slow_normal(philox *s, uint64_t r,
     }
 }
 
-/* count unit normals of each of rows streams into out (rows, count); the
-   stream of row i is that of numpy's Philox with key keys[2i], keys[2i+1]
-   and counter 0.  The rectangles, 99.3 % of the draws, are taken inline;
-   the rest goes to slow_normal. */
-void sln_normals(const uint64_t *keys, int64_t rows, int64_t count,
-                 double *out)
+/* The unit normals of rows streams, n per channel of each: the stream of
+   row i is that of numpy's Philox with key keys[2i], keys[2i+1] and
+   counter 0, and its normal ch*n + t goes to
+   out[i*row_stride + offsets[ch] + t*step].  A (rows, channels, n) array
+   has row_stride channels*n, offsets ch*n and step 1; a channel may as
+   well go to the real or imaginary parts of a complex buffer (step 2).
+   The rectangles, 99.3 % of the draws, are taken inline; the rest goes to
+   slow_normal. */
+void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
+                 int64_t n, double *out, int64_t row_stride,
+                 const int64_t *offsets, int64_t step)
 {
     for (int64_t i = 0; i < rows; i++) {
         philox s = {{keys[2 * i], keys[2 * i + 1]}, {0, 0, 0, 0}, {0}, 8};
-        double *o = out + i * count;
         int pos = 8;
-        for (int64_t j = 0; j < count; j++) {
-            if (pos == 8) {
-                refill(&s);
-                pos = 0;
-            }
-            uint64_t r = s.buf[pos++];
-            const int idx = r & 0xff;
-            r >>= 8;
-            const uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
-            if (rabs < ki_double[idx]) {
-                o[j] = signed_x(r, rabs, idx);
-            } else {
-                s.pos = pos;
-                o[j] = slow_normal(&s, r, idx);
-                pos = s.pos;
+        for (int64_t ch = 0; ch < channels; ch++) {
+            double *o = out + i * row_stride + offsets[ch];
+            for (int64_t j = 0; j < n; j++) {
+                if (pos == 8) {
+                    refill(&s);
+                    pos = 0;
+                }
+                uint64_t r = s.buf[pos++];
+                const int idx = r & 0xff;
+                r >>= 8;
+                const uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
+                if (rabs < ki_double[idx]) {
+                    o[j * step] = signed_x(r, rabs, idx);
+                } else {
+                    s.pos = pos;
+                    o[j * step] = slow_normal(&s, r, idx);
+                    pos = s.pos;
+                }
             }
         }
     }
+}
+
+
+/* ------------------------------------------------------------------
+ * sln_mix and sln_transpose: the pointwise passes of the colouring.
+ *
+ * z holds, per realization, the inverse transforms z0 and z1 of the
+ * packed white channels, and c receives a second pair of spectra; the
+ * element (h, r, k) of z is the complex number at 2*(h*half + r*row + k),
+ * that of c the one at 2*(h*chalf + r*crow + k).  With the conjugate flip c0(k) = conj(z0(-k)), c1(k) = conj(z1(-k))
+ * and the taps t0 .. t3 of the wiring, sln_mix forms, as numpy does in
+ * slnoise.noise._mix:
+ *
+ *   orthogonal, c NULL:  z0 <- (z0 + c0) t0 + z1 t1,  z1 <- c0 t2 + c1 t3
+ *   orthogonal, c given: z0 <- (z0 + c0) t0,  z1 <- z1 t1,
+ *                        c0 <- c0 t2,         c1 <- c1 t3
+ *   convex:              z0 <- c0 t1 + t0 z0,  z1 <- z0 t2
+ *
+ * with numpy's fused complex multiply, its operands in numpy's order (the
+ * multiply is not symmetric), and real taps given as complex ones with a
+ * +0.0 imaginary part, as numpy casts them.  Bins k and n-k are taken
+ * together, so the flips need no buffer and the pass runs in place.
+ */
+
+/* one complex number of a (2, rows, n) buffer */
+INLINE void load(const double *a, int64_t k, double *re, double *im)
+{
+    *re = a[2 * k];
+    *im = a[2 * k + 1];
+}
+
+INLINE void store(double *a, int64_t k, double re, double im)
+{
+    a[2 * k] = re;
+    a[2 * k + 1] = im;
+}
+
+/* bin k of an orthogonal row from z0(k), z1(k) and the flips c0(k), c1(k) */
+INLINE void orthogonal_bin(const double *t, int64_t n, int64_t k,
+                           double z0r, double z0i, double z1r, double z1i,
+                           double c0r, double c0i, double c1r, double c1i,
+                           double *z0, double *z1, double *c0, double *c1)
+{
+    double er, ei, fr, fi, gr, gi, hr, hi;
+    cmul(z0r + c0r, z0i + c0i, t[2 * k], t[2 * k + 1], &er, &ei);
+    cmul(z1r, z1i, t[2 * (n + k)], t[2 * (n + k) + 1], &fr, &fi);
+    cmul(c0r, c0i, t[2 * (2 * n + k)], t[2 * (2 * n + k) + 1], &gr, &gi);
+    cmul(c1r, c1i, t[2 * (3 * n + k)], t[2 * (3 * n + k) + 1], &hr, &hi);
+    if (c0) {
+        store(z0, k, er, ei);
+        store(z1, k, fr, fi);
+        store(c0, k, gr, gi);
+        store(c1, k, hr, hi);
+    } else {
+        store(z0, k, er + fr, ei + fi);
+        store(z1, k, gr + hr, gi + hi);
+    }
+}
+
+/* bin k of a convex row from z0(k) and the flip c0(k) */
+INLINE void convex_bin(const double *t, int64_t n, int64_t k, double zr,
+                       double zi, double cr, double ci, double *z0,
+                       double *z1)
+{
+    double qr, qi, pr, pi, gr, gi;
+    cmul(cr, ci, t[2 * (n + k)], t[2 * (n + k) + 1], &qr, &qi);
+    cmul(t[2 * k], t[2 * k + 1], zr, zi, &pr, &pi);
+    cmul(zr, zi, t[2 * (2 * n + k)], t[2 * (2 * n + k) + 1], &gr, &gi);
+    store(z0, k, qr + pr, qi + pi);
+    store(z1, k, gr, gi);
+}
+
+/* The pass above over rows rows of n bins (n even), in place; taps is
+   (3 or 4, n) complex. */
+void sln_mix(int64_t convex, int64_t rows, int64_t n, const double *taps,
+             double *z, double *c, int64_t half, int64_t row, int64_t chalf,
+             int64_t crow)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        double *z0 = z + 2 * r * row, *z1 = z0 + 2 * half;
+        double *c0 = c ? c + 2 * r * crow : NULL, *c1 = c ? c0 + 2 * chalf : NULL;
+        for (int64_t k = 0; k <= n / 2; k++) {
+            const int64_t m = k ? n - k : 0;
+            double ar, ai, br, bi;
+            load(z0, k, &ar, &ai);
+            load(z0, m, &br, &bi);
+            if (convex) {
+                convex_bin(taps, n, k, ar, ai, br, -bi, z0, z1);
+                if (m != k)
+                    convex_bin(taps, n, m, br, bi, ar, -ai, z0, z1);
+                continue;
+            }
+            double xr, xi, yr, yi;
+            load(z1, k, &xr, &xi);
+            load(z1, m, &yr, &yi);
+            orthogonal_bin(taps, n, k, ar, ai, xr, xi, br, -bi, yr, -yi,
+                           z0, z1, c0, c1);
+            if (m != k)
+                orthogonal_bin(taps, n, m, br, bi, yr, yi, ar, -ai, xr, -xi,
+                               z0, z1, c0, c1);
+        }
+    }
+}
+
+/* dst(t, r) = src(r, t) for rows rows and cols samples, complex; rows of
+   src are src_row apart and rows of dst dst_row apart.  Sample by sample,
+   the rows of a chunk (at most 16) are read from their own streams and
+   written as one contiguous run of dst; copying the samples in blocks of
+   2 to 64 per row instead, in either loop order, was no faster. */
+void sln_transpose(const double *src, int64_t rows, int64_t cols,
+                   int64_t src_row, double *dst, int64_t dst_row)
+{
+    for (int64_t t = 0; t < cols; t++)
+        for (int64_t r = 0; r < rows; r++)
+            memcpy(dst + 2 * (t * dst_row + r), src + 2 * (r * src_row + t),
+                   2 * sizeof(double));
 }

@@ -1,13 +1,16 @@
 """The native library of slnoise: ``_native.c``, compiled on first use.
 
-The library holds two kernels, each called through ctypes, which
+The library holds the kernels below, each called through ctypes, which
 releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
-:func:`~slnoise.dynamics.integrate_blocks`, and ``sln_normals``, the
-unit-normal draw of :meth:`~slnoise.noise.Synthesizer.draw`.  Each gives
-the bits of its numpy counterpart; the module that uses a kernel checks
-that it does on a small probe before it relies on it
+:func:`~slnoise.dynamics.integrate_blocks`; ``sln_normals``, the
+unit-normal draw of :meth:`~slnoise.noise.Synthesizer.draw`; and
+``sln_mix`` and ``sln_transpose``, the spectral pass and the write-out
+of :class:`~slnoise.noise.Synthesizer`'s colouring.  Each gives the bits
+of its numpy counterpart; the module that uses a kernel checks that it
+does on a small probe before it relies on it
 (:func:`slnoise.dynamics._native_kernel`,
-:func:`slnoise.noise._native_normals`), and runs the numpy code where it
+:func:`slnoise.noise._native_normals`,
+:func:`slnoise.noise._native_colour`), and runs the numpy code where it
 does not.
 
 The library is compiled once into a cache outside the package
@@ -34,8 +37,11 @@ from typing import Optional
 _SOURCE = Path(__file__).with_name("_native.c")
 _COMPILER = "gcc"
 # File names of the built library, and of the RK4-only library that
-# preceded it; a new build deletes the older ones of both.
+# preceded it; a new build deletes those of both beyond the _KEEP most
+# recently built, so that a few checkouts of different sources can share
+# one cache without building anew each time they take turns.
 _PREFIXES = ("native-", "rk4-")
+_KEEP = 4
 
 
 def _cache_dirs():
@@ -82,8 +88,8 @@ def _build() -> Optional[str]:
     and the compiler's path, inode, size and modification time, so that an
     upgraded compiler builds anew; the library is written under a unique
     name and renamed into place, so that processes building at once never
-    load a half-written file.  A new library replaces the older ones in
-    its directory."""
+    load a half-written file.  A new build deletes the libraries in its
+    directory beyond the _KEEP most recently built, itself included."""
     cc = shutil.which(_COMPILER)
     if cc is None:
         return None
@@ -112,12 +118,22 @@ def _build() -> Optional[str]:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for old in os.listdir(directory):
-            if old.startswith(_PREFIXES) and old.endswith(".so") and old != name:
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(directory, old))
+        _prune(directory)
         return lib
     return None
+
+
+def _prune(directory: str) -> None:
+    """Deletes the libraries in ``directory`` beyond the _KEEP most recently
+    modified."""
+    built = []
+    for entry in os.scandir(directory):
+        if entry.name.startswith(_PREFIXES) and entry.name.endswith(".so"):
+            with contextlib.suppress(OSError):
+                built.append((entry.stat().st_mtime_ns, entry.path))
+    for _, path in sorted(built, reverse=True)[_KEEP:]:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
 
 
 @functools.cache

@@ -61,7 +61,7 @@ from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
 from .noise import (Synthesizer, check_memory, sample_white,  # noqa: F401
                     synthesize_from_white)
-from .noise import _native_normals
+from .noise import _native_colour, _native_normals
 from .schemes import FilterSet, SchemeId, make_filters
 
 __all__ = [
@@ -264,12 +264,13 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
             jobs.append(pool.submit(synth.fill, seeds[cols], eta, nu, cross))
         return series, factors, jobs
 
-    # load the native RK4 kernel and normal draw before any noise exists:
-    # should the library have to be compiled first, the compiler then runs
-    # beside a small process, and the synthesis threads never compile or
-    # probe
+    # load the native RK4 kernel, normal draw and colouring before any
+    # noise exists: should the library have to be compiled first, the
+    # compiler then runs beside a small process, and the synthesis threads
+    # never compile or probe
     _native_kernel()
     _native_normals()
+    _native_colour()
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
         batch = submit(pool, 0)
         for start in range(0, nreal, batch_size):

@@ -14,13 +14,7 @@ at once, with fewer transforms than the per-channel form:
 
 * Each realization draws its channels from its own Philox stream as unit
   normals (the stream of :func:`sample_white`); the 1/sqrt(dt) white-noise
-  scale is folded into the filters instead of into the draws.  The draw
-  of a chunk is one call of the native library's ``sln_normals``
-  (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
-  the interpreter lock, bitwise numpy's
-  ``Generator(Philox(seed)).standard_normal``; numpy's generators, the
-  reference, draw instead where the library cannot be built or does not
-  reproduce numpy's bits on a probe stream (:func:`_native_normals`).
+  scale is folded into the filters instead of into the draws.
 * Two real channels share one complex inverse FFT: for
   ``z = ifft(x_a + i x_b)`` and the conjugate flip ``c(w) = conj(z(-w))``,
   Hermitian symmetry gives ``ifft(x_a) = (z + c)/2`` and
@@ -38,6 +32,30 @@ of eta and nu: 6 FFTs.  Convex wiring packs ``z = ifft(x1 + i x2)``; then
 ``eta = fft(((f1 + f2) z + (f1 - f2) c)/2)`` and ``nu = fft(g1 z)``: 3
 FFTs instead of 6.  The results equal the per-channel form up to rounding.
 
+A chunk is coloured in five steps, of which only the two FFTs
+(``scipy.fft``) are not native where the native library loads:
+
+1. the draw: one call of the native library's ``sln_normals``
+   (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
+   the interpreter lock writes each channel straight into the real or
+   imaginary parts of the transform buffer z, as the wiring packs it;
+2. the inverse FFT of z, in place;
+3. one spectral pass, ``sln_mix``: the conjugate flips, the filter taps
+   and the sums of the wiring, bins k and n-k together, in place in z
+   (and into a second buffer c where the cross-correlative pair is
+   transformed apart);
+4. the forward FFT, in place;
+5. the write-out, ``sln_transpose``: the physical window of each row into
+   the batch's time-major columns.
+
+Each native step gives numpy's bits: its own probe checks it when the
+library loads (:func:`_native_normals`, :func:`_native_colour`), and
+where it does not, or the library cannot be built, numpy runs that step,
+silently: the draw is ``Generator(Philox(seed)).standard_normal`` into a
+white-channel buffer that numpy packs into z, and the spectral pass is
+:func:`_mix`, numpy's ufuncs with c as scratch.  So the output never
+depends on which code ran.
+
 The ensemble synthesizes each realization's noise once, whatever the
 number of rescaling strengths lambda: :meth:`Synthesizer.fill` writes the
 noise without the cross-correlative pair, the unscaled pair and a table
@@ -46,15 +64,18 @@ the factors block by block, for several strengths in one pass
 (:func:`~slnoise.dynamics.integrate_blocks`).
 
 Every thread that colours noise with a :class:`Synthesizer` holds one
-workspace for it: the white channels (rows, channels, n), and the two
-complex transform buffers z and c, (2, rows, n) each, that every step of
-the colouring overwrites in place.  The thread allocates it on its first
-chunk and reuses it for every later one, so a run pays the page faults
-of its chunk buffers once per thread, not once per chunk.  A chunk is at
-most CHUNK_ROWS realizations, and fewer where that many would take more
-than CHUNK_BYTES (16 rows at n <= 16384, 8 at n = 32768); the rows of a
+workspace for it, of the buffers its chunks use: the complex transform
+buffer z, (2, rows, n); c, of the same shape, where numpy mixes or the
+cross-correlative pair is transformed apart; and the white channels
+(rows, channels, n) where numpy draws them or they are given.  The
+thread allocates each on its first chunk that needs it and reuses it
+for every later one, so a run pays the page faults of its chunk buffers
+once per thread, not once per chunk.  A chunk is at most CHUNK_ROWS
+realizations, and fewer where that many would take more than
+CHUNK_BYTES (16 rows at n <= 16384, 8 at n = 32768); the rows of a
 chunk do not change any output bit.  :func:`check_memory` charges the
-workspaces with :func:`workspace_bytes`, the helper that sizes them.
+workspaces with :func:`workspace_bytes`, the helper that sizes numpy's,
+the largest.
 The correlation estimator's lagged products are one FFT convolution
 each, computed with ``scipy.fft`` as ``scipy.signal.fftconvolve``
 computes it for complex input.
@@ -64,10 +85,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -106,8 +128,11 @@ CHUNK_BYTES = 24 * 2**20
 
 def workspace_bytes(rows: int, channels: int, n: int) -> int:
     """Bytes of one thread's colouring workspace for ``rows`` realizations
-    of ``channels`` white channels on ``n`` samples: the channels, and the
-    complex (2, rows, n) buffers z and c."""
+    of ``channels`` white channels on ``n`` samples, as numpy colours
+    them: the channels, and the complex (2, rows, n) buffers z and c.  It
+    bounds the native colouring's workspace too, which is z, with c only
+    where the cross-correlative pair is transformed apart and the
+    channels only where numpy draws them."""
     return rows * n * (8 * channels + 2 * 2 * 16)
 
 
@@ -161,8 +186,8 @@ def _probe(normals) -> bool:
     """Whether ``normals`` gives numpy's bits on the first _PROBE_COUNT
     normals of _PROBE_SEED's stream, compared 4096 at a time, which keeps
     the probe's memory to the one stream."""
-    key, got = _philox_key(_PROBE_SEED), np.empty(_PROBE_COUNT)
-    normals(key.ctypes.data, 1, _PROBE_COUNT, got.ctypes.data)
+    got = np.empty(_PROBE_COUNT)
+    _draw_native(normals, [_PROBE_SEED], _PROBE_COUNT, got, _PROBE_COUNT, [0], 1)
     numpy_stream = _generator(_PROBE_SEED)
     return all(np.array_equal(part.view(np.uint64),
                               numpy_stream.standard_normal(len(part)).view(np.uint64))
@@ -179,10 +204,152 @@ def _native_normals():
     if lib is None:
         return None
     normals = lib["sln_normals"]
-    normals.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                        ctypes.c_void_p]
+    normals.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
+                        + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                           ctypes.c_int64])
     normals.restype = None
     return normals if _probe(normals) else None
+
+
+def _draw_native(normals, seeds: Sequence[SeedLike], n: int, out: np.ndarray,
+                 row_stride: int, offsets: Sequence[int], step: int) -> None:
+    """One call of the native draw: ``len(offsets)`` channels of ``n``
+    unit normals per seed, from the seed's Philox key, the normal t of
+    channel ch of row i into float64 ``i*row_stride + offsets[ch] +
+    t*step`` of ``out``'s data."""
+    keys = np.empty((len(seeds), 2), dtype=np.uint64)
+    for key, seed in zip(keys, seeds):
+        key[:] = _philox_key(seed)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    normals(keys.ctypes.data, len(seeds), len(offsets), n, out.ctypes.data,
+            row_stride, offsets.ctypes.data, step)
+
+
+class _Colouring(NamedTuple):
+    """The native pointwise passes of the colouring (see ``_native.c``)."""
+
+    mix: object
+    transpose: object
+
+
+@functools.cache
+def _native_colour() -> Optional[_Colouring]:
+    """The native spectral pass and write-out, ``sln_mix`` and
+    ``sln_transpose`` of :func:`_native.library`, if they reproduce
+    numpy's bits on :func:`_colour_probe`, or None when they cannot be
+    built, loaded or matched; then :class:`Synthesizer` colours with numpy
+    (:func:`_mix`), silently."""
+    lib = _native.library()
+    if lib is None:
+        return None
+    mix, transpose = lib["sln_mix"], lib["sln_transpose"]
+    mix.argtypes = ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+                    + [ctypes.c_int64] * 4)
+    transpose.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
+                          + [ctypes.c_void_p, ctypes.c_int64])
+    mix.restype = transpose.restype = None
+    colouring = _Colouring(mix, transpose)
+    return colouring if _colour_probe(colouring) else None
+
+
+def _colour_probe(colouring: _Colouring) -> bool:
+    """Whether ``colouring`` gives numpy's bits: the spectral pass of each
+    wiring (orthogonal with the cross-correlative pair summed in or apart,
+    convex) on random spectra of 3 rows of 8 bins, in which bins 0 and 4
+    are their own mirror, with zero taps and zero spectra among them, and
+    with the first tap complex or real (a +0.0 imaginary part, as the
+    taps of most schemes have); and the write-out on the time-major
+    columns of a wider array."""
+    rng = np.random.default_rng(2020)
+    rows, n = 3, 8
+
+    def spectra():
+        z = rng.standard_normal((2, rows, n)) + 1j * rng.standard_normal((2, rows, n))
+        z[:, 1, 2] = z[:, 2, 0] = 0.0
+        return z
+
+    wirings = ((False, False), (False, True), (True, False))
+    for (convex, split), real in itertools.product(wirings, (False, True)):
+        shape = (3 if convex else 4, n)
+        taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if real:
+            taps[0].imag = 0.0
+        taps[0, 1] = taps[-1, 3] = 0.0
+        taps[1, 5] = -0.0
+        z = spectra()
+        # numpy casts a real tap itself
+        want = _mix([taps[0].real, *taps[1:]] if real else taps, z.copy(),
+                    np.empty_like(z), split, convex)
+        got = _mix_native(colouring.mix, taps, z,
+                          np.full_like(z, np.nan) if split else None, convex)
+        if [a.tobytes() for a in want] != [a.tobytes() for a in got]:
+            return False
+    src = spectra()[1]
+    dst = np.full((n, 2 * rows), np.nan, dtype=complex)
+    _write(colouring.transpose, src, dst[:, 1:1 + rows])
+    return (dst[:, 1:1 + rows].tobytes() == src.T.tobytes()
+            and np.isnan(dst[:, 0]).all() and np.isnan(dst[:, 1 + rows:]).all())
+
+
+def _mix_native(mix, taps: np.ndarray, z: np.ndarray, c: Optional[np.ndarray],
+                convex: bool):
+    """The spectral pass of :func:`_mix` in one call of the native ``mix``:
+    in place on the (2, rows, n) spectra z, and into c where it is given,
+    which takes the orthogonal wiring's cross-correlative pair apart.
+    ``taps`` are the wiring's taps as one complex128 (taps, n) array; z and
+    c are complex128 with contiguous rows.  Returns the spectra as
+    :func:`_mix` does."""
+    strides = [s // 16 for s in z.strides[:2] + (z if c is None else c).strides[:2]]
+    mix(int(convex), z.shape[1], z.shape[2], taps.ctypes.data, z.ctypes.data,
+        None if c is None else c.ctypes.data, *strides)
+    return (z,) if c is None else (z, c)
+
+
+def _mix(taps, z: np.ndarray, c: np.ndarray, split: bool, convex: bool):
+    """numpy's spectral pass of the colouring, the reference of the native
+    one: from the inverse transforms z (2, rows, n) of the packed white
+    channels, the spectra that the forward FFT turns into the noise, with
+    c as scratch.  Returns them as one array (eta's, nu's) or, with
+    ``split``, as two, (eta's, eta0's) and (nu's, nu0's)."""
+    if convex:
+        p, q, g = taps
+        # z's halves: the transform and a scratch for p z; c takes eta's
+        # and nu's spectra
+        zc, pz = z
+        _conj_flip(zc, out=c[0])
+        c[0] *= q
+        np.multiply(p, zc, out=pz)
+        c[0] += pz
+        np.multiply(zc, g, out=c[1])
+        return (c,)
+    a1, b, c1, c2 = taps
+    _conj_flip(z, out=c)
+    z[0] += c[0]
+    z[0] *= a1
+    z[1] *= b
+    if not split:
+        # eta's spectrum into z[0], nu's into z[1]
+        z[0] += z[1]
+        np.multiply(c[0], c1, out=z[1])
+        c[1] *= c2
+        z[1] += c[1]
+        return (z,)
+    c[0] *= c1
+    c[1] *= c2
+    return z, c
+
+
+def _write(transpose, src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst[...] = src.T``, in one call of the native ``transpose`` where
+    both are complex128 with contiguous rows, else by numpy."""
+    if (transpose is None or src.dtype != np.complex128
+            or dst.dtype != np.complex128 or dst.shape != src.T.shape
+            or src.strides[1] != 16 or dst.strides[1] != 16
+            or src.strides[0] % 16 or dst.strides[0] % 16):
+        dst[...] = src.T
+        return
+    transpose(src.ctypes.data, src.shape[0], src.shape[1], src.strides[0] // 16,
+              dst.ctypes.data, dst.strides[0] // 16)
 
 
 def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
@@ -207,8 +374,9 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
     holds four.  Each of ``threads`` threads holds the colouring
     workspace of a :class:`Synthesizer` asked for ``rows`` realizations of
     ``channels`` white channels (:func:`workspace_bytes` of
-    :func:`chunk_rows`); the kernel table and the filters on the padded
-    grid are counted too.  ``extra`` is the bytes of the run's other
+    :func:`chunk_rows`), charged at numpy's colouring, which bounds the
+    native one's, so that a grid is refused alike whichever runs; the
+    kernel table and the filters on the padded grid are counted too.  ``extra`` is the bytes of the run's other
     buffers: the RK4 state, stage and block buffers of one integration
     pass, at the widest pass the run makes
     (:func:`~slnoise.dynamics.rk4_bytes`), and the statistics the run
@@ -225,6 +393,15 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
             f"about {need / 2**30:.3g} GiB for {rows} realizations at once, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+# Where each wiring packs its white channels: channel ch goes to half h of
+# the transform buffer z, into its real (part 0) or imaginary (part 1)
+# parts.  Orthogonal: z0 = x1 + i x4, z1 = x2 + i x3; convex: z0 = x1 + i x2.
+_PACKING = {
+    FilterStructure.ORTHOGONAL: ((0, 0), (1, 0), (1, 1), (0, 1)),
+    FilterStructure.CONVEX: ((0, 0), (0, 1)),
+}
 
 
 def _conj_flip(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -273,101 +450,108 @@ class Synthesizer:
         self.chunk_rows = chunk_rows(grid.n, fs.n_channels, rows)
         self._local = threading.local()
         if fs.structure is FilterStructure.CONVEX:
-            self._taps = (0.5 * s * (fs.f1_w + fs.f2_w),
-                          0.5 * s * (fs.f1_w - fs.f2_w),
-                          s * fs.g1_w)
+            taps = (0.5 * s * (fs.f1_w + fs.f2_w), 0.5 * s * (fs.f1_w - fs.f2_w),
+                    s * fs.g1_w)
         else:
-            self._taps = (0.5 * s * fs.f1_w, s * fs.f2_w,
-                          1j * s * fs.g1_w, 1j * s * fs.g2_w)
+            taps = (0.5 * s * fs.f1_w, s * fs.f2_w, 1j * s * fs.g1_w,
+                    1j * s * fs.g2_w)
+        # one complex128 (taps, n) array: a real tap is cast once, with a
+        # +0.0 imaginary part, as numpy would cast it for every multiply
+        self._taps = np.array(taps, dtype=complex)
 
-    def _workspace(self, rows: int):
-        """The calling thread's white (rows, channels, n), z and c
-        (2, rows, n) buffers: allocated with :attr:`chunk_rows` rows on the
-        thread's first call, then reused, so their pages are touched once
-        per thread.  z and c keep their two halves apart in memory, so an
-        in-place sum of one half into the other needs no copy."""
-        ws = getattr(self._local, "ws", None)
-        if ws is None:
+    def _buffer(self, name: str, rows: int) -> np.ndarray:
+        """The calling thread's buffer ``name``, for ``rows`` realizations:
+        the white channels, "white", (rows, channels, n), or one of the
+        complex transform buffers "z" and "c", (2, rows, n) each.  Each is
+        allocated with :attr:`chunk_rows` rows on the thread's first use of
+        it, then reused, so its pages are touched once per thread.  z and c
+        keep their two halves apart in memory, so an in-place sum of one
+        half into the other needs no copy."""
+        buf = getattr(self._local, name, None)
+        if buf is None:
             n = self.grid.n
-            ws = self._local.ws = (
-                np.empty((self.chunk_rows, self.fs.n_channels, n)),
-                np.empty((2, self.chunk_rows, n), dtype=complex),
-                np.empty((2, self.chunk_rows, n), dtype=complex),
-            )
-        white, z, c = ws
-        return white[:rows], z[:, :rows], c[:, :rows]
+            buf = (np.empty((self.chunk_rows, self.fs.n_channels, n))
+                   if name == "white"
+                   else np.empty((2, self.chunk_rows, n), dtype=complex))
+            setattr(self._local, name, buf)
+        return buf[:rows] if name == "white" else buf[:, :rows]
 
     def draw(self, seeds: Sequence[SeedLike], out: np.ndarray) -> np.ndarray:
-        """Unit-normal channels into ``out``, shape (len(seeds), channels,
-        n): one Philox stream per seed, the numbers of
-        :func:`sample_white`, those of
-        ``Generator(Philox(seed)).standard_normal``.
+        """Unit-normal channels of the seeds into ``out``: one Philox
+        stream per seed, the numbers of :func:`sample_white`, those of
+        ``Generator(Philox(seed)).standard_normal``.  ``out`` is either
+        white channels, shape (len(seeds), channels, n), or a complex
+        transform buffer z, (2, len(seeds), n), into whose real and
+        imaginary parts the channels go as :data:`_PACKING` wires them.
 
         The native draw (:func:`_native_normals`) fills all the rows in
         one call outside the interpreter lock, from each seed's Philox
-        key; where it is not available, or ``out`` is not contiguous
-        float64, numpy's generators fill the rows one by one.  Both give
-        the same bits."""
+        key, straight into z where ``out`` is z; where it is not
+        available, or ``out`` is neither z nor contiguous float64, numpy's
+        generators fill white channels (for z, those of the thread's
+        workspace) row by row.  Both give the same bits."""
         normals = _native_normals()
-        if (normals is None or out.dtype != np.float64
-                or not out.flags.c_contiguous):
-            for row, seed in zip(out, seeds):
-                _generator(seed).standard_normal(out=row)
+        packed = out.dtype == np.complex128
+        if normals is not None and packed:
+            half, row = (stride // 8 for stride in out.strides[:2])
+            _draw_native(normals, seeds, out.shape[2], out, row,
+                         [h * half + part for h, part in _PACKING[self.fs.structure]], 2)
             return out
-        rows = min(len(seeds), len(out))
-        keys = np.empty((rows, 2), dtype=np.uint64)
-        for key, seed in zip(keys, seeds):
-            key[:] = _philox_key(seed)
-        normals(keys.ctypes.data, rows, out[0].size if rows else 0,
-                out.ctypes.data)
+        if (normals is not None and out.dtype == np.float64
+                and out.flags.c_contiguous):
+            _, channels, n = out.shape
+            _draw_native(normals, seeds[:len(out)], n, out, channels * n,
+                         [ch * n for ch in range(channels)], 1)
+            return out
+        white = self._buffer("white", len(seeds)) if packed else out
+        for row, seed in zip(white, seeds):
+            _generator(seed).standard_normal(out=row)
+        if packed:
+            self._pack(white, out)
         return out
 
-    def _colour(self, white: np.ndarray, split: bool = False):
-        """Noise on the physical window from white channels (rows, channels, n),
-        rows <= :attr:`chunk_rows`.
+    def _pack(self, white: np.ndarray, z: np.ndarray) -> None:
+        """The white channels (rows, channels, n) into the real and
+        imaginary parts of z (2, rows, n), as :data:`_PACKING` wires them."""
+        for ch, (h, part) in enumerate(_PACKING[self.fs.structure]):
+            (z[h].imag if part else z[h].real)[...] = white[:, ch]
+
+    def _colour(self, seeds: Sequence[SeedLike],
+                white: Optional[np.ndarray] = None, split: bool = False):
+        """Noise on the physical window of the realizations of ``seeds``,
+        at most :attr:`chunk_rows`, coloured from the white channels
+        ``white`` (len(seeds), channels, n) if given, else from those of
+        :meth:`draw`.
 
         Returns (eta, nu, eta0, nu0), each of shape (rows, n_phys), views
         of the thread's workspace that its next call overwrites.  The
         cross-correlative components eta0/nu0 are transformed apart, and
         left out of eta/nu, only when ``split`` is set or ``lam`` is;
-        otherwise they are None.  They are never rescaled here.
+        otherwise they are None.  They are never rescaled here.  The
+        spectral pass between the two FFTs is the native one
+        (:func:`_native_colour`) where it is available, else numpy's
+        (:func:`_mix`); both give the same bits.
         """
-        n_phys = self.n_phys
-        _, z, c = self._workspace(len(white))
-        if self.fs.structure is FilterStructure.CONVEX:
-            p, q, g = self._taps
-            # z's halves: the transform and a scratch for p z; c takes
-            # eta's and nu's spectra
-            zc, pz = z
-            zc.real, zc.imag = white[:, 0], white[:, 1]
-            zc = scipy.fft.ifft(zc, axis=-1, overwrite_x=True)
-            _conj_flip(zc, out=c[0])
-            c[0] *= q
-            np.multiply(p, zc, out=pz)
-            c[0] += pz
-            np.multiply(zc, g, out=c[1])
-            out = scipy.fft.fft(c, axis=-1, overwrite_x=True)
-            return out[0, :, :n_phys], out[1, :, :n_phys], None, None
-        a1, b, c1, c2 = self._taps
-        z[0].real, z[0].imag = white[:, 0], white[:, 3]
-        z[1].real, z[1].imag = white[:, 1], white[:, 2]
+        rows, n_phys = len(seeds), self.n_phys
+        convex = self.fs.structure is FilterStructure.CONVEX
+        split = not convex and (split or self.lam is not None)
+        z = self._buffer("z", rows)
+        if white is None:
+            self.draw(seeds, z)
+        else:
+            self._pack(white, z)
         z = scipy.fft.ifft(z, axis=-1, overwrite_x=True)
-        _conj_flip(z, out=c)
-        z[0] += c[0]
-        z[0] *= a1
-        z[1] *= b
-        if not (split or self.lam is not None):
-            # eta's spectrum into z[0], nu's into z[1]
-            z[0] += z[1]
-            np.multiply(c[0], c1, out=z[1])
-            c[1] *= c2
-            z[1] += c[1]
-            out = scipy.fft.fft(z, axis=-1, overwrite_x=True)
+        colouring = _native_colour()
+        if colouring is None:
+            spectra = _mix(self._taps, z, self._buffer("c", rows), split, convex)
+        else:
+            c = self._buffer("c", rows) if split else None
+            spectra = _mix_native(colouring.mix, self._taps, z, c, convex)
+        if len(spectra) == 1:
+            out = scipy.fft.fft(spectra[0], axis=-1, overwrite_x=True)
             return out[0, :, :n_phys], out[1, :, :n_phys], None, None
-        c[0] *= c1
-        c[1] *= c2
-        eta = scipy.fft.fft(z, axis=-1, overwrite_x=True)[..., :n_phys]
-        nu = scipy.fft.fft(c, axis=-1, overwrite_x=True)[..., :n_phys]
+        eta, nu = (scipy.fft.fft(a, axis=-1, overwrite_x=True)[..., :n_phys]
+                   for a in spectra)
         return eta[0], nu[0], eta[1], nu[1]
 
     def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
@@ -387,17 +571,17 @@ class Synthesizer:
         (len(lam), len(seeds)), the rescale factor of each column at each
         strength.  The rescaled noise is eta + f eta0 and nu + nu0 / f.
         """
+        colouring = _native_colour()
+        transpose = None if colouring is None else colouring.transpose
         for a in range(0, len(seeds), self.chunk_rows):
             cols = slice(a, a + self.chunk_rows)
-            chunk = seeds[cols]
-            white = self.draw(chunk, self._workspace(len(chunk))[0])
-            eta, nu, eta0, nu0 = self._colour(white)
-            eta_out[:, cols] = eta.T
-            nu_out[:, cols] = nu.T
+            eta, nu, eta0, nu0 = self._colour(seeds[cols])
+            _write(transpose, eta, eta_out[:, cols])
+            _write(transpose, nu, nu_out[:, cols])
             if self.lam is not None:
                 eta0_out, nu0_out, factors_out = cross
-                eta0_out[:, cols] = eta0.T
-                nu0_out[:, cols] = nu0.T
+                _write(transpose, eta0, eta0_out[:, cols])
+                _write(transpose, nu0, nu0_out[:, cols])
                 factors_out[:, cols] = self.factors(eta0, nu0).T
 
     def pairs(self, seeds: Sequence[object],
@@ -408,9 +592,8 @@ class Synthesizer:
         pairs: List[NoisePair] = []
         for a in range(0, len(seeds), self.chunk_rows):
             chunk = seeds[a:a + self.chunk_rows]
-            x = (self.draw(chunk, self._workspace(len(chunk))[0])
-                 if white is None else white[a:a + self.chunk_rows])
-            eta, nu, eta0, nu0 = self._colour(x, split=True)
+            x = None if white is None else white[a:a + self.chunk_rows]
+            eta, nu, eta0, nu0 = self._colour(chunk, x, split=True)
             if self.fs.structure is FilterStructure.CONVEX:
                 eta0, nu0 = np.zeros_like(eta), np.zeros_like(nu)
             lam = 1.0 if self.lam is None else self.lam

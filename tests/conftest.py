@@ -6,10 +6,11 @@ from slnoise import _native, dynamics, noise
 
 
 def forget_native():
-    """Forget the loaded native library and both kernels taken from it."""
+    """Forget the loaded native library and the kernels taken from it."""
     _native.library.cache_clear()
     dynamics._native_kernel.cache_clear()
     noise._native_normals.cache_clear()
+    noise._native_colour.cache_clear()
 
 
 @pytest.fixture(scope="session", autouse=True)

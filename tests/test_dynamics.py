@@ -462,26 +462,30 @@ def test_native_kernel_falls_back_without_writable_cache(rebuild, monkeypatch,
 def test_native_kernel_builds_once_into_a_private_cache(rebuild, monkeypatch,
                                                         tmp_path):
     # the first usable directory receives one library, renamed into place
-    # from a temporary name, which replaces older builds of it and of the
-    # RK4-only library that preceded it; a second
-    # process would load it as it is
+    # from a temporary name; of the older builds of it and of the RK4-only
+    # library that preceded it, the three most recent stay beside it, so
+    # that checkouts of other sources keep theirs; a second process would
+    # load it as it is
     import os
 
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
-    (cache / "native-older.so").write_bytes(b"")
-    (cache / "rk4-older.so").write_bytes(b"")
+    older = ["native-a.so", "rk4-b.so", "native-c.so", "rk4-d.so", "native-e.so"]
+    for age, name in enumerate(older):
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, ns=(0, 10**18 - 10**9 * (age + 1)))
+    (cache / "other.so").write_bytes(b"")
     monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(cache),))
     assert dynamics._native_kernel() is not None
-    (lib,) = os.listdir(cache)
-    assert lib != "native-older.so"
+    (lib,) = set(os.listdir(cache)) - set(older) - {"other.so"}
     assert lib.startswith("native-") and lib.endswith(".so")
+    assert sorted(os.listdir(cache)) == sorted(older[:3] + ["other.so", lib])
     assert os.stat(cache).st_mode & 0o077 == 0
     built = os.stat(cache / lib).st_mtime_ns
     _native.library.cache_clear()
     dynamics._native_kernel.cache_clear()
     assert dynamics._native_kernel() is not None
-    assert os.listdir(cache) == [lib]
+    assert sorted(os.listdir(cache)) == sorted(older[:3] + ["other.so", lib])
     assert os.stat(cache / lib).st_mtime_ns == built
 
 

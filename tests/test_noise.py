@@ -9,7 +9,9 @@ import pytest
 from slnoise import (
     BathParams,
     ConfigError,
+    FilterSet,
     FilterStructure,
+    FrequencyGrid,
     GridMismatch,
     InsufficientSample,
     SchemeId,
@@ -325,7 +327,8 @@ def test_workspace_is_what_check_memory_charges(table, scheme):
     fs = make_filters(scheme, table)
     synth = Synthesizer(fs, GRID, rows=7)
     assert synth.chunk_rows == 7
-    nbytes = sum(a.nbytes for a in synth._workspace(synth.chunk_rows))
+    nbytes = sum(synth._buffer(name, synth.chunk_rows).nbytes
+                 for name in ("white", "z", "c"))
     assert nbytes == workspace_bytes(7, fs.n_channels, GRID.n)
 
 
@@ -436,6 +439,32 @@ def test_native_draw_bitwise_equals_numpy(table, kind, rows):
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("structure", list(FilterStructure))
+def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure,
+                                                         native):
+    # orthogonal: z0 = x1 + i x4, z1 = x2 + i x3; convex: z0 = x1 + i x2,
+    # and z1 is left alone; rows of a wider buffer
+    if native:
+        if shutil.which(_native._COMPILER) is None:
+            pytest.skip("no C compiler to build the library")
+        assert noise._native_normals() is not None
+    else:
+        monkeypatch.setattr(noise, "_native_normals", lambda: None)
+    fs = _random_filters(structure, GRID.n, GRID.dt)
+    synth = Synthesizer(fs, GRID, rows=5)
+    seeds = _seeds("seed_for", 3)
+    z = np.full((2, 5, GRID.n), np.nan, dtype=complex)
+    assert synth.draw(seeds, z[:, :3]) is not None
+    x = np.array([_numpy_normals(seed, (fs.n_channels, GRID.n)) for seed in seeds])
+    if structure is FilterStructure.CONVEX:
+        want = [x[:, 0] + 1j * x[:, 1], np.full((3, GRID.n), np.nan)]
+    else:
+        want = [x[:, 0] + 1j * x[:, 3], x[:, 1] + 1j * x[:, 2]]
+    assert z[:, :3].tobytes() == np.array(want).tobytes()
+    assert np.isnan(z[:, 3:]).all()
+
+
 @needs_compiler
 def test_native_draw_bitwise_equals_numpy_on_a_long_stream():
     # 10^7 normals of one stream, among them a few thousand from the
@@ -443,11 +472,10 @@ def test_native_draw_bitwise_equals_numpy_on_a_long_stream():
     normals = noise._native_normals()
     assert normals is not None
     count = 10**7
-    keys = noise._philox_key(77)[None].copy()
-    got = np.empty((1, count))
-    normals(keys.ctypes.data, 1, count, got.ctypes.data)
+    got = np.empty(count)
+    noise._draw_native(normals, [77], count, got, count, [0], 1)
     want = _numpy_normals(77, count)
-    assert np.array_equal(got[0].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert (np.abs(want) > ZIGGURAT_R).sum() > 1000
 
 
@@ -514,8 +542,8 @@ def test_probe_seed_reaches_the_wedges_and_the_tail():
 def test_probe_refuses_a_draw_one_bit_off(flip):
     # a stand-in for the library that writes numpy's probe stream, with
     # the last bit of one normal flipped
-    def normals(keys, rows, count, out):
-        assert (rows, count) == (1, noise._PROBE_COUNT)
+    def normals(keys, rows, channels, count, out, row_stride, offsets, step):
+        assert (rows, channels, count, step) == (1, 1, noise._PROBE_COUNT, 1)
         got = np.ctypeslib.as_array(ctypes.cast(out, ctypes.POINTER(ctypes.c_double)),
                                     (count,))
         got[:] = _numpy_normals(noise._PROBE_SEED, count)
@@ -571,6 +599,7 @@ def test_native_draw_falls_back_when_it_does_not_match_numpy(table, rebuild,
     monkeypatch.setattr(noise, "_probe", lambda normals: False)
     _numpy_draw_is_silent(table, native)
     assert dynamics._native_kernel() is not None
+    assert noise._native_colour() is not None
 
 
 @needs_compiler
@@ -579,3 +608,186 @@ def test_native_draw_runs_when_the_rk4_kernel_does_not_match(rebuild,
     monkeypatch.setattr(dynamics, "_probe", lambda rk4: False)
     assert dynamics._native_kernel() is None
     assert noise._native_normals() is not None
+    assert noise._native_colour() is not None
+
+
+# ------------------------------------------------------ native colouring
+
+def _random_filters(structure, n, dt=1.0):
+    """A filter set of random taps on the n-bin grid of step ``dt``: f1
+    real, the others complex, as most schemes have them."""
+    rng = np.random.default_rng(n)
+
+    def taps():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    scheme = (SchemeId.CONVEX if structure is FilterStructure.CONVEX
+              else SchemeId.ETANU_OPTIMISED)
+    return FilterSet(scheme, structure, FrequencyGrid(n, dt),
+                     rng.standard_normal(n), taps(), taps(),
+                     None if structure is FilterStructure.CONVEX else taps())
+
+
+# the wirings: orthogonal with the cross-correlative pair summed in, apart
+# at one and at three rescaling strengths, and convex
+WIRINGS = [(FilterStructure.ORTHOGONAL, None),
+           (FilterStructure.ORTHOGONAL, [0.5]),
+           (FilterStructure.ORTHOGONAL, [0.5, 1.0, 2.0]),
+           (FilterStructure.CONVEX, None)]
+WIRING_IDS = ["unsplit", "rescaled-1", "rescaled-3", "convex"]
+
+
+def _colour_outputs(fs, grid, lam, chunk, seeds, white):
+    """Bytes of a fill (rescaled at the strengths ``lam``, if set) and of
+    the NoisePairs of the seeds, drawn and given as white channels, with
+    chunks of ``chunk`` rows."""
+    lam = None if lam is None else np.array(lam)
+    rows = len(seeds)
+    bufs = [np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
+    factors = np.empty((1 if lam is None else len(lam), rows))
+    Synthesizer(fs, grid, lam, rows=chunk).fill(
+        seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
+    arrays = bufs[:2] if lam is None else bufs + [factors]
+    pair_synth = Synthesizer(fs, grid, None if lam is None else lam[0], rows=chunk)
+    paired = pair_synth.pairs(seeds)
+    given = Synthesizer(fs, grid, None if lam is None else lam[0], scale=1.0,
+                        rows=chunk).pairs(seeds, white)
+    arrays += [a for p in paired + given for a in (p.eta_t, p.nu_t, p.eta0_t, p.nu0_t)]
+    return [a.tobytes() for a in arrays]
+
+
+def _native_and_numpy_colouring(monkeypatch, fs, grid, lam, chunk, seeds):
+    """The outputs of :func:`_colour_outputs` with the native colouring
+    and the native draw, with the native colouring and numpy's draw, and
+    with numpy alone."""
+    assert noise._native_colour() is not None
+    assert noise._native_normals() is not None
+    white = np.array([sample_white(grid, seed, fs.n_channels) for seed in seeds])
+    runs = [_colour_outputs(fs, grid, lam, chunk, seeds, white)]
+    with monkeypatch.context() as m:
+        m.setattr(noise, "_native_normals", lambda: None)
+        runs.append(_colour_outputs(fs, grid, lam, chunk, seeds, white))
+        m.setattr(noise, "_native_colour", lambda: None)
+        runs.append(_colour_outputs(fs, grid, lam, chunk, seeds, white))
+    return runs
+
+
+@needs_compiler
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("structure, lam", WIRINGS, ids=WIRING_IDS)
+def test_native_colouring_bitwise_equals_numpy(monkeypatch, structure, lam, n,
+                                               chunk):
+    # on 8 and 16 bins, bins 0 and n/2 are a large share of those that
+    # pair with themselves; 19 realizations leave a short last chunk
+    fs = _random_filters(structure, n)
+    grid = TimeGrid(1.0, n / 2)
+    assert grid.n == n
+    native, numpy_draw, numpy_only = _native_and_numpy_colouring(
+        monkeypatch, fs, grid, lam, chunk, _seeds("seed_for", 19))
+    assert native == numpy_only
+    assert numpy_draw == numpy_only
+
+
+@needs_compiler
+@pytest.mark.parametrize("structure, lam", WIRINGS, ids=WIRING_IDS)
+def test_native_colouring_bitwise_equals_numpy_on_16384_samples(monkeypatch,
+                                                                structure, lam):
+    grid = TimeGrid(dt=0.0025, t_max=20.0)
+    assert grid.n == 16384
+    scheme = (SchemeId.CONVEX if structure is FilterStructure.CONVEX
+              else SchemeId.ETANU_OPTIMISED)
+    fs = make_filters(scheme, build_kernel_table(grid.freq(), BATH))
+    native, numpy_draw, numpy_only = _native_and_numpy_colouring(
+        monkeypatch, fs, grid, lam, CHUNK_ROWS, _seeds("int", CHUNK_ROWS + 3))
+    assert native == numpy_only
+    assert numpy_draw == numpy_only
+
+
+@needs_compiler
+@pytest.mark.parametrize("lam", [None, [0.5]])
+@pytest.mark.parametrize("structure", list(FilterStructure))
+def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
+    # the first fill of a fresh synthesizer allocates the thread's
+    # workspace; check_memory charges numpy's
+    import tracemalloc
+
+    if lam is not None and structure is FilterStructure.CONVEX:
+        return
+    assert noise._native_colour() is not None
+    assert noise._native_normals() is not None
+    fs = make_filters(SchemeId.CONVEX if structure is FilterStructure.CONVEX
+                      else SchemeId.ETANU_OPTIMISED, build_kernel_table(GRID.freq(), BATH))
+    rows = CHUNK_ROWS
+    synth = Synthesizer(fs, GRID, None if lam is None else np.array(lam), rows=rows)
+    bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
+    factors = np.empty((1, rows))
+    tracemalloc.start()
+    try:
+        synth.fill(_seeds("int", rows), bufs[0], bufs[1], (bufs[2], bufs[3], factors))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    charge = workspace_bytes(rows, fs.n_channels, GRID.n)
+    assert peak <= charge
+    # z alone, and c where the cross-correlative pair is transformed apart
+    assert peak >= (1 if lam is None else 2) * rows * GRID.n * 32
+
+
+def _colour_is_silent(table, native):
+    """The colouring runs in numpy, without a warning, with the bits of the
+    native one, ``native``."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert noise._native_colour() is None
+        assert _fill_and_pairs(table) == native
+
+
+@needs_compiler
+def test_native_colouring_falls_back_without_compiler(table, rebuild, monkeypatch):
+    assert noise._native_colour() is not None
+    native = _fill_and_pairs(table)
+    _native.library.cache_clear()
+    noise._native_colour.cache_clear()
+    noise._native_normals.cache_clear()
+    monkeypatch.setattr(_native, "_COMPILER", "no-such-compiler-for-slnoise")
+    _colour_is_silent(table, native)
+
+
+@needs_compiler
+def test_native_colouring_falls_back_when_it_does_not_match_numpy(
+        table, rebuild, monkeypatch):
+    # the draw and the RK4 kernel of the same library run on their own
+    # probes' results
+    assert noise._native_colour() is not None
+    native = _fill_and_pairs(table)
+    noise._native_colour.cache_clear()
+    monkeypatch.setattr(noise, "_colour_probe", lambda colouring: False)
+    _colour_is_silent(table, native)
+    assert noise._native_normals() is not None
+    assert dynamics._native_kernel() is not None
+
+
+@needs_compiler
+@pytest.mark.parametrize("call, flipped", [
+    ("cmul(z1r, z1i, t[2 * (n + k)], t[2 * (n + k) + 1], &fr, &fi)",
+     "cmul(t[2 * (n + k)], t[2 * (n + k) + 1], z1r, z1i, &fr, &fi)"),
+    ("cmul(c1r, c1i, t[2 * (3 * n + k)], t[2 * (3 * n + k) + 1], &hr, &hi)",
+     "cmul(t[2 * (3 * n + k)], t[2 * (3 * n + k) + 1], c1r, c1i, &hr, &hi)"),
+    ("cmul(t[2 * k], t[2 * k + 1], zr, zi, &pr, &pi)",
+     "cmul(zr, zi, t[2 * k], t[2 * k + 1], &pr, &pi)"),
+], ids=["orthogonal-b", "orthogonal-c2", "convex-p"])
+def test_colour_probe_refuses_a_flipped_operand_order(rebuild, monkeypatch,
+                                                      tmp_path, call, flipped):
+    # the library built from a source whose spectral pass multiplies one
+    # pair of operands the other way round: the draw still loads from it
+    source = _native._SOURCE.read_text()
+    assert source.count(call) == 1
+    mutated = tmp_path / "_native.c"
+    mutated.write_text(source.replace(call, flipped))
+    monkeypatch.setattr(_native, "_SOURCE", mutated)
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
+    assert noise._native_normals() is not None
+    assert noise._native_colour() is None
