@@ -693,9 +693,9 @@ void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
  * z holds, per realization, the inverse transforms z0 and z1 of the
  * packed white channels, and c receives a second pair of spectra; the
  * element (h, r, k) of z is the complex number at 2*(h*half + r*row + k),
- * that of c the one at 2*(h*chalf + r*crow + k).  With the conjugate flip c0(k) = conj(z0(-k)), c1(k) = conj(z1(-k))
- * and the taps t0 .. t3 of the wiring, sln_mix forms, as numpy does in
- * slnoise.noise._mix:
+ * that of c the one at 2*(h*chalf + r*crow + k).  With the conjugate
+ * flips c0(k) = conj(z0(-k)), c1(k) = conj(z1(-k)) and the taps t0 .. t3
+ * of the wiring, sln_mix forms, as numpy does in slnoise.noise._mix:
  *
  *   orthogonal, c NULL:  z0 <- (z0 + c0) t0 + z1 t1,  z1 <- c0 t2 + c1 t3
  *   orthogonal, c given: z0 <- (z0 + c0) t0,  z1 <- z1 t1,
@@ -757,14 +757,15 @@ INLINE void convex_bin(const double *t, int64_t n, int64_t k, double zr,
 }
 
 /* The pass above over rows rows of n bins (n even), in place; taps is
-   (3 or 4, n) complex. */
+   (3 or 4, n) complex.  Bins 0 and n/2 are their own mirrors. */
 void sln_mix(int64_t convex, int64_t rows, int64_t n, const double *taps,
              double *z, double *c, int64_t half, int64_t row, int64_t chalf,
              int64_t crow)
 {
     for (int64_t r = 0; r < rows; r++) {
         double *z0 = z + 2 * r * row, *z1 = z0 + 2 * half;
-        double *c0 = c ? c + 2 * r * crow : NULL, *c1 = c ? c0 + 2 * chalf : NULL;
+        double *c0 = c ? c + 2 * r * crow : NULL;
+        double *c1 = c ? c0 + 2 * chalf : NULL;
         for (int64_t k = 0; k <= n / 2; k++) {
             const int64_t m = k ? n - k : 0;
             double ar, ai, br, bi;

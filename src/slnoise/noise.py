@@ -67,7 +67,7 @@ Every thread that colours noise with a :class:`Synthesizer` holds one
 workspace for it, of the buffers its chunks use: the complex transform
 buffer z, (2, rows, n); c, of the same shape, where numpy mixes or the
 cross-correlative pair is transformed apart; and the white channels
-(rows, channels, n) where numpy draws them or they are given.  The
+(rows, channels, n) where numpy draws them.  The
 thread allocates each on its first chunk that needs it and reuses it
 for every later one, so a run pays the page faults of its chunk buffers
 once per thread, not once per chunk.  A chunk is at most CHUNK_ROWS
@@ -376,9 +376,10 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
     ``channels`` white channels (:func:`workspace_bytes` of
     :func:`chunk_rows`), charged at numpy's colouring, which bounds the
     native one's, so that a grid is refused alike whichever runs; the
-    kernel table and the filters on the padded grid are counted too.  ``extra`` is the bytes of the run's other
-    buffers: the RK4 state, stage and block buffers of one integration
-    pass, at the widest pass the run makes
+    kernel table and the filters on the padded grid are counted too.
+    ``extra`` is the bytes of the run's other buffers: the RK4 state,
+    stage and block buffers of one integration pass, at the widest pass
+    the run makes
     (:func:`~slnoise.dynamics.rk4_bytes`), and the statistics the run
     keeps per rescaling strength.
     Raises :class:`ConfigError` before any of it is allocated.
@@ -494,8 +495,9 @@ class Synthesizer:
         packed = out.dtype == np.complex128
         if normals is not None and packed:
             half, row = (stride // 8 for stride in out.strides[:2])
-            _draw_native(normals, seeds, out.shape[2], out, row,
-                         [h * half + part for h, part in _PACKING[self.fs.structure]], 2)
+            offsets = [h * half + part for h, part in _PACKING[self.fs.structure]]
+            _draw_native(normals, seeds[:out.shape[1]], out.shape[2], out, row,
+                         offsets, 2)
             return out
         if (normals is not None and out.dtype == np.float64
                 and out.flags.c_contiguous):
@@ -503,7 +505,7 @@ class Synthesizer:
             _draw_native(normals, seeds[:len(out)], n, out, channels * n,
                          [ch * n for ch in range(channels)], 1)
             return out
-        white = self._buffer("white", len(seeds)) if packed else out
+        white = self._buffer("white", out.shape[1]) if packed else out
         for row, seed in zip(white, seeds):
             _generator(seed).standard_normal(out=row)
         if packed:

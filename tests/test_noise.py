@@ -455,7 +455,8 @@ def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure
     synth = Synthesizer(fs, GRID, rows=5)
     seeds = _seeds("seed_for", 3)
     z = np.full((2, 5, GRID.n), np.nan, dtype=complex)
-    assert synth.draw(seeds, z[:, :3]) is not None
+    # one seed more than the buffer's rows, which is not drawn
+    assert synth.draw(seeds + [99], z[:, :3]) is not None
     x = np.array([_numpy_normals(seed, (fs.n_channels, GRID.n)) for seed in seeds])
     if structure is FilterStructure.CONVEX:
         want = [x[:, 0] + 1j * x[:, 1], np.full((3, GRID.n), np.nan)]
@@ -716,8 +717,9 @@ def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
         return
     assert noise._native_colour() is not None
     assert noise._native_normals() is not None
-    fs = make_filters(SchemeId.CONVEX if structure is FilterStructure.CONVEX
-                      else SchemeId.ETANU_OPTIMISED, build_kernel_table(GRID.freq(), BATH))
+    scheme = (SchemeId.CONVEX if structure is FilterStructure.CONVEX
+              else SchemeId.ETANU_OPTIMISED)
+    fs = make_filters(scheme, build_kernel_table(GRID.freq(), BATH))
     rows = CHUNK_ROWS
     synth = Synthesizer(fs, GRID, None if lam is None else np.array(lam), rows=rows)
     bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
