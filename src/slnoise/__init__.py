@@ -38,7 +38,6 @@ from .schemes import (
     make_filters,
     mixed_filters,
     mixing_optimised,
-    mixing_power,
     mixing_reduced,
     rescale_factor,
     verify_constraint,
@@ -72,7 +71,6 @@ from .dynamics import (
     qnd_model,
     qnd_sln_config,
     rho_to_state,
-    state_to_rho,
 )
 from .ensemble import (
     EnsembleStats,

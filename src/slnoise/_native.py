@@ -3,7 +3,7 @@
 The library holds the kernels below, each called through ctypes, which
 releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
 :func:`~slnoise.dynamics.integrate_blocks`; ``sln_normals``, the
-unit-normal draw of :meth:`~slnoise.noise.Synthesizer.draw`; and
+unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`; and
 ``sln_mix`` and ``sln_transpose``, the spectral pass and the write-out
 of :class:`~slnoise.noise.Synthesizer`'s colouring.  Each gives the bits
 of its numpy counterpart; the module that uses a kernel checks that it

@@ -72,7 +72,6 @@ __all__ = [
     "SystemModel",
     "Trajectory",
     "rho_to_state",
-    "state_to_rho",
     "integrate_trajectory",
     "integrate_batch",
     "integrate_blocks",
@@ -141,18 +140,6 @@ def rho_to_state(rho: np.ndarray) -> np.ndarray:
     sz = rho[0, 0] - rho[1, 1]
     tr = rho[0, 0] + rho[1, 1]
     return np.array([sx, sy, sz, tr])
-
-
-def state_to_rho(state: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rho_to_state`; accepts trailing state axis."""
-    sx, sy, sz, tr = np.moveaxis(np.asarray(state, dtype=complex), -1, 0)
-    out = 0.5 * (
-        np.multiply.outer(tr, np.eye(2, dtype=complex))
-        + np.multiply.outer(sx, SIGMA_X)
-        + np.multiply.outer(sy, SIGMA_Y)
-        + np.multiply.outer(sz, SIGMA_Z)
-    )
-    return out
 
 
 @dataclass(frozen=True)

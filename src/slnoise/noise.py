@@ -30,7 +30,8 @@ FFTs per realization instead of 8.  A rescaled run (``lam`` set) needs the
 cross-correlative pair ``fft(f2 z2)``, ``fft(i g2 c2)`` apart from the rest
 of eta and nu: 6 FFTs.  Convex wiring packs ``z = ifft(x1 + i x2)``; then
 ``eta = fft(((f1 + f2) z + (f1 - f2) c)/2)`` and ``nu = fft(g1 z)``: 3
-FFTs instead of 6.  The results equal the per-channel form up to rounding.
+FFTs instead of 6.  The results equal the per-channel form,
+:func:`synthesize_from_white`, up to rounding.
 
 A chunk is coloured in five steps, of which only the two FFTs
 (``scipy.fft``) are not native where the native library loads:
@@ -38,7 +39,8 @@ A chunk is coloured in five steps, of which only the two FFTs
 1. the draw: one call of the native library's ``sln_normals``
    (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
    the interpreter lock writes each channel straight into the real or
-   imaginary parts of the transform buffer z, as the wiring packs it;
+   imaginary parts of the thread's transform buffer z, as the wiring
+   packs it;
 2. the inverse FFT of z, in place;
 3. one spectral pass, ``sln_mix``: the conjugate flips, the filter taps
    and the sums of the wiring, bins k and n-k together, in place in z
@@ -56,12 +58,16 @@ white-channel buffer that numpy packs into z, and the spectral pass is
 :func:`_mix`, numpy's ufuncs with c as scratch.  So the output never
 depends on which code ran.
 
-The ensemble synthesizes each realization's noise once, whatever the
-number of rescaling strengths lambda: :meth:`Synthesizer.fill` writes the
-noise without the cross-correlative pair, the unscaled pair and a table
-of the realization's rescale factors, one per strength.  RK4 applies
-the factors block by block, for several strengths in one pass
-(:func:`~slnoise.dynamics.integrate_blocks`).
+:meth:`Synthesizer.fill` is the one colouring loop.  The ensemble
+synthesizes each realization's noise once, whatever the number of
+rescaling strengths lambda: ``fill`` writes the noise without the
+cross-correlative pair, the unscaled pair and a table of the
+realization's rescale factors, one per strength.  RK4 applies the factors
+block by block, for several strengths in one pass
+(:func:`~slnoise.dynamics.integrate_blocks`).  :meth:`Synthesizer.pairs`
+(so :func:`synthesize` and :func:`synthesize_batch`) hands out the columns
+of a ``fill``, rescaled at one strength as RK4 rescales them: bitwise the
+noise an ensemble integrates.
 
 Every thread that colours noise with a :class:`Synthesizer` holds one
 workspace for it, of the buffers its chunks use: the complex transform
@@ -148,15 +154,12 @@ def chunk_rows(n: int, channels: int, rows: int = CHUNK_ROWS) -> int:
 class NoisePair:
     """One coloured realization on the physical window [0, t_max].
 
-    ``eta0_t``/``nu0_t`` are the cross-correlative components (the ones a
-    dynamical rescaling acts on); for schemes without such a component
-    pair they are all-zero and ``lambda_applied`` is 1.
+    ``lambda_applied`` is the strength at which the cross-correlative pair
+    of eta_t/nu_t is rescaled, 1 where it is not.
     """
 
     eta_t: np.ndarray
     nu_t: np.ndarray
-    eta0_t: np.ndarray
-    nu0_t: np.ndarray
     dt: float
     scheme: SchemeId
     seed: object
@@ -198,7 +201,7 @@ def _probe(normals) -> bool:
 def _native_normals():
     """The native draw, ``sln_normals`` of :func:`_native.library`, if it
     reproduces numpy's normals bit for bit, or None when it cannot be
-    built, loaded or matched; then :meth:`Synthesizer.draw` runs numpy's
+    built, loaded or matched; then :meth:`Synthesizer._draw` runs numpy's
     generators, silently."""
     lib = _native.library()
     if lib is None:
@@ -370,16 +373,16 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
     ``rows`` is the most realizations synthesized at once, each kept as
     four complex series on the physical window: the ensemble loop holds
     two unrescaled batches of two series each (the one being integrated
-    and the next), or one rescaled batch of four series, and a NoisePair
-    holds four.  Each of ``threads`` threads holds the colouring
-    workspace of a :class:`Synthesizer` asked for ``rows`` realizations of
-    ``channels`` white channels (:func:`workspace_bytes` of
-    :func:`chunk_rows`), charged at numpy's colouring, which bounds the
-    native one's, so that a grid is refused alike whichever runs; the
-    kernel table and the filters on the padded grid are counted too.
-    ``extra`` is the bytes of the run's other buffers: the RK4 state,
-    stage and block buffers of one integration pass, at the widest pass
-    the run makes
+    and the next), or one rescaled batch of four series, as NoisePairs do
+    while rescaled; a NoisePair holds two.  Each of ``threads`` threads
+    holds the colouring workspace of a :class:`Synthesizer` asked for
+    ``rows`` realizations of ``channels`` white channels
+    (:func:`workspace_bytes` of :func:`chunk_rows`), charged at numpy's
+    colouring, which bounds the native one's, so that a grid is refused
+    alike whichever runs; the kernel table and the filters on the padded
+    grid are counted too.  ``extra`` is the bytes of the run's other
+    buffers: the RK4 state, stage and block buffers of one integration
+    pass, at the widest pass the run makes
     (:func:`~slnoise.dynamics.rk4_bytes`), and the statistics the run
     keeps per rescaling strength.
     Raises :class:`ConfigError` before any of it is allocated.
@@ -415,13 +418,12 @@ def _conj_flip(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Synthesizer:
     """Colours chunks of realizations with one filter set on one grid.
 
-    ``lam`` is the rescaling strength, or for :meth:`fill` an array of
-    strengths.  ``scale`` multiplies the white channels; the default
-    1/sqrt(dt) turns the unit normals of :meth:`draw` into white noise of
-    variance 1/dt, and 1 suits channels drawn by :func:`sample_white`.
-    ``rows`` is the most realizations a caller asks of one call; with the
-    grid and the channel count it fixes :attr:`chunk_rows`, the rows of
-    each thread's workspace (:func:`chunk_rows`).
+    ``lam`` is None or a sequence of rescaling strengths, kept as the 1-D
+    float array :attr:`lam`.  ``rows`` is the most realizations a caller
+    asks of one call; with the grid and the channel count it fixes
+    :attr:`chunk_rows`, the rows of each thread's workspace
+    (:func:`chunk_rows`).  The unit normals of the draw are scaled to
+    white noise of variance 1/dt by the filter taps.
     Construction refuses a filter set built on another grid and a
     rescaling request for a scheme without a cross-correlative pair, so
     neither can first surface while noise is drawn.  Afterwards the object
@@ -431,7 +433,7 @@ class Synthesizer:
     """
 
     def __init__(self, fs: FilterSet, grid: TimeGrid, lam=None,
-                 scale: Optional[float] = None, rows: int = CHUNK_ROWS):
+                 rows: int = CHUNK_ROWS):
         fg = grid.freq()
         if fg.n != fs.grid.n or fg.dt != fs.grid.dt:
             raise GridMismatch(
@@ -443,10 +445,10 @@ class Synthesizer:
                 f"the {fs.scheme.value} scheme has no cross-correlative "
                 "component pair; lambda rescaling does not apply to it"
             )
-        s = 1.0 / np.sqrt(grid.dt) if scale is None else scale
+        s = 1.0 / np.sqrt(grid.dt)
         self.fs = fs
         self.grid = grid
-        self.lam = lam
+        self.lam = None if lam is None else np.array(lam, dtype=float).reshape(-1)
         self.n_phys = grid.n_phys
         self.chunk_rows = chunk_rows(grid.n, fs.n_channels, rows)
         self._local = threading.local()
@@ -477,72 +479,48 @@ class Synthesizer:
             setattr(self._local, name, buf)
         return buf[:rows] if name == "white" else buf[:, :rows]
 
-    def draw(self, seeds: Sequence[SeedLike], out: np.ndarray) -> np.ndarray:
-        """Unit-normal channels of the seeds into ``out``: one Philox
-        stream per seed, the numbers of :func:`sample_white`, those of
-        ``Generator(Philox(seed)).standard_normal``.  ``out`` is either
-        white channels, shape (len(seeds), channels, n), or a complex
-        transform buffer z, (2, len(seeds), n), into whose real and
-        imaginary parts the channels go as :data:`_PACKING` wires them.
-
-        The native draw (:func:`_native_normals`) fills all the rows in
-        one call outside the interpreter lock, from each seed's Philox
-        key, straight into z where ``out`` is z; where it is not
-        available, or ``out`` is neither z nor contiguous float64, numpy's
-        generators fill white channels (for z, those of the thread's
-        workspace) row by row.  Both give the same bits."""
+    def _draw(self, seeds: Sequence[SeedLike]) -> np.ndarray:
+        """The calling thread's transform buffer z (2, rows, n), with the
+        unit-normal channels of the first :attr:`chunk_rows` seeds in its
+        real and imaginary parts, as :data:`_PACKING` wires them: the
+        numbers of ``Generator(Philox(seed)).standard_normal``.  The
+        native draw (:func:`_native_normals`) fills all the rows in one
+        call outside the interpreter lock; without it, numpy's generators
+        fill the thread's white channels, which are packed into z.  Both
+        give the same bits."""
+        z = self._buffer("z", len(seeds))
+        seeds = seeds[:z.shape[1]]
+        wiring = _PACKING[self.fs.structure]
         normals = _native_normals()
-        packed = out.dtype == np.complex128
-        if normals is not None and packed:
-            half, row = (stride // 8 for stride in out.strides[:2])
-            offsets = [h * half + part for h, part in _PACKING[self.fs.structure]]
-            _draw_native(normals, seeds[:out.shape[1]], out.shape[2], out, row,
-                         offsets, 2)
-            return out
-        if (normals is not None and out.dtype == np.float64
-                and out.flags.c_contiguous):
-            _, channels, n = out.shape
-            _draw_native(normals, seeds[:len(out)], n, out, channels * n,
-                         [ch * n for ch in range(channels)], 1)
-            return out
-        white = self._buffer("white", out.shape[1]) if packed else out
+        if normals is not None:
+            half, row = (stride // 8 for stride in z.strides[:2])
+            _draw_native(normals, seeds, z.shape[2], z, row,
+                         [h * half + part for h, part in wiring], 2)
+            return z
+        white = self._buffer("white", len(seeds))
         for row, seed in zip(white, seeds):
             _generator(seed).standard_normal(out=row)
-        if packed:
-            self._pack(white, out)
-        return out
-
-    def _pack(self, white: np.ndarray, z: np.ndarray) -> None:
-        """The white channels (rows, channels, n) into the real and
-        imaginary parts of z (2, rows, n), as :data:`_PACKING` wires them."""
-        for ch, (h, part) in enumerate(_PACKING[self.fs.structure]):
+        for ch, (h, part) in enumerate(wiring):
             (z[h].imag if part else z[h].real)[...] = white[:, ch]
+        return z
 
-    def _colour(self, seeds: Sequence[SeedLike],
-                white: Optional[np.ndarray] = None, split: bool = False):
+    def _colour(self, seeds: Sequence[SeedLike]):
         """Noise on the physical window of the realizations of ``seeds``,
-        at most :attr:`chunk_rows`, coloured from the white channels
-        ``white`` (len(seeds), channels, n) if given, else from those of
-        :meth:`draw`.
+        at most :attr:`chunk_rows`.
 
         Returns (eta, nu, eta0, nu0), each of shape (rows, n_phys), views
         of the thread's workspace that its next call overwrites.  The
         cross-correlative components eta0/nu0 are transformed apart, and
-        left out of eta/nu, only when ``split`` is set or ``lam`` is;
-        otherwise they are None.  They are never rescaled here.  The
-        spectral pass between the two FFTs is the native one
-        (:func:`_native_colour`) where it is available, else numpy's
-        (:func:`_mix`); both give the same bits.
+        left out of eta/nu, exactly when ``lam`` is set; otherwise they
+        are None.  They are never rescaled here.  The spectral pass
+        between the two FFTs is the native one (:func:`_native_colour`)
+        where it is available, else numpy's (:func:`_mix`); both give the
+        same bits.
         """
         rows, n_phys = len(seeds), self.n_phys
         convex = self.fs.structure is FilterStructure.CONVEX
-        split = not convex and (split or self.lam is not None)
-        z = self._buffer("z", rows)
-        if white is None:
-            self.draw(seeds, z)
-        else:
-            self._pack(white, z)
-        z = scipy.fft.ifft(z, axis=-1, overwrite_x=True)
+        split = self.lam is not None
+        z = scipy.fft.ifft(self._draw(seeds), axis=-1, overwrite_x=True)
         colouring = _native_colour()
         if colouring is None:
             spectra = _mix(self._taps, z, self._buffer("c", rows), split, convex)
@@ -557,8 +535,8 @@ class Synthesizer:
         return eta[0], nu[0], eta[1], nu[1]
 
     def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
-        """:func:`rescale_factor` of each row of eta0/nu0 at ``lam``, shape
-        (rows,) + shape of ``lam``."""
+        """:func:`rescale_factor` of each row of eta0/nu0 at each strength
+        of ``lam``, shape (rows, strengths)."""
         return np.array([rescale_factor(e, v, self.lam) for e, v in zip(eta0, nu0)])
 
     def fill(self, seeds: Sequence[SeedLike], eta_out: np.ndarray,
@@ -586,40 +564,46 @@ class Synthesizer:
                 _write(transpose, nu0, nu0_out[:, cols])
                 factors_out[:, cols] = self.factors(eta0, nu0).T
 
-    def pairs(self, seeds: Sequence[object],
-              white: Optional[np.ndarray] = None) -> List[NoisePair]:
-        """NoisePairs, one per seed, coloured :attr:`chunk_rows` at a time:
-        of the white channels (len(seeds), channels, n) if given, else of
-        those :meth:`draw` gives for the seeds."""
-        pairs: List[NoisePair] = []
-        for a in range(0, len(seeds), self.chunk_rows):
-            chunk = seeds[a:a + self.chunk_rows]
-            x = None if white is None else white[a:a + self.chunk_rows]
-            eta, nu, eta0, nu0 = self._colour(chunk, x, split=True)
-            if self.fs.structure is FilterStructure.CONVEX:
-                eta0, nu0 = np.zeros_like(eta), np.zeros_like(nu)
-            lam = 1.0 if self.lam is None else self.lam
-            factor = 1.0 if self.lam is None else self.factors(eta0, nu0)[:, None]
-            # new arrays, which leave the workspace to the next chunk
-            eta0 = factor * eta0
-            nu0 = nu0 / factor
-            pairs += [NoisePair(*rows, self.grid.dt, self.fs.scheme, seed, lam)
-                      for *rows, seed in zip(eta + eta0, nu + nu0, eta0, nu0, chunk)]
-        return pairs
+    def pairs(self, seeds: Sequence[SeedLike]) -> List[NoisePair]:
+        """NoisePairs, one per seed: the noise :meth:`fill` writes, with
+        the cross-correlative pair rescaled at the one strength of ``lam``,
+        if set, as :func:`~slnoise.dynamics.integrate_blocks` forms it, so
+        each is bitwise the noise an ensemble integrates.  Each pair's
+        series are columns of two time-major arrays."""
+        if self.lam is not None and len(self.lam) != 1:
+            raise ValueError("NoisePairs are rescaled at one strength, not "
+                             f"at {len(self.lam)}")
+        eta, nu, *pair = (np.empty((self.n_phys, len(seeds)), dtype=complex)
+                          for _ in range(2 if self.lam is None else 4))
+        factors = np.empty((1, len(seeds)))
+        self.fill(seeds, eta, nu, (*pair, factors))
+        lam = 1.0
+        if pair:
+            eta0, nu0 = pair
+            np.multiply(factors, eta0, out=eta0)
+            eta += eta0
+            np.divide(nu0, factors, out=nu0)
+            nu += nu0
+            lam = float(self.lam[0])
+        return [NoisePair(eta[:, j], nu[:, j], self.grid.dt, self.fs.scheme, seed, lam)
+                for j, seed in enumerate(seeds)]
 
 
 def synthesize_batch(fs: FilterSet, grid: TimeGrid, seeds: Sequence[SeedLike],
                      lam: Optional[float] = None) -> List[NoisePair]:
     """Draw and colour one realization per seed, in chunks of at most
-    CHUNK_ROWS."""
-    return Synthesizer(fs, grid, lam, rows=len(seeds)).pairs(seeds)
+    CHUNK_ROWS, rescaled at the strength ``lam`` if it is set."""
+    return Synthesizer(fs, grid, None if lam is None else [lam],
+                       rows=len(seeds)).pairs(seeds)
 
 
 def synthesize_from_white(fs: FilterSet, grid: TimeGrid, white: np.ndarray,
                           lam: Optional[float] = None,
                           seed: object = None) -> NoisePair:
-    """Assemble a NoisePair from pre-drawn white channels (channels, n) of
-    variance 1/dt, such as those of :func:`sample_white`.
+    """The per-channel reference of the colouring: a NoisePair from
+    pre-drawn white channels (channels, n) of variance 1/dt, such as those
+    of :func:`sample_white`, filtered one channel at a time as
+    ``fft(filter * ifft(x))``.
 
     Orthogonal wiring: eta = f1*x1 + f2*(x2 + i x3),
     nu = g1*(i x1 + x4) + g2*(x3 + i x2); the f2/g2 pair is the
@@ -627,8 +611,24 @@ def synthesize_from_white(fs: FilterSet, grid: TimeGrid, white: np.ndarray,
     eta = f1*x1 + i f2*x2, nu = g1*(x1 + i x2); there is no orthogonal
     component pair, so rescaling is undefined.
     """
-    synth = Synthesizer(fs, grid, lam, scale=1.0, rows=1)
-    return synth.pairs([seed], white[None])[0]
+    # refused as the batched colouring refuses it
+    Synthesizer(fs, grid, None if lam is None else [lam], rows=1)
+
+    def filt(f, x):
+        return np.fft.fft(f * np.fft.ifft(x))[:grid.n_phys]
+
+    if fs.structure is FilterStructure.CONVEX:
+        x1, x2 = white
+        eta = filt(fs.f1_w, x1) + 1j * filt(fs.f2_w, x2)
+        nu = filt(fs.g1_w, x1) + 1j * filt(fs.g1_w, x2)
+    else:
+        x1, x2, x3, x4 = white
+        eta0 = filt(fs.f2_w, x2) + 1j * filt(fs.f2_w, x3)
+        nu0 = filt(fs.g2_w, x3) + 1j * filt(fs.g2_w, x2)
+        factor = 1.0 if lam is None else rescale_factor(eta0, nu0, lam)
+        eta = filt(fs.f1_w, x1) + factor * eta0
+        nu = 1j * filt(fs.g1_w, x1) + filt(fs.g1_w, x4) + nu0 / factor
+    return NoisePair(eta, nu, grid.dt, fs.scheme, seed, 1.0 if lam is None else lam)
 
 
 def synthesize(fs: FilterSet, grid: TimeGrid, seed: SeedLike,

@@ -50,9 +50,7 @@ __all__ = [
     "verify_constraint",
     "expected_nu_power",
     "expected_total_power",
-    "mixing_power",
     "rescale_factor",
-    "reality_defect",
 ]
 
 
@@ -330,30 +328,6 @@ def expected_total_power(fs: FilterSet) -> float:
     return eta + expected_nu_power(fs)
 
 
-def mixing_power(kt: KernelTable, a_w: np.ndarray, total: bool = False) -> float:
-    """Noise power functional of a mixing function at gamma = 0.
-
-    Evaluates the closed-form spectral integrand of the mean square nu
-    amplitude (optionally plus eta's) without building filters, so that
-    perturbed mixing functions can be scored directly.  Zero-spectrum bins
-    require mixing 1; any other value there makes the constrained branch
-    divergent and the result infinite.
-    """
-    k = kt.k_etaeta_w
-    rabs = np.abs(kt.r_w)
-    a = np.asarray(a_w, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        constrained = np.where(
-            k > 0,
-            2.0 * rabs**2 / np.where(k > 0, k, 1.0) * (1.0 - a) ** 2,
-            np.where(np.abs(1.0 - a) > 1e-15, np.inf, 0.0),
-        )
-    integrand = constrained + rabs * np.abs(a)
-    if total:
-        integrand = integrand + k + rabs * np.abs(a)
-    return float(np.sum(integrand)) / (kt.grid.n * kt.grid.dt)
-
-
 def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam):
     """Per-realization rescaling of the cross-correlative components.
 
@@ -375,9 +349,3 @@ def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam):
         )
     factor = np.sqrt(s_nu / s_eta) / np.sqrt(lam)
     return float(factor) if factor.ndim == 0 else factor
-
-
-def reality_defect(filter_w: np.ndarray) -> np.ndarray:
-    """|conj(f(w)) - f(-w)| per bin; zero for the transform of a real
-    time-domain filter."""
-    return np.abs(np.conj(filter_w) - flip_freq(filter_w))

@@ -23,10 +23,20 @@ from slnoise import (
     qnd_model,
     qnd_sln_config,
     rho_to_state,
-    state_to_rho,
 )
 from slnoise import _native, dynamics
 from slnoise.dynamics import BLOCK_STEPS, QndModel, rk4_bytes
+
+
+def state_to_rho(state):
+    """Inverse of :func:`rho_to_state`; accepts trailing state axis."""
+    sx, sy, sz, tr = np.moveaxis(np.asarray(state, dtype=complex), -1, 0)
+    return 0.5 * (
+        np.multiply.outer(tr, np.eye(2, dtype=complex))
+        + np.multiply.outer(sx, SIGMA_X)
+        + np.multiply.outer(sy, SIGMA_Y)
+        + np.multiply.outer(sz, SIGMA_Z)
+    )
 
 
 def test_state_round_trip():

@@ -211,16 +211,16 @@ def test_streamed_sums_match_integrated_states():
 
 
 def _count_drawn_rows(monkeypatch):
-    """Patch Synthesizer.draw to count the rows it draws; returns the
+    """Patch Synthesizer._draw to count the rows it draws; returns the
     list of counts."""
     drawn = []
-    real = Synthesizer.draw
+    real = Synthesizer._draw
 
-    def counting(self, seeds, out):
+    def counting(self, seeds):
         drawn.append(len(seeds))
-        return real(self, seeds, out)
+        return real(self, seeds)
 
-    monkeypatch.setattr(Synthesizer, "draw", counting)
+    monkeypatch.setattr(Synthesizer, "_draw", counting)
     return drawn
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from slnoise import (
     expected_nu_power,
     kernel_time,
     make_filters,
-    rescale_factor,
     sample_white,
     synthesize,
     synthesize_batch,
@@ -188,16 +188,8 @@ def test_stationarity(table):
     fs = make_filters(SchemeId.LIKE, table)
     pairs = [synthesize(fs, GRID, s) for s in range(300)]
     half = GRID.n_phys // 2
-    first = [
-        type(p)(p.eta_t[:half], p.nu_t[:half], p.eta0_t[:half], p.nu0_t[:half],
-                p.dt, p.scheme, p.seed)
-        for p in pairs
-    ]
-    second = [
-        type(p)(p.eta_t[half:], p.nu_t[half:], p.eta0_t[half:], p.nu0_t[half:],
-                p.dt, p.scheme, p.seed)
-        for p in pairs
-    ]
+    first = [replace(p, eta_t=p.eta_t[:half], nu_t=p.nu_t[:half]) for p in pairs]
+    second = [replace(p, eta_t=p.eta_t[half:], nu_t=p.nu_t[half:]) for p in pairs]
     e1 = estimate_correlations(first, max_lag=0.2)
     e2 = estimate_correlations(second, max_lag=0.2)
     pull = np.abs(e1.est_etaeta - e2.est_etaeta) / np.hypot(
@@ -206,22 +198,32 @@ def test_stationarity(table):
     assert np.max(pull) < 5.0
 
 
+def _fill(fs, grid, lams, seeds):
+    """(eta, nu, eta0, nu0, factors) of a fill of the seeds at the
+    strengths ``lams``, if set; unrescaled, only eta and nu are written."""
+    series = [np.empty((grid.n_phys, len(seeds)), dtype=complex) for _ in range(4)]
+    factors = np.empty((1 if lams is None else len(lams), len(seeds)))
+    Synthesizer(fs, grid, lams).fill(seeds, series[0], series[1],
+                                     (series[2], series[3], factors))
+    return (*series, factors)
+
+
 def test_rescaling_preserves_product_and_sets_ratio(table):
     fs = make_filters(SchemeId.ETANU_OPTIMISED, table)
-    base = synthesize(fs, GRID, 12)
     lam = 0.5
-    scaled = synthesize(fs, GRID, 12, lam=lam)
+    seeds = [12, 13]
+    base_eta, base_nu, *_ = _fill(fs, GRID, None, seeds)
+    eta, nu, eta0, nu0, factors = _fill(fs, GRID, [lam], seeds)
+    scaled_eta0, scaled_nu0 = factors * eta0, nu0 / factors
     # product of the component pair is invariant sample by sample
-    assert np.allclose(
-        base.eta0_t * base.nu0_t, scaled.eta0_t * scaled.nu0_t, rtol=1e-12
-    )
-    ratio = np.sum(np.abs(scaled.nu0_t)) / np.sum(np.abs(scaled.eta0_t))
-    assert ratio == pytest.approx(lam, rel=1e-10)
-    assert scaled.lambda_applied == lam
-    # the non-component parts are untouched
-    assert np.allclose(
-        base.eta_t - base.eta0_t, scaled.eta_t - scaled.eta0_t, rtol=1e-12
-    )
+    assert np.allclose(eta0 * nu0, scaled_eta0 * scaled_nu0, rtol=1e-12)
+    ratio = np.sum(np.abs(scaled_nu0), axis=0) / np.sum(np.abs(scaled_eta0), axis=0)
+    assert ratio == pytest.approx([lam, lam], rel=1e-10)
+    assert synthesize(fs, GRID, 12, lam=lam).lambda_applied == lam
+    # the non-component parts are untouched: with the unscaled pair they
+    # sum to the unrescaled noise
+    assert np.allclose(base_eta, eta + eta0, rtol=1e-12)
+    assert np.allclose(base_nu, nu + nu0, rtol=1e-12)
 
 
 def test_convex_rescaling_undefined(table):
@@ -238,45 +240,26 @@ def test_constrained_rescaling_undefined(table):
         synthesize(fs, GRID, 0, lam=0.5)
 
 
-def _per_channel_reference(fs, white, lam):
-    """Per-channel synthesis, fft(f * ifft(x)) for each filter and white
-    channel, with the wiring of the FilterSet docstring."""
-    def filt(f, x):
-        return np.fft.fft(f * np.fft.ifft(x))
-
-    n = GRID.n_phys
-    if fs.structure is FilterStructure.CONVEX:
-        x1, x2 = white
-        eta = filt(fs.f1_w, x1) + 1j * filt(fs.f2_w, x2)
-        nu = filt(fs.g1_w, x1) + 1j * filt(fs.g1_w, x2)
-        return eta[:n], nu[:n]
-    x1, x2, x3, x4 = white
-    eta_main = filt(fs.f1_w, x1)[:n]
-    eta0 = (filt(fs.f2_w, x2) + 1j * filt(fs.f2_w, x3))[:n]
-    nu_main = (1j * filt(fs.g1_w, x1) + filt(fs.g1_w, x4))[:n]
-    nu0 = (filt(fs.g2_w, x3) + 1j * filt(fs.g2_w, x2))[:n]
-    factor = 1.0 if lam is None else rescale_factor(eta0, nu0, lam)
-    return eta_main + factor * eta0, nu_main + nu0 / factor
-
-
 @pytest.mark.parametrize("lam", [None, 0.5])
 @pytest.mark.parametrize("rows", [1, CHUNK_ROWS + 5])
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam):
-    # both batched outputs: the NoisePairs (transformed with the
-    # cross-correlative pair apart) and the time-major fill of the
-    # ensemble (summed spectra when lam is unset, the parts and the
-    # rescale factors when it is set)
+    # both batched outputs against the per-channel reference: the
+    # NoisePairs and the time-major fill of the ensemble (summed spectra
+    # when lam is unset, the parts and the rescale factors when it is set)
     fs = make_filters(scheme, table, gamma=0.01)
     seeds = [100 + i for i in range(rows)]
+    lams = None if lam is None else [lam]
     if lam is not None and not fs.has_cross_pair:
         with pytest.raises(ZeroComponent):
-            Synthesizer(fs, GRID, lam)
+            Synthesizer(fs, GRID, lams)
         with pytest.raises(ZeroComponent):
             synthesize_batch(fs, GRID, seeds, lam)
+        with pytest.raises(ZeroComponent):
+            synthesize_from_white(fs, GRID, sample_white(GRID, 0, fs.n_channels), lam)
         return
     pairs = synthesize_batch(fs, GRID, seeds, lam)
-    synth = Synthesizer(fs, GRID, lam)
+    synth = Synthesizer(fs, GRID, lams)
     eta_t, nu_t, eta0_t, nu0_t = (np.empty((GRID.n_phys, rows), dtype=complex)
                                   for _ in range(4))
     factors = np.empty((1, rows))
@@ -292,14 +275,84 @@ def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam
         assert np.array_equal(eta_t.T, [p.eta_t for p in pairs])
         assert np.array_equal(nu_t.T, [p.nu_t for p in pairs])
     for j, seed in enumerate(seeds):
-        white = sample_white(GRID, seed, fs.n_channels)
-        eta, nu = _per_channel_reference(fs, white, lam)
+        ref = synthesize_from_white(fs, GRID, sample_white(GRID, seed, fs.n_channels),
+                                    lam)
+        eta, nu = ref.eta_t, ref.nu_t
         for got_eta, got_nu in ((pairs[j].eta_t, pairs[j].nu_t),
                                 (eta_t[:, j], nu_t[:, j])):
             for got, want in ((got_eta, eta), (got_nu, nu)):
                 scale = np.max(np.abs(want))
                 assert scale > 0
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("lam", [None, 0.5])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_noise_pairs_are_the_noise_the_ensemble_integrates(table, monkeypatch,
+                                                          scheme, lam, native):
+    # the NoisePairs are the columns of the fill, recombined as
+    # integrate_blocks forms a rescaled batch's noise, bitwise
+    if native:
+        if shutil.which(_native._COMPILER) is None:
+            pytest.skip("no C compiler to build the library")
+        assert noise._native_normals() is not None
+        assert noise._native_colour() is not None
+    else:
+        monkeypatch.setattr(noise, "_native_normals", lambda: None)
+        monkeypatch.setattr(noise, "_native_colour", lambda: None)
+    fs = make_filters(scheme, table, gamma=0.01)
+    seeds = _seeds("seed_for", CHUNK_ROWS + 5)
+    if lam is not None and not fs.has_cross_pair:
+        with pytest.raises(ZeroComponent):
+            synthesize_batch(fs, GRID, seeds, lam)
+        return
+    eta, nu, eta0, nu0, factors = _fill(fs, GRID, None if lam is None else [lam],
+                                        seeds)
+    if lam is not None:
+        eta = np.add(np.multiply(eta0, factors), eta)
+        nu = np.add(np.divide(nu0, factors), nu)
+    pairs = synthesize_batch(fs, GRID, seeds, lam)
+    assert [p.eta_t.tobytes() for p in pairs] == [a.tobytes() for a in eta.T]
+    assert [p.nu_t.tobytes() for p in pairs] == [a.tobytes() for a in nu.T]
+    assert all(p.lambda_applied == (1.0 if lam is None else lam) for p in pairs)
+
+
+def test_pairs_refuses_more_than_one_strength(table):
+    synth = Synthesizer(make_filters(SchemeId.LIKE, table), GRID, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="one strength, not at 2$"):
+        synth.pairs([1, 2])
+    # refused before any noise is drawn: the thread has no workspace
+    assert not vars(synth._local)
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+def test_noise_pairs_peak_within_the_charge(monkeypatch, lam):
+    # the NoisePairs of validate's realizations, of which a machine with
+    # one byte of memory less than their peak is refused
+    import os
+    import tracemalloc
+
+    from slnoise import cli
+
+    rows = 64
+    settings = {**cli._DEFAULTS, "scheme": "etanu-optimised", "beta": 1.0,
+                "lambda": lam, "t_max": 5.0, "n_realizations": rows}
+    cfg, fs = cli._noise_filters(settings)
+    seeds = [seed_for(0, i) for i in range(rows)]
+    tracemalloc.start()
+    try:
+        synthesize_batch(fs, cfg.grid, seeds, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # at least the series the pairs keep
+    assert peak >= 2 * 16 * cfg.grid.n_phys * rows
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak - 1}.get(name) or sysconf(name))
+    with pytest.raises(ConfigError, match="physical memory"):
+        cli._noise_filters(settings)
 
 
 def test_lagged_products_equal_fftconvolve():
@@ -351,7 +404,8 @@ def test_second_fill_reuses_the_workspace(lam):
         eta, nu, eta0, nu0, factors = bufs
         synth.fill(chunk, eta, nu, (eta0, nu0, factors))
 
-    synth = Synthesizer(fs, grid, lam)
+    lams = None if lam is None else [lam]
+    synth = Synthesizer(fs, grid, lams)
     first, second = buffers(), buffers()
     fill(synth, seeds[0], first)
     tracemalloc.start()
@@ -364,7 +418,7 @@ def test_second_fill_reuses_the_workspace(lam):
     # far below any of the workspace's buffers
     assert peak < rows * grid.n * 4
     fresh = buffers()
-    fill(Synthesizer(fs, grid, lam), seeds[1], fresh)
+    fill(Synthesizer(fs, grid, lams), seeds[1], fresh)
     n_out = 5 if lam is not None else 2
     for got, want in zip(second[:n_out], fresh[:n_out]):
         assert got.tobytes() == want.tobytes()
@@ -382,7 +436,7 @@ def test_one_row_chunks_equal_full_chunks(table, monkeypatch, scheme, lam):
     seeds = [100 + i for i in range(rows)]
 
     def run():
-        synth = Synthesizer(fs, GRID, lam, rows=rows)
+        synth = Synthesizer(fs, GRID, None if lam is None else [lam], rows=rows)
         bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
         factors = np.empty((1, rows))
         synth.fill(seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
@@ -427,24 +481,38 @@ def test_philox_key_is_the_key_of_philox(seed):
     assert np.array_equal(key, np.random.Philox(ss).state["state"]["key"])
 
 
+def _packed_normals(structure, seeds):
+    """numpy's unit normals of the seeds, packed as the wiring packs them:
+    orthogonal z0 = x1 + i x4, z1 = x2 + i x3; convex z0 = x1 + i x2, and
+    None for z1."""
+    x = np.array([_numpy_normals(seed, (2 if structure is FilterStructure.CONVEX
+                                        else 4, GRID.n)) for seed in seeds])
+    if structure is FilterStructure.CONVEX:
+        return [x[:, 0] + 1j * x[:, 1], None]
+    return [x[:, 0] + 1j * x[:, 3], x[:, 1] + 1j * x[:, 2]]
+
+
 @needs_compiler
 @pytest.mark.parametrize("rows", [1, 3, 16])
 @pytest.mark.parametrize("kind", ["int", "seed_for"])
-def test_native_draw_bitwise_equals_numpy(table, kind, rows):
+def test_native_draw_bitwise_equals_numpy(monkeypatch, table, kind, rows):
     assert noise._native_normals() is not None
-    synth = Synthesizer(make_filters(SchemeId.LIKE, table), GRID, rows=rows)
+    fs = make_filters(SchemeId.LIKE, table)
     seeds = _seeds(kind, rows)
-    out = synth.draw(seeds, np.full((rows, 4, GRID.n), np.nan))
-    want = np.array([_numpy_normals(seed, (4, GRID.n)) for seed in seeds])
-    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    native = Synthesizer(fs, GRID, rows=rows)._draw(seeds).copy()
+    monkeypatch.setattr(noise, "_native_normals", lambda: None)
+    numpy_draw = Synthesizer(fs, GRID, rows=rows)._draw(seeds)
+    want = np.array(_packed_normals(FilterStructure.ORTHOGONAL, seeds))
+    assert native.tobytes() == want.tobytes()
+    assert numpy_draw.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
 @pytest.mark.parametrize("structure", list(FilterStructure))
 def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure,
                                                          native):
-    # orthogonal: z0 = x1 + i x4, z1 = x2 + i x3; convex: z0 = x1 + i x2,
-    # and z1 is left alone; rows of a wider buffer
+    # the first rows of the thread's transform buffer; the others, and z1
+    # of the convex wiring, are left alone
     if native:
         if shutil.which(_native._COMPILER) is None:
             pytest.skip("no C compiler to build the library")
@@ -453,17 +521,22 @@ def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure
         monkeypatch.setattr(noise, "_native_normals", lambda: None)
     fs = _random_filters(structure, GRID.n, GRID.dt)
     synth = Synthesizer(fs, GRID, rows=5)
-    seeds = _seeds("seed_for", 3)
-    z = np.full((2, 5, GRID.n), np.nan, dtype=complex)
-    # one seed more than the buffer's rows, which is not drawn
-    assert synth.draw(seeds + [99], z[:, :3]) is not None
-    x = np.array([_numpy_normals(seed, (fs.n_channels, GRID.n)) for seed in seeds])
-    if structure is FilterStructure.CONVEX:
-        want = [x[:, 0] + 1j * x[:, 1], np.full((3, GRID.n), np.nan)]
+    z = synth._buffer("z", 5)
+    z[...] = np.nan
+    seeds = _seeds("seed_for", 6)
+    got = synth._draw(seeds[:3])
+    assert got.shape == (2, 3, GRID.n) and np.shares_memory(got, z)
+    eta_half, nu_half = _packed_normals(structure, seeds)
+    assert z[0, :3].tobytes() == eta_half[:3].tobytes()
+    if nu_half is None:
+        assert np.isnan(z[1]).all()
     else:
-        want = [x[:, 0] + 1j * x[:, 3], x[:, 1] + 1j * x[:, 2]]
-    assert z[:, :3].tobytes() == np.array(want).tobytes()
+        assert z[1, :3].tobytes() == nu_half[:3].tobytes()
     assert np.isnan(z[:, 3:]).all()
+    # one seed more than the buffer's rows, which is not drawn
+    got = synth._draw(seeds)
+    assert got.shape == (2, 5, GRID.n)
+    assert z[0].tobytes() == eta_half[:5].tobytes()
 
 
 @needs_compiler
@@ -638,22 +711,18 @@ WIRINGS = [(FilterStructure.ORTHOGONAL, None),
 WIRING_IDS = ["unsplit", "rescaled-1", "rescaled-3", "convex"]
 
 
-def _colour_outputs(fs, grid, lam, chunk, seeds, white):
+def _colour_outputs(fs, grid, lam, chunk, seeds):
     """Bytes of a fill (rescaled at the strengths ``lam``, if set) and of
-    the NoisePairs of the seeds, drawn and given as white channels, with
+    the NoisePairs of the seeds (rescaled at the first strength), with
     chunks of ``chunk`` rows."""
-    lam = None if lam is None else np.array(lam)
     rows = len(seeds)
     bufs = [np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
     factors = np.empty((1 if lam is None else len(lam), rows))
     Synthesizer(fs, grid, lam, rows=chunk).fill(
         seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
     arrays = bufs[:2] if lam is None else bufs + [factors]
-    pair_synth = Synthesizer(fs, grid, None if lam is None else lam[0], rows=chunk)
-    paired = pair_synth.pairs(seeds)
-    given = Synthesizer(fs, grid, None if lam is None else lam[0], scale=1.0,
-                        rows=chunk).pairs(seeds, white)
-    arrays += [a for p in paired + given for a in (p.eta_t, p.nu_t, p.eta0_t, p.nu0_t)]
+    pair_synth = Synthesizer(fs, grid, None if lam is None else lam[:1], rows=chunk)
+    arrays += [a for p in pair_synth.pairs(seeds) for a in (p.eta_t, p.nu_t)]
     return [a.tobytes() for a in arrays]
 
 
@@ -663,13 +732,12 @@ def _native_and_numpy_colouring(monkeypatch, fs, grid, lam, chunk, seeds):
     with numpy alone."""
     assert noise._native_colour() is not None
     assert noise._native_normals() is not None
-    white = np.array([sample_white(grid, seed, fs.n_channels) for seed in seeds])
-    runs = [_colour_outputs(fs, grid, lam, chunk, seeds, white)]
+    runs = [_colour_outputs(fs, grid, lam, chunk, seeds)]
     with monkeypatch.context() as m:
         m.setattr(noise, "_native_normals", lambda: None)
-        runs.append(_colour_outputs(fs, grid, lam, chunk, seeds, white))
+        runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
         m.setattr(noise, "_native_colour", lambda: None)
-        runs.append(_colour_outputs(fs, grid, lam, chunk, seeds, white))
+        runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
     return runs
 
 
@@ -721,7 +789,7 @@ def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
               else SchemeId.ETANU_OPTIMISED)
     fs = make_filters(scheme, build_kernel_table(GRID.freq(), BATH))
     rows = CHUNK_ROWS
-    synth = Synthesizer(fs, GRID, None if lam is None else np.array(lam), rows=rows)
+    synth = Synthesizer(fs, GRID, lam, rows=rows)
     bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
     factors = np.empty((1, rows))
     tracemalloc.start()

@@ -17,13 +17,42 @@ from slnoise import (
     make_filters,
     mixed_filters,
     mixing_optimised,
-    mixing_power,
     mixing_reduced,
     rescale_factor,
     verify_constraint,
     wiener_inverse,
 )
-from slnoise.schemes import FilterStructure, reality_defect
+from slnoise.schemes import FilterStructure
+
+
+def mixing_power(kt, a_w, total=False):
+    """Noise power functional of a mixing function at gamma = 0.
+
+    Evaluates the closed-form spectral integrand of the mean square nu
+    amplitude (optionally plus eta's) without building filters, so that
+    perturbed mixing functions can be scored directly.  Zero-spectrum bins
+    require mixing 1; any other value there makes the constrained branch
+    divergent and the result infinite.
+    """
+    k = kt.k_etaeta_w
+    rabs = np.abs(kt.r_w)
+    a = np.asarray(a_w, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        constrained = np.where(
+            k > 0,
+            2.0 * rabs**2 / np.where(k > 0, k, 1.0) * (1.0 - a) ** 2,
+            np.where(np.abs(1.0 - a) > 1e-15, np.inf, 0.0),
+        )
+    integrand = constrained + rabs * np.abs(a)
+    if total:
+        integrand = integrand + k + rabs * np.abs(a)
+    return float(np.sum(integrand)) / (kt.grid.n * kt.grid.dt)
+
+
+def reality_defect(filter_w):
+    """|conj(f(w)) - f(-w)| per bin; zero for the transform of a real
+    time-domain filter."""
+    return np.abs(np.conj(filter_w) - flip_freq(filter_w))
 
 
 @pytest.fixture(scope="module")
