@@ -1,6 +1,6 @@
 /* The native kernels of slnoise, in C: the RK4 kernel of
  * slnoise.dynamics.integrate_blocks (sln_rk4), the unit-normal draw of
- * slnoise.noise.Synthesizer.draw (sln_normals), and the pointwise passes
+ * slnoise.noise.Synthesizer._draw (sln_normals), and the pointwise passes
  * of slnoise.noise.Synthesizer's colouring (sln_mix, sln_transpose).  All
  * are called from Python through ctypes, which releases the interpreter
  * lock, so that several threads run them at once.  Each gives the bits of
@@ -122,13 +122,23 @@ INLINE void axpy(const double *a, const double *b, double c, double *out)
     }
 }
 
-/* |x| <= threshold for every component of column c, as np.abs (hypot)
-   decides it; false for inf and nan */
+/* |x| <= threshold for every component of column c, as np.abs decides
+   it; false for inf and nan.  numpy's SIMD loop for the modulus of a
+   complex is not libm's hypot but larger*sqrt(fma(r, r, 1)) with
+   r = smaller/larger, which differs from hypot in the last bit for about
+   a third of random values, and so decides otherwise near the threshold. */
 INLINE int within(const double (*y)[TILE], int c, double threshold)
 {
-    for (int q = 0; q < 4; q++)
-        if (!(hypot(y[q][c], y[q + 4][c]) <= threshold))
+    for (int q = 0; q < 4; q++) {
+        double a = fabs(y[q][c]), b = fabs(y[q + 4][c]);
+        /* the modulus is at least the larger part */
+        if (!(a <= threshold && b <= threshold))
             return 0;
+        double big = a > b ? a : b, small = a > b ? b : a;
+        double r = big > 0.0 ? small / big : 0.0;
+        if (!(big * sqrt(fma(r, r, 1.0)) <= threshold))
+            return 0;
+    }
     return 1;
 }
 
@@ -190,7 +200,7 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
             a = e;
             e = t;
             /* |re|, |im| <= threshold/2 implies |x| <= threshold, and
-               fails for inf and nan: hypot only where it does not hold */
+               fails for inf and nan: the modulus only where it does not hold */
             for (int c = 0; c < n; c++) {
                 int good = 1;
                 for (int q = 0; q < 8; q++)

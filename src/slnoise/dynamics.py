@@ -92,6 +92,9 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 DIVERGENCE_THRESHOLD = 1e12
+# A modulus that numpy's complex np.abs rounds to just above the threshold
+# and libm's hypot to the threshold itself.
+_AT_THRESHOLD = 765406082731.0397 + 643547611694.9894j
 
 # Steps whose states are held at once by integrate_blocks; the divergence
 # check and the ensemble sums run once per block.
@@ -412,7 +415,9 @@ def _native_blocks(run: _Run, rk4, threads: int):
 def _probe(rk4) -> bool:
     """Whether ``rk4`` gives the numpy kernel's bits on a small random
     batch, with and without a factor table; one trajectory crosses the
-    divergence threshold and ends in nan."""
+    divergence threshold and ends in nan.  A third run holds a state whose
+    modulus np.abs puts just above the threshold and libm's hypot at it, so
+    that a numpy whose modulus is hypot refuses the kernel."""
     rng = np.random.default_rng(2020)
     rows, n_steps, block_steps = 5, 6, 4
     nh = 2 * n_steps + 1
@@ -425,8 +430,13 @@ def _probe(rk4) -> bool:
     nu_t[:, 0] *= 1e60
     y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     drives = rng.standard_normal((2, nh))
-    for cross in (None, (eta0_t, nu0_t, rng.uniform(0.1, 10.0, (3, rows)))):
-        run = _Run(y0, 0.7, 0.05, *drives, eta_t, nu_t, cross, block_steps)
+    table = rng.uniform(0.1, 10.0, (3, rows))
+    runs = [_Run(y0, 0.7, 0.05, *drives, eta_t, nu_t, cross, block_steps)
+            for cross in (None, (eta0_t, nu0_t, table))]
+    still = np.zeros((nh, 1), dtype=complex)
+    runs.append(_Run(np.array([_AT_THRESHOLD, 0, 0, 1]), 0.0, 0.05,
+                     *np.zeros((2, nh)), still, still, None, block_steps))
+    for run in runs:
         for (s0, a, da), (s1, b, db) in zip(_numpy_blocks(run),
                                             _native_blocks(run, rk4, 1)):
             if not (s0 == s1 and np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -22,7 +22,11 @@ bits depend neither on the slab count nor on the kernel that ran
 in batch order, on the state blocks streamed by :func:`integrate_blocks`,
 while the threads synthesize the next batch; only running sums are kept,
 never the states of a whole batch.  Output is therefore bitwise
-independent of SYNTH_THREADS.
+independent of SYNTH_THREADS.  The lambda scan reduces only the steps
+of the final stats window, the only ones it reports: the blocks that end
+before that window are integrated and checked for divergence, but never
+reduced, and a trajectory that diverged in one counts as diverged from
+the window's first step on.
 
 Rescaled runs synthesize each realization's noise once, whatever the
 number of rescaling strengths lambda: a batch keeps its noise without the
@@ -234,13 +238,18 @@ def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
     return Synthesizer(cfg.filters(), ngrid, lams, rows=rows)
 
 
-def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
+def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
+                  first: int = 0):
     """The noise-batch loop: synthesize each batch once, integrate it at
     every rescaling strength of ``synth`` (once if it has none) in passes
     of at most RK4_COLUMNS columns, and yield ``(points, start, states,
-    new_div)`` for every :func:`integrate_blocks` block, batch after batch.
-    ``points`` is the slice of strengths of the pass; the block's columns
-    are those strengths' realizations, strength-major.
+    new_div)`` for the steps from ``first`` on of every
+    :func:`integrate_blocks` block, batch after batch.  ``points`` is the
+    slice of strengths of the pass; the block's columns are those
+    strengths' realizations, strength-major.  The blocks that end before
+    ``first`` are integrated but never handed out, so nothing reads their
+    states; a column's divergence in one of them is carried into the
+    ``new_div`` of the pass's first block yielded.
 
     The threads synthesize the next unrescaled batch while the current one
     is integrated.  A rescaled batch holds four series instead of two, so
@@ -287,21 +296,32 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int):
             for p in range(0, n, group):
                 points = slice(p, min(p + group, n))
                 cross = (*pair, factors[points]) if n_points else None
-                for block in integrate_blocks(cfg.model, eta, nu,
-                                              synth.grid.dt, cross):
-                    yield (points, *block)
+                carried = -1
+                for step, states, new_div in integrate_blocks(
+                        cfg.model, eta, nu, synth.grid.dt, cross):
+                    # a column crosses the threshold in one block at most,
+                    # so the maximum is the step at which it did
+                    new_div = np.maximum(carried, new_div)
+                    if step + len(states) <= first:
+                        carried = new_div
+                        continue
+                    carried = -1
+                    skip = max(first - step, 0)
+                    yield points, step + skip, states[skip:], new_div
             del series, eta, nu, pair, cross
             if ahead and batch is None:
                 batch = submit(pool, start + batch_size)
 
 
-def _ensembles(cfg: RunConfig, batch_size: int, lams=None):
+def _ensembles(cfg: RunConfig, batch_size: int, lams=None, first: int = 0):
     """One run of the noise-batch loop reduced to one EnsembleStats per
     rescaling strength of :func:`_synthesizer`, or to one unrescaled
-    EnsembleStats."""
+    EnsembleStats, over the steps from ``first`` on, which must be the
+    first step of a stats window (0, all steps, by default).  A trajectory
+    that diverged before ``first`` counts as diverged from it on."""
     synth = _synthesizer(cfg, batch_size, lams)
     n_points = 1 if synth.lam is None else len(synth.lam)
-    n_steps = cfg.grid.n_phys
+    n_steps = cfg.grid.n_phys - first
     sum_tr = np.zeros((n_points, n_steps), dtype=complex)
     sum_abs2 = np.zeros((n_points, n_steps))
     sum_s = np.zeros((n_points, 3, n_steps), dtype=complex)
@@ -309,11 +329,11 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None):
     nreal = cfg.n_realizations
     with np.errstate(over="ignore", invalid="ignore"):
         for points, start, states, new_div in _state_blocks(
-                cfg, synth, batch_size):
+                cfg, synth, batch_size, first):
             m, _, width = states.shape
             n = points.stop - points.start
             rows = width // n
-            steps = slice(start, start + m)
+            steps = slice(start - first, start - first + m)
             # (steps, strengths, realizations): each strength's row sums
             # are those of its own columns alone
             tr = states[:, 3].reshape(m, n, rows)
@@ -323,8 +343,9 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None):
                 states[:, :3].reshape(m, 3, n, rows).sum(axis=3).transpose(2, 1, 0))
             new_div = new_div.reshape(n, rows)
             point, col = np.nonzero(new_div >= 0)
-            np.add.at(first_divs[points], (point, new_div[point, col]), 1)
-    t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)
+            np.add.at(first_divs[points],
+                      (point, np.maximum(new_div[point, col] - first, 0)), 1)
+    t = cfg.model.t0 + cfg.grid.dt * np.arange(first, cfg.grid.n_phys)
     runs = []
     for p in range(n_points):
         var, se = _pooled_window_stats(sum_tr[p], sum_abs2[p], nreal,
@@ -425,8 +446,10 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     numbers), so repeated lambda values give identical results and the
     comparison between points is not blurred by independent sampling
     noise.  The reported figure of merit is the SE pooled over the final
-    stats window.  The filters are built once and each realization's noise
-    is synthesized once.  RK4 runs once per batch on that noise, for every
+    stats window, and only that window's steps are reduced; the steps
+    before it are integrated, and checked for divergence, but not summed.
+    The filters are built once and each realization's noise is
+    synthesized once.  RK4 runs once per batch on that noise, for every
     point at once (in passes of at most RK4_COLUMNS columns), applying
     each point's rescale factors block by block.  Every point equals a
     stand-alone :func:`run_ensemble` with ``lam`` set to it, bitwise.
@@ -437,7 +460,9 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     if lambdas.size == 0 or not np.all((lambdas > 0) & (lambdas < np.inf)):
         raise ConfigError("lambdas must be positive, finite and non-empty")
     sub = dataclasses.replace(cfg, n_realizations=runs_per_point)
-    runs = _ensembles(sub, batch_size, lambdas)
+    # the first step of the final stats window, which se_tr[-1] pools
+    first = (cfg.grid.n_phys - 1) // cfg.stats_window * cfg.stats_window
+    runs = _ensembles(sub, batch_size, lambdas, first)
     se_final = np.array([stats.se_tr[-1] for stats in runs])
     if not np.isfinite(se_final).any():
         raise SlnoiseError("the trajectories diverged at every lambda of the scan")

@@ -513,3 +513,20 @@ def test_kernel_source_ships_with_the_package():
     assert _native._SOURCE.parent == Path(dynamics.__file__).parent
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert '"_native.c"' in pyproject.read_text()
+
+
+@needs_compiler
+def test_native_kernel_decides_divergence_as_np_abs_at_the_threshold():
+    # np.abs puts this modulus one ulp above the threshold and libm's hypot
+    # at it; without coupling, noise or drives the state stays put, and
+    # both kernels must flag it at step 1
+    rk4 = dynamics._native_kernel()
+    assert rk4 is not None
+    z = 765406082731.0397 + 643547611694.9894j
+    nh = 2 * 3 + 1
+    still = np.zeros((nh, 1), dtype=complex)
+    run = dynamics._Run(np.array([z, 0, 0, 1]), 0.0, 0.05, np.zeros(nh),
+                        np.zeros(nh), still, still, None, 4)
+    ref = list(dynamics._numpy_blocks(run))
+    assert [d.tolist() for _, _, d in ref] == [[1]]
+    _assert_same_bits(ref, list(dynamics._native_blocks(run, rk4, 1)))

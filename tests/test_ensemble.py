@@ -388,6 +388,89 @@ def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeyp
             assert np.array_equal(getattr(got, name), value, equal_nan=True), name
 
 
+@pytest.mark.parametrize("window", [1, 7, 100, 500])
+def test_scan_lambda_reduces_only_its_final_window(window, monkeypatch):
+    # 201 steps in blocks of 128: the final window begins at step 200, 196,
+    # 200 and 0, inside the second block or at step 0; the steps before
+    # it are never handed to the reductions, and each point still
+    # equals a stand-alone run's final SE, bitwise, over full batches and
+    # a partial last one
+    import dataclasses
+
+    import slnoise.ensemble as ens
+
+    cfg = small_cfg(stats_window=window)
+    first = (cfg.grid.n_phys - 1) // window * window
+    reduced = []
+    real = ens._state_blocks
+
+    def recording(*args):
+        for points, start, states, new_div in real(*args):
+            reduced.append((start, len(states)))
+            yield points, start, states, new_div
+
+    monkeypatch.setattr(ens, "_state_blocks", recording)
+    runs, batch = 2 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
+    lambdas = [0.5, 2.0]
+    scan = scan_lambda(cfg, lambdas, runs_per_point=runs, batch_size=batch)
+    assert min(start for start, _ in reduced) == first
+    # every batch hands out each step from first on once
+    assert sum(m for _, m in reduced) == -(-runs // batch) * (cfg.grid.n_phys - first)
+    assert np.isfinite(scan.se_final).all()
+    for lam, se in zip(lambdas, scan.se_final):
+        sub = dataclasses.replace(cfg, lam=lam, n_realizations=runs)
+        assert run_ensemble(sub, batch_size=batch).se_tr[-1] == se
+
+
+def _assert_tail_of_stand_alone_runs(cfg, batch, lambdas, first):
+    """Every field of the statistics of each lambda reduced from step
+    ``first`` on equals the steps from ``first`` on of a stand-alone run,
+    bitwise; returns the stand-alone runs."""
+    import dataclasses
+
+    import slnoise.ensemble as ens
+
+    wants = [run_ensemble(dataclasses.replace(cfg, lam=lam), batch_size=batch)
+             for lam in lambdas]
+    for got, want in zip(ens._ensembles(cfg, batch, lambdas, first), wants):
+        for name, value in dataclasses.asdict(want).items():
+            if isinstance(value, np.ndarray):
+                value = value[first:]
+            assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+    return wants
+
+
+def test_scan_lambda_counts_divergences_of_skipped_blocks():
+    # 1001 steps in blocks of 128 and a final window from step 1000: at
+    # lambda = 1e-300 every trajectory diverges at step 1, in a block that
+    # is integrated but not reduced; the point reads nan without being
+    # taken for a faulty integration, and its final-window statistics,
+    # diverged counts included, are those of a stand-alone run
+    from slnoise.dynamics import BLOCK_STEPS
+
+    cfg = small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0), stats_window=100,
+                    n_realizations=4)
+    assert BLOCK_STEPS < 1000
+    scan = scan_lambda(cfg, [1e-300, 1.0], runs_per_point=4)
+    assert np.isnan(scan.se_final[0]) and np.isfinite(scan.se_final[1])
+    assert scan.best_lambda == 1.0
+    wants = _assert_tail_of_stand_alone_runs(cfg, 256, [1e-300, 1.0], 1000)
+    assert wants[0].diverged[1] == 4 and wants[1].diverged[-1] == 0
+
+
+@pytest.mark.parametrize("first", [120, 140, 200])
+def test_statistics_from_a_window_equal_the_tail_of_a_full_run(first):
+    # strongly coupled, 201 steps in blocks of 128 and windows of 20: at
+    # lambda = 0.5 trajectories diverge at steps 115, 138, 160 and later,
+    # in a skipped block or in the block that holds first, before first
+    # and after it; at 0.02 all diverge early, at 5.0 after step 150
+    cfg = small_cfg(model=SystemModel(1.0, -1.0, 2.0, RHO0),
+                    n_realizations=2 * (CHUNK_ROWS + 3) + 15)
+    wants = _assert_tail_of_stand_alone_runs(cfg, CHUNK_ROWS + 3,
+                                             [0.5, 0.02, 5.0], first)
+    assert wants[0].diverged[first - 1] > 0
+
+
 def test_scan_lambda_synthesizes_each_realization_once(monkeypatch):
     drawn = _count_drawn_rows(monkeypatch)
     scan_lambda(small_cfg(), [0.5, 1.0, 2.0], runs_per_point=2 * CHUNK_ROWS + 5)
