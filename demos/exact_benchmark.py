@@ -9,20 +9,18 @@ deviation from the exact answer as the ensemble grows.
 import numpy as np
 
 from slnoise import (
-    FrequencyGrid,
+    QndModel,
     RunConfig,
     SchemeId,
     TimeGrid,
     qnd_exact,
-    qnd_model,
     qnd_sln_config,
     run_coherence,
 )
 
 
 def main():
-    fg = FrequencyGrid(2048, 0.005)
-    table, model = qnd_sln_config(fg)
+    kernel, model = qnd_sln_config()
     grid = TimeGrid(dt=0.01, t_max=4.0)
 
     print("exactly solvable benchmark: pure-dephasing two-level system")
@@ -32,10 +30,10 @@ def main():
     for n in (1000, 5000, 20000):
         cfg = RunConfig(
             scheme=SchemeId.ETANU_OPTIMISED, model=model, grid=grid,
-            n_realizations=n, master_seed=3, kernel=table.source, lam=0.5,
+            n_realizations=n, master_seed=3, kernel=kernel, lam=0.5,
         )
         t, r01, se = run_coherence(cfg)
-        exact = qnd_exact(qnd_model(), t)[..., 0, 1]
+        exact = qnd_exact(QndModel(), t)[..., 0, 1]
         dev = np.max(np.abs(r01 - exact))
         print(f"  {n:6d} realizations: max |stochastic - exact| = {dev:.4f} "
               f"(final SE {se[-1]:.4f})")

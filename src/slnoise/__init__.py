@@ -68,7 +68,6 @@ from .dynamics import (
     lz_asymptote,
     qnd_exact,
     qnd_kernel,
-    qnd_model,
     qnd_sln_config,
     rho_to_state,
 )

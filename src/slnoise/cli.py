@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from .dynamics import QndModel, SystemModel, qnd_exact, qnd_kernel
+from .dynamics import QndModel, SystemModel, qnd_exact, qnd_sln_config
 from .ensemble import RunConfig, run_coherence, run_ensemble, scan_lambda, seed_for
 from .exceptions import ConfigError, SlnoiseError, ZeroComponent
 from .grids import TimeGrid
-from .kernels import BathParams, CustomKernel, build_kernel_table, kernel_time
+from .kernels import BathParams, build_kernel_table, kernel_time
 from .noise import (check_memory, estimate_correlations, lag_steps, synthesize,
                     synthesize_batch)
 from .schemes import SchemeId, make_filters
@@ -70,7 +70,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -113,9 +113,8 @@ def build_run_config(settings: dict, qnd: bool = False) -> RunConfig:
         raise ConfigError("missing required key 'beta' (Drude bath mode)")
     scheme = _scheme_from_name(settings["scheme"])
     if qnd:
-        model = SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
-                            rho0=QndModel().rho0)
-        source = dict(kernel=CustomKernel(qnd_kernel))
+        kernel, model = qnd_sln_config()
+        source = dict(kernel=kernel)
     else:
         model = _spin_boson(settings)
         source = dict(bath=BathParams(settings["beta"], settings["omega_c"]))
@@ -171,9 +170,13 @@ def _settings_from_args(args) -> dict:
 
 def _write_csv(settings, header, rows):
     """Write the CSV to the ``output`` file, closed even when writing
-    raises, or to stdout, which is never closed."""
+    raises, or to stdout, which is never closed.  A file that cannot be
+    opened is a ConfigError."""
     path = settings.get("output")
-    out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    try:
+        out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
     with out as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -62,8 +62,7 @@ import numpy as np
 
 from . import _native
 from .exceptions import ConfigError
-from .grids import FrequencyGrid
-from .kernels import CustomKernel, build_kernel_table
+from .kernels import CustomKernel
 
 __all__ = [
     "SIGMA_X",
@@ -81,7 +80,6 @@ __all__ = [
     "LZ_FINITE_WINDOW",
     "QndModel",
     "qnd_kernel",
-    "qnd_model",
     "qnd_exact",
     "qnd_sln_config",
     "DIVERGENCE_THRESHOLD",
@@ -524,7 +522,6 @@ class QndModel:
     sigma_z, and the kernel above.  c_r/c_i are the cumulative integrals
     of the kernel's real and imaginary parts from 0 to t."""
 
-    kernel: Callable[[np.ndarray], np.ndarray] = qnd_kernel
     rho0: np.ndarray = field(
         default_factory=lambda: np.array(
             [[0.5, 0.5 - 0.6j], [0.5 + 0.6j, 0.5]], dtype=complex
@@ -550,10 +547,6 @@ class QndModel:
         ) / 50.0
 
 
-def qnd_model() -> QndModel:
-    return QndModel()
-
-
 def qnd_exact(model: QndModel, t) -> np.ndarray:
     """Exact averaged density matrix of the dephasing model.
 
@@ -573,13 +566,12 @@ def qnd_exact(model: QndModel, t) -> np.ndarray:
     return out
 
 
-def qnd_sln_config(grid: FrequencyGrid):
-    """Kernel table and system model for the stochastic run of the
-    dephasing model: delta = 0, epsilon = -1 (H = -sigma_z/2), alpha = 1,
-    and the written initial matrix (deliberately not positive
-    semidefinite; the dynamics is linear so this is well-posed)."""
-    table = build_kernel_table(grid, CustomKernel(qnd_kernel))
+def qnd_sln_config():
+    """Kernel and system model for the stochastic run of the dephasing
+    model: delta = 0, epsilon = -1 (H = -sigma_z/2), alpha = 1, and the
+    written initial matrix (deliberately not positive semidefinite; the
+    dynamics is linear so this is well-posed)."""
     model = SystemModel(
         delta=0.0, epsilon=-1.0, alpha=1.0, rho0=QndModel().rho0
     )
-    return table, model
+    return CustomKernel(qnd_kernel), model

@@ -59,13 +59,12 @@ import numpy as np
 # here; perfbench/spans.py traces the layers through these names.
 from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
-from .dynamics import RK4_THREADS, _native_kernel
+from .dynamics import RK4_THREADS
 from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
 from .noise import (Synthesizer, check_memory, sample_white,  # noqa: F401
                     synthesize_from_white)
-from .noise import _native_colour, _native_normals
 from .schemes import FilterSet, SchemeId, make_filters
 
 __all__ = [
@@ -111,7 +110,6 @@ class RunConfig:
     gamma: float = 0.01
     lam: Optional[float] = None
     stats_window: int = 100
-    seed_group: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.n_realizations < 2:
@@ -259,8 +257,7 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
 
     def submit(pool, start):
         stop = min(start + batch_size, nreal)
-        seeds = [seed_for(cfg.master_seed, i, cfg.seed_group)
-                 for i in range(start, stop)]
+        seeds = [seed_for(cfg.master_seed, i) for i in range(start, stop)]
         # eta, nu and, when rescaled, the unscaled pair eta0, nu0
         series = [np.empty((synth.n_phys, stop - start), dtype=complex)
                   for _ in range(4 if n_points else 2)]
@@ -273,13 +270,6 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
             jobs.append(pool.submit(synth.fill, seeds[cols], eta, nu, cross))
         return series, factors, jobs
 
-    # load the native RK4 kernel, normal draw and colouring before any
-    # noise exists: should the library have to be compiled first, the
-    # compiler then runs beside a small process, and the synthesis threads
-    # never compile or probe
-    _native_kernel()
-    _native_normals()
-    _native_colour()
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
         batch = submit(pool, 0)
         for start in range(0, nreal, batch_size):

@@ -109,6 +109,12 @@ def k_etaeta_freq(omega, params: BathParams):
     return out if out.ndim else float(out)
 
 
+# Gauss-Legendre panels over [0, omega_c] and nodes per panel: of the
+# principal-value integral, and of kernel_time (more panels at long lags).
+PV_PANELS, PV_ORDER = 64, 16
+KT_MIN_PANELS, KT_ORDER = 40, 12
+
+
 def _gauss_panels(a: float, b: float, npanels: int, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, npanels + 1)
@@ -119,8 +125,7 @@ def _gauss_panels(a: float, b: float, npanels: int, order: int):
     return nodes, wts
 
 
-def _pv_cutoff_integral(w: np.ndarray, params: BathParams,
-                        npanels: int = 64, order: int = 16) -> np.ndarray:
+def _pv_cutoff_integral(w: np.ndarray, params: BathParams) -> np.ndarray:
     """PV integral of x^2 f(x) / (x^2 - w^2) over [0, omega_c], w >= 0.
 
     Subtracts f(w) so the remaining integrand is smooth; the subtracted
@@ -131,7 +136,7 @@ def _pv_cutoff_integral(w: np.ndarray, params: BathParams,
     def f(x):
         return (1.0 + (x / wc) ** 2) ** -2
 
-    nodes, wts = _gauss_panels(0.0, wc, npanels, order)
+    nodes, wts = _gauss_panels(0.0, wc, PV_PANELS, PV_ORDER)
     x = nodes[None, :]
     smooth = np.empty(w.size)
     chunk = max(1, int(2**21 // max(nodes.size, 1)))
@@ -189,8 +194,7 @@ def k_etanu_freq(omega, params: BathParams):
     return out if np.asarray(omega).ndim else complex(out[0])
 
 
-def kernel_time(t, params: BathParams, which: str,
-                order: int = 12, min_panels: int = 40):
+def kernel_time(t, params: BathParams, which: str):
     """Time-domain kernels by composite Gauss-Legendre quadrature.
 
     ``which='etaeta'``: ``(1/pi) int_0^wc J coth(beta w/2) cos(w t) dw``
@@ -202,8 +206,8 @@ def kernel_time(t, params: BathParams, which: str,
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     wc = params.omega_c
     tmax = float(np.max(np.abs(tt))) if tt.size else 0.0
-    npanels = max(min_panels, int(np.ceil(4.0 * wc * tmax / (2.0 * np.pi))))
-    nodes, wts = _gauss_panels(0.0, wc, npanels, order)
+    npanels = max(KT_MIN_PANELS, int(np.ceil(4.0 * wc * tmax / (2.0 * np.pi))))
+    nodes, wts = _gauss_panels(0.0, wc, npanels, KT_ORDER)
     j = spectral_density(nodes, params)
     # evaluate in chunks: the (times x nodes) outer product would otherwise
     # grow to gigabytes on long padded grids

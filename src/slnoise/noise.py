@@ -425,7 +425,8 @@ class Synthesizer:
     (:func:`chunk_rows`).  The unit normals of the draw are scaled to
     white noise of variance 1/dt by the filter taps.
     Construction refuses a filter set built on another grid and a
-    rescaling request for a scheme without a cross-correlative pair, so
+    rescaling request for a scheme without a cross-correlative pair
+    (convex) or whose pair f2 is zero on every bin of the table, so
     neither can first surface while noise is drawn.  Afterwards the object
     is only read, apart from each thread's own workspace: several threads
     may call :meth:`fill` at once, and each realization's result does not
@@ -444,7 +445,15 @@ class Synthesizer:
             raise ZeroComponent(
                 f"the {fs.scheme.value} scheme has no cross-correlative "
                 "component pair; lambda rescaling does not apply to it"
+                if fs.structure is FilterStructure.CONVEX else
+                f"the {fs.scheme.value} scheme's cross-correlative filter f2 "
+                f"is zero on every bin of this kernel table (n={fg.n}, "
+                f"dt={fg.dt:g}), so lambda has no pair to rescale"
             )
+        # build and probe the native code before any noise exists, so that
+        # a compile runs beside a small process and never in a fill thread
+        _native_normals()
+        _native_colour()
         s = 1.0 / np.sqrt(grid.dt)
         self.fs = fs
         self.grid = grid

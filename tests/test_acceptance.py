@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from slnoise import (
     BathParams,
     DivisionByZeroSpectrum,
+    QndModel,
     RunConfig,
     SIGMA_Z,
     SchemeId,
@@ -26,7 +27,7 @@ from slnoise import (
     kernel_time,
     make_filters,
     qnd_exact,
-    qnd_model,
+    qnd_sln_config,
     run_coherence,
     run_ensemble,
     scan_lambda,
@@ -118,19 +119,16 @@ def test_criterion_03_correlation_recovery():
 
 
 def test_criterion_04_qnd_oracle_match():
-    fg = FrequencyGrid(2048, 0.005)
-    from slnoise import qnd_sln_config
-
-    table, model = qnd_sln_config(fg)
+    kernel, model = qnd_sln_config()
     grid = TimeGrid(dt=0.01, t_max=4.0)
     devs = {}
     for n in (10_000, 50_000):
         cfg = RunConfig(
             scheme=SchemeId.ETANU_OPTIMISED, model=model, grid=grid,
-            n_realizations=n, master_seed=3, kernel=table.source, lam=0.5,
+            n_realizations=n, master_seed=3, kernel=kernel, lam=0.5,
         )
         t, r01, _ = run_coherence(cfg)
-        exact = qnd_exact(qnd_model(), t)[..., 0, 1]
+        exact = qnd_exact(QndModel(), t)[..., 0, 1]
         devs[n] = np.max(np.abs(r01 - exact))
     ok = devs[10_000] <= 0.05 and devs[50_000] <= 0.02
     report(4, ok,

@@ -279,6 +279,41 @@ def test_validate_refuses_max_lag_before_drawing_noise(max_lag, monkeypatch, cap
     assert err.startswith("error: max_lag ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["missing output dir", "output is a dir",
+                                  "config not utf-8"])
+def test_unusable_file_is_one_error_line(case, tmp_path, capsys):
+    if case == "missing output dir":
+        argv = ["kernels", "--beta", "1", "--t-max", "1",
+                "--output", str(tmp_path / "no" / "x.csv")]
+    elif case == "output is a dir":
+        argv = ["simulate", "--scheme", "like", "--beta", "1", "--t-max", "0.1",
+                "--n", "4", "--output", str(tmp_path)]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"scheme = like\n\xff\n")
+        argv = ["simulate", "--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["scan-lambda", "--scheme", "convex", "--beta", "1", "--lambdas", "1"],
+     "the convex scheme has no cross-correlative component pair"),
+    # the pure-dephasing kernel has K >= 2|R| at every frequency, so the
+    # etanu-optimised pair vanishes on every bin of a long enough window
+    (["qnd-verify", "--lambda", "0.5", "--n", "4"],
+     "the etanu-optimised scheme's cross-correlative filter f2 is zero on "
+     "every bin"),
+], ids=["convex", "pair zero on every bin"])
+def test_rescaling_refusal_says_why_there_is_no_pair(argv, reason, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + reason)
+    assert err.count("\n") == 1
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     # put a frequency-grid point exactly on the hard cutoff: n = 2048,
     # dt = 0.01 puts bin k at 2*pi*k/20.48; choose omega_c on bin 100

@@ -20,11 +20,10 @@ from slnoise import (
     lz_asymptote,
     qnd_exact,
     qnd_kernel,
-    qnd_model,
     qnd_sln_config,
     rho_to_state,
 )
-from slnoise import _native, dynamics
+from slnoise import _native, build_kernel_table, dynamics, kernels
 from slnoise.dynamics import BLOCK_STEPS, QndModel, rk4_bytes
 
 
@@ -233,7 +232,7 @@ def test_qnd_double_integral_matches():
 
 
 def test_qnd_exact_shape_and_diagonal():
-    m = qnd_model()
+    m = QndModel()
     t = np.linspace(0.0, 3.0, 7)
     rho = qnd_exact(m, t)
     assert rho.shape == (7, 2, 2)
@@ -245,7 +244,7 @@ def test_qnd_exact_shape_and_diagonal():
 
 def test_qnd_exact_against_ode_oracle():
     # independent oracle: integrate d rho01/dt = (i - 4 c_r(t)) rho01
-    m = qnd_model()
+    m = QndModel()
     t_eval = np.linspace(0.0, 10.0, 41)
 
     def rhs(t, y):
@@ -262,7 +261,8 @@ def test_qnd_exact_against_ode_oracle():
 
 def test_qnd_sln_config_table_and_model():
     grid = FrequencyGrid(2048, 0.005)
-    table, model = qnd_sln_config(grid)
+    kernel, model = qnd_sln_config()
+    table = build_kernel_table(grid, kernel)
     assert table.k_etaeta_t[0] == pytest.approx(0.5)
     # causal cross-kernel, even autocorrelation spectrum
     t = grid.times
@@ -273,10 +273,19 @@ def test_qnd_sln_config_table_and_model():
     assert model.rho0[0, 1] == 0.5 - 0.6j
 
 
+def test_qnd_sln_config_builds_no_kernel_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("qnd_sln_config built a kernel table")
+
+    monkeypatch.setattr(kernels, "build_kernel_table", refuse)
+    monkeypatch.setattr(dynamics, "build_kernel_table", refuse, raising=False)
+    kernel, _ = qnd_sln_config()
+    assert kernel.func is qnd_kernel
+
+
 def test_qnd_noise_free_coherence_rotates():
     # without noise the coherence just precesses: rho01(t) = rho01(0) e^{it}
-    grid = FrequencyGrid(256, 0.01)
-    _, model = qnd_sln_config(grid)
+    _, model = qnd_sln_config()
     n = 500
     zeros = np.zeros(2 * n + 1)
     tr = integrate_trajectory(model, zeros, zeros, 0.005)

@@ -6,7 +6,6 @@ import pytest
 from slnoise import (
     BathParams,
     ConfigError,
-    CustomKernel,
     QndModel,
     RunConfig,
     SIGMA_Z,
@@ -17,7 +16,7 @@ from slnoise import (
     TimeGrid,
     ZeroComponent,
     integrate_batch,
-    qnd_kernel,
+    qnd_sln_config,
     run_coherence,
     run_ensemble,
     sample_white,
@@ -499,14 +498,14 @@ def test_rescaled_run_matches_integrated_noise_pairs():
 
 
 def qnd_cfg(**kw):
+    kernel, model = qnd_sln_config()
     base = dict(
         scheme=SchemeId.ETANU_OPTIMISED,
-        model=SystemModel(delta=0.0, epsilon=-1.0, alpha=1.0,
-                          rho0=QndModel().rho0),
+        model=model,
         grid=TimeGrid(dt=0.01, t_max=0.2),
         n_realizations=64,
         master_seed=0,
-        kernel=CustomKernel(qnd_kernel),
+        kernel=kernel,
     )
     base.update(kw)
     return RunConfig(**base)
