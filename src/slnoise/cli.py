@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -168,15 +169,23 @@ def _settings_from_args(args) -> dict:
     return settings
 
 
-def _write_csv(settings, header, rows):
-    """Write the CSV to the ``output`` file, closed even when writing
-    raises, or to stdout, which is never closed.  A file that cannot be
-    opened is a ConfigError."""
-    path = settings.get("output")
+def _check_output(path):
+    """Refuse an ``output`` file that cannot be opened, before anything runs;
+    an existing file keeps its bytes and a new one is removed again."""
+    existed = os.path.lexists(path)
     try:
-        out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+        open(path, "a").close()
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
+def _write_csv(settings, header, rows):
+    """Write the CSV to the ``output`` file (checked before the run), closed
+    even when writing raises, or to stdout, which is never closed."""
+    path = settings.get("output")
+    out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -220,8 +229,7 @@ def _add_common(p, *keys):
         mapping[key]()
 
 
-def _cmd_kernels(args):
-    settings = _settings_from_args(args)
+def _cmd_kernels(args, settings):
     if settings["beta"] is None:
         raise ConfigError("missing required key 'beta'")
     bath = BathParams(settings["beta"], settings["omega_c"])
@@ -236,7 +244,7 @@ def _cmd_kernels(args):
         table.k_etanu_w.real[order],
         table.k_etanu_w.imag[order],
     )
-    _write_csv(settings, ["omega", "k_etaeta", "re_k_etanu", "im_k_etanu"], rows)
+    return ["omega", "k_etaeta", "re_k_etanu", "im_k_etanu"], rows
 
 
 def _noise_filters(settings):
@@ -251,17 +259,15 @@ def _noise_filters(settings):
     return cfg, make_filters(cfg.scheme, table, cfg.gamma)
 
 
-def _cmd_gen_noise(args):
-    settings = _settings_from_args(args)
+def _cmd_gen_noise(args, settings):
     cfg, fs = _noise_filters({**settings, "n_realizations": 2})
     pair = synthesize(fs, cfg.grid, seed_for(cfg.master_seed, 0), cfg.lam)
     t = cfg.grid.times
     rows = zip(t, pair.eta_t.real, pair.eta_t.imag, pair.nu_t.real, pair.nu_t.imag)
-    _write_csv(settings, ["t", "re_eta", "im_eta", "re_nu", "im_nu"], rows)
+    return ["t", "re_eta", "im_eta", "re_nu", "im_nu"], rows
 
 
-def _cmd_validate(args):
-    settings = _settings_from_args(args)
+def _cmd_validate(args, settings):
     cfg, fs = _noise_filters(settings)
     lag_steps(args.max_lag, cfg.grid.dt, cfg.grid.n_phys)
     seeds = [seed_for(cfg.master_seed, i) for i in range(cfg.n_realizations)]
@@ -281,11 +287,10 @@ def _cmd_validate(args):
         "re_k_etanu", "im_k_etanu", "re_est_etanu", "im_est_etanu", "se_etanu",
         "re_est_nunu", "im_est_nunu", "se_nunu",
     ]
-    _write_csv(settings, header, rows)
+    return header, rows
 
 
-def _cmd_simulate(args):
-    settings = _settings_from_args(args)
+def _cmd_simulate(args, settings):
     cfg = build_run_config(settings)
     stats = run_ensemble(cfg)
     rows = zip(
@@ -297,11 +302,10 @@ def _cmd_simulate(args):
     )
     header = ["t", "re_mean_tr", "im_mean_tr", "abs_mean_tr", "var_tr",
               "se_tr", "mean_sx", "mean_sy", "mean_sz", "diverged"]
-    _write_csv(settings, header, rows)
+    return header, rows
 
 
-def _cmd_qnd_verify(args):
-    settings = _settings_from_args(args)
+def _cmd_qnd_verify(args, settings):
     if settings["scheme"] is None:
         settings["scheme"] = SchemeId.ETANU_OPTIMISED.value
     t, mean_r01, se = run_coherence(build_run_config(settings, qnd=True))
@@ -309,11 +313,10 @@ def _cmd_qnd_verify(args):
     rows = zip(t, exact.real, mean_r01.real, exact.imag, mean_r01.imag, se)
     header = ["t", "re_rho01_exact", "re_rho01_sln",
               "im_rho01_exact", "im_rho01_sln", "se"]
-    _write_csv(settings, header, rows)
+    return header, rows
 
 
-def _cmd_scan_lambda(args):
-    settings = _settings_from_args(args)
+def _cmd_scan_lambda(args, settings):
     # np.logspace refuses a negative count with a bare ValueError
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
@@ -326,7 +329,7 @@ def _cmd_scan_lambda(args):
     else:
         lambdas = np.logspace(np.log10(0.01), np.log10(10.0), args.points)
     scan = scan_lambda(cfg, lambdas, args.runs_per_point)
-    _write_csv(settings, ["lambda", "se_final"], zip(scan.lambdas, scan.se_final))
+    return ["lambda", "se_final"], zip(scan.lambdas, scan.se_final)
 
 
 def _build_parser() -> _Parser:
@@ -378,7 +381,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        settings = _settings_from_args(args)
+        if settings["output"]:
+            _check_output(settings["output"])
+        _write_csv(settings, *args.func(args, settings))
     except (ConfigError, ZeroComponent) as exc:
         # ZeroComponent: rescaling asked of a scheme without a
         # cross-correlative pair, refused before any noise is drawn

@@ -100,14 +100,14 @@ BLOCK_STEPS = 128
 # Column slabs of a block the native kernel integrates at once: one per
 # core this process may use.
 RK4_THREADS = len(os.sched_getaffinity(0))
-# A block of a factor table is cut to BLOCK_STEPS x max(rows, BLOCK_COLUMNS)
-# column-steps, the size of a one-row block of a full batch.
-BLOCK_COLUMNS = 256
+# Realizations per batch of an ensemble run.  A block of a factor table is
+# cut to BLOCK_STEPS x max(rows, BATCH_ROWS) column-steps, a full batch's.
+BATCH_ROWS = 256
 
 
 def _block_steps(rows: int, n_points: int, n_steps: int) -> int:
     """Steps per block of ``n_points`` x ``rows`` columns (at least one)."""
-    steps = BLOCK_STEPS * max(rows, BLOCK_COLUMNS) // (n_points * rows)
+    steps = BLOCK_STEPS * max(rows, BATCH_ROWS) // (n_points * rows)
     return max(min(steps, BLOCK_STEPS, n_steps + 1), 1)
 
 
@@ -204,7 +204,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
 
     Yields ``(start, states, new_div)`` for consecutive blocks of up to
     BLOCK_STEPS steps, fewer for a wide table: a block holds at most
-    BLOCK_STEPS x max(rows, BLOCK_COLUMNS) column-steps whatever L is (but
+    BLOCK_STEPS x max(rows, BATCH_ROWS) column-steps whatever L is (but
     at least one step); the caller caps the width L x rows.
     ``states`` has shape (m, 4, width) and holds steps
     start .. start+m-1 (step 0 is the initial state); it is one buffer,

@@ -1,14 +1,14 @@
 """Ensemble runs: batched trajectory averaging and the lambda scan.
 
 Realizations are independent; each gets its own counter-based RNG stream
-derived from the master seed, so results are reproducible regardless of
-batching.  Statistics are accumulated in fixed realization order.
+derived from the master seed.  Every run sums its batches of BATCH_ROWS
+realizations in realization order, so its bits depend on its config alone.
 
-One loop produces the noise of every ensemble run, batch by batch
-(``batch_size`` realizations).  A batch's noise is synthesized in chunks
-of the synthesizer's ``chunk_rows`` realizations (at most 16, fewer on
-long grids) spread over SYNTH_THREADS threads: the normal draw (native,
-or numpy's Philox fills) and the FFTs release the interpreter lock, so
+One loop produces the noise of every ensemble run, batch by batch.  A
+batch's noise is synthesized in chunks of the synthesizer's
+``chunk_rows`` realizations (at most 16, fewer on long grids) spread
+over SYNTH_THREADS threads: the normal draw (native, or numpy's Philox
+fills) and the FFTs release the interpreter lock, so
 the chunks run on all cores.  Each thread colours its chunks in one
 workspace that it allocates once per run.  Each chunk writes its own
 columns of the batch's time-major noise arrays, and a realization's noise
@@ -59,7 +59,7 @@ import numpy as np
 # here; perfbench/spans.py traces the layers through these names.
 from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
-from .dynamics import RK4_THREADS
+from .dynamics import BATCH_ROWS, RK4_THREADS
 from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
@@ -90,8 +90,8 @@ def seed_for(master_seed: int, index: int,
              group: Tuple[int, ...] = ()) -> np.random.SeedSequence:
     """Independent, platform-stable stream seed for one realization.
 
-    The optional group prefix keeps whole sub-ensembles (e.g. the points
-    of a parameter scan) on disjoint streams.
+    The optional group prefix puts whole sub-ensembles on disjoint streams;
+    the points of :func:`scan_lambda` share theirs on purpose.
     """
     return np.random.SeedSequence(master_seed, spawn_key=(*group, index))
 
@@ -167,11 +167,6 @@ class EnsembleStats:
     stats_window: int
 
 
-def _window_slices(n_steps: int, window: int):
-    for start in range(0, n_steps, window):
-        yield slice(start, min(start + window, n_steps))
-
-
 def _pooled_window_stats(sum_tr: np.ndarray, sum_abs2: np.ndarray,
                          nreal: int, window: int):
     """Windowed pooled variance/SE series from per-step accumulators
@@ -179,7 +174,8 @@ def _pooled_window_stats(sum_tr: np.ndarray, sum_abs2: np.ndarray,
     n_steps = sum_tr.shape[0]
     var = np.empty(n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for sl in _window_slices(n_steps, window):
+        for start in range(0, n_steps, window):
+            sl = slice(start, min(start + window, n_steps))
             m = (sl.stop - sl.start) * nreal
             s1 = np.sum(sum_tr[sl])
             s2 = np.sum(sum_abs2[sl])
@@ -222,7 +218,7 @@ def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int,
     check_memory(ngrid, batch_rows, SYNTH_THREADS, rk4 + stats, channels)
 
 
-def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
+def _synthesizer(cfg: RunConfig, lams=None) -> Synthesizer:
     """The run's synthesizer, for the rescaling strengths ``lams`` (by
     default ``cfg.lam`` alone, if set).  Refuses what cannot run (batches
     too large for memory, rescaling without a cross-correlative pair)
@@ -230,14 +226,13 @@ def _synthesizer(cfg: RunConfig, batch_size: int, lams=None) -> Synthesizer:
     if lams is None and cfg.lam is not None:
         lams = [cfg.lam]
     ngrid = cfg.noise_grid()
-    rows = min(batch_size, cfg.n_realizations)
+    rows = min(BATCH_ROWS, cfg.n_realizations)
     _check_memory(ngrid, rows, 1 if lams is None else len(lams),
                   2 if cfg.scheme is SchemeId.CONVEX else 4)
     return Synthesizer(cfg.filters(), ngrid, lams, rows=rows)
 
 
-def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
-                  first: int = 0):
+def _state_blocks(cfg: RunConfig, synth: Synthesizer, first: int = 0):
     """The noise-batch loop: synthesize each batch once, integrate it at
     every rescaling strength of ``synth`` (once if it has none) in passes
     of at most RK4_COLUMNS columns, and yield ``(points, start, states,
@@ -256,7 +251,7 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
     n_points = 0 if synth.lam is None else len(synth.lam)
 
     def submit(pool, start):
-        stop = min(start + batch_size, nreal)
+        stop = min(start + BATCH_ROWS, nreal)
         seeds = [seed_for(cfg.master_seed, i) for i in range(start, stop)]
         # eta, nu and, when rescaled, the unscaled pair eta0, nu0
         series = [np.empty((synth.n_phys, stop - start), dtype=complex)
@@ -272,14 +267,14 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
 
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
         batch = submit(pool, 0)
-        for start in range(0, nreal, batch_size):
+        for start in range(0, nreal, BATCH_ROWS):
             series, factors, jobs = batch
             for job in jobs:
                 job.result()
-            ahead = start + batch_size < nreal
+            ahead = start + BATCH_ROWS < nreal
             batch = None
             if ahead and not n_points:
-                batch = submit(pool, start + batch_size)
+                batch = submit(pool, start + BATCH_ROWS)
             eta, nu, *pair = series
             n = n_points or 1
             group = _points_per_pass(eta.shape[1], n)
@@ -300,16 +295,16 @@ def _state_blocks(cfg: RunConfig, synth: Synthesizer, batch_size: int,
                     yield points, step + skip, states[skip:], new_div
             del series, eta, nu, pair, cross
             if ahead and batch is None:
-                batch = submit(pool, start + batch_size)
+                batch = submit(pool, start + BATCH_ROWS)
 
 
-def _ensembles(cfg: RunConfig, batch_size: int, lams=None, first: int = 0):
+def _ensembles(cfg: RunConfig, lams=None, first: int = 0):
     """One run of the noise-batch loop reduced to one EnsembleStats per
     rescaling strength of :func:`_synthesizer`, or to one unrescaled
     EnsembleStats, over the steps from ``first`` on, which must be the
     first step of a stats window (0, all steps, by default).  A trajectory
     that diverged before ``first`` counts as diverged from it on."""
-    synth = _synthesizer(cfg, batch_size, lams)
+    synth = _synthesizer(cfg, lams)
     n_points = 1 if synth.lam is None else len(synth.lam)
     n_steps = cfg.grid.n_phys - first
     sum_tr = np.zeros((n_points, n_steps), dtype=complex)
@@ -318,8 +313,7 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None, first: int = 0):
     first_divs = np.zeros((n_points, n_steps), dtype=int)
     nreal = cfg.n_realizations
     with np.errstate(over="ignore", invalid="ignore"):
-        for points, start, states, new_div in _state_blocks(
-                cfg, synth, batch_size, first):
+        for points, start, states, new_div in _state_blocks(cfg, synth, first):
             m, _, width = states.shape
             n = points.stop - points.start
             rows = width // n
@@ -359,7 +353,7 @@ def _ensembles(cfg: RunConfig, batch_size: int, lams=None, first: int = 0):
     return runs
 
 
-def run_ensemble(cfg: RunConfig, batch_size: int = 256) -> EnsembleStats:
+def run_ensemble(cfg: RunConfig) -> EnsembleStats:
     """Synthesize, integrate and average an ensemble of trajectories.
 
     Deterministic for a fixed config: per-realization seeds come from
@@ -367,10 +361,10 @@ def run_ensemble(cfg: RunConfig, batch_size: int = 256) -> EnsembleStats:
     A rescaled run (``cfg.lam`` set) is the one-point case of
     :func:`scan_lambda`'s loop.
     """
-    return _ensembles(cfg, batch_size)[0]
+    return _ensembles(cfg)[0]
 
 
-def run_coherence(cfg: RunConfig, batch_size: int = 256):
+def run_coherence(cfg: RunConfig):
     """Ensemble mean and standard error of the off-diagonal element
     rho01 = (sx - i*sy)/2 at every step.
 
@@ -382,7 +376,7 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
     Raises :class:`SlnoiseError` if any trajectory diverged, since the
     mean and SE are then not finite.
     """
-    synth = _synthesizer(cfg, batch_size)
+    synth = _synthesizer(cfg)
     n_steps = cfg.grid.n_phys
     sum_r = np.zeros(n_steps, dtype=complex)
     shift = np.empty(n_steps, dtype=complex)
@@ -392,7 +386,7 @@ def run_coherence(cfg: RunConfig, batch_size: int = 256):
     diverged, first_div = 0, n_steps
     nreal = cfg.n_realizations
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, start, states, new_div in _state_blocks(cfg, synth, batch_size):
+        for _, start, states, new_div in _state_blocks(cfg, synth):
             steps = slice(start, start + len(states))
             r01 = 0.5 * (states[:, 0] - 1j * states[:, 1])
             if steps.stop > shifted:
@@ -428,7 +422,7 @@ class LambdaScan:
 
 
 def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
-                runs_per_point: int, batch_size: int = 256) -> LambdaScan:
+                runs_per_point: int) -> LambdaScan:
     """Standard error of the mean trace at the end of the run as a
     function of the rescaling strength lambda.
 
@@ -452,7 +446,7 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     sub = dataclasses.replace(cfg, n_realizations=runs_per_point)
     # the first step of the final stats window, which se_tr[-1] pools
     first = (cfg.grid.n_phys - 1) // cfg.stats_window * cfg.stats_window
-    runs = _ensembles(sub, batch_size, lambdas, first)
+    runs = _ensembles(sub, lambdas, first)
     se_final = np.array([stats.se_tr[-1] for stats in runs])
     if not np.isfinite(se_final).any():
         raise SlnoiseError("the trajectories diverged at every lambda of the scan")

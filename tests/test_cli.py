@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slnoise import ConfigError
+from slnoise import ConfigError, SlnoiseError
 from slnoise.cli import build_run_config, load_config, main, _DEFAULTS
 
 
@@ -296,6 +296,51 @@ def test_unusable_file_is_one_error_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd,entry", [
+    ("simulate", "run_ensemble"), ("qnd-verify", "run_coherence"),
+    ("scan-lambda", "scan_lambda"), ("validate", "synthesize_batch"),
+    ("config file", "run_ensemble"),
+])
+def test_unusable_output_is_refused_before_the_run(cmd, entry, tmp_path,
+                                                   monkeypatch, capsys):
+    # a directory as --output, or as a config file's output key
+    import slnoise.cli as cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before the output was checked")
+
+    monkeypatch.setattr(cli, entry, refused)
+    if cmd == "config file":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"scheme = like\nbeta = 1\noutput = {tmp_path}\n")
+        argv = ["simulate", "--config", str(config)]
+    else:
+        argv = [cmd, "--scheme", "like", "--output", str(tmp_path)]
+        argv += [] if cmd == "qnd-verify" else ["--beta", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_failed_run_leaves_output_files_as_they_were(tmp_path, monkeypatch, capsys):
+    # the check neither truncates an existing file nor leaves a new one
+    import slnoise.cli as cli
+
+    def failing(*args, **kwargs):
+        raise SlnoiseError("the run failed")
+
+    monkeypatch.setattr(cli, "run_ensemble", failing)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("kept\n")
+    for out in (old, new):
+        assert main(["simulate", "--scheme", "like", "--beta", "1",
+                     "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime error: the run failed\n" * 2
+    assert old.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
 
 
 @pytest.mark.parametrize("argv,reason", [

@@ -145,9 +145,13 @@ def test_run_ensemble_deterministic():
     assert np.array_equal(a.var_tr, b.var_tr)
 
 
-def test_run_ensemble_batch_size_invariant():
-    a = run_ensemble(small_cfg(), batch_size=16)
-    b = run_ensemble(small_cfg(), batch_size=1000)
+def test_run_ensemble_batch_size_invariant(monkeypatch):
+    import slnoise.ensemble as ens
+
+    monkeypatch.setattr(ens, "BATCH_ROWS", 16)
+    a = run_ensemble(small_cfg())
+    monkeypatch.setattr(ens, "BATCH_ROWS", 1000)
+    b = run_ensemble(small_cfg())
     assert np.allclose(a.mean_tr, b.mean_tr, rtol=1e-12, atol=1e-14)
     assert np.allclose(a.var_tr, b.var_tr, rtol=1e-10, atol=1e-14)
 
@@ -160,14 +164,14 @@ def test_output_independent_of_synthesis_thread_count(monkeypatch):
     import slnoise.ensemble as ens
 
     cfg = small_cfg(n_realizations=3 * CHUNK_ROWS + 5)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * CHUNK_ROWS + 3)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 5):
             monkeypatch.setattr(ens, "SYNTH_THREADS", threads)
-            runs.append((run_ensemble(cfg, batch_size=2 * CHUNK_ROWS + 3),
-                         run_coherence(cfg, batch_size=2 * CHUNK_ROWS + 3)))
+            runs.append((run_ensemble(cfg), run_coherence(cfg)))
     finally:
         sys.setswitchinterval(interval)
     (ens1, coh1) = runs[0]
@@ -179,13 +183,16 @@ def test_output_independent_of_synthesis_thread_count(monkeypatch):
             assert np.array_equal(a, b)
 
 
-def test_streamed_sums_match_integrated_states():
+def test_streamed_sums_match_integrated_states(monkeypatch):
     # a strongly coupled run in which some trajectories diverge; the
     # reference integrates the same noise with integrate_batch and reduces
     # the full state array
+    import slnoise.ensemble as ens
+
     cfg = small_cfg(scheme=SchemeId.LIKE, n_realizations=3 * CHUNK_ROWS,
                     model=SystemModel(1.0, -1.0, 2.0, RHO0))
-    stats = run_ensemble(cfg, batch_size=2 * CHUNK_ROWS)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * CHUNK_ROWS)
+    stats = run_ensemble(cfg)
     ngrid = cfg.noise_grid()
     synth = Synthesizer(cfg.filters(), ngrid)
     n = cfg.n_realizations
@@ -238,9 +245,9 @@ def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
     short = small_cfg(grid=TimeGrid(dt=0.01, t_max=0.02))
     ens._check_memory(short.noise_grid(), 10**5, 10**6)
     monkeypatch.setattr(ens, "RK4_COLUMNS", 2**62)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 10**5)
     with pytest.raises(ConfigError, match="physical memory"):
-        scan_lambda(short, [0.5] * 10**6, runs_per_point=10**5,
-                    batch_size=10**5)
+        scan_lambda(short, [0.5] * 10**6, runs_per_point=10**5)
     assert drawn == []
 
 
@@ -348,21 +355,21 @@ def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
     cfg = small_cfg()
     runs, batch = 3 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
     lambdas = [0.5, 0.05, 2.0, 0.5]
+    monkeypatch.setattr(ens, "BATCH_ROWS", batch)
     scans = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 5):
             monkeypatch.setattr(ens, "SYNTH_THREADS", threads)
-            scans.append(scan_lambda(cfg, lambdas, runs_per_point=runs,
-                                     batch_size=batch).se_final)
+            scans.append(scan_lambda(cfg, lambdas, runs_per_point=runs).se_final)
     finally:
         sys.setswitchinterval(interval)
     for se_final in scans[1:]:
         assert np.array_equal(se_final, scans[0])
     for lam, se in zip(lambdas, scans[0]):
         sub = dataclasses.replace(cfg, lam=lam, n_realizations=runs)
-        assert run_ensemble(sub, batch_size=batch).se_tr[-1] == se
+        assert run_ensemble(sub).se_tr[-1] == se
 
 
 def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeypatch):
@@ -375,14 +382,14 @@ def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeyp
     import slnoise.ensemble as ens
 
     monkeypatch.setattr(ens, "RK4_COLUMNS", 45)
+    monkeypatch.setattr(ens, "BATCH_ROWS", CHUNK_ROWS + 3)
     cfg = small_cfg(model=SystemModel(1.0, -1.0, 2.0, RHO0),
                     n_realizations=2 * (CHUNK_ROWS + 3) + 15)
     lambdas = [0.5, 0.02, 2.0, 0.5, 5.0]
-    runs = ens._ensembles(cfg, CHUNK_ROWS + 3, lambdas)
+    runs = ens._ensembles(cfg, lambdas)
     assert 0 < sum(int(r.diverged[-1]) for r in runs) < len(lambdas) * cfg.n_realizations
     for lam, got in zip(lambdas, runs):
-        want = run_ensemble(dataclasses.replace(cfg, lam=lam),
-                            batch_size=CHUNK_ROWS + 3)
+        want = run_ensemble(dataclasses.replace(cfg, lam=lam))
         for name, value in dataclasses.asdict(want).items():
             assert np.array_equal(getattr(got, name), value, equal_nan=True), name
 
@@ -410,18 +417,19 @@ def test_scan_lambda_reduces_only_its_final_window(window, monkeypatch):
 
     monkeypatch.setattr(ens, "_state_blocks", recording)
     runs, batch = 2 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
+    monkeypatch.setattr(ens, "BATCH_ROWS", batch)
     lambdas = [0.5, 2.0]
-    scan = scan_lambda(cfg, lambdas, runs_per_point=runs, batch_size=batch)
+    scan = scan_lambda(cfg, lambdas, runs_per_point=runs)
     assert min(start for start, _ in reduced) == first
     # every batch hands out each step from first on once
     assert sum(m for _, m in reduced) == -(-runs // batch) * (cfg.grid.n_phys - first)
     assert np.isfinite(scan.se_final).all()
     for lam, se in zip(lambdas, scan.se_final):
         sub = dataclasses.replace(cfg, lam=lam, n_realizations=runs)
-        assert run_ensemble(sub, batch_size=batch).se_tr[-1] == se
+        assert run_ensemble(sub).se_tr[-1] == se
 
 
-def _assert_tail_of_stand_alone_runs(cfg, batch, lambdas, first):
+def _assert_tail_of_stand_alone_runs(cfg, lambdas, first):
     """Every field of the statistics of each lambda reduced from step
     ``first`` on equals the steps from ``first`` on of a stand-alone run,
     bitwise; returns the stand-alone runs."""
@@ -429,9 +437,8 @@ def _assert_tail_of_stand_alone_runs(cfg, batch, lambdas, first):
 
     import slnoise.ensemble as ens
 
-    wants = [run_ensemble(dataclasses.replace(cfg, lam=lam), batch_size=batch)
-             for lam in lambdas]
-    for got, want in zip(ens._ensembles(cfg, batch, lambdas, first), wants):
+    wants = [run_ensemble(dataclasses.replace(cfg, lam=lam)) for lam in lambdas]
+    for got, want in zip(ens._ensembles(cfg, lambdas, first), wants):
         for name, value in dataclasses.asdict(want).items():
             if isinstance(value, np.ndarray):
                 value = value[first:]
@@ -453,20 +460,22 @@ def test_scan_lambda_counts_divergences_of_skipped_blocks():
     scan = scan_lambda(cfg, [1e-300, 1.0], runs_per_point=4)
     assert np.isnan(scan.se_final[0]) and np.isfinite(scan.se_final[1])
     assert scan.best_lambda == 1.0
-    wants = _assert_tail_of_stand_alone_runs(cfg, 256, [1e-300, 1.0], 1000)
+    wants = _assert_tail_of_stand_alone_runs(cfg, [1e-300, 1.0], 1000)
     assert wants[0].diverged[1] == 4 and wants[1].diverged[-1] == 0
 
 
 @pytest.mark.parametrize("first", [120, 140, 200])
-def test_statistics_from_a_window_equal_the_tail_of_a_full_run(first):
+def test_statistics_from_a_window_equal_the_tail_of_a_full_run(first, monkeypatch):
     # strongly coupled, 201 steps in blocks of 128 and windows of 20: at
     # lambda = 0.5 trajectories diverge at steps 115, 138, 160 and later,
     # in a skipped block or in the block that holds first, before first
     # and after it; at 0.02 all diverge early, at 5.0 after step 150
+    import slnoise.ensemble as ens
+
     cfg = small_cfg(model=SystemModel(1.0, -1.0, 2.0, RHO0),
                     n_realizations=2 * (CHUNK_ROWS + 3) + 15)
-    wants = _assert_tail_of_stand_alone_runs(cfg, CHUNK_ROWS + 3,
-                                             [0.5, 0.02, 5.0], first)
+    monkeypatch.setattr(ens, "BATCH_ROWS", CHUNK_ROWS + 3)
+    wants = _assert_tail_of_stand_alone_runs(cfg, [0.5, 0.02, 5.0], first)
     assert wants[0].diverged[first - 1] > 0
 
 
@@ -476,11 +485,14 @@ def test_scan_lambda_synthesizes_each_realization_once(monkeypatch):
     assert sum(drawn) == 2 * CHUNK_ROWS + 5
 
 
-def test_rescaled_run_matches_integrated_noise_pairs():
+def test_rescaled_run_matches_integrated_noise_pairs(monkeypatch):
     # the reference folds the rescale factors in at synthesis (the
     # NoisePair path) and integrates the whole batch at once
+    import slnoise.ensemble as ens
+
     cfg = small_cfg(lam=0.5, n_realizations=3 * CHUNK_ROWS)
-    stats = run_ensemble(cfg, batch_size=2 * CHUNK_ROWS + 3)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * CHUNK_ROWS + 3)
+    stats = run_ensemble(cfg)
     ngrid = cfg.noise_grid()
     seeds = [seed_for(cfg.master_seed, i) for i in range(cfg.n_realizations)]
     pairs = synthesize_batch(cfg.filters(), ngrid, seeds, cfg.lam)
@@ -519,9 +531,12 @@ def test_coherence_se_vanishes_where_realizations_agree():
     assert np.all(se[1:] > 0)
 
 
-def test_coherence_se_matches_two_pass_variance():
+def test_coherence_se_matches_two_pass_variance(monkeypatch):
+    import slnoise.ensemble as ens
+
     cfg = qnd_cfg(grid=TimeGrid(dt=0.01, t_max=1.0), n_realizations=3 * CHUNK_ROWS)
-    t, mean, se = run_coherence(cfg, batch_size=2 * CHUNK_ROWS)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * CHUNK_ROWS)
+    t, mean, se = run_coherence(cfg)
     ngrid = cfg.noise_grid()
     synth = Synthesizer(cfg.filters(), ngrid)
     n = cfg.n_realizations
