@@ -1,7 +1,8 @@
 /* The native kernels of slnoise, in C: the RK4 kernel of
  * slnoise.dynamics.integrate_blocks (sln_rk4), the unit-normal draw of
- * slnoise.noise.Synthesizer._draw (sln_normals), and the pointwise passes
- * of slnoise.noise.Synthesizer's colouring (sln_mix, sln_transpose).  All
+ * slnoise.noise.Synthesizer._draw (sln_normals), the pointwise passes
+ * of slnoise.noise.Synthesizer's colouring (sln_mix, sln_transpose), and
+ * the ensemble sums of slnoise.ensemble (sln_sums).  All
  * are called from Python through ctypes, which releases the interpreter
  * lock, so that several threads run them at once.  Each gives the bits of
  * its numpy counterpart, and the caller checks that it does before it
@@ -224,17 +225,16 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
             p->y[q * width + c0 + c] = y[q][c];
 }
 
-/* Steps start .. start+m-1 of columns c0 .. c1-1 into block rows 0 .. m-1;
+/* Steps start .. start+m-1 of every column into block rows 0 .. m-1;
    new_div[c] is the step at which column c first crossed the threshold
    in this block, else -1. */
-void sln_rk4(const sln_run *p, int64_t start, int64_t m, int64_t c0,
-             int64_t c1)
+void sln_rk4(const sln_run *p, int64_t start, int64_t m)
 {
-    for (int64_t c = c0; c < c1;) {
+    for (int64_t c = 0; c < p->width;) {
         const int64_t l = c / p->rows, r = c % p->rows;
         int64_t n = p->rows - r;
-        if (n > c1 - c)
-            n = c1 - c;
+        if (n > p->width - c)
+            n = p->width - c;
         if (n > TILE)
             n = TILE;
         tile(p, start, m, l, r, (int)n);
@@ -811,4 +811,97 @@ void sln_transpose(const double *src, int64_t rows, int64_t cols,
         for (int64_t r = 0; r < rows; r++)
             memcpy(dst + 2 * (t * dst_row + r), src + 2 * (r * src_row + t),
                    2 * sizeof(double));
+}
+
+
+/* ------------------------------------------------------------------
+ * sln_sums: the ensemble sums, as numpy's pairwise summation forms them.
+ *
+ * numpy sums n contiguous doubles in a tree: above 128 it splits at n/2
+ * rounded down to a multiple of 8; a leaf of 8 or more assigns its first
+ * 8 values to 8 accumulators, adds every later group of 8 into them,
+ * combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the
+ * rest in order; a leaf of fewer than 8 adds them in order.  A complex
+ * sum runs the same over the interleaved real and imaginary parts, so a
+ * complex leaf holds 4 complex accumulators, combined as
+ * (s0+s1)+(s2+s3).  The caller (slnoise.ensemble._codes) gives each
+ * column of a unit of the tree a code: its accumulator slot shifted left
+ * by 5, the slot's place k among its leaf's accumulators shifted left by
+ * 2, bit 0 if the column is assigned instead of added, and bit 1 if the
+ * leaf's accumulators, slots slot-k onwards, are combined into the first
+ * of them once it is in.
+ *
+ * The block holds m steps of nq complex quantities of width columns,
+ * (m, nq, width); column l * rows + r is column r of point l.  Each
+ * column is added into the complex accumulators of every quantity,
+ * (points, steps, nq, cslots) complex, and the square of the modulus of
+ * the last quantity, formed as np.abs forms it (see within), into the
+ * float accumulators, (points, steps, fslots); steps are acc_steps apart.
+ */
+
+INLINE void sum_complex(int64_t code, double re, double im, double *acc)
+{
+    double *a = acc + 2 * (code >> 5);
+    if (code & 1) {
+        a[0] = re;
+        a[1] = im;
+    } else {
+        a[0] += re;
+        a[1] += im;
+    }
+    if (code & 2) {
+        double *b = acc + 2 * ((code >> 5) - ((code >> 2) & 7));
+        b[0] = (b[0] + b[2]) + (b[4] + b[6]);
+        b[1] = (b[1] + b[3]) + (b[5] + b[7]);
+    }
+}
+
+INLINE void sum_float(int64_t code, double x, double *acc)
+{
+    double *a = acc + (code >> 5);
+    if (code & 1)
+        a[0] = x;
+    else
+        a[0] += x;
+    if (code & 2) {
+        double *b = acc + ((code >> 5) - ((code >> 2) & 7));
+        b[0] = ((b[0] + b[1]) + (b[2] + b[3])) + ((b[4] + b[5]) + (b[6] + b[7]));
+    }
+}
+
+/* np.abs of a complex, numpy's SIMD loop with its handling of inf and
+   nan: an infinite part makes the modulus inf, else a nan part nan */
+INLINE double modulus(double re, double im)
+{
+    double a = fabs(re), b = fabs(im);
+    if (a == INFINITY || b == INFINITY)
+        return INFINITY;
+    if (a != a || b != b)
+        return NAN;
+    double big = a > b ? a : b, small = a > b ? b : a;
+    double r = big == 0.0 ? 0.0 : small / big;
+    return sqrt(fma(r, r, 1.0)) * big;
+}
+
+void sln_sums(const double *block, int64_t m, int64_t nq, int64_t width,
+              int64_t rows, const int64_t *ccode,
+              const int64_t *fcode, double *cacc, int64_t cslots,
+              double *facc, int64_t fslots, int64_t acc_steps)
+{
+    for (int64_t l = 0; l < width / rows; l++)
+        for (int64_t j = 0; j < m; j++) {
+            const double *x = block + 2 * (j * nq * width + l * rows);
+            double *ca = cacc + 2 * (l * acc_steps + j) * nq * cslots;
+            double *fa = facc + (l * acc_steps + j) * fslots;
+            for (int64_t q = 0; q < nq; q++)
+                for (int64_t r = 0; r < rows; r++)
+                    sum_complex(ccode[r], x[2 * (q * width + r)],
+                                x[2 * (q * width + r) + 1],
+                                ca + 2 * q * cslots);
+            const double *xa = x + 2 * (nq - 1) * width;
+            for (int64_t r = 0; r < rows; r++) {
+                const double v = modulus(xa[2 * r], xa[2 * r + 1]);
+                sum_float(fcode[r], v * v, fa);
+            }
+        }
 }

@@ -3,14 +3,16 @@
 The library holds the kernels below, each called through ctypes, which
 releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
 :func:`~slnoise.dynamics.integrate_blocks`; ``sln_normals``, the
-unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`; and
+unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`;
 ``sln_mix`` and ``sln_transpose``, the spectral pass and the write-out
-of :class:`~slnoise.noise.Synthesizer`'s colouring.  Each gives the bits
-of its numpy counterpart; the module that uses a kernel checks that it
-does on a small probe before it relies on it
+of :class:`~slnoise.noise.Synthesizer`'s colouring; and ``sln_sums``, the
+ensemble sums of :mod:`slnoise.ensemble`.  Each gives the bits of its
+numpy counterpart; the module that uses a kernel checks that it does on a
+small probe before it relies on it
 (:func:`slnoise.dynamics._native_kernel`,
 :func:`slnoise.noise._native_normals`,
-:func:`slnoise.noise._native_colour`), and runs the numpy code where it
+:func:`slnoise.noise._native_colour`,
+:func:`slnoise.ensemble._native_sums`), and runs the numpy code where it
 does not.
 
 The library is compiled once into a cache outside the package
@@ -55,9 +57,11 @@ def _cache_dirs():
 
 def _compile_flags() -> list:
     """Optimised, with numpy's rounding (no contraction, no fast math); FMA
-    and AVX2 instructions where the processor has them.  The ggc
-    parameters make gcc collect its garbage more often, which keeps a
-    first compile near 60 MB of memory instead of 70."""
+    and AVX2 instructions where the processor has them, and AVX-512 in
+    512-bit vectors where it has the foundation, doubleword-quadword and
+    vector-length extensions.  The ggc parameters make gcc collect its
+    garbage more often, which keeps a first compile near 60 MB of memory
+    instead of 70."""
     flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
              "--param", "ggc-min-heapsize=8192", "--param", "ggc-min-expand=20"]
     try:
@@ -67,6 +71,9 @@ def _compile_flags() -> list:
         cpu = []
     if {"fma", "avx2"} <= set(cpu):
         flags += ["-mfma", "-mavx2"]
+    if {"avx512f", "avx512dq", "avx512vl"} <= set(cpu):
+        flags += ["-mavx512f", "-mavx512dq", "-mavx512vl",
+                  "-mprefer-vector-width=512"]
     return flags
 
 

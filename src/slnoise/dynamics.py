@@ -29,9 +29,10 @@ steps and the divergence check in one C loop per column, with numpy's
 operations in numpy's order.  It is compiled on first use into a cache
 outside the package (see :mod:`slnoise._native`), loaded with ctypes,
 and checked against the numpy kernel on a small batch before it is used;
-it releases the interpreter lock, so the column slabs of a block run on
-several threads at once.  Without a compiler, a writable cache or a
-bitwise match, the numpy kernel runs.
+it releases the interpreter lock, so several threads may each integrate
+their own batch at once.  A column's bits depend neither on the kernel
+that ran nor on the other columns integrated with it.  Without a
+compiler, a writable cache or a bitwise match, the numpy kernel runs.
 
 A rescaled batch may be integrated at several rescaling strengths in one
 pass: with a table of L factor rows, the kernel runs L x rows columns, the
@@ -49,12 +50,9 @@ used as an oracle for the stochastic average.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -97,9 +95,6 @@ _AT_THRESHOLD = 765406082731.0397 + 643547611694.9894j
 # Steps whose states are held at once by integrate_blocks; the divergence
 # check and the ensemble sums run once per block.
 BLOCK_STEPS = 128
-# Column slabs of a block the native kernel integrates at once: one per
-# core this process may use.
-RK4_THREADS = len(os.sched_getaffinity(0))
 # Realizations per batch of an ensemble run.  A block of a factor table is
 # cut to BLOCK_STEPS x max(rows, BATCH_ROWS) column-steps, a full batch's.
 BATCH_ROWS = 256
@@ -213,14 +208,12 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     divergence threshold if that happened in this block, else -1.
     :func:`rk4_bytes` counts the buffers.
 
-    Two kernels compute the blocks, with the same bits.  The native one
-    (``sln_rk4``, see :func:`_native_kernel`) runs whenever it could be
-    built, the noise is contiguous complex128 and the factors are finite,
-    non-zero and contiguous float64: each block is cut into
-    RK4_THREADS column slabs, integrated at once outside the interpreter
-    lock, one on the calling thread and the rest on a pool of this call,
-    each slab writing its own columns of the block.  Otherwise the numpy
-    kernel, the reference, runs on the calling thread.
+    Two kernels compute the blocks on the calling thread, with the same
+    bits.  The native one (``sln_rk4``, see :func:`_native_kernel`) runs
+    whenever it could be built, the noise is contiguous complex128 and
+    the factors are finite, non-zero and contiguous float64, one call per
+    block outside the interpreter lock.  Otherwise the numpy kernel, the
+    reference, runs.
     """
     nh, rows = eta_t.shape
     if nh % 2 == 0 or nh < 3:
@@ -237,8 +230,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
                _eval_drive(model.delta, t_half), eta_t, nu_t, cross,
                _block_steps(rows, n_points, n_steps))
     rk4 = _native_kernel() if _native_fits(run) else None
-    yield from (_numpy_blocks(run) if rk4 is None
-                else _native_blocks(run, rk4, RK4_THREADS))
+    yield from _numpy_blocks(run) if rk4 is None else _native_blocks(run, rk4)
 
 
 class _Run(NamedTuple):
@@ -377,9 +369,9 @@ def _native_fits(run: _Run) -> bool:
             and bool(np.all(np.isfinite(factor) & (factor != 0))))
 
 
-def _native_blocks(run: _Run, rk4, threads: int):
-    """The native kernel of :func:`integrate_blocks`: each block in
-    ``threads`` column slabs, each one GIL-released call to ``rk4``."""
+def _native_blocks(run: _Run, rk4):
+    """The native kernel of :func:`integrate_blocks`: each block one
+    GIL-released call to ``rk4``."""
     y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps = run
     nh, rows = eta_t.shape
     n_steps = (nh - 1) // 2
@@ -397,17 +389,10 @@ def _native_blocks(run: _Run, rk4, threads: int):
                     first_div, new_div)),
         rows, width, 2.0 * alpha, i_alpha.real, i_alpha.imag, 0.5 * h, h,
         2.0, h / 6.0, DIVERGENCE_THRESHOLD))
-    n = max(min(threads, width), 1)
-    cuts = [width * s // n for s in range(n + 1)]
-    slabs = list(zip(cuts[:-1], cuts[1:]))
-    with ThreadPoolExecutor(n - 1) if n > 1 else contextlib.nullcontext() as pool:
-        for start in range(0, n_steps + 1, block_steps):
-            m = min(block_steps, n_steps + 1 - start)
-            jobs = [pool.submit(rk4, args, start, m, *slab) for slab in slabs[1:]]
-            rk4(args, start, m, *slabs[0])
-            for job in jobs:
-                job.result()
-            yield start, block[:m], new_div.copy()
+    for start in range(0, n_steps + 1, block_steps):
+        m = min(block_steps, n_steps + 1 - start)
+        rk4(args, start, m)
+        yield start, block[:m], new_div.copy()
 
 
 def _probe(rk4) -> bool:
@@ -436,7 +421,7 @@ def _probe(rk4) -> bool:
                      *np.zeros((2, nh)), still, still, None, block_steps))
     for run in runs:
         for (s0, a, da), (s1, b, db) in zip(_numpy_blocks(run),
-                                            _native_blocks(run, rk4, 1)):
+                                            _native_blocks(run, rk4)):
             if not (s0 == s1 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
                     and np.array_equal(da, db)):
                 return False
@@ -454,7 +439,7 @@ def _native_kernel():
     if lib is None:
         return None
     rk4 = lib["sln_rk4"]
-    rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 4
+    rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 2
     rk4.restype = None
     return rk4 if _probe(rk4) else None
 

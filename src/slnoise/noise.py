@@ -48,7 +48,7 @@ A chunk is coloured in five steps, of which only the two FFTs
    transformed apart);
 4. the forward FFT, in place;
 5. the write-out, ``sln_transpose``: the physical window of each row into
-   the batch's time-major columns.
+   the caller's time-major columns.
 
 Each native step gives numpy's bits: its own probe checks it when the
 library loads (:func:`_native_normals`, :func:`_native_colour`), and
@@ -58,12 +58,16 @@ white-channel buffer that numpy packs into z, and the spectral pass is
 :func:`_mix`, numpy's ufuncs with c as scratch.  So the output never
 depends on which code ran.
 
-:meth:`Synthesizer.fill` is the one colouring loop.  The ensemble
-synthesizes each realization's noise once, whatever the number of
-rescaling strengths lambda: ``fill`` writes the noise without the
-cross-correlative pair, the unscaled pair and a table of the
-realization's rescale factors, one per strength.  RK4 applies the factors
-block by block, for several strengths in one pass
+:meth:`Synthesizer.fill` is the one colouring loop.  An ensemble's
+worker threads call it one chunk at a time, into time-major buffers of
+the chunk's width, which RK4 integrates before the next chunk is drawn
+(see :mod:`slnoise.ensemble`).  The ensemble synthesizes each
+realization's noise once, whatever the number of rescaling strengths
+lambda: ``fill`` writes the noise without the cross-correlative pair, the
+unscaled pair and a table of the realization's rescale factors, one per
+strength, formed over the chunk's rows in one call
+(:meth:`Synthesizer.factors`).  RK4 applies the factors block by block,
+for several strengths in one pass
 (:func:`~slnoise.dynamics.integrate_blocks`).  :meth:`Synthesizer.pairs`
 (so :func:`synthesize` and :func:`synthesize_batch`) hands out the columns
 of a ``fill``, rescaled at one strength as RK4 rescales them: bitwise the
@@ -370,32 +374,30 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
                  extra: int = 0, channels: int = 4) -> None:
     """Refuse a grid whose working set exceeds physical memory.
 
-    ``rows`` is the most realizations synthesized at once, each kept as
-    four complex series on the physical window: the ensemble loop holds
-    two unrescaled batches of two series each (the one being integrated
-    and the next), or one rescaled batch of four series, as NoisePairs do
-    while rescaled; a NoisePair holds two.  Each of ``threads`` threads
-    holds the colouring workspace of a :class:`Synthesizer` asked for
-    ``rows`` realizations of ``channels`` white channels
+    ``rows`` is the most realizations each of ``threads`` threads holds
+    at once, each charged as four complex series on the physical window:
+    an ensemble's thread holds the noise of its chunk, two series per
+    realization or four while rescaled, and NoisePairs hold two.  Each
+    thread also holds the colouring workspace of a :class:`Synthesizer`
+    asked for ``rows`` realizations of ``channels`` white channels
     (:func:`workspace_bytes` of :func:`chunk_rows`), charged at numpy's
     colouring, which bounds the native one's, so that a grid is refused
     alike whichever runs; the kernel table and the filters on the padded
     grid are counted too.  ``extra`` is the bytes of the run's other
-    buffers: the RK4 state, stage and block buffers of one integration
-    pass, at the widest pass the run makes
-    (:func:`~slnoise.dynamics.rk4_bytes`), and the statistics the run
-    keeps per rescaling strength.
+    buffers: for an ensemble, each thread's RK4 pass
+    (:func:`~slnoise.dynamics.rk4_bytes`) and the accumulators of its
+    unit of realizations, and the sums and statistics the run keeps per
+    rescaling strength.
     Raises :class:`ConfigError` before any of it is allocated.
     """
     workspace = workspace_bytes(chunk_rows(grid.n, channels, rows), channels, grid.n)
-    need = (64 * grid.n_phys * rows + threads * workspace + 320 * grid.n
-            + extra)
+    need = threads * (64 * grid.n_phys * rows + workspace) + 320 * grid.n + extra
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             f"the grid dt={grid.dt:g}, t_max={grid.t_max:g} (n={grid.n}) needs "
-            f"about {need / 2**30:.3g} GiB for {rows} realizations at once, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
+            f"about {need / 2**30:.3g} GiB for {threads * rows} realizations at "
+            f"once, more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -545,8 +547,13 @@ class Synthesizer:
 
     def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
         """:func:`rescale_factor` of each row of eta0/nu0 at each strength
-        of ``lam``, shape (rows, strengths)."""
-        return np.array([rescale_factor(e, v, self.lam) for e, v in zip(eta0, nu0)])
+        of ``lam``, shape (rows, strengths), in one call over the rows, for
+        the pair of the chunk this thread coloured last, once its eta is
+        written out: the moduli are formed in the first half of the
+        thread's transform buffer z, which held the chunk's eta."""
+        rows, n_phys = eta0.shape
+        scratch = self._buffer("z", rows)[0].view(float)[:, :n_phys]
+        return rescale_factor(eta0, nu0, self.lam, scratch)
 
     def fill(self, seeds: Sequence[SeedLike], eta_out: np.ndarray,
              nu_out: np.ndarray, cross=None) -> None:

@@ -328,7 +328,7 @@ def expected_total_power(fs: FilterSet) -> float:
     return eta + expected_nu_power(fs)
 
 
-def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam):
+def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam, scratch=None):
     """Per-realization rescaling of the cross-correlative components.
 
     Returns sqrt(sum|nu0| / sum|eta0|) / sqrt(lam); the caller multiplies
@@ -336,16 +336,21 @@ def rescale_factor(eta0: np.ndarray, nu0: np.ndarray, lam):
     invariant and makes lam the realized amplitude ratio
     sum|nu0| / sum|eta0| after scaling.  ``lam`` may be an array of
     strengths, giving an array of factors with its shape; each equals the
-    factor of that strength alone.
+    factor of that strength alone.  ``eta0``/``nu0`` may hold several
+    realizations, one per row of shape (rows, n): the factors then have
+    shape (rows,) + lam's shape, and each row's equal its own call's.
+    ``scratch``, a float array of eta0's shape, takes the moduli instead
+    of a new array.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam > 0):
         raise ValueError("lambda must be positive")
-    s_eta = float(np.sum(np.abs(eta0)))
-    s_nu = float(np.sum(np.abs(nu0)))
-    if s_eta == 0 or s_nu == 0:
+    s_eta = np.sum(np.abs(eta0, out=scratch), axis=-1)
+    s_nu = np.sum(np.abs(nu0, out=scratch), axis=-1)
+    if np.any(s_eta == 0) or np.any(s_nu == 0):
         raise ZeroComponent(
             "scheme has no cross-correlative components; rescaling undefined"
         )
-    factor = np.sqrt(s_nu / s_eta) / np.sqrt(lam)
+    ratio = np.sqrt(s_nu / s_eta)
+    factor = ratio.reshape(ratio.shape + (1,) * lam.ndim) / np.sqrt(lam)
     return float(factor) if factor.ndim == 0 else factor

@@ -389,7 +389,6 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
     model = SystemModel(lambda t: 1.0 + 0.1 * t, -1.0, alpha,
                         np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))
     ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
-    monkeypatch.setattr(dynamics, "RK4_THREADS", 2)
     _assert_same_bits(ref, _blocks(model, eta, nu, cross))
     states = np.concatenate([s for _, s, _ in ref])
     if alpha > 1:
@@ -399,9 +398,21 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
         assert np.isfinite(states).all()
 
 
+def _joined(blocks, n_points):
+    """The states of all blocks, (steps, 4, n_points, rows), and each
+    column's first divergence, (n_points, rows)."""
+    states = np.concatenate([s for _, s, _ in blocks])
+    first_div = np.max([d for _, _, d in blocks], axis=0)
+    return (states.reshape(len(states), 4, n_points, -1),
+            first_div.reshape(n_points, -1))
+
+
 @needs_compiler
 def test_native_kernel_independent_of_slab_count(monkeypatch):
-    # 13 x 37 columns split into 1, 2 and 5 slabs, none of equal width
+    # 13 x 37 columns, the 37 trajectories integrated in 1, 2 and 5 slabs
+    # apart, none of equal width, as an ensemble integrates each chunk of
+    # its realizations apart and run_coherence realization 0 alone: every
+    # column has the bits of the numpy kernel's run of all of them
     assert dynamics._native_kernel() is not None
     rng = np.random.default_rng(8)
     eta, nu, eta0, nu0 = _noise(rng, 150, 37, 3.0)
@@ -409,9 +420,16 @@ def test_native_kernel_independent_of_slab_count(monkeypatch):
     model = SystemModel(1.0, -1.0, 2.0, 0.5 * (np.eye(2) + SIGMA_Z))
     ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
     assert any((d >= 0).any() for _, _, d in ref)
-    for threads in (1, 2, 5):
-        monkeypatch.setattr(dynamics, "RK4_THREADS", threads)
-        _assert_same_bits(ref, _blocks(model, eta, nu, cross))
+    want, want_div = _joined(ref, 13)
+    for slabs in (1, 2, 5):
+        cuts = [37 * s // slabs for s in range(slabs + 1)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            eta_s, nu_s, eta0_s, nu0_s, factor = (
+                np.ascontiguousarray(x[:, a:b]) for x in (eta, nu, eta0, nu0, cross[2]))
+            got, got_div = _joined(_blocks(model, eta_s, nu_s, (eta0_s, nu0_s, factor)), 13)
+            assert np.array_equal(got.view(np.uint64),
+                                  want[..., a:b].copy().view(np.uint64))
+            assert np.array_equal(got_div, want_div[:, a:b])
 
 
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
@@ -432,7 +450,6 @@ def test_rk4_bytes_bounds_what_integrate_blocks_allocates(native, n_points,
     eta, nu, eta0, nu0 = _noise(rng, n, rows)
     cross = (eta0, nu0, rng.uniform(0.5, 2.0, (n_points, rows)))
     model = SystemModel(1.0, -1.0, 0.1, 0.5 * (np.eye(2) + SIGMA_Z))
-    monkeypatch.setattr(dynamics, "RK4_THREADS", 2)
     tracemalloc.start()
     try:
         for _ in integrate_blocks(model, eta, nu, 0.005, cross):
@@ -538,4 +555,4 @@ def test_native_kernel_decides_divergence_as_np_abs_at_the_threshold():
                         np.zeros(nh), still, still, None, 4)
     ref = list(dynamics._numpy_blocks(run))
     assert [d.tolist() for _, _, d in ref] == [[1]]
-    _assert_same_bits(ref, list(dynamics._native_blocks(run, rk4, 1)))
+    _assert_same_bits(ref, list(dynamics._native_blocks(run, rk4)))

@@ -239,15 +239,21 @@ def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
         run_ensemble(huge)
     with pytest.raises(ConfigError, match="physical memory"):
         scan_lambda(huge, [0.5, 2.0], runs_per_point=16)
-    # a short grid whose noise takes tens of MB, but whose RK4 pass over
-    # 10^6 lambdas x 10^5 realizations at once would take tens of TiB;
-    # capped at RK4_COLUMNS columns, the same pass fits
+    # a short grid on a machine of 1 GiB, two threads: a chunk of 16
+    # realizations integrated at 10^5 lambdas in one pass would take about
+    # 1 GB of RK4 buffers per thread; capped at RK4_COLUMNS columns, the
+    # same scan fits, its accumulators and statistics included
+    import os
+
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**18 if name == "SC_PHYS_PAGES"
+                        else 4096 if name == "SC_PAGE_SIZE" else real(name))
+    monkeypatch.setattr(ens, "SYNTH_THREADS", 2)
     short = small_cfg(grid=TimeGrid(dt=0.01, t_max=0.02))
-    ens._check_memory(short.noise_grid(), 10**5, 10**6)
+    ens._check_memory(short.noise_grid(), CHUNK_ROWS, 10**5)
     monkeypatch.setattr(ens, "RK4_COLUMNS", 2**62)
-    monkeypatch.setattr(ens, "BATCH_ROWS", 10**5)
     with pytest.raises(ConfigError, match="physical memory"):
-        scan_lambda(short, [0.5] * 10**6, runs_per_point=10**5)
+        scan_lambda(short, [0.5] * 10**5, runs_per_point=CHUNK_ROWS)
     assert drawn == []
 
 
@@ -373,10 +379,11 @@ def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
 
 
 def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeypatch):
-    # RK4_COLUMNS set below the width of all lambdas: full batches of 19
-    # rows run in passes of 2, 2 and 1 lambdas, the last batch of 15 rows
-    # in passes of 3 and 2; every statistic of every point, diverged
-    # counts included, must equal a stand-alone run's, bitwise
+    # RK4_COLUMNS set below the width of all lambdas: the chunks of 16
+    # rows run in passes of 2, 2 and 1 lambdas, those of 3 rows in one
+    # pass, and the last batch's chunk of 15 in passes of 3 and 2; every
+    # statistic of every point, diverged counts included, must equal a
+    # stand-alone run's, bitwise
     import dataclasses
 
     import slnoise.ensemble as ens
@@ -398,7 +405,7 @@ def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeyp
 def test_scan_lambda_reduces_only_its_final_window(window, monkeypatch):
     # 201 steps in blocks of 128: the final window begins at step 200, 196,
     # 200 and 0, inside the second block or at step 0; the steps before
-    # it are never handed to the reductions, and each point still
+    # it are never added to the sums, and each point still
     # equals a stand-alone run's final SE, bitwise, over full batches and
     # a partial last one
     import dataclasses
@@ -408,21 +415,22 @@ def test_scan_lambda_reduces_only_its_final_window(window, monkeypatch):
     cfg = small_cfg(stats_window=window)
     first = (cfg.grid.n_phys - 1) // window * window
     reduced = []
-    real = ens._state_blocks
+    real = ens._Sums.add
 
-    def recording(*args):
-        for points, start, states, new_div in real(*args):
-            reduced.append((start, len(states)))
-            yield points, start, states, new_div
+    def recording(self, block, rows, col, point, step):
+        reduced.append((first + step, len(block)))
+        real(self, block, rows, col, point, step)
 
-    monkeypatch.setattr(ens, "_state_blocks", recording)
+    monkeypatch.setattr(ens._Sums, "add", recording)
     runs, batch = 2 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
     monkeypatch.setattr(ens, "BATCH_ROWS", batch)
     lambdas = [0.5, 2.0]
     scan = scan_lambda(cfg, lambdas, runs_per_point=runs)
     assert min(start for start, _ in reduced) == first
-    # every batch hands out each step from first on once
-    assert sum(m for _, m in reduced) == -(-runs // batch) * (cfg.grid.n_phys - first)
+    # every chunk (16 and 3 realizations of the first batch, 16 and 2 of
+    # the second) adds each step from first on once, for both lambdas
+    chunks = sum(-(-rows // CHUNK_ROWS) for rows in (batch, runs - batch))
+    assert sum(m for _, m in reduced) == chunks * (cfg.grid.n_phys - first)
     assert np.isfinite(scan.se_final).all()
     for lam, se in zip(lambdas, scan.se_final):
         sub = dataclasses.replace(cfg, lam=lam, n_realizations=runs)
@@ -608,20 +616,19 @@ def test_noise_grid_halves_step():
 
 
 def _nan_block_without_divergence(monkeypatch):
-    """Patch the noise-batch loop so that the last states of its first
-    block are nan while no new_div flags a divergence, as a faulty kernel
-    would."""
+    """Patch the integration of the ensemble runs so that the last states
+    of every block are nan while no new_div flags a divergence, as a
+    faulty kernel would."""
     import slnoise.ensemble as ens
 
-    real = ens._state_blocks
+    real = ens.integrate_blocks
 
     def faulty(*args):
-        for i, (points, start, states, new_div) in enumerate(real(*args)):
-            if i == 0:
-                states[-1, :, 0] = np.nan
-            yield points, start, states, new_div
+        for start, states, new_div in real(*args):
+            states[-1, :, 0] = np.nan
+            yield start, states, new_div
 
-    monkeypatch.setattr(ens, "_state_blocks", faulty)
+    monkeypatch.setattr(ens, "integrate_blocks", faulty)
 
 
 @pytest.mark.parametrize("run", [
@@ -635,3 +642,177 @@ def test_non_finite_statistics_without_divergence_are_refused(run, monkeypatch):
     with pytest.raises(SlnoiseError, match="not finite although no trajectory "
                                            "diverged"):
         run()
+
+
+# ------------------------------------------------ units and native sums
+
+def _numpy_tree(n, lo=0):
+    """The nodes (lo, hi, cut) of numpy's pairwise sum of ``n`` doubles
+    from ``lo`` on, cut None at a leaf, as numpy's pairwise_sum recurses."""
+    if n <= 128:
+        return [(lo, lo + n, None)]
+    half = n // 2
+    half -= half % 8
+    return ([(lo, lo + n, lo + half)] + _numpy_tree(half, lo)
+            + _numpy_tree(n - half, lo + half))
+
+
+def test_units_cut_exactly_where_both_numpy_trees_split():
+    # for every batch width 1 ... 4096: each cut between units splits a node
+    # that numpy's float sum over the columns and its complex sum over
+    # the columns' interleaved doubles share, and no unit is such a node
+    import itertools
+
+    import slnoise.ensemble as ens
+
+    for width in range(1, 4097):
+        floats = {(lo, hi): cut for lo, hi, cut in _numpy_tree(width)}
+        complexes = {(lo // 2, hi // 2): None if cut is None else cut // 2
+                     for lo, hi, cut in _numpy_tree(2 * width)}
+
+        def shared(lo, hi):
+            cut = floats.get((lo, hi))
+            return cut if cut is not None and complexes.get((lo, hi)) == cut else None
+
+        def units(lo, hi):
+            cut = shared(lo, hi)
+            return [(lo, hi)] if cut is None else units(lo, cut) + units(cut, hi)
+
+        bounds = [0, *itertools.accumulate(ens._leaves(width, ens._unit_split))]
+        assert list(zip(bounds[:-1], bounds[1:])) == units(0, width), width
+    assert ens._leaves(256, ens._unit_split) == [128, 128]
+    assert ens._leaves(244, ens._unit_split) == [120, 124]
+    assert ens._leaves(208, ens._unit_split) == [104, 104]
+    assert ens._leaves(250, ens._unit_split) == [250]
+
+
+def _batch_sums_of(x, chunks, native):
+    """x (m, width) complex summed over its columns as a run sums a batch:
+    unit by unit, fed in chunks cycling through ``chunks`` columns, the
+    units added up the tree and into zeros."""
+    import itertools
+
+    import slnoise.ensemble as ens
+
+    m, width = x.shape
+    results = []
+    lo = 0
+    for unit in ens._leaves(width, ens._unit_split):
+        sums = ens._Sums(unit, 1, m, 1, native)
+        cuts = [0, *itertools.takewhile(lambda c: c < unit, itertools.accumulate(
+            itertools.cycle(chunks))), unit]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            block = x[:, lo + a:lo + b].reshape(m, 1, b - a)
+            if m > 1:
+                block = np.ascontiguousarray(block)
+            sums.add(block, b - a, a, 0, 0)
+        results.append(sums.result())
+        lo += unit
+    c, f = zip(*results)
+    c = ens._pairwise(iter(c), width, ens._unit_split)[0, :, 0]
+    f = ens._pairwise(iter(f), width, ens._unit_split)[0]
+    return np.zeros(m, dtype=complex) + c, np.zeros(m) + f
+
+
+def _special_values(rng, m, width):
+    """Random complex values of every magnitude, with +-0.0, +-inf and nan
+    among the parts, and moduli that np.abs and libm's hypot round apart."""
+    x = sum(part * rng.standard_normal((m, width))
+            * 10.0 ** rng.uniform(-150, 150, (m, width)) for part in (1, 1j))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0])
+    x.real[:, ::13] = rng.choice(special, x[:, ::13].shape)
+    x.imag[:, ::17] = rng.choice(special, x[:, ::17].shape)
+    x[:, 5::19] = 765406082731.0397 + 643547611694.9894j
+    x[0] = -0.0
+    x[1, ::2] = complex(0.0, -0.0)
+    return x
+
+
+def _bits(a):
+    """The bits of ``a``, every nan as numpy's default nan: which of two
+    nans an add returns depends on the operand order inside numpy's own
+    compiled loops (its complex leaf combine returns the second one, its
+    elementwise add the first in vector lanes and the second in the
+    tail), so the sign and payload of a nan are not reproducible."""
+    a = np.array(a)
+    a.view(float)[np.isnan(a.view(float))] = np.nan
+    return a.view(np.uint64)
+
+
+def _assert_sums_bitwise(x, chunks, native):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got_c, got_f = _batch_sums_of(x, chunks, native)
+        want_c, want_f = x.sum(axis=-1), (np.abs(x) ** 2).sum(axis=-1)
+    assert np.array_equal(_bits(got_c), _bits(want_c)), x.shape
+    assert np.array_equal(_bits(got_f), _bits(want_f)), x.shape
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+def test_unit_sums_equal_numpy_sums_bitwise(native):
+    # natively, every width from 1 to 4096 in chunks of 16 columns, one
+    # step; the widths up to 300 and six wider ones also at three steps
+    # in chunks of 1, 3 and 8, and of 16, 8, 3 and 1 in turn; numpy's
+    # in-order adds on the widths up to 300 in chunks of 16 and in turn,
+    # and on the wider ones in 16
+    import slnoise.ensemble as ens
+
+    fn = ens._native_sums() if native else None
+    if native and fn is None:
+        pytest.skip("the native sums could not be built")
+    values = _special_values(np.random.default_rng(11), 3, 4096)
+    few = [*range(1, 301), 511, 512, 1000, 2049, 4095, 4096]
+    for width in range(1, 4097):
+        x = values[:, :width]
+        if native:
+            # one row each, whose columns are then contiguous
+            _assert_sums_bitwise(x[width % 3, None], (16,), fn)
+        if width in few:
+            turns = (16, 8, 3, 1)
+            for chunks in ((1,), (3,), (8,), turns) if native else ((16,), turns):
+                if native or width <= 300 or chunks == (16,):
+                    _assert_sums_bitwise(x, chunks, fn)
+
+
+def test_native_sums_refused_when_probe_fails(monkeypatch):
+    # a pass that the probe rejects is never used, silently
+    import warnings
+
+    import slnoise.ensemble as ens
+
+    ens._native_sums.cache_clear()
+    try:
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            m.setattr(ens, "_sums_probe", lambda native: False)
+            warnings.simplefilter("error")
+            assert ens._native_sums() is None
+            a = run_ensemble(small_cfg(n_realizations=20))
+    finally:
+        ens._native_sums.cache_clear()
+    b = run_ensemble(small_cfg(n_realizations=20))
+    for name in ("mean_tr", "var_tr", "se_tr", "mean_sx", "mean_sy", "mean_sz"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):
+    # 256 realizations at dt = 0.01 and t_max = 40: the batch's two noise
+    # series alone took 65.5 MB; each of two threads now holds a chunk
+    import tracemalloc
+
+    import slnoise.ensemble as ens
+    from slnoise import _native
+
+    if _native.library() is None:
+        pytest.skip("the native library could not be built")
+    monkeypatch.setattr(ens, "SYNTH_THREADS", 2)
+    cfg = small_cfg(grid=TimeGrid(dt=0.01, t_max=40.0), n_realizations=256)
+    ngrid = cfg.noise_grid()
+    batch_noise = 2 * 16 * ngrid.n_phys * 256
+    assert batch_noise == 65_544_192
+    cfg.filters()
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < batch_noise / 2

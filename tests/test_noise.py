@@ -861,3 +861,29 @@ def test_colour_probe_refuses_a_flipped_operand_order(rebuild, monkeypatch,
     monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
     assert noise._native_normals() is not None
     assert noise._native_colour() is None
+
+
+def test_chunk_factors_equal_per_row_rescale_factor(table):
+    # the factors of a chunk are formed over its rows in one call: each
+    # equals its own row's rescale_factor at every strength, bitwise, on
+    # the full grid of criterion 7 (whose rows sum more values than
+    # numpy's buffer holds) and here; a row with a zero pair is refused
+    # as rescale_factor refuses it
+    from slnoise.schemes import rescale_factor
+
+    lams = np.logspace(-2, 1, 13)
+    for grid in (GRID, TimeGrid(dt=0.005, t_max=10.0)):
+        fs = make_filters(SchemeId.ETANU_OPTIMISED, build_kernel_table(grid.freq(), BATH))
+        synth = Synthesizer(fs, grid, lams)
+        _, _, eta0, nu0 = synth._colour(_seeds("int", CHUNK_ROWS))
+        want = np.array([rescale_factor(e, v, lams) for e, v in zip(eta0, nu0)])
+        got = synth.factors(eta0, nu0)
+        assert got.shape == (CHUNK_ROWS, 13)
+        assert got.tobytes() == want.tobytes()
+    nu0 = nu0.copy()
+    nu0[3] = 0.0
+    with pytest.raises(ZeroComponent) as refused:
+        synth.factors(eta0, nu0)
+    with pytest.raises(ZeroComponent) as per_row:
+        rescale_factor(eta0[3], nu0[3], lams)
+    assert str(refused.value) == str(per_row.value)
