@@ -6,9 +6,10 @@ releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
 unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`;
 ``sln_mix`` and ``sln_transpose``, the spectral pass and the write-out
 of :class:`~slnoise.noise.Synthesizer`'s colouring; and ``sln_sums``, the
-ensemble sums of :mod:`slnoise.ensemble`.  Each gives the bits of its
-numpy counterpart; the module that uses a kernel checks that it does on a
-small probe before it relies on it
+ensemble sums of :mod:`slnoise.ensemble`, taken in realization order.
+Each gives the bits of its numpy counterpart (for ``sln_sums``, numpy's
+in-order adds, a nan taken as nan); the module that uses a kernel
+checks that it does on a small probe before it relies on it
 (:func:`slnoise.dynamics._native_kernel`,
 :func:`slnoise.noise._native_normals`,
 :func:`slnoise.noise._native_colour`,

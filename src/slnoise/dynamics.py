@@ -95,8 +95,9 @@ _AT_THRESHOLD = 765406082731.0397 + 643547611694.9894j
 # Steps whose states are held at once by integrate_blocks; the divergence
 # check and the ensemble sums run once per block.
 BLOCK_STEPS = 128
-# Realizations per batch of an ensemble run.  A block of a factor table is
-# cut to BLOCK_STEPS x max(rows, BATCH_ROWS) column-steps, a full batch's.
+# Realizations per batch of an ensemble run, twice those of a unit of its
+# sums (slnoise.ensemble).  A block of a factor table is cut to
+# BLOCK_STEPS x max(rows, BATCH_ROWS) column-steps, a full batch's.
 BATCH_ROWS = 256
 
 

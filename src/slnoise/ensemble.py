@@ -1,38 +1,32 @@
 """Ensemble runs: trajectory averaging in units of work, and the lambda scan.
 
 Realizations are independent; each gets its own counter-based RNG stream
-derived from the master seed.  Every run sums its batches of BATCH_ROWS
-realizations in realization order, so its bits depend on its config alone.
-
-numpy sums the realizations of a batch pairwise: a sum splits at half its
-count, rounded down to a multiple of 8, until a leaf of at most 128
-doubles, which it adds in 8 accumulators.  A complex sum runs the same
-over the interleaved real and imaginary parts.  A batch is cut into
-*units* where numpy's complex and float trees over it both split, and
-only there: a full batch of 256 into 128 + 128, one of 244 into 120 +
-124, one of 250 (whose trees split at 124 and 120) not at all.  Units
-are cut by the trees alone, never by the thread count.
+derived from the master seed.  A run's realizations are cut into *units*
+of BATCH_ROWS // 2 = 128 consecutive ones (the last may be shorter),
+whatever the thread count.
 
 One worker thread runs each unit, SYNTH_THREADS of them at once.  It
 takes the unit's realizations in chunks of the synthesizer's
 ``chunk_rows`` (at most 16, fewer on long grids): draws and colours a
 chunk into time-major buffers of its own, of the chunk's width only,
 integrates it with :func:`integrate_blocks` at every rescaling strength
-of the run, and adds each block of states, column after column, into the
-unit's leaf accumulators (:class:`_Sums`), as numpy's pairwise sum would.
-The draw, the FFTs, RK4 and the adds (``sln_sums``) release the
-interpreter lock, so the units run on all cores.  The calling thread
-adds the units' sums up the tree of their batch, and the batches into
-the running sums in batch order, while the threads work the next batch's
-units.  No noise array of a whole batch exists.  A realization's noise
-and trajectory depend only on its seed, never on the thread, the chunk or
-the kernel that computed them, and the adds follow numpy's tree, so every
-statistic is bitwise the same as numpy's reduction of whole batches, and
-independent of SYNTH_THREADS.  The lambda scan adds only the steps of the
-final stats window, the only ones it reports: the blocks that end before
-that window are integrated and checked for divergence, but not summed,
-and a trajectory that diverged in one counts as diverged from the
-window's first step on.
+of the run, and adds each block of states, column after column in
+realization order, into the unit's per-step sums (:class:`_Sums`).  The
+draw, the FFTs, RK4 and the adds (``sln_sums``) release the interpreter
+lock, so the units run on all cores.  The calling thread adds the units'
+sums into the running sums in unit order, while the threads work the
+next units.  No noise array of more than a chunk exists.  A
+realization's noise and trajectory depend only on its seed, never on the
+thread, the chunk or the kernel that computed them, and every sum is
+taken in one fixed order, so every statistic depends on the config
+alone, independent of SYNTH_THREADS.  A sum of n values in order errs
+by at most n - 1 roundings of the sum of their moduli (Higham, SIAM J.
+Sci. Comput. 14, 783 (1993)): 127 within a unit, and one per unit in the
+running sums.  The lambda scan adds only the steps of the final stats
+window, the only ones it reports: the blocks that end before that window
+are integrated and checked for divergence, but not summed, and a
+trajectory that diverged in one counts as diverged from the window's
+first step on.
 
 Rescaled runs synthesize each realization's noise once, whatever the
 number of rescaling strengths lambda: a chunk keeps its noise without the
@@ -54,10 +48,10 @@ where single-step scatter would dominate.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import dataclasses
 import functools
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -210,170 +204,84 @@ def _points_per_pass(rows: int, n_points: int) -> int:
     return min(max(RK4_COLUMNS // rows, 1), n_points)
 
 
-# numpy sums the contiguous values of np.add.reduce pairwise: more than
-# 128 doubles split at half their count, rounded down to a multiple of 8,
-# and a complex sum runs over the real and imaginary parts interleaved,
-# so that it splits where a sum of twice as many doubles would.
-def _float_split(n: int) -> Optional[int]:
-    """Where numpy's sum of ``n`` doubles splits, or None at a leaf."""
-    return None if n <= 128 else n // 2 - n // 2 % 8
-
-
-def _complex_split(n: int) -> Optional[int]:
-    """Where numpy's sum of ``n`` complex values splits, or None at a leaf."""
-    return None if 2 * n <= 128 else (n - n % 8) // 2
-
-
-def _unit_split(n: int) -> Optional[int]:
-    """Where numpy's complex and float sums over ``n`` columns both split,
-    if they split at the same column, or None: the columns are one unit."""
-    cut = _float_split(n)
-    return cut if cut is not None and cut == _complex_split(n) else None
-
-
-def _leaves(n: int, split) -> list:
-    """Widths of the leaves, in order, of the tree ``split`` cuts ``n``
-    values into."""
-    cut = split(n)
-    return [n] if cut is None else _leaves(cut, split) + _leaves(n - cut, split)
-
-
-def _pairwise(sums, n: int, split):
-    """The sum of ``n`` values from the sums of the leaves of their tree,
-    taken in order from the iterator ``sums``, each node the sum of its
-    two halves, as numpy adds them."""
-    cut = split(n)
-    if cut is None:
-        return next(sums)
-    left = _pairwise(sums, cut, split)
-    return left + _pairwise(sums, n - cut, split)
-
-
-def _codes(n: int, split, group: int) -> np.ndarray:
-    """The code of each of ``n`` columns in a tree whose leaves hold
-    ``group`` accumulators (8 doubles, or 4 complex values): the slot it
-    goes to shifted left by 5, the slot's place k in its leaf's
-    accumulators shifted left by 2, bit 0 if the column is assigned there
-    instead of added, and bit 1 if the leaf's accumulators are combined
-    into its first once the column is in.  As numpy sums a leaf of
-    ``group`` or more: its first ``group`` columns are assigned, the next
-    whole groups added, then the accumulators combined and the rest added
-    to the first; a smaller leaf is added up in the first.  Leaf i's
-    accumulators are slots i .. i+group-1, and its sum ends in slot i: a
-    leaf is summed up before the next one starts."""
-    widths = np.array(_leaves(n, split), dtype=np.int64)
-    leaf = np.repeat(np.arange(len(widths)), widths)
-    width = widths[leaf]
-    # each column's place in its leaf, and the columns of its whole groups
-    j = np.arange(n) - (np.cumsum(widths) - widths)[leaf]
-    body = np.where(width < group, 0, width - width % group)
-    k = np.where(j < body, j % group, 0)
-    assign = np.where(j < body, j < group, j == 0)
-    return (leaf + k) << 5 | k << 2 | assign | (j == body - 1) << 1
-
-
-def _sum_into(acc: np.ndarray, code: int, x: np.ndarray, group: int) -> None:
-    """One column's values ``x`` into the accumulators ``acc`` as ``code``
-    says (see :func:`_codes`)."""
-    slot = code >> 5
-    if code & 1:
-        acc[..., slot] = x
-    else:
-        acc[..., slot] += x
-    if code & 2:
-        base = slot - (code >> 2 & 7)
-        r = acc[..., base:base + group]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        while r.shape[-1] > 1:
-            r = r[..., 0::2] + r[..., 1::2]
-        acc[..., base] = r[..., 0]
-
-
 class _Sums:
-    """numpy's pairwise sums over the columns of one unit, formed column by
-    column: the sums of ``nq`` complex quantities, and of the squared
-    modulus of the last one, at each of ``n_points`` strengths and
-    ``n_steps`` steps.  It holds the accumulators of both trees (see
-    :func:`_codes`), complex (points, steps, nq, leaves + 3) and float
-    (points, steps, leaves + 7).  ``native`` is the native pass
-    ``sln_sums``, or None for numpy's in-order adds, the reference; both
-    give the same bits."""
+    """The sums over the columns of one unit, added column after column in
+    order: of ``nq`` complex quantities, ``c`` (points, steps, nq), and of
+    the squared modulus of the last one, formed as re*re + im*im, ``f``
+    (points, steps), at each of ``n_points`` strengths and ``n_steps``
+    steps.  ``native`` is the native pass ``sln_sums``, or None for numpy's
+    in-order adds, the reference; both give the same bits."""
 
-    def __init__(self, width: int, n_points: int, n_steps: int, nq: int, native):
-        self.width, self.native = width, native
-        self.ccodes = _codes(width, _complex_split, 4)
-        self.fcodes = _codes(width, _float_split, 8)
-        leaves = len(_leaves(width, _complex_split)), len(_leaves(width, _float_split))
-        self.cacc = np.zeros((n_points, n_steps, nq, leaves[0] + 3), dtype=complex)
-        self.facc = np.zeros((n_points, n_steps, leaves[1] + 7))
-        self._addresses = tuple(a.ctypes.data for a in (self.ccodes, self.fcodes,
-                                                        self.cacc, self.facc))
+    def __init__(self, n_points: int, n_steps: int, nq: int, native):
+        self.native = native
+        self.c = np.zeros((n_points, n_steps, nq), dtype=complex)
+        self.f = np.zeros((n_points, n_steps))
 
     @staticmethod
-    def nbytes(width: int, n_points: int, n_steps: int, nq: int = 4) -> int:
-        """Bytes of the accumulators of a unit of ``width`` columns."""
-        return n_points * n_steps * (16 * nq * (len(_leaves(width, _complex_split)) + 3)
-                                     + 8 * (len(_leaves(width, _float_split)) + 7))
+    def nbytes(n_points: int, n_steps: int, nq: int = 4) -> int:
+        """Bytes of the sums of a unit."""
+        return n_points * n_steps * (16 * nq + 8)
 
-    def add(self, block: np.ndarray, rows: int, col: int, point: int,
-            step: int) -> None:
-        """Adds ``block``, (m, nq, points x rows) complex, as the unit's
-        columns col .. col+rows-1 at the strengths from ``point`` on (column
-        l * rows + r of the block is column r at strength point + l) and the
-        steps from ``step`` on.  Columns are added in order."""
+    def add(self, block: np.ndarray, rows: int, point: int, step: int) -> None:
+        """Adds ``block``, (m, nq, points x rows) complex, as the unit's next
+        ``rows`` columns at the strengths from ``point`` on (column l * rows
+        + r of the block is column r at strength point + l) and the steps
+        from ``step`` on."""
         m, nq, width = block.shape
-        n_steps, cslots = self.cacc.shape[1], self.cacc.shape[-1]
-        fslots = self.facc.shape[-1]
+        n_steps = self.c.shape[1]
         if self.native is not None and block.flags.c_contiguous:
-            ccodes, fcodes, cacc, facc = self._addresses
             at = point * n_steps + step
-            self.native(block.ctypes.data, m, nq, width, rows, ccodes + 8 * col,
-                        fcodes + 8 * col, cacc + 16 * at * nq * cslots, cslots,
-                        facc + 8 * at * fslots, fslots, n_steps)
+            self.native(block.ctypes.data, m, nq, width, rows,
+                        self.c.ctypes.data + 16 * nq * at,
+                        self.f.ctypes.data + 8 * at, n_steps)
             return
         x = block.reshape(m, nq, width // rows, rows)
-        abs2 = (np.abs(block[:, -1]) ** 2).reshape(m, width // rows, rows)
         points, steps = slice(point, point + width // rows), slice(step, step + m)
-        cacc, facc = self.cacc[points, steps], self.facc[points, steps]
+        c, f = self.c[points, steps], self.f[points, steps]
         for r in range(rows):
-            _sum_into(cacc, self.ccodes[col + r], x[..., r].transpose(2, 0, 1), 4)
-            _sum_into(facc, self.fcodes[col + r], abs2[..., r].T, 8)
+            column = x[..., r].transpose(2, 0, 1)
+            c += column
+            last = column[..., -1]
+            f += last.real * last.real + last.imag * last.imag
 
-    def result(self):
-        """The unit's sums, once every column is in: (points, steps, nq)
-        complex and (points, steps) float."""
-        c = _pairwise(iter(np.moveaxis(self.cacc[..., :-3], -1, 0)), self.width,
-                      _complex_split)
-        f = _pairwise(iter(np.moveaxis(self.facc[..., :-7], -1, 0)), self.width,
-                      _float_split)
-        return np.ascontiguousarray(c), np.ascontiguousarray(f)
+
+def _nan_as_nan(a: np.ndarray) -> np.ndarray:
+    """The bits of ``a``, every nan as numpy's default nan: which of two
+    nans numpy's add returns depends on the lane of its compiled loop."""
+    a = a.view(float).copy()
+    a[np.isnan(a)] = np.nan
+    return a.view(np.uint64)
 
 
 def _sums_probe(native) -> bool:
-    """Whether ``native`` gives the accumulators of numpy's in-order adds,
-    bit for bit, on a unit of 150 columns (leaves of 36 and 42 complex and
-    72 and 78 doubles) fed in chunks of 16 and 7 columns at 2 strengths:
-    random values of every magnitude, with +-0.0, +-inf and nan among
-    them, and a value whose modulus np.abs and libm's hypot round apart."""
+    """Whether ``native`` gives the sums of numpy's in-order adds, bit for
+    bit with a nan taken as nan, on 150 columns fed in chunks of 16 and 7
+    at 8 strengths: +-0.0, +-inf and nan among random values in the first
+    two steps; values of every magnitude in the next three, whose sums
+    show the rounding of their largest terms, a fused multiply-add in the
+    squared modulus among them; and of magnitudes 0.01 to 100 in the last
+    three."""
     rng = np.random.default_rng(2020)
-    width, nq, m = 150, 3, 4
-    x = (rng.standard_normal((m, nq, 2, width))
-         * 10.0 ** rng.uniform(-300, 300, (m, nq, 2, width))
-         + 1j * rng.standard_normal((m, nq, 2, width)))
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 765406082731.0397])
-    flat = x.reshape(-1)
-    flat.real[::7] = rng.choice(special, flat[::7].size)
-    flat.imag[::11] = rng.choice(special, flat[::11].size)
-    flat[::5] = 765406082731.0397 + 643547611694.9894j
-    sums = [_Sums(width, 3, m, nq, fn) for fn in (native, None)]
+    width, nq, m, points = 150, 3, 8, 8
+    shape = (m, nq, points, width)
+    scale = 10.0 ** rng.uniform(-150, 150, shape)
+    scale[5:] = 10.0 ** rng.uniform(-2, 2, scale[5:].shape)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    x.real[0, ..., ::7] = rng.choice(special, x[0, ..., ::7].shape)
+    x.imag[0, ..., ::11] = rng.choice(special, x[0, ..., ::11].shape)
+    x[1, ..., ::37] = rng.choice(special[2:4], x[1, ..., ::37].shape)
+    x[1, 0] = -0.0
+    sums = [_Sums(points + 1, m, nq, fn) for fn in (native, None)]
     cuts = sorted({*range(0, width, 23), *range(16, width, 23), width})
     for a, b in zip(cuts[:-1], cuts[1:]):
-        block = np.ascontiguousarray(x[..., a:b]).reshape(m, nq, 2 * (b - a))
+        block = np.ascontiguousarray(x[..., a:b]).reshape(m, nq, points * (b - a))
         with np.errstate(over="ignore", invalid="ignore"):
             for s in sums:
-                s.add(block, b - a, a, 1, 0)
+                s.add(block, b - a, 1, 0)
     a, b = sums
-    return a.cacc.tobytes() == b.cacc.tobytes() and a.facc.tobytes() == b.facc.tobytes()
+    return all(np.array_equal(_nan_as_nan(p), _nan_as_nan(q))
+               for p, q in ((a.c, b.c), (a.f, b.f)))
 
 
 @functools.cache
@@ -386,8 +294,8 @@ def _native_sums():
     if lib is None:
         return None
     sums = lib["sln_sums"]
-    sums.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3
-                     + [ctypes.c_int64, ctypes.c_void_p] + [ctypes.c_int64] * 2)
+    sums.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 4
+                     + [ctypes.c_void_p] * 2 + [ctypes.c_int64])
     sums.restype = None
     return sums if _sums_probe(sums) else None
 
@@ -397,25 +305,22 @@ def _native_sums():
 # first divergences, then the EnsembleStats built from them (mean trace,
 # its modulus, variance, SE, three spin means and diverged counts).
 _POINT_STEP_BYTES = (16 + 8 + 3 * 16 + 8) + (16 + 8 + 8 + 8 + 3 * 16 + 8)
-# Bytes per strength and step of a unit's sums: four complex, one float.
-_UNIT_STEP_BYTES = 4 * 16 + 8
 
 
 def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int,
                   channels: int = 4) -> None:
-    # each thread holds the noise of its chunk, its colouring workspace,
-    # the buffers of one RK4 pass over up to RK4_COLUMNS columns and the
-    # accumulators of its unit; the calling thread holds the sums of the
-    # units of two batches (the one it adds up and the next) and every
-    # strength's running sums and statistics
+    # each thread holds the noise of its chunk, its colouring workspace
+    # and the buffers of one RK4 pass over up to RK4_COLUMNS columns; up
+    # to 2 * SYNTH_THREADS units are queued or running and one more is
+    # being added up, each with its sums and first divergences; every
+    # strength keeps its running sums and statistics
     n_steps = (ngrid.n_phys - 1) // 2
     rows = chunk_rows(ngrid.n, channels, batch_rows)
-    units = _leaves(batch_rows, _unit_split)
     states = n_points * (n_steps + 1)
-    worker = (rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points))
-              + _Sums.nbytes(max(units), n_points, n_steps + 1))
-    held = 2 * (len(units) * _UNIT_STEP_BYTES * states + 8 * n_points * batch_rows)
-    extra = SYNTH_THREADS * worker + held + _POINT_STEP_BYTES * states
+    unit = (_Sums.nbytes(n_points, n_steps + 1)
+            + 8 * n_points * min(batch_rows, BATCH_ROWS // 2))
+    extra = (SYNTH_THREADS * rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points))
+             + (2 * SYNTH_THREADS + 1) * unit + _POINT_STEP_BYTES * states)
     check_memory(ngrid, rows, SYNTH_THREADS, extra, channels)
 
 
@@ -472,14 +377,14 @@ def _chunk_blocks(cfg: RunConfig, synth: Synthesizer, lo: int, hi: int):
 def _unit(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int,
           lo: int, hi: int):
     """One unit, realizations lo .. hi-1, on the calling thread: the sums
-    over its columns of the ``nq`` quantities that ``quantities(states,
-    start)`` forms from each block, (m, nq, columns) complex, at the steps
-    from ``first`` on, and of the squared modulus of the last one; and the
-    step at which each column first diverged, or -1.  Returns (complex
-    sums (points, steps, nq), float sums (points, steps), first
-    divergences (points, hi - lo))."""
+    over its columns, in order, of the ``nq`` quantities that
+    ``quantities(states, start)`` forms from each block, (m, nq, columns)
+    complex, at the steps from ``first`` on, and of the squared modulus of
+    the last one; and the step at which each column first diverged, or
+    -1.  Returns (complex sums (points, steps, nq), float sums (points,
+    steps), first divergences (points, hi - lo))."""
     n_points = 1 if synth.lam is None else len(synth.lam)
-    sums = _Sums(hi - lo, n_points, cfg.grid.n_phys - first, nq, _native_sums())
+    sums = _Sums(n_points, cfg.grid.n_phys - first, nq, _native_sums())
     first_div = np.full((n_points, hi - lo), -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for col, points, rows, start, states, new_div in _chunk_blocks(
@@ -489,39 +394,29 @@ def _unit(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int,
             np.maximum(div, new_div.reshape(div.shape), out=div)
             skip = max(first - start, 0)
             if skip < len(states):
-                sums.add(quantities(states[skip:], start + skip), rows, col,
+                sums.add(quantities(states[skip:], start + skip), rows,
                          points.start, start + skip - first)
-    return (*sums.result(), first_div)
+    return sums.c, sums.f, first_div
 
 
-def _batch_sums(cfg: RunConfig, unit):
-    """The units of every batch, ``unit(lo, hi)``, run on SYNTH_THREADS
-    threads; yields each batch's sums in batch order: the units' sums
-    added up numpy's tree over the batch, and their first divergences side
-    by side.  The units of the next batch are queued while a batch is
-    awaited, so that the threads do not wait for the calling one."""
-    nreal = cfg.n_realizations
-
-    def submit(pool, start):
-        rows = min(BATCH_ROWS, nreal - start)
-        cuts = list(itertools.accumulate([start] + _leaves(rows, _unit_split)))
-        return rows, [pool.submit(unit, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
+def _unit_sums(cfg: RunConfig, unit):
+    """The units of the run, ``unit(lo, hi)``, run on SYNTH_THREADS
+    threads; yields each unit's sums in unit order.  A unit is a run of at
+    most BATCH_ROWS // 2 realizations that starts at a multiple of it.  Up
+    to two units per thread are queued ahead of the one awaited, so that
+    the threads do not wait for the calling one."""
+    nreal, width = cfg.n_realizations, BATCH_ROWS // 2
+    jobs = collections.deque()
     with ThreadPoolExecutor(SYNTH_THREADS) as pool:
-        batch = submit(pool, 0)
-        ahead = batch
         try:
-            for start in range(0, nreal, BATCH_ROWS):
-                rows, jobs = batch
-                if start + BATCH_ROWS < nreal:
-                    ahead = submit(pool, start + BATCH_ROWS)
-                c, f, div = zip(*(job.result() for job in jobs))
-                yield (_pairwise(iter(c), rows, _unit_split),
-                       _pairwise(iter(f), rows, _unit_split),
-                       np.concatenate(div, axis=1))
-                batch = ahead
+            for lo in range(0, nreal, width):
+                jobs.append(pool.submit(unit, lo, min(lo + width, nreal)))
+                if len(jobs) > 2 * SYNTH_THREADS:
+                    yield jobs.popleft().result()
+            while jobs:
+                yield jobs.popleft().result()
         finally:
-            for job in batch[1] + ahead[1]:
+            for job in jobs:
                 job.cancel()
 
 
@@ -542,7 +437,7 @@ def _ensembles(cfg: RunConfig, lams=None, first: int = 0):
     # the quantities are the states (sx, sy, sz, tr) themselves
     unit = functools.partial(_unit, cfg, synth, first, lambda states, start: states, 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        for sums, abs2, div in _batch_sums(cfg, unit):
+        for sums, abs2, div in _unit_sums(cfg, unit):
             sum_tr += sums[:, :, 3]
             sum_abs2 += abs2
             sum_s += sums[:, :, :3].transpose(0, 2, 1)
@@ -576,7 +471,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleStats:
     """Synthesize, integrate and average an ensemble of trajectories.
 
     Deterministic for a fixed config: per-realization seeds come from
-    seed_for and the sums follow numpy's pairwise tree over each batch.
+    seed_for and the sums are taken in realization order, unit by unit.
     A rescaled run (``cfg.lam`` set) is the one-point case of
     :func:`scan_lambda`'s loop.
     """
@@ -626,7 +521,7 @@ def run_coherence(cfg: RunConfig):
     nreal = cfg.n_realizations
     unit = functools.partial(_unit, cfg, synth, 0, quantities, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for sums, abs2, div in _batch_sums(cfg, unit):
+        for sums, abs2, div in _unit_sums(cfg, unit):
             sum_r += sums[0, :, 0]
             sum_d += sums[0, :, 1]
             sum_d2 += abs2[0]

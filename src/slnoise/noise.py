@@ -385,9 +385,9 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
     alike whichever runs; the kernel table and the filters on the padded
     grid are counted too.  ``extra`` is the bytes of the run's other
     buffers: for an ensemble, each thread's RK4 pass
-    (:func:`~slnoise.dynamics.rk4_bytes`) and the accumulators of its
-    unit of realizations, and the sums and statistics the run keeps per
-    rescaling strength.
+    (:func:`~slnoise.dynamics.rk4_bytes`), the sums of every unit of
+    realizations queued, running or being added, and the sums and
+    statistics the run keeps per rescaling strength.
     Raises :class:`ConfigError` before any of it is allocated.
     """
     workspace = workspace_bytes(chunk_rows(grid.n, channels, rows), channels, grid.n)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from slnoise import _native, dynamics, noise
+from slnoise import _native, dynamics, ensemble, noise
 
 
 def forget_native():
@@ -11,6 +11,7 @@ def forget_native():
     dynamics._native_kernel.cache_clear()
     noise._native_normals.cache_clear()
     noise._native_colour.cache_clear()
+    ensemble._native_sums.cache_clear()
 
 
 @pytest.fixture(scope="session", autouse=True)

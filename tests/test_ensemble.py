@@ -96,6 +96,45 @@ def windowed_stats(traces, window):
                                 traces.shape[0], window)
 
 
+def _bits(a):
+    """The bits of ``a``, every nan as numpy's default nan: which of two
+    nans numpy's elementwise add returns depends on the lane of its
+    compiled loop (the first operand's in vector lanes, the second's in
+    the tail), so the sign and payload of a nan are not reproducible."""
+    a = np.array(a)
+    a.view(float)[np.isnan(a.view(float))] = np.nan
+    return a.view(np.uint64)
+
+
+def _unit_order_sums(x, unit):
+    """The sums over the first axis of ``x`` as a run takes them: in order
+    within each unit of ``unit`` rows, the units' sums added in order."""
+    total = np.zeros(x.shape[1:], x.dtype)
+    for lo in range(0, len(x), unit):
+        part = np.zeros(x.shape[1:], x.dtype)
+        for row in x[lo:lo + unit]:
+            part += row
+        total += part
+    return total
+
+
+def _assert_stats_of_states(stats, states, unit, window):
+    """Every statistic of ``stats`` is the one formed from the integrated
+    ``states`` (realizations, steps, 4) summed unit by unit, bitwise."""
+    n = len(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _unit_order_sums(states, unit)
+        tr = states[:, :, 3]
+        abs2 = _unit_order_sums(tr.real * tr.real + tr.imag * tr.imag, unit)
+        var, se = _pooled_window_stats(sums[:, 3], abs2, n, window)
+        for got, want in ((stats.mean_tr, sums[:, 3] / n),
+                          (stats.var_tr, var), (stats.se_tr, se),
+                          (stats.mean_sx, sums[:, 0] / n),
+                          (stats.mean_sy, sums[:, 1] / n),
+                          (stats.mean_sz, sums[:, 2] / n)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_windowed_stats_constant_series():
     traces = np.ones((8, 50), dtype=complex)
     var, se = windowed_stats(traces, 10)
@@ -185,8 +224,8 @@ def test_output_independent_of_synthesis_thread_count(monkeypatch):
 
 def test_streamed_sums_match_integrated_states(monkeypatch):
     # a strongly coupled run in which some trajectories diverge; the
-    # reference integrates the same noise with integrate_batch and reduces
-    # the full state array
+    # reference integrates the same noise with integrate_batch and sums the
+    # full state array in units of 16 realizations
     import slnoise.ensemble as ens
 
     cfg = small_cfg(scheme=SchemeId.LIKE, n_realizations=3 * CHUNK_ROWS,
@@ -206,14 +245,7 @@ def test_streamed_sums_match_integrated_states(monkeypatch):
     steps = np.arange(states.shape[1])
     diverged = ((first_div[:, None] >= 0) & (first_div[:, None] <= steps)).sum(axis=0)
     assert np.array_equal(stats.diverged, diverged)
-    tr = states[:, :, 3]
-    var, se = windowed_stats(tr, cfg.stats_window)
-    for got, want in ((stats.mean_tr, tr.mean(axis=0)),
-                      (stats.var_tr, var), (stats.se_tr, se),
-                      (stats.mean_sx, states[:, :, 0].mean(axis=0)),
-                      (stats.mean_sy, states[:, :, 1].mean(axis=0)),
-                      (stats.mean_sz, states[:, :, 2].mean(axis=0))):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    _assert_stats_of_states(stats, states, CHUNK_ROWS, cfg.stats_window)
 
 
 def _count_drawn_rows(monkeypatch):
@@ -350,8 +382,9 @@ def test_scan_lambda_builds_filters_once(monkeypatch):
 
 
 def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
-    # three batches of a full and a partial chunk, a repeated lambda, and
-    # the factor table of each batch written by 1, 2 and 5 threads that
+    # units of a full and a partial chunk and a partial last unit, a
+    # repeated lambda, and the factor table of each unit written by 1, 2
+    # and 5 threads that
     # switch as often as the interpreter allows
     import dataclasses
     import sys
@@ -359,9 +392,9 @@ def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
     import slnoise.ensemble as ens
 
     cfg = small_cfg()
-    runs, batch = 3 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
+    runs = 3 * CHUNK_ROWS + 5
     lambdas = [0.5, 0.05, 2.0, 0.5]
-    monkeypatch.setattr(ens, "BATCH_ROWS", batch)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * (CHUNK_ROWS + 3))
     scans = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -381,7 +414,7 @@ def test_scan_lambda_points_equal_stand_alone_runs(monkeypatch):
 def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeypatch):
     # RK4_COLUMNS set below the width of all lambdas: the chunks of 16
     # rows run in passes of 2, 2 and 1 lambdas, those of 3 rows in one
-    # pass, and the last batch's chunk of 15 in passes of 3 and 2; every
+    # pass, and the last unit's chunk of 15 in passes of 3 and 2; every
     # statistic of every point, diverged counts included, must equal a
     # stand-alone run's, bitwise
     import dataclasses
@@ -389,7 +422,7 @@ def test_scan_lambda_passes_narrower_than_lambdas_equal_stand_alone_runs(monkeyp
     import slnoise.ensemble as ens
 
     monkeypatch.setattr(ens, "RK4_COLUMNS", 45)
-    monkeypatch.setattr(ens, "BATCH_ROWS", CHUNK_ROWS + 3)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * (CHUNK_ROWS + 3))
     cfg = small_cfg(model=SystemModel(1.0, -1.0, 2.0, RHO0),
                     n_realizations=2 * (CHUNK_ROWS + 3) + 15)
     lambdas = [0.5, 0.02, 2.0, 0.5, 5.0]
@@ -406,7 +439,7 @@ def test_scan_lambda_reduces_only_its_final_window(window, monkeypatch):
     # 201 steps in blocks of 128: the final window begins at step 200, 196,
     # 200 and 0, inside the second block or at step 0; the steps before
     # it are never added to the sums, and each point still
-    # equals a stand-alone run's final SE, bitwise, over full batches and
+    # equals a stand-alone run's final SE, bitwise, over a full unit and
     # a partial last one
     import dataclasses
 
@@ -417,19 +450,19 @@ def test_scan_lambda_reduces_only_its_final_window(window, monkeypatch):
     reduced = []
     real = ens._Sums.add
 
-    def recording(self, block, rows, col, point, step):
+    def recording(self, block, rows, point, step):
         reduced.append((first + step, len(block)))
-        real(self, block, rows, col, point, step)
+        real(self, block, rows, point, step)
 
     monkeypatch.setattr(ens._Sums, "add", recording)
-    runs, batch = 2 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
-    monkeypatch.setattr(ens, "BATCH_ROWS", batch)
+    runs, unit = 2 * CHUNK_ROWS + 5, CHUNK_ROWS + 3
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * unit)
     lambdas = [0.5, 2.0]
     scan = scan_lambda(cfg, lambdas, runs_per_point=runs)
     assert min(start for start, _ in reduced) == first
-    # every chunk (16 and 3 realizations of the first batch, 16 and 2 of
+    # every chunk (16 and 3 realizations of the first unit, 16 and 2 of
     # the second) adds each step from first on once, for both lambdas
-    chunks = sum(-(-rows // CHUNK_ROWS) for rows in (batch, runs - batch))
+    chunks = sum(-(-rows // CHUNK_ROWS) for rows in (unit, runs - unit))
     assert sum(m for _, m in reduced) == chunks * (cfg.grid.n_phys - first)
     assert np.isfinite(scan.se_final).all()
     for lam, se in zip(lambdas, scan.se_final):
@@ -482,7 +515,7 @@ def test_statistics_from_a_window_equal_the_tail_of_a_full_run(first, monkeypatc
 
     cfg = small_cfg(model=SystemModel(1.0, -1.0, 2.0, RHO0),
                     n_realizations=2 * (CHUNK_ROWS + 3) + 15)
-    monkeypatch.setattr(ens, "BATCH_ROWS", CHUNK_ROWS + 3)
+    monkeypatch.setattr(ens, "BATCH_ROWS", 2 * (CHUNK_ROWS + 3))
     wants = _assert_tail_of_stand_alone_runs(cfg, [0.5, 0.02, 5.0], first)
     assert wants[0].diverged[first - 1] > 0
 
@@ -495,7 +528,8 @@ def test_scan_lambda_synthesizes_each_realization_once(monkeypatch):
 
 def test_rescaled_run_matches_integrated_noise_pairs(monkeypatch):
     # the reference folds the rescale factors in at synthesis (the
-    # NoisePair path) and integrates the whole batch at once
+    # NoisePair path), integrates the whole ensemble at once and sums it
+    # in units of 17 realizations
     import slnoise.ensemble as ens
 
     cfg = small_cfg(lam=0.5, n_realizations=3 * CHUNK_ROWS)
@@ -507,14 +541,7 @@ def test_rescaled_run_matches_integrated_noise_pairs(monkeypatch):
     states, first_div = integrate_batch(cfg.model, [p.eta_t for p in pairs],
                                         [p.nu_t for p in pairs], ngrid.dt)
     assert np.all(first_div < 0) and np.all(stats.diverged == 0)
-    tr = states[:, :, 3]
-    var, se = windowed_stats(tr, cfg.stats_window)
-    for got, want in ((stats.mean_tr, tr.mean(axis=0)),
-                      (stats.var_tr, var), (stats.se_tr, se),
-                      (stats.mean_sx, states[:, :, 0].mean(axis=0)),
-                      (stats.mean_sy, states[:, :, 1].mean(axis=0)),
-                      (stats.mean_sz, states[:, :, 2].mean(axis=0))):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    _assert_stats_of_states(stats, states, CHUNK_ROWS + 1, cfg.stats_window)
 
 
 def qnd_cfg(**kw):
@@ -644,153 +671,82 @@ def test_non_finite_statistics_without_divergence_are_refused(run, monkeypatch):
         run()
 
 
-# ------------------------------------------------ units and native sums
+# ------------------------------------------------------------ unit sums
 
-def _numpy_tree(n, lo=0):
-    """The nodes (lo, hi, cut) of numpy's pairwise sum of ``n`` doubles
-    from ``lo`` on, cut None at a leaf, as numpy's pairwise_sum recurses."""
-    if n <= 128:
-        return [(lo, lo + n, None)]
-    half = n // 2
-    half -= half % 8
-    return ([(lo, lo + n, lo + half)] + _numpy_tree(half, lo)
-            + _numpy_tree(n - half, lo + half))
-
-
-def test_units_cut_exactly_where_both_numpy_trees_split():
-    # for every batch width 1 ... 4096: each cut between units splits a node
-    # that numpy's float sum over the columns and its complex sum over
-    # the columns' interleaved doubles share, and no unit is such a node
-    import itertools
-
-    import slnoise.ensemble as ens
-
-    for width in range(1, 4097):
-        floats = {(lo, hi): cut for lo, hi, cut in _numpy_tree(width)}
-        complexes = {(lo // 2, hi // 2): None if cut is None else cut // 2
-                     for lo, hi, cut in _numpy_tree(2 * width)}
-
-        def shared(lo, hi):
-            cut = floats.get((lo, hi))
-            return cut if cut is not None and complexes.get((lo, hi)) == cut else None
-
-        def units(lo, hi):
-            cut = shared(lo, hi)
-            return [(lo, hi)] if cut is None else units(lo, cut) + units(cut, hi)
-
-        bounds = [0, *itertools.accumulate(ens._leaves(width, ens._unit_split))]
-        assert list(zip(bounds[:-1], bounds[1:])) == units(0, width), width
-    assert ens._leaves(256, ens._unit_split) == [128, 128]
-    assert ens._leaves(244, ens._unit_split) == [120, 124]
-    assert ens._leaves(208, ens._unit_split) == [104, 104]
-    assert ens._leaves(250, ens._unit_split) == [250]
-
-
-def _batch_sums_of(x, chunks, native):
-    """x (m, width) complex summed over its columns as a run sums a batch:
-    unit by unit, fed in chunks cycling through ``chunks`` columns, the
-    units added up the tree and into zeros."""
-    import itertools
-
-    import slnoise.ensemble as ens
-
-    m, width = x.shape
-    results = []
-    lo = 0
-    for unit in ens._leaves(width, ens._unit_split):
-        sums = ens._Sums(unit, 1, m, 1, native)
-        cuts = [0, *itertools.takewhile(lambda c: c < unit, itertools.accumulate(
-            itertools.cycle(chunks))), unit]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            block = x[:, lo + a:lo + b].reshape(m, 1, b - a)
-            if m > 1:
-                block = np.ascontiguousarray(block)
-            sums.add(block, b - a, a, 0, 0)
-        results.append(sums.result())
-        lo += unit
-    c, f = zip(*results)
-    c = ens._pairwise(iter(c), width, ens._unit_split)[0, :, 0]
-    f = ens._pairwise(iter(f), width, ens._unit_split)[0]
-    return np.zeros(m, dtype=complex) + c, np.zeros(m) + f
-
-
-def _special_values(rng, m, width):
-    """Random complex values of every magnitude, with +-0.0, +-inf and nan
-    among the parts, and moduli that np.abs and libm's hypot round apart."""
-    x = sum(part * rng.standard_normal((m, width))
-            * 10.0 ** rng.uniform(-150, 150, (m, width)) for part in (1, 1j))
+def _unit_values(rng, points, m, nq, width):
+    """(points, m, nq, width) complex: random values of every magnitude;
+    +-0.0, +-inf and nan among the parts of the first step, -0.0 in
+    the second."""
+    x = sum(part * rng.standard_normal((points, m, nq, width))
+            * 10.0 ** rng.uniform(-150, 150, (points, m, nq, width))
+            for part in (1, 1j))
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0])
-    x.real[:, ::13] = rng.choice(special, x[:, ::13].shape)
-    x.imag[:, ::17] = rng.choice(special, x[:, ::17].shape)
-    x[:, 5::19] = 765406082731.0397 + 643547611694.9894j
-    x[0] = -0.0
-    x[1, ::2] = complex(0.0, -0.0)
+    first = x[:, 0]
+    first.real[..., ::13] = rng.choice(special, first[..., ::13].shape)
+    first.imag[..., ::17] = rng.choice(special, first[..., ::17].shape)
+    x[:, 1, 0] = complex(-0.0, -0.0)
     return x
 
 
-def _bits(a):
-    """The bits of ``a``, every nan as numpy's default nan: which of two
-    nans an add returns depends on the operand order inside numpy's own
-    compiled loops (its complex leaf combine returns the second one, its
-    elementwise add the first in vector lanes and the second in the
-    tail), so the sign and payload of a nan are not reproducible."""
-    a = np.array(a)
-    a.view(float)[np.isnan(a.view(float))] = np.nan
-    return a.view(np.uint64)
-
-
-def _assert_sums_bitwise(x, chunks, native):
-    with np.errstate(over="ignore", invalid="ignore"):
-        got_c, got_f = _batch_sums_of(x, chunks, native)
-        want_c, want_f = x.sum(axis=-1), (np.abs(x) ** 2).sum(axis=-1)
-    assert np.array_equal(_bits(got_c), _bits(want_c)), x.shape
-    assert np.array_equal(_bits(got_f), _bits(want_f)), x.shape
+def _in_order(x):
+    """The sums over the last axis of ``x`` (points, m, nq, width), column
+    after column from zero: of x, and of |x[:, :, -1]|^2 as re*re + im*im."""
+    c = np.zeros(x.shape[:-1], dtype=complex)
+    f = np.zeros(x.shape[:-2])
+    for col in np.moveaxis(x, -1, 0):
+        c += col
+        last = col[:, :, -1]
+        f += last.real * last.real + last.imag * last.imag
+    return c, f
 
 
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
-def test_unit_sums_equal_numpy_sums_bitwise(native):
-    # natively, every width from 1 to 4096 in chunks of 16 columns, one
-    # step; the widths up to 300 and six wider ones also at three steps
-    # in chunks of 1, 3 and 8, and of 16, 8, 3 and 1 in turn; numpy's
-    # in-order adds on the widths up to 300 in chunks of 16 and in turn,
-    # and on the wider ones in 16
+def test_unit_sums_equal_in_order_sums_bitwise(native):
+    # widths 1 ... 300 and six up to 4096, fed in chunks of 1, 3 and 16
+    # columns, four quantities at 1 point and two at 13
     import slnoise.ensemble as ens
+    from slnoise import _native
 
-    fn = ens._native_sums() if native else None
-    if native and fn is None:
-        pytest.skip("the native sums could not be built")
-    values = _special_values(np.random.default_rng(11), 3, 4096)
-    few = [*range(1, 301), 511, 512, 1000, 2049, 4095, 4096]
-    for width in range(1, 4097):
-        x = values[:, :width]
-        if native:
-            # one row each, whose columns are then contiguous
-            _assert_sums_bitwise(x[width % 3, None], (16,), fn)
-        if width in few:
-            turns = (16, 8, 3, 1)
-            for chunks in ((1,), (3,), (8,), turns) if native else ((16,), turns):
-                if native or width <= 300 or chunks == (16,):
-                    _assert_sums_bitwise(x, chunks, fn)
+    fn = None
+    if native:
+        if _native.library() is None:
+            pytest.skip("the native library could not be built")
+        fn = ens._native_sums()
+        assert fn is not None, "the native sums failed their probe"
+    rng = np.random.default_rng(11)
+    m = 3
+    for nq, points in ((4, 1), (2, 13)):
+        values = _unit_values(rng, points, m, nq, 4096)
+        for width in (*range(1, 301), 511, 512, 1000, 2049, 4095, 4096):
+            x = values[..., :width]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want_c, want_f = _in_order(x)
+                for chunk in (1, 3, 16):
+                    sums = ens._Sums(points, m, nq, fn)
+                    for a in range(0, width, chunk):
+                        rows = min(chunk, width - a)
+                        block = x[..., a:a + rows].transpose(1, 2, 0, 3)
+                        sums.add(np.ascontiguousarray(block).reshape(m, nq, -1),
+                                 rows, 0, 0)
+                    assert np.array_equal(_bits(sums.c), _bits(want_c)), (width, chunk)
+                    assert np.array_equal(_bits(sums.f), _bits(want_f)), (width, chunk)
 
 
-def test_native_sums_refused_when_probe_fails(monkeypatch):
+def test_native_sums_refused_when_probe_fails(rebuild, monkeypatch):
     # a pass that the probe rejects is never used, silently
     import warnings
 
     import slnoise.ensemble as ens
 
+    want = run_ensemble(small_cfg(n_realizations=20))
     ens._native_sums.cache_clear()
-    try:
-        with monkeypatch.context() as m, warnings.catch_warnings():
-            m.setattr(ens, "_sums_probe", lambda native: False)
-            warnings.simplefilter("error")
-            assert ens._native_sums() is None
-            a = run_ensemble(small_cfg(n_realizations=20))
-    finally:
-        ens._native_sums.cache_clear()
-    b = run_ensemble(small_cfg(n_realizations=20))
+    monkeypatch.setattr(ens, "_sums_probe", lambda native: False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ens._native_sums() is None
+        got = run_ensemble(small_cfg(n_realizations=20))
     for name in ("mean_tr", "var_tr", "se_tr", "mean_sx", "mean_sy", "mean_sz"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):

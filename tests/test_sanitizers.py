@@ -76,19 +76,16 @@ for rows in (1, 3, 16):
         assert diverged
 
 # sln_sums: units of 1 ... 300 columns in chunks of 1, 3 and 16, two
-# and four quantities, 1 and 13 strengths
+# and four quantities, 1 and 13 strengths, into the last strengths and
+# steps of the sums
 for width in range(1, 301, 7):
     for nq, points in ((4, 1), (2, 13)):
-        sums = ensemble._Sums(width, points, 3, nq, ensemble._native_sums())
-        col = 0
-        for rows in (1, 3, 16) * width:
-            rows = min(rows, width - col)
-            if rows == 0:
-                break
-            block = rng.standard_normal((3, nq, 2 * points * rows)).view(complex)
-            sums.add(np.ascontiguousarray(block), rows, col, 0, 0)
-            col += rows
-        sums.result()
+        for chunk in (1, 3, 16):
+            sums = ensemble._Sums(points + 1, 4, nq, ensemble._native_sums())
+            for col in range(0, width, chunk):
+                rows = min(chunk, width - col)
+                block = rng.standard_normal((3, nq, 2 * points * rows)).view(complex)
+                sums.add(np.ascontiguousarray(block), rows, 1, 1)
 
 # the runs: an ensemble, a 13-point scan and a coherence run
 weak = SystemModel(1.0, -1.0, 0.05, 0.5 * (np.eye(2) + SIGMA_Z))
