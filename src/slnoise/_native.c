@@ -9,6 +9,11 @@
  * uses it.  Build with -ffp-contract=off and never with -ffast-math, or
  * the compiler reassociates and fuses what numpy does not.
  *
+ * Where it is compiled for AVX-512F and DQ, sln_normals makes each
+ * stream's Philox blocks sixteen at a time in 512-bit vector lanes and
+ * takes the ziggurat's rectangle test eight draws at a time; the scalar
+ * code that every build has makes the same numbers.
+ *
  * sln_rk4 integrates columns c0 .. c1-1 of one block.  Every operation
  * is that of the numpy kernel, in its order and with its operands in
  * their order: the noise of a half step is formed as
@@ -249,12 +254,22 @@ void sln_rk4(const sln_run *p, int64_t start, int64_t m)
  * Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random
  * numbers: as easy as 1, 2, 3", SC'11) as numpy's Philox runs it: the
  * counter starts at 0 and is incremented before each block of four
- * outputs, which are used in order.  Two blocks are made per refill, so
- * that their rounds interleave.  The normals are numpy's ziggurat
- * (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000), random_standard_normal
- * operation for operation, with its tables.  Where numpy negates x
- * behind a branch that goes each way half the time, the sign bit is
- * XOR-ed in, which gives the same bits without the mispredictions.
+ * outputs, which are used in order.  A stream makes sixteen blocks at a
+ * time.  Where the compiler targets AVX-512F and DQ (the AVX-512 flags of
+ * slnoise._native._compile_flags), they are two groups of eight blocks,
+ * counters c+1 .. c+8 and c+9 .. c+16 in the eight 64-bit lanes of
+ * 512-bit vectors, the rounds of the two groups interleaved: each
+ * 64x64 -> 128-bit product is put together from four 32x32 -> 64-bit
+ * products (_mm512_mul_epu32), and a 4x8 transpose per group writes the
+ * lanes' words in stream order.  Elsewhere, and for a counter whose low
+ * word would carry within the sixteen, scalar code makes two blocks at a
+ * time, their rounds interleaved.  The normals are numpy's ziggurat
+ * (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000),
+ * random_standard_normal operation for operation, with its tables.
+ * With AVX-512, the rectangle test is taken for eight draws at once (see
+ * sln_normals).  Where numpy negates x behind a branch that goes each way
+ * half the time, the sign bit is XOR-ed in, which gives the same bits
+ * without the mispredictions.
  */
 
 #define PHILOX_M0 0xD2E7470EE14C6C93ULL
@@ -565,10 +580,33 @@ static const double fi_double[256] = {
     0x1.69ea8d90cb85dp-8, 0x1.08a1f03b0b1fdp-8, 0x1.55f9f43c1b067p-9,
     0x1.4a605b6b9f70fp-10};
 
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+#define PHILOX_AVX512 1
+#endif
+
+/* stream words held at once: sixteen blocks of four */
+#define WORDS 64
+
 typedef struct {
-    uint64_t key[2], ctr[4], buf[8];
+    uint64_t key[10][2];  /* the key of each round */
+    uint64_t ctr[4], buf[WORDS];
     int pos;
 } philox;
+
+/* the stream of numpy's Philox with key k0, k1 and counter 0, before its
+   first block */
+INLINE void philox_init(philox *s, uint64_t k0, uint64_t k1)
+{
+    for (int r = 0; r < 10; r++) {
+        s->key[r][0] = k0;
+        s->key[r][1] = k1;
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+    memset(s->ctr, 0, sizeof s->ctr);
+    s->pos = WORDS;
+}
 
 INLINE void philox_round(uint64_t *c, const uint64_t *k)
 {
@@ -587,28 +625,114 @@ INLINE void bump(uint64_t *ctr)
         ++ctr[3];
 }
 
-/* the next two blocks of the stream into buf */
-INLINE void refill(philox *s)
+/* the next two blocks of the stream into out[0 .. 7] */
+INLINE void two_blocks(philox *s, uint64_t *out)
 {
-    uint64_t a[4], b[4], k[2] = {s->key[0], s->key[1]};
+    uint64_t a[4], b[4];
     bump(s->ctr);
     memcpy(a, s->ctr, sizeof a);
     bump(s->ctr);
     memcpy(b, s->ctr, sizeof b);
     for (int r = 0; r < 10; r++) {
-        philox_round(a, k);
-        philox_round(b, k);
-        k[0] += PHILOX_W0;
-        k[1] += PHILOX_W1;
+        philox_round(a, s->key[r]);
+        philox_round(b, s->key[r]);
     }
-    memcpy(s->buf, a, sizeof a);
-    memcpy(s->buf + 4, b, sizeof b);
+    memcpy(out, a, sizeof a);
+    memcpy(out + 4, b, sizeof b);
+}
+
+#ifdef PHILOX_AVX512
+/* a >> 32 in each 64-bit lane, as a shuffle of 32-bit words, which runs
+   on another port than the multiplies and shifts */
+INLINE __m512i high_half(__m512i a)
+{
+    return _mm512_maskz_shuffle_epi32(0x5555, a, _MM_PERM_CDAB);
+}
+
+/* hi and lo words of m * a in each lane, from the four 32x32 -> 64-bit
+   products of the halves: with t = hl + (ll >> 32) and
+   w = lh + (t & low), hi = hh + (t >> 32) + (w >> 32) and
+   lo = (w << 32) | (ll & low), none of which overflows */
+INLINE void mulhilo8(__m512i a, uint64_t m, __m512i *hi, __m512i *lo)
+{
+    const __m512i m_lo = _mm512_set1_epi64(m & 0xffffffffULL);
+    const __m512i m_hi = _mm512_set1_epi64(m >> 32);
+    /* _mm512_mul_epu32 reads the low half of each lane only */
+    const __m512i a_hi = _mm512_shuffle_epi32(a, _MM_PERM_CDAB);
+    const __m512i ll = _mm512_mul_epu32(a, m_lo);
+    const __m512i lh = _mm512_mul_epu32(a, m_hi);
+    const __m512i hl = _mm512_mul_epu32(a_hi, m_lo);
+    const __m512i hh = _mm512_mul_epu32(a_hi, m_hi);
+    const __m512i t = _mm512_add_epi64(hl, high_half(ll));
+    const __m512i w = _mm512_add_epi64(lh, _mm512_maskz_mov_epi32(0x5555, t));
+    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, high_half(t)), high_half(w));
+    *lo = _mm512_mask_shuffle_epi32(ll, 0xaaaa, w, _MM_PERM_CDAB);
+}
+
+/* the next sixteen blocks of the stream into s->buf, for a counter whose
+   low word does not carry within them: two groups of eight, their rounds
+   interleaved, in which lane j of x[g][0 .. 3] is block 8g + j */
+INLINE void sixteen_blocks(philox *s)
+{
+    __m512i x[2][4];
+    for (int g = 0; g < 2; g++) {
+        x[g][0] = _mm512_add_epi64(_mm512_set1_epi64(s->ctr[0] + 8 * g),
+                                   _mm512_set_epi64(8, 7, 6, 5, 4, 3, 2, 1));
+        for (int w = 1; w < 4; w++)
+            x[g][w] = _mm512_set1_epi64(s->ctr[w]);
+    }
+    for (int r = 0; r < 10; r++)
+        for (int g = 0; g < 2; g++) {
+            __m512i hi0, lo0, hi1, lo1;
+            mulhilo8(x[g][0], PHILOX_M0, &hi0, &lo0);
+            mulhilo8(x[g][2], PHILOX_M1, &hi1, &lo1);
+            /* 0x96 is the three-way XOR */
+            x[g][0] = _mm512_ternarylogic_epi64(hi1, x[g][1],
+                                                _mm512_set1_epi64(s->key[r][0]), 0x96);
+            x[g][1] = lo1;
+            x[g][2] = _mm512_ternarylogic_epi64(hi0, x[g][3],
+                                                _mm512_set1_epi64(s->key[r][1]), 0x96);
+            x[g][3] = lo0;
+        }
+    s->ctr[0] += 16;
+    /* a holds words 0 and 1 of blocks 0, 2, 4, 6 of the group and b those
+       of blocks 1, 3, 5, 7; c and d words 2 and 3.  Each 128-bit quarter
+       of the output takes one quarter of a, b, c or d. */
+    for (int g = 0; g < 2; g++) {
+        const __m512i a = _mm512_unpacklo_epi64(x[g][0], x[g][1]),
+                      b = _mm512_unpackhi_epi64(x[g][0], x[g][1]),
+                      c = _mm512_unpacklo_epi64(x[g][2], x[g][3]),
+                      d = _mm512_unpackhi_epi64(x[g][2], x[g][3]);
+        const __m512i ac01 = _mm512_shuffle_i64x2(a, c, 0x44),
+                      bd01 = _mm512_shuffle_i64x2(b, d, 0x44),
+                      ac23 = _mm512_shuffle_i64x2(a, c, 0xee),
+                      bd23 = _mm512_shuffle_i64x2(b, d, 0xee);
+        uint64_t *buf = s->buf + 32 * g;
+        _mm512_storeu_si512(buf, _mm512_shuffle_i64x2(ac01, bd01, 0x88));
+        _mm512_storeu_si512(buf + 8, _mm512_shuffle_i64x2(ac01, bd01, 0xdd));
+        _mm512_storeu_si512(buf + 16, _mm512_shuffle_i64x2(ac23, bd23, 0x88));
+        _mm512_storeu_si512(buf + 24, _mm512_shuffle_i64x2(ac23, bd23, 0xdd));
+    }
+}
+#endif
+
+/* the next sixteen blocks of the stream into buf */
+INLINE void refill(philox *s)
+{
     s->pos = 0;
+#ifdef PHILOX_AVX512
+    if (s->ctr[0] <= UINT64_MAX - 16) {
+        sixteen_blocks(s);
+        return;
+    }
+#endif
+    for (int w = 0; w < WORDS; w += 8)
+        two_blocks(s, s->buf + w);
 }
 
 INLINE uint64_t next_uint64(philox *s)
 {
-    if (s->pos == 8)
+    if (s->pos == WORDS)
         refill(s);
     return s->buf[s->pos++];
 }
@@ -658,28 +782,80 @@ static __attribute__((noinline)) double slow_normal(philox *s, uint64_t r,
     }
 }
 
+#ifdef PHILOX_AVX512
+/* The rectangle test of the next count (1 .. 8) words of the buffer, side
+   by side: ki and wi are gathered by each word's layer, x is formed as
+   the scalar code forms it, and the normals of the leading words that
+   fall in their rectangles go to o[0], o[step], ... in one or two masked
+   stores (a scatter for a step other than 2).  Returns how many. */
+INLINE int rectangles(const uint64_t *words, int count, double *o, int64_t step)
+{
+    const __mmask8 valid = (__mmask8)((1u << count) - 1);
+    const __m512i raw = _mm512_maskz_loadu_epi64(valid, words);
+    const __m512i idx = _mm512_and_si512(raw, _mm512_set1_epi64(0xff));
+    const __m512i r = _mm512_srli_epi64(raw, 8);
+    const __m512i rabs = _mm512_and_si512(_mm512_srli_epi64(r, 1),
+                                          _mm512_set1_epi64(0x000fffffffffffffLL));
+    const __mmask8 in = _mm512_mask_cmplt_epu64_mask(
+        valid, rabs, _mm512_i64gather_epi64(idx, ki_double, 8));
+    /* the common case, that every draw is in, is branched on, so that the
+       next group's load does not wait for the gathers */
+    const int took = in == valid ? count : __builtin_ctz(~(unsigned)in);
+    const __m512d x = _mm512_mul_pd(_mm512_cvtepi64_pd(rabs),
+                                    _mm512_i64gather_pd(idx, wi_double, 8));
+    const __m512d xs = _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(x),
+                                                            _mm512_slli_epi64(r, 63)));
+    if (step == 2) {
+        const unsigned m = 0x5555u & ((1u << (2 * took)) - 1);
+        _mm512_mask_storeu_pd(o, (__mmask8)m, _mm512_permutexvar_pd(
+            _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0), xs));
+        _mm512_mask_storeu_pd(o + 8, (__mmask8)(m >> 8), _mm512_permutexvar_pd(
+            _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4), xs));
+    } else {
+        const __m512i at = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                              _mm512_set1_epi64(step));
+        _mm512_mask_i64scatter_pd(o, (__mmask8)((1u << took) - 1), at, xs, 8);
+    }
+    return took;
+}
+#endif
+
 /* The unit normals of rows streams, n per channel of each: the stream of
    row i is that of numpy's Philox with key keys[2i], keys[2i+1] and
    counter 0, and its normal ch*n + t goes to
    out[i*row_stride + offsets[ch] + t*step].  A (rows, channels, n) array
    has row_stride channels*n, offsets ch*n and step 1; a channel may as
    well go to the real or imaginary parts of a complex buffer (step 2).
-   The rectangles, 99.3 % of the draws, are taken inline; the rest goes to
-   slow_normal. */
+   The rectangles, 99.3 % of the draws, are taken inline; where AVX-512 is
+   compiled in, eight draws at a time, or as many as are left in the
+   buffer and the channel: the draws before the first one outside its
+   rectangle are written, and that one goes through the scalar code, so
+   that slow_normal consumes the stream exactly as numpy does.  The rest
+   goes to slow_normal. */
 void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
                  int64_t n, double *out, int64_t row_stride,
                  const int64_t *offsets, int64_t step)
 {
     for (int64_t i = 0; i < rows; i++) {
-        philox s = {{keys[2 * i], keys[2 * i + 1]}, {0, 0, 0, 0}, {0}, 8};
-        int pos = 8;
+        philox s;
+        philox_init(&s, keys[2 * i], keys[2 * i + 1]);
+        int pos = WORDS;
         for (int64_t ch = 0; ch < channels; ch++) {
             double *o = out + i * row_stride + offsets[ch];
-            for (int64_t j = 0; j < n; j++) {
-                if (pos == 8) {
+            for (int64_t j = 0; j < n;) {
+                if (pos == WORDS) {
                     refill(&s);
                     pos = 0;
                 }
+#ifdef PHILOX_AVX512
+                const int64_t count = n - j < WORDS - pos ? n - j : WORDS - pos;
+                const int took = rectangles(s.buf + pos, count < 8 ? (int)count : 8,
+                                            o + j * step, step);
+                pos += took;
+                j += took;
+                if (took)
+                    continue;
+#endif
                 uint64_t r = s.buf[pos++];
                 const int idx = r & 0xff;
                 r >>= 8;
@@ -691,6 +867,7 @@ void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
                     o[j * step] = slow_normal(&s, r, idx);
                     pos = s.pos;
                 }
+                j++;
             }
         }
     }

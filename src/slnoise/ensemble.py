@@ -308,33 +308,35 @@ _POINT_STEP_BYTES = (16 + 8 + 3 * 16 + 8) + (16 + 8 + 8 + 8 + 3 * 16 + 8)
 
 
 def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int,
-                  channels: int = 4) -> None:
+                  channels: int = 4, first: int = 0) -> None:
     # each thread holds the noise of its chunk, its colouring workspace
     # and the buffers of one RK4 pass over up to RK4_COLUMNS columns; up
     # to 2 * SYNTH_THREADS units are queued or running and one more is
     # being added up, each with its sums and first divergences; every
-    # strength keeps its running sums and statistics
+    # strength keeps its running sums and statistics.  Sums and statistics
+    # cover the steps from ``first`` on.
     n_steps = (ngrid.n_phys - 1) // 2
     rows = chunk_rows(ngrid.n, channels, batch_rows)
-    states = n_points * (n_steps + 1)
-    unit = (_Sums.nbytes(n_points, n_steps + 1)
+    kept = n_steps + 1 - first
+    unit = (_Sums.nbytes(n_points, kept)
             + 8 * n_points * min(batch_rows, BATCH_ROWS // 2))
-    extra = (SYNTH_THREADS * rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points))
-             + (2 * SYNTH_THREADS + 1) * unit + _POINT_STEP_BYTES * states)
-    check_memory(ngrid, rows, SYNTH_THREADS, extra, channels)
+    rk4 = SYNTH_THREADS * rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points))
+    check_memory(ngrid, rows, SYNTH_THREADS, rk4, channels, n_points,
+                 (2 * SYNTH_THREADS + 1) * unit + _POINT_STEP_BYTES * n_points * kept)
 
 
-def _synthesizer(cfg: RunConfig, lams=None) -> Synthesizer:
+def _synthesizer(cfg: RunConfig, lams=None, first: int = 0) -> Synthesizer:
     """The run's synthesizer, for the rescaling strengths ``lams`` (by
-    default ``cfg.lam`` alone, if set).  Refuses what cannot run (a grid
-    too large for memory, rescaling without a cross-correlative pair)
-    before any noise is drawn; the filters are built once."""
+    default ``cfg.lam`` alone, if set), of a run that reduces the steps
+    from ``first`` on.  Refuses what cannot run (a run too large for
+    memory, rescaling without a cross-correlative pair) before any noise
+    is drawn; the filters are built once."""
     if lams is None and cfg.lam is not None:
         lams = [cfg.lam]
     ngrid = cfg.noise_grid()
     rows = min(BATCH_ROWS, cfg.n_realizations)
     _check_memory(ngrid, rows, 1 if lams is None else len(lams),
-                  2 if cfg.scheme is SchemeId.CONVEX else 4)
+                  2 if cfg.scheme is SchemeId.CONVEX else 4, first)
     synth = Synthesizer(cfg.filters(), ngrid, lams, rows=rows)
     # built and probed here, before any thread of the run needs it
     _native_sums()
@@ -426,7 +428,7 @@ def _ensembles(cfg: RunConfig, lams=None, first: int = 0):
     over the steps from ``first`` on, which must be the first step of a
     stats window (0, all steps, by default).  A trajectory that diverged
     before ``first`` counts as diverged from it on."""
-    synth = _synthesizer(cfg, lams)
+    synth = _synthesizer(cfg, lams, first)
     n_points = 1 if synth.lam is None else len(synth.lam)
     n_steps = cfg.grid.n_phys - first
     sum_tr = np.zeros((n_points, n_steps), dtype=complex)

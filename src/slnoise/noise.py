@@ -40,7 +40,11 @@ A chunk is coloured in five steps, of which only the two FFTs
    (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
    the interpreter lock writes each channel straight into the real or
    imaginary parts of the thread's transform buffer z, as the wiring
-   packs it;
+   packs it.  Where the library is built for AVX-512, each stream's
+   Philox blocks are made sixteen at a time in vector lanes and the
+   ziggurat's rectangle test is taken for eight draws at once, a draw
+   outside its rectangle falling back to the scalar code, so that the
+   stream is consumed as numpy consumes it;
 2. the inverse FFT of z, in place;
 3. one spectral pass, ``sln_mix``: the conjugate flips, the filter taps
    and the sums of the wiring, bins k and n-k together, in place in z
@@ -183,22 +187,28 @@ def _philox_key(seed: SeedLike) -> np.ndarray:
     return _seed_sequence(seed).generate_state(2, np.uint64)
 
 
-# The normals probe draws 2**16 normals of this seed, among which are
-# wedge and tail samples of the ziggurat.
+# The normals probe draws _PROBE_COUNT normals of this seed, among which
+# are wedge and tail samples of the ziggurat, as two channels into the
+# real and imaginary parts of a complex buffer, the way the transform
+# buffer is filled.  A channel's length, _PROBE_COUNT // 2, is not a
+# multiple of 8: the vector draw's first channel ends in a short group and
+# its second starts within a group of eight draws.
 _PROBE_SEED = 2020
-_PROBE_COUNT = 2**16
+_PROBE_COUNT = 2**16 + 10
 
 
 def _probe(normals) -> bool:
     """Whether ``normals`` gives numpy's bits on the first _PROBE_COUNT
-    normals of _PROBE_SEED's stream, compared 4096 at a time, which keeps
-    the probe's memory to the one stream."""
-    got = np.empty(_PROBE_COUNT)
-    _draw_native(normals, [_PROBE_SEED], _PROBE_COUNT, got, _PROBE_COUNT, [0], 1)
+    normals of _PROBE_SEED's stream, written as two channels at step 2
+    into a complex buffer of 0.5 MB and compared about 4096 at a time."""
+    n = _PROBE_COUNT // 2
+    got = np.empty(n, dtype=complex)
+    _draw_native(normals, [_PROBE_SEED], n, got, 2 * n, [0, 1], 2)
     numpy_stream = _generator(_PROBE_SEED)
     return all(np.array_equal(part.view(np.uint64),
                               numpy_stream.standard_normal(len(part)).view(np.uint64))
-               for part in np.split(got, _PROBE_COUNT // 4096))
+               for channel in (got.real, got.imag)
+               for part in np.array_split(channel, 8))
 
 
 @functools.cache
@@ -371,7 +381,8 @@ def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
 
 
 def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
-                 extra: int = 0, channels: int = 4) -> None:
+                 extra: int = 0, channels: int = 4, strengths: int = 0,
+                 strength_bytes: int = 0) -> None:
     """Refuse a grid whose working set exceeds physical memory.
 
     ``rows`` is the most realizations each of ``threads`` threads holds
@@ -384,21 +395,31 @@ def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
     colouring, which bounds the native one's, so that a grid is refused
     alike whichever runs; the kernel table and the filters on the padded
     grid are counted too.  ``extra`` is the bytes of the run's other
-    buffers: for an ensemble, each thread's RK4 pass
-    (:func:`~slnoise.dynamics.rk4_bytes`), the sums of every unit of
-    realizations queued, running or being added, and the sums and
-    statistics the run keeps per rescaling strength.
+    buffers of the grid, for an ensemble each thread's RK4 pass
+    (:func:`~slnoise.dynamics.rk4_bytes`), and ``strength_bytes`` those
+    that an ensemble holds for its ``strengths`` rescaling strengths: the
+    sums of every unit of realizations queued, running or being added,
+    and the sums and statistics the run keeps.  The refusal names the
+    larger part, the grid's or the strengths'.
     Raises :class:`ConfigError` before any of it is allocated.
     """
     workspace = workspace_bytes(chunk_rows(grid.n, channels, rows), channels, grid.n)
-    need = threads * (64 * grid.n_phys * rows + workspace) + 320 * grid.n + extra
+    grid_bytes = threads * (64 * grid.n_phys * rows + workspace) + 320 * grid.n + extra
+    need = grid_bytes + strength_bytes
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    if need <= have:
+        return
+    if strength_bytes > grid_bytes:
         raise ConfigError(
-            f"the grid dt={grid.dt:g}, t_max={grid.t_max:g} (n={grid.n}) needs "
-            f"about {need / 2**30:.3g} GiB for {threads * rows} realizations at "
-            f"once, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"the running sums and statistics of {strengths} rescaling strengths "
+            f"need about {strength_bytes / 2**30:.3g} GiB (about {need / 2**30:.3g} "
+            f"GiB in all), more than the {have / 2**30:.3g} GiB of physical memory"
         )
+    raise ConfigError(
+        f"the grid dt={grid.dt:g}, t_max={grid.t_max:g} (n={grid.n}) needs "
+        f"about {need / 2**30:.3g} GiB for {threads * rows} realizations at "
+        f"once, more than the {have / 2**30:.3g} GiB of physical memory"
+    )
 
 
 # Where each wiring packs its white channels: channel ch goes to half h of

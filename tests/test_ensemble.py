@@ -267,7 +267,7 @@ def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
 
     drawn = _count_drawn_rows(monkeypatch)
     huge = small_cfg(grid=TimeGrid(dt=1e-7, t_max=1e4))
-    with pytest.raises(ConfigError, match="physical memory"):
+    with pytest.raises(ConfigError, match="the grid .* physical memory"):
         run_ensemble(huge)
     with pytest.raises(ConfigError, match="physical memory"):
         scan_lambda(huge, [0.5, 2.0], runs_per_point=16)
@@ -289,38 +289,70 @@ def test_run_ensemble_refuses_grid_larger_than_memory(monkeypatch):
     assert drawn == []
 
 
-def test_scan_memory_charges_every_lambda(monkeypatch, capsys):
-    # every strength keeps its running sums and statistics to the end of
-    # the scan, so a scan of lambda_scan.cfg's shape at 10^5 points (about
-    # 19 GB of them) is refused, at a physical memory of 8 GiB that its 13
-    # points fit in; nothing of that size is allocated
+def _physical_memory_8gib(monkeypatch):
     import os
-    from pathlib import Path
-
-    import slnoise.ensemble as ens
-    from slnoise.cli import main
 
     real = os.sysconf
     monkeypatch.setattr(os, "sysconf", lambda name: 2**21 if name == "SC_PHYS_PAGES"
                         else 4096 if name == "SC_PAGE_SIZE" else real(name))
 
+
+def test_scan_memory_charges_every_lambda(monkeypatch, capsys):
+    # every strength keeps its running sums and statistics to the end of
+    # the scan, and every unit in flight its sums and first divergences,
+    # so a scan of lambda_scan.cfg's shape at 2 * 10^6 points (about 11 GB
+    # of them, mostly first divergences) is refused, at a physical memory
+    # of 8 GiB that 10^5 of its points fit in; so is a run that keeps
+    # every step at 10^5 points (about 54 GB); nothing of that size is
+    # allocated
+    from pathlib import Path
+
+    import slnoise.ensemble as ens
+    from slnoise.cli import main
+
+    _physical_memory_8gib(monkeypatch)
+
     def refused(*args, **kwargs):
         raise AssertionError("the memory check let the scan through")
 
-    ngrid = small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0)).noise_grid()
+    cfg = small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0))
+    ngrid, first = cfg.noise_grid(), 1000
     ens._check_memory(ngrid, 256, 13)
-    with pytest.raises(ConfigError, match="physical memory"):
+    ens._check_memory(ngrid, 256, 10**5, first=first)
+    with pytest.raises(ConfigError, match="2000000 rescaling strengths .* physical memory"):
+        ens._check_memory(ngrid, 256, 2 * 10**6, first=first)
+    with pytest.raises(ConfigError, match="100000 rescaling strengths .* physical memory"):
         ens._check_memory(ngrid, 256, 10**5)
     monkeypatch.setattr(ens, "Synthesizer", refused)
-    with pytest.raises(ConfigError, match="physical memory"):
-        scan_lambda(small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0)),
-                    np.full(10**5, 0.5), runs_per_point=1000)
+    with pytest.raises(ConfigError, match="rescaling strengths .* physical memory"):
+        scan_lambda(cfg, np.full(2 * 10**6, 0.5), runs_per_point=1000)
     config = Path(__file__).resolve().parents[1] / "configs" / "lambda_scan.cfg"
     assert main(["scan-lambda", "--config", str(config),
-                 "--points", "100000", "--runs-per-point", "1000"]) == 1
+                 "--points", "2000000", "--runs-per-point", "1000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "physical memory" in err
+    assert "2000000 rescaling strengths" in err
     assert err.count("\n") == 1
+
+
+def test_scan_memory_charges_the_kept_steps_only(monkeypatch):
+    # a scan sums the steps of its final stats window only (1 of 1001 at
+    # lambda_scan.cfg's grid), so at 10^5 points it passes the memory
+    # check at 8 GiB and goes on to build its synthesizer
+    import slnoise.ensemble as ens
+
+    _physical_memory_8gib(monkeypatch)
+
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(ens, "Synthesizer", built)
+    with pytest.raises(Built):
+        scan_lambda(small_cfg(grid=TimeGrid(dt=0.01, t_max=10.0)),
+                    np.full(10**5, 0.5), runs_per_point=1000)
 
 
 def test_diverged_run_warns_nothing():

@@ -481,12 +481,12 @@ def test_philox_key_is_the_key_of_philox(seed):
     assert np.array_equal(key, np.random.Philox(ss).state["state"]["key"])
 
 
-def _packed_normals(structure, seeds):
-    """numpy's unit normals of the seeds, packed as the wiring packs them:
-    orthogonal z0 = x1 + i x4, z1 = x2 + i x3; convex z0 = x1 + i x2, and
-    None for z1."""
+def _packed_normals(structure, seeds, n=GRID.n):
+    """numpy's unit normals of the seeds, n per channel, packed as the
+    wiring packs them: orthogonal z0 = x1 + i x4, z1 = x2 + i x3; convex
+    z0 = x1 + i x2, and None for z1."""
     x = np.array([_numpy_normals(seed, (2 if structure is FilterStructure.CONVEX
-                                        else 4, GRID.n)) for seed in seeds])
+                                        else 4, n)) for seed in seeds])
     if structure is FilterStructure.CONVEX:
         return [x[:, 0] + 1j * x[:, 1], None]
     return [x[:, 0] + 1j * x[:, 3], x[:, 1] + 1j * x[:, 2]]
@@ -553,6 +553,37 @@ def test_native_draw_bitwise_equals_numpy_on_a_long_stream():
     assert (np.abs(want) > ZIGGURAT_R).sum() > 1000
 
 
+def _without_avx512(flags):
+    return [f for f in flags if not f.startswith("-mavx512")
+            and f != "-mprefer-vector-width=512"]
+
+
+@needs_compiler
+@pytest.mark.parametrize("build", ["as built", "without AVX-512"])
+def test_both_compiled_draws_give_numpys_bits(rebuild, monkeypatch, build):
+    # the library built as usual (with the vector draw where the processor
+    # has AVX-512) and built without the AVX-512 flags (the scalar draw):
+    # each loads sln_normals, passes the probe and packs numpy's normals
+    # into the transform buffer, for grids of 2 to 4096 samples in chunks
+    # of 1, 3 and 16 rows
+    if build == "without AVX-512":
+        flags = _native._compile_flags
+        monkeypatch.setattr(_native, "_compile_flags", lambda: _without_avx512(flags()))
+        assert not any(f.startswith("-mavx512") for f in _native._compile_flags())
+    assert noise._native_normals() is not None
+    for structure in FilterStructure:
+        for k in (1, 2, 3, 4, 12):
+            grid = TimeGrid(dt=0.01, t_max=0.01 * 2 ** (k - 1))
+            fs = _random_filters(structure, grid.n, grid.dt)
+            for rows in (1, 3, 16):
+                seeds = _seeds("seed_for", rows)
+                z = Synthesizer(fs, grid, rows=rows)._draw(seeds)
+                eta_half, nu_half = _packed_normals(structure, seeds, grid.n)
+                assert z[0].tobytes() == eta_half.tobytes()
+                if nu_half is not None:
+                    assert z[1].tobytes() == nu_half.tobytes()
+
+
 def _ziggurat_tables():
     """ki, wi and fi of the ziggurat, as the library's source writes them."""
     import re
@@ -612,17 +643,21 @@ def test_probe_seed_reaches_the_wedges_and_the_tail():
     assert branches["wedge"] > 0 and branches["tail"] > 0
 
 
-@pytest.mark.parametrize("flip", [None, 0, 2**16 - 1], ids=["same", "first", "last"])
+@pytest.mark.parametrize("flip", [None, 0, -1], ids=["same", "first", "last"])
 def test_probe_refuses_a_draw_one_bit_off(flip):
-    # a stand-in for the library that writes numpy's probe stream, with
-    # the last bit of one normal flipped
+    # a stand-in for the library that writes numpy's probe stream where
+    # it is asked to, with the last bit of one normal flipped
     def normals(keys, rows, channels, count, out, row_stride, offsets, step):
-        assert (rows, channels, count, step) == (1, 1, noise._PROBE_COUNT, 1)
+        assert rows == 1 and channels * count == noise._PROBE_COUNT
+        at = np.ctypeslib.as_array(ctypes.cast(offsets, ctypes.POINTER(ctypes.c_int64)),
+                                   (channels,))
         got = np.ctypeslib.as_array(ctypes.cast(out, ctypes.POINTER(ctypes.c_double)),
-                                    (count,))
-        got[:] = _numpy_normals(noise._PROBE_SEED, count)
+                                    (at.max() + (count - 1) * step + 1,))
+        want = _numpy_normals(noise._PROBE_SEED, (channels, count))
         if flip is not None:
-            got.view(np.uint64)[flip] ^= 1
+            want.reshape(-1).view(np.uint64)[flip] ^= 1
+        for offset, channel in zip(at, want):
+            got[offset::step][:count] = channel
 
     assert noise._probe(normals) is (flip is None)
 
