@@ -1,4 +1,5 @@
-"""The native library of slnoise: ``_native.c``, compiled on first use.
+"""The native library of slnoise: ``_native.c``, compiled on first use,
+its C ABI and :func:`kernel`, the one loader of its kernels.
 
 The library holds the kernels below, each called through ctypes, which
 releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
@@ -8,18 +9,19 @@ unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`;
 of :class:`~slnoise.noise.Synthesizer`'s colouring; and ``sln_sums``, the
 ensemble sums of :mod:`slnoise.ensemble`, taken in realization order.
 Each gives the bits of its numpy counterpart (for ``sln_sums``, numpy's
-in-order adds, a nan taken as nan); the module that uses a kernel
-checks that it does on a small probe before it relies on it
-(:func:`slnoise.dynamics._native_kernel`,
-:func:`slnoise.noise._native_normals`,
-:func:`slnoise.noise._native_colour`,
-:func:`slnoise.ensemble._native_sums`), and runs the numpy code where it
-does not.
+in-order adds, a nan taken as nan).  The module that uses a kernel has a
+probe that checks this on a small case, and :func:`kernel` hands the
+kernel out only if its probe passes; otherwise that module runs its
+numpy code.
 
 The library is compiled once into a cache outside the package
 (``$XDG_CACHE_HOME/slnoise``, else ``~/.cache/slnoise``, else a private
 directory under the temp dir) and loaded by every later process.
-Without a compiler or a writable cache, :func:`library` is None.
+Without a compiler, a private cache directory, a build or a load,
+:func:`library` is None.  Each kernel that falls back logs one INFO
+record on the ``slnoise`` logger that names it and says why: ``no
+library:`` and the reason (for a failed build, the last lines of the
+compiler's errors), or ``probe refused``.
 """
 
 from __future__ import annotations
@@ -28,23 +30,60 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import logging
 import os
 import shutil
 import stat
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 # The library's source, and the compiler that builds it.
 _SOURCE = Path(__file__).with_name("_native.c")
 _COMPILER = "gcc"
-# File names of the built library, and of the RK4-only library that
-# preceded it; a new build deletes those of both beyond the _KEEP most
-# recently built, so that a few checkouts of different sources can share
-# one cache without building anew each time they take turns.
-_PREFIXES = ("native-", "rk4-")
+# File names of the built library; a new build deletes those beyond the
+# _KEEP most recently built, so that a few checkouts of different sources
+# can share one cache without building anew each time they take turns.
+_PREFIX = "native-"
 _KEEP = 4
+# Lines of the compiler's errors that a failed build reports.
+_TAIL_LINES = 5
+
+_log = logging.getLogger("slnoise")
+
+
+class SlnRun(ctypes.Structure):
+    """The ``sln_run`` struct of ``_native.c``: the arrays and constants of
+    one integration by ``sln_rk4``."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "eta", "nu", "eta0", "nu0", "factor", "eps", "delta", "y", "block",
+        "first_div", "new_div")] + [
+        ("rows", ctypes.c_int64), ("width", ctypes.c_int64)] + [
+        (name, ctypes.c_double) for name in (
+            "two_alpha", "i_alpha_re", "i_alpha_im", "half_h", "full_h", "two",
+            "sixth_h", "threshold")]
+
+
+# The argument types of each kernel; none returns a value.
+_INT, _PTR = ctypes.c_int64, ctypes.c_void_p
+_ARGTYPES = {
+    "sln_rk4": [ctypes.POINTER(SlnRun), _INT, _INT],
+    "sln_normals": [_PTR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT],
+    "sln_mix": [_INT] * 3 + [_PTR] * 3 + [_INT] * 4,
+    "sln_transpose": [_PTR, _INT, _INT, _INT, _PTR, _INT],
+    "sln_sums": [_PTR] + [_INT] * 4 + [_PTR] * 2 + [_INT],
+}
+
+
+class _NoLibrary(Exception):
+    """Why the library cannot be built."""
+
+
+# Why library() is None, set when it is found to be: the message of the
+# _NoLibrary of the build, or of the OSError of the build or the load.
+_why = ""
 
 
 def _cache_dirs():
@@ -90,17 +129,19 @@ def _private_dir(path: str) -> bool:
             and not st.st_mode & 0o022)
 
 
-def _build() -> Optional[str]:
+def _build() -> str:
     """Path of the library, compiled on first use into the first usable
-    cache directory, or None.  The file name hashes the source, the flags
-    and the compiler's path, inode, size and modification time, so that an
+    cache directory.  The file name hashes the source, the flags and the
+    compiler's path, inode, size and modification time, so that an
     upgraded compiler builds anew; the library is written under a unique
     name and renamed into place, so that processes building at once never
     load a half-written file.  A new build deletes the libraries in its
-    directory beyond the _KEEP most recently built, itself included."""
+    directory beyond the _KEEP most recently built, itself included.
+    Raises :class:`_NoLibrary` without a compiler on PATH or a private,
+    writable cache directory, or when the build fails."""
     cc = shutil.which(_COMPILER)
     if cc is None:
-        return None
+        raise _NoLibrary(f"no compiler {_COMPILER!r} on PATH")
     flags = _compile_flags()
     cc = os.path.realpath(cc)
     st = os.stat(cc)
@@ -110,7 +151,7 @@ def _build() -> Optional[str]:
     for directory in _cache_dirs():
         if not _private_dir(directory):
             continue
-        name = f"{_PREFIXES[0]}{key[:24]}.so"
+        name = f"{_PREFIX}{key[:24]}.so"
         lib = os.path.join(directory, name)
         if os.path.exists(lib):
             return lib
@@ -123,12 +164,19 @@ def _build() -> Optional[str]:
             subprocess.run([cc, *flags, "-o", tmp, str(_SOURCE), "-lm"],
                            capture_output=True, check=True, timeout=600)
             os.replace(tmp, lib)
+        except subprocess.CalledProcessError as e:
+            tail = e.stderr.decode(errors="replace").strip().splitlines()
+            raise _NoLibrary("the build failed: "
+                             + "\n".join(tail[-_TAIL_LINES:])) from e
+        except subprocess.TimeoutExpired as e:
+            raise _NoLibrary(f"the build took more than {e.timeout:g} s") from e
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         _prune(directory)
         return lib
-    return None
+    raise _NoLibrary("no private, writable cache directory among "
+                     + ", ".join(_cache_dirs()))
 
 
 def _prune(directory: str) -> None:
@@ -136,7 +184,7 @@ def _prune(directory: str) -> None:
     modified."""
     built = []
     for entry in os.scandir(directory):
-        if entry.name.startswith(_PREFIXES) and entry.name.endswith(".so"):
+        if entry.name.startswith(_PREFIX) and entry.name.endswith(".so"):
             with contextlib.suppress(OSError):
                 built.append((entry.stat().st_mtime_ns, entry.path))
     for _, path in sorted(built, reverse=True)[_KEEP:]:
@@ -147,9 +195,27 @@ def _prune(directory: str) -> None:
 @functools.cache
 def library() -> Optional[ctypes.CDLL]:
     """The loaded library, built first if need be, or None when it cannot
-    be built or loaded."""
+    be built or loaded; then ``_why`` says why."""
+    global _why
     try:
-        path = _build()
-        return None if path is None else ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError):
+        return ctypes.CDLL(_build())
+    except (_NoLibrary, OSError) as e:
+        _why = str(e)
+    return None
+
+
+@functools.cache
+def kernel(symbol: str, probe: Callable[[object], bool]):
+    """The kernel ``symbol`` of :func:`library`, with its argument types,
+    if ``probe`` finds that it gives numpy's bits, else None.  A kernel
+    that falls back logs why, once, at INFO on the ``slnoise`` logger."""
+    lib = library()
+    if lib is None:
+        _log.info("%s falls back to numpy: no library: %s", symbol, _why)
         return None
+    fn = lib[symbol]
+    fn.argtypes, fn.restype = _ARGTYPES[symbol], None
+    if probe(fn):
+        return fn
+    _log.info("%s falls back to numpy: probe refused", symbol)
+    return None

@@ -27,12 +27,14 @@ interpreter lock between the calls, so it runs on one core.  The native
 kernel (``sln_rk4`` in ``_native.c``) fuses the noise formation, the RK4
 steps and the divergence check in one C loop per column, with numpy's
 operations in numpy's order.  It is compiled on first use into a cache
-outside the package (see :mod:`slnoise._native`), loaded with ctypes,
-and checked against the numpy kernel on a small batch before it is used;
-it releases the interpreter lock, so several threads may each integrate
-their own batch at once.  A column's bits depend neither on the kernel
-that ran nor on the other columns integrated with it.  Without a
-compiler, a writable cache or a bitwise match, the numpy kernel runs.
+outside the package and loaded by :func:`slnoise._native.kernel`, the
+loader of every native kernel, which hands it out only if :func:`_probe`
+finds it gives the numpy kernel's bits on a small batch; it releases the
+interpreter lock, so several threads may each integrate their own batch
+at once.  A column's bits depend neither on the kernel that ran nor on
+the other columns integrated with it.  Without a compiler, a writable
+cache or a bitwise match, the numpy kernel runs, and the loader logs why
+at INFO on the ``slnoise`` logger.
 
 A rescaled batch may be integrated at several rescaling strengths in one
 pass: with a table of L factor rows, the kernel runs L x rows columns, the
@@ -50,8 +52,6 @@ used as an oracle for the stochastic average.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
@@ -210,7 +210,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     :func:`rk4_bytes` counts the buffers.
 
     Two kernels compute the blocks on the calling thread, with the same
-    bits.  The native one (``sln_rk4``, see :func:`_native_kernel`) runs
+    bits.  The native one (``sln_rk4``, see :func:`_probe`) runs
     whenever it could be built, the noise is contiguous complex128 and
     the factors are finite, non-zero and contiguous float64, one call per
     block outside the interpreter lock.  Otherwise the numpy kernel, the
@@ -230,7 +230,7 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
                _eval_drive(model.epsilon, t_half),
                _eval_drive(model.delta, t_half), eta_t, nu_t, cross,
                _block_steps(rows, n_points, n_steps))
-    rk4 = _native_kernel() if _native_fits(run) else None
+    rk4 = _native.kernel("sln_rk4", _probe) if _native_fits(run) else None
     yield from _numpy_blocks(run) if rk4 is None else _native_blocks(run, rk4)
 
 
@@ -342,18 +342,6 @@ def _numpy_blocks(run: _Run):
             yield start, states, new_div
 
 
-class _Args(ctypes.Structure):
-    """The ``sln_run`` struct of ``_native.c``."""
-
-    _fields_ = [(name, ctypes.c_void_p) for name in (
-        "eta", "nu", "eta0", "nu0", "factor", "eps", "delta", "y", "block",
-        "first_div", "new_div")] + [
-        ("rows", ctypes.c_int64), ("width", ctypes.c_int64)] + [
-        (name, ctypes.c_double) for name in (
-            "two_alpha", "i_alpha_re", "i_alpha_im", "half_h", "full_h", "two",
-            "sixth_h", "threshold")]
-
-
 def _native_fits(run: _Run) -> bool:
     """Whether the native kernel can read the run's arrays as they are:
     contiguous complex128 noise of one shape, and finite non-zero float64
@@ -384,12 +372,12 @@ def _native_blocks(run: _Run, rk4):
     new_div = np.empty(width, dtype=np.int64)
     eta0_t, nu0_t, factor = cross if cross is not None else (None,) * 3
     i_alpha = 1j * alpha
-    args = ctypes.byref(_Args(
+    args = _native.SlnRun(
         *(None if a is None else a.ctypes.data
           for a in (eta_t, nu_t, eta0_t, nu0_t, factor, eps, delta, y, block,
                     first_div, new_div)),
         rows, width, 2.0 * alpha, i_alpha.real, i_alpha.imag, 0.5 * h, h,
-        2.0, h / 6.0, DIVERGENCE_THRESHOLD))
+        2.0, h / 6.0, DIVERGENCE_THRESHOLD)
     for start in range(0, n_steps + 1, block_steps):
         m = min(block_steps, n_steps + 1 - start)
         rk4(args, start, m)
@@ -401,7 +389,8 @@ def _probe(rk4) -> bool:
     batch, with and without a factor table; one trajectory crosses the
     divergence threshold and ends in nan.  A third run holds a state whose
     modulus np.abs puts just above the threshold and libm's hypot at it, so
-    that a numpy whose modulus is hypot refuses the kernel."""
+    that a numpy whose modulus is hypot refuses the kernel.  (The kernel's
+    complex multiply is fused, as numpy's is where the processor has FMA.)"""
     rng = np.random.default_rng(2020)
     rows, n_steps, block_steps = 5, 6, 4
     nh = 2 * n_steps + 1
@@ -427,22 +416,6 @@ def _probe(rk4) -> bool:
                     and np.array_equal(da, db)):
                 return False
     return True
-
-
-@functools.cache
-def _native_kernel():
-    """The native RK4 function, ``sln_rk4`` of :func:`_native.library`, if
-    it reproduces the numpy kernel bit for bit (its complex multiply is
-    fused, as numpy's is where the processor has FMA), or None when it
-    cannot be built, loaded or matched; then
-    :func:`integrate_blocks` runs its numpy kernel, silently."""
-    lib = _native.library()
-    if lib is None:
-        return None
-    rk4 = lib["sln_rk4"]
-    rk4.argtypes = [ctypes.POINTER(_Args)] + [ctypes.c_int64] * 2
-    rk4.restype = None
-    return rk4 if _probe(rk4) else None
 
 
 def integrate_batch(model: SystemModel, eta_half: np.ndarray,

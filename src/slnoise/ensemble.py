@@ -49,7 +49,6 @@ where single-step scatter would dominate.
 from __future__ import annotations
 
 import collections
-import ctypes
 import dataclasses
 import functools
 import os
@@ -65,7 +64,7 @@ from . import _native
 # here; perfbench/spans.py traces the layers through these names.
 from .dynamics import (SystemModel, integrate_batch,  # noqa: F401
                        integrate_blocks, rk4_bytes)
-from .dynamics import BATCH_ROWS
+from .dynamics import BATCH_ROWS, _probe as _rk4_probe
 from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
@@ -284,22 +283,6 @@ def _sums_probe(native) -> bool:
                for p, q in ((a.c, b.c), (a.f, b.f)))
 
 
-@functools.cache
-def _native_sums():
-    """The native pass of :class:`_Sums`, ``sln_sums`` of
-    :func:`_native.library`, if it reproduces numpy's in-order adds bit for
-    bit on :func:`_sums_probe`, or None when it cannot be built, loaded or
-    matched; then numpy adds, silently."""
-    lib = _native.library()
-    if lib is None:
-        return None
-    sums = lib["sln_sums"]
-    sums.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 4
-                     + [ctypes.c_void_p] * 2 + [ctypes.c_int64])
-    sums.restype = None
-    return sums if _sums_probe(sums) else None
-
-
 # Bytes per strength and state step that a run keeps to its end: the
 # running sums of the trace, its |.|^2, the three spin components and the
 # first divergences, then the EnsembleStats built from them (mean trace,
@@ -338,8 +321,9 @@ def _synthesizer(cfg: RunConfig, lams=None, first: int = 0) -> Synthesizer:
     _check_memory(ngrid, rows, 1 if lams is None else len(lams),
                   2 if cfg.scheme is SchemeId.CONVEX else 4, first)
     synth = Synthesizer(cfg.filters(), ngrid, lams, rows=rows)
-    # built and probed here, before any thread of the run needs it
-    _native_sums()
+    # built and probed here, before any thread of the run needs them
+    _native.kernel("sln_sums", _sums_probe)
+    _native.kernel("sln_rk4", _rk4_probe)
     return synth
 
 
@@ -386,7 +370,8 @@ def _unit(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int,
     -1.  Returns (complex sums (points, steps, nq), float sums (points,
     steps), first divergences (points, hi - lo))."""
     n_points = 1 if synth.lam is None else len(synth.lam)
-    sums = _Sums(n_points, cfg.grid.n_phys - first, nq, _native_sums())
+    sums = _Sums(n_points, cfg.grid.n_phys - first, nq,
+                 _native.kernel("sln_sums", _sums_probe))
     first_div = np.full((n_points, hi - lo), -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for col, points, rows, start, states, new_div in _chunk_blocks(
@@ -570,6 +555,8 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     A point whose trajectories diverged reads nan and is never the best
     lambda; if every point did, :class:`SlnoiseError` is raised.
     """
+    if runs_per_point < 2:
+        raise ConfigError(f"runs_per_point must be >= 2, got {runs_per_point}")
     lambdas = np.asarray(list(lambdas), dtype=float)
     if lambdas.size == 0 or not np.all((lambdas > 0) & (lambdas < np.inf)):
         raise ConfigError("lambdas must be positive, finite and non-empty")

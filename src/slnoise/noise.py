@@ -54,13 +54,15 @@ A chunk is coloured in five steps, of which only the two FFTs
 5. the write-out, ``sln_transpose``: the physical window of each row into
    the caller's time-major columns.
 
-Each native step gives numpy's bits: its own probe checks it when the
-library loads (:func:`_native_normals`, :func:`_native_colour`), and
-where it does not, or the library cannot be built, numpy runs that step,
-silently: the draw is ``Generator(Philox(seed)).standard_normal`` into a
-white-channel buffer that numpy packs into z, and the spectral pass is
-:func:`_mix`, numpy's ufuncs with c as scratch.  So the output never
-depends on which code ran.
+Each native step gives numpy's bits: :func:`slnoise._native.kernel`,
+the one loader of the native kernels, hands a kernel out only if its
+probe here checks it (:func:`_probe`, :func:`_colour_probe`,
+:func:`_write_probe`).  Where it does not, or the library cannot be
+built, numpy runs that step, and the loader logs why at INFO on the
+``slnoise`` logger: the draw is ``Generator(Philox(seed)).standard_normal``
+into a white-channel buffer that numpy packs into z, the spectral pass
+is :func:`_mix`, numpy's ufuncs with c as scratch, and the write-out a
+numpy copy.  So the output never depends on which code ran.
 
 :meth:`Synthesizer.fill` is the one colouring loop.  An ensemble's
 worker threads call it one chunk at a time, into time-major buffers of
@@ -97,13 +99,11 @@ computes it for complex input.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -211,23 +211,6 @@ def _probe(normals) -> bool:
                for part in np.array_split(channel, 8))
 
 
-@functools.cache
-def _native_normals():
-    """The native draw, ``sln_normals`` of :func:`_native.library`, if it
-    reproduces numpy's normals bit for bit, or None when it cannot be
-    built, loaded or matched; then :meth:`Synthesizer._draw` runs numpy's
-    generators, silently."""
-    lib = _native.library()
-    if lib is None:
-        return None
-    normals = lib["sln_normals"]
-    normals.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
-                        + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                           ctypes.c_int64])
-    normals.restype = None
-    return normals if _probe(normals) else None
-
-
 def _draw_native(normals, seeds: Sequence[SeedLike], n: int, out: np.ndarray,
                  row_stride: int, offsets: Sequence[int], step: int) -> None:
     """One call of the native draw: ``len(offsets)`` channels of ``n``
@@ -242,41 +225,13 @@ def _draw_native(normals, seeds: Sequence[SeedLike], n: int, out: np.ndarray,
             row_stride, offsets.ctypes.data, step)
 
 
-class _Colouring(NamedTuple):
-    """The native pointwise passes of the colouring (see ``_native.c``)."""
-
-    mix: object
-    transpose: object
-
-
-@functools.cache
-def _native_colour() -> Optional[_Colouring]:
-    """The native spectral pass and write-out, ``sln_mix`` and
-    ``sln_transpose`` of :func:`_native.library`, if they reproduce
-    numpy's bits on :func:`_colour_probe`, or None when they cannot be
-    built, loaded or matched; then :class:`Synthesizer` colours with numpy
-    (:func:`_mix`), silently."""
-    lib = _native.library()
-    if lib is None:
-        return None
-    mix, transpose = lib["sln_mix"], lib["sln_transpose"]
-    mix.argtypes = ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
-                    + [ctypes.c_int64] * 4)
-    transpose.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
-                          + [ctypes.c_void_p, ctypes.c_int64])
-    mix.restype = transpose.restype = None
-    colouring = _Colouring(mix, transpose)
-    return colouring if _colour_probe(colouring) else None
-
-
-def _colour_probe(colouring: _Colouring) -> bool:
-    """Whether ``colouring`` gives numpy's bits: the spectral pass of each
-    wiring (orthogonal with the cross-correlative pair summed in or apart,
+def _colour_probe(mix) -> bool:
+    """Whether the spectral pass ``mix`` gives numpy's bits in each wiring
+    (orthogonal with the cross-correlative pair summed in or apart,
     convex) on random spectra of 3 rows of 8 bins, in which bins 0 and 4
     are their own mirror, with zero taps and zero spectra among them, and
     with the first tap complex or real (a +0.0 imaginary part, as the
-    taps of most schemes have); and the write-out on the time-major
-    columns of a wider array."""
+    taps of most schemes have)."""
     rng = np.random.default_rng(2020)
     rows, n = 3, 8
 
@@ -297,13 +252,22 @@ def _colour_probe(colouring: _Colouring) -> bool:
         # numpy casts a real tap itself
         want = _mix([taps[0].real, *taps[1:]] if real else taps, z.copy(),
                     np.empty_like(z), split, convex)
-        got = _mix_native(colouring.mix, taps, z,
+        got = _mix_native(mix, taps, z,
                           np.full_like(z, np.nan) if split else None, convex)
         if [a.tobytes() for a in want] != [a.tobytes() for a in got]:
             return False
-    src = spectra()[1]
+    return True
+
+
+def _write_probe(transpose) -> bool:
+    """Whether the write-out ``transpose`` gives numpy's bits on random
+    spectra of 3 rows of 8 bins, written into the time-major columns of a
+    wider array, and leaves the columns beside them alone."""
+    rng = np.random.default_rng(2020)
+    rows, n = 3, 8
+    src = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     dst = np.full((n, 2 * rows), np.nan, dtype=complex)
-    _write(colouring.transpose, src, dst[:, 1:1 + rows])
+    _write(transpose, src, dst[:, 1:1 + rows])
     return (dst[:, 1:1 + rows].tobytes() == src.T.tobytes()
             and np.isnan(dst[:, 0]).all() and np.isnan(dst[:, 1 + rows:]).all())
 
@@ -475,8 +439,9 @@ class Synthesizer:
             )
         # build and probe the native code before any noise exists, so that
         # a compile runs beside a small process and never in a fill thread
-        _native_normals()
-        _native_colour()
+        _native.kernel("sln_normals", _probe)
+        _native.kernel("sln_mix", _colour_probe)
+        _native.kernel("sln_transpose", _write_probe)
         s = 1.0 / np.sqrt(grid.dt)
         self.fs = fs
         self.grid = grid
@@ -516,14 +481,14 @@ class Synthesizer:
         unit-normal channels of the first :attr:`chunk_rows` seeds in its
         real and imaginary parts, as :data:`_PACKING` wires them: the
         numbers of ``Generator(Philox(seed)).standard_normal``.  The
-        native draw (:func:`_native_normals`) fills all the rows in one
+        native draw (``sln_normals``) fills all the rows in one
         call outside the interpreter lock; without it, numpy's generators
         fill the thread's white channels, which are packed into z.  Both
         give the same bits."""
         z = self._buffer("z", len(seeds))
         seeds = seeds[:z.shape[1]]
         wiring = _PACKING[self.fs.structure]
-        normals = _native_normals()
+        normals = _native.kernel("sln_normals", _probe)
         if normals is not None:
             half, row = (stride // 8 for stride in z.strides[:2])
             _draw_native(normals, seeds, z.shape[2], z, row,
@@ -545,20 +510,19 @@ class Synthesizer:
         cross-correlative components eta0/nu0 are transformed apart, and
         left out of eta/nu, exactly when ``lam`` is set; otherwise they
         are None.  They are never rescaled here.  The spectral pass
-        between the two FFTs is the native one (:func:`_native_colour`)
-        where it is available, else numpy's (:func:`_mix`); both give the
-        same bits.
+        between the two FFTs is the native one (``sln_mix``) where it is
+        available, else numpy's (:func:`_mix`); both give the same bits.
         """
         rows, n_phys = len(seeds), self.n_phys
         convex = self.fs.structure is FilterStructure.CONVEX
         split = self.lam is not None
         z = scipy.fft.ifft(self._draw(seeds), axis=-1, overwrite_x=True)
-        colouring = _native_colour()
-        if colouring is None:
+        mix = _native.kernel("sln_mix", _colour_probe)
+        if mix is None:
             spectra = _mix(self._taps, z, self._buffer("c", rows), split, convex)
         else:
             c = self._buffer("c", rows) if split else None
-            spectra = _mix_native(colouring.mix, self._taps, z, c, convex)
+            spectra = _mix_native(mix, self._taps, z, c, convex)
         if len(spectra) == 1:
             out = scipy.fft.fft(spectra[0], axis=-1, overwrite_x=True)
             return out[0, :, :n_phys], out[1, :, :n_phys], None, None
@@ -588,8 +552,7 @@ class Synthesizer:
         (len(lam), len(seeds)), the rescale factor of each column at each
         strength.  The rescaled noise is eta + f eta0 and nu + nu0 / f.
         """
-        colouring = _native_colour()
-        transpose = None if colouring is None else colouring.transpose
+        transpose = _native.kernel("sln_transpose", _write_probe)
         for a in range(0, len(seeds), self.chunk_rows):
             cols = slice(a, a + self.chunk_rows)
             eta, nu, eta0, nu0 = self._colour(seeds[cols])

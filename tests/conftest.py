@@ -1,17 +1,35 @@
-"""Test-session fixtures."""
+"""Test-session fixtures, and helpers for the native kernels."""
 
 import pytest
 
 from slnoise import _native, dynamics, ensemble, noise
 
+# the module and name of each kernel's probe, looked up when the kernel
+# is asked for, so that a test's patch of a probe applies
+PROBES = {"sln_rk4": (dynamics, "_probe"), "sln_normals": (noise, "_probe"),
+          "sln_mix": (noise, "_colour_probe"),
+          "sln_transpose": (noise, "_write_probe"),
+          "sln_sums": (ensemble, "_sums_probe")}
+
+
+def kernel(symbol):
+    """The kernel ``symbol`` as the package takes it, or None."""
+    module, name = PROBES[symbol]
+    return _native.kernel(symbol, getattr(module, name))
+
+
+def force_numpy(monkeypatch, *symbols):
+    """Makes the kernels ``symbols`` fall back to numpy for as long as
+    ``monkeypatch`` (or its context) lasts."""
+    load = _native.kernel
+    monkeypatch.setattr(_native, "kernel", lambda symbol, probe: (
+        None if symbol in symbols else load(symbol, probe)))
+
 
 def forget_native():
     """Forget the loaded native library and the kernels taken from it."""
     _native.library.cache_clear()
-    dynamics._native_kernel.cache_clear()
-    noise._native_normals.cache_clear()
-    noise._native_colour.cache_clear()
-    ensemble._native_sums.cache_clear()
+    _native.kernel.cache_clear()
 
 
 @pytest.fixture(scope="session", autouse=True)

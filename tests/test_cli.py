@@ -107,6 +107,7 @@ def test_exit_code_config_error(tmp_path):
     ["kernels", "--beta", "1", "--dt", "-1"],
     ["simulate", "--scheme", "like", "--beta", "1", "--lambda", "-1"],
     ["scan-lambda", "--scheme", "like", "--beta", "1", "--points", "0"],
+    ["scan-lambda", "--scheme", "like", "--beta", "1", "--runs-per-point", "1"],
     ["validate", "--scheme", "like", "--beta", "1", "--max-lag", "5",
      "--t-max", "0.2"],
     ["validate", "--scheme", "like", "--beta", "1", "--max-lag", "nan"],

@@ -1,5 +1,6 @@
 """Tests for the trajectory integrator and the dephasing oracle."""
 
+import logging
 import shutil
 
 import numpy as np
@@ -25,6 +26,8 @@ from slnoise import (
 )
 from slnoise import _native, build_kernel_table, dynamics, kernels
 from slnoise.dynamics import BLOCK_STEPS, QndModel, rk4_bytes
+
+from conftest import force_numpy, kernel
 
 
 def state_to_rho(state):
@@ -354,7 +357,7 @@ def _blocks(model, eta_t, nu_t, cross):
 
 def _numpy_kernel_blocks(monkeypatch, *args):
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_native_kernel", lambda: None)
+        force_numpy(m, "sln_rk4")
         return _blocks(*args)
 
 
@@ -380,7 +383,7 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
                                                    monkeypatch):
     # every yielded state and new_div, by its bits; at alpha = 40 the
     # trajectories diverge through inf into nan
-    assert dynamics._native_kernel() is not None
+    assert kernel("sln_rk4") is not None
     rng = np.random.default_rng(7)
     n, rows = 260, 29
     eta, nu, eta0, nu0 = _noise(rng, n, rows, scale)
@@ -413,7 +416,7 @@ def test_native_kernel_independent_of_slab_count(monkeypatch):
     # apart, none of equal width, as an ensemble integrates each chunk of
     # its realizations apart and run_coherence realization 0 alone: every
     # column has the bits of the numpy kernel's run of all of them
-    assert dynamics._native_kernel() is not None
+    assert kernel("sln_rk4") is not None
     rng = np.random.default_rng(8)
     eta, nu, eta0, nu0 = _noise(rng, 150, 37, 3.0)
     cross = (eta0, nu0, np.exp(rng.uniform(-4.0, 2.0, (13, 37))))
@@ -442,9 +445,9 @@ def test_rk4_bytes_bounds_what_integrate_blocks_allocates(native, n_points,
     if native:
         if shutil.which(_native._COMPILER) is None:
             pytest.skip("no C compiler to build the kernel")
-        assert dynamics._native_kernel() is not None
+        assert kernel("sln_rk4") is not None
     else:
-        monkeypatch.setattr(dynamics, "_native_kernel", lambda: None)
+        force_numpy(monkeypatch, "sln_rk4")
     rng = np.random.default_rng(9)
     n, rows = 400, 64
     eta, nu, eta0, nu0 = _noise(rng, n, rows)
@@ -463,73 +466,117 @@ def test_rk4_bytes_bounds_what_integrate_blocks_allocates(native, n_points,
         assert peak >= 0.97 * bound
 
 
-def _fallback_is_silent(monkeypatch):
+def _fallbacks(caplog):
+    """The messages of the fallback records on the slnoise logger."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "slnoise" and "falls back to numpy" in r.getMessage()]
+
+
+def _fallback_is_silent(monkeypatch, caplog, reason):
     """The kernel is not built, and integrate_blocks runs the numpy
-    kernel without a warning."""
+    kernel without a warning; one INFO record on the slnoise logger gives
+    the ``reason``."""
     import warnings
 
+    caplog.set_level(logging.INFO, logger="slnoise")
     rng = np.random.default_rng(10)
     eta, nu, _, _ = _noise(rng, 20, 5)
     model = SystemModel(1.0, -1.0, 0.3, 0.5 * (np.eye(2) + SIGMA_Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dynamics._native_kernel() is None
+        assert kernel("sln_rk4") is None
         got = _blocks(model, eta, nu, None)
     _assert_same_bits(_numpy_kernel_blocks(monkeypatch, model, eta, nu, None), got)
+    assert _fallbacks(caplog) == [f"sln_rk4 falls back to numpy: {reason}"]
 
 
-def test_native_kernel_falls_back_without_compiler(rebuild, monkeypatch):
+def test_native_kernel_falls_back_without_compiler(rebuild, monkeypatch, caplog):
     monkeypatch.setattr(_native, "_COMPILER", "no-such-compiler-for-slnoise")
-    _fallback_is_silent(monkeypatch)
+    _fallback_is_silent(monkeypatch, caplog, "no library: no compiler "
+                        "'no-such-compiler-for-slnoise' on PATH")
 
 
 @needs_compiler
 def test_native_kernel_falls_back_without_writable_cache(rebuild, monkeypatch,
-                                                        tmp_path):
+                                                        tmp_path, caplog):
     # directories under a regular file cannot be created, even by root
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(_native, "_cache_dirs",
                         lambda: (str(blocker / "a"), str(blocker / "b")))
-    _fallback_is_silent(monkeypatch)
+    _fallback_is_silent(monkeypatch, caplog,
+                        "no library: no private, writable cache directory "
+                        f"among {blocker / 'a'}, {blocker / 'b'}")
 
 
 @needs_compiler
 def test_native_kernel_builds_once_into_a_private_cache(rebuild, monkeypatch,
                                                         tmp_path):
     # the first usable directory receives one library, renamed into place
-    # from a temporary name; of the older builds of it and of the RK4-only
-    # library that preceded it, the three most recent stay beside it, so
-    # that checkouts of other sources keep theirs; a second process would
-    # load it as it is
+    # from a temporary name; of the older builds, the three most recent
+    # stay beside it, so that checkouts of other sources keep theirs; a
+    # second process would load it as it is
     import os
 
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
-    older = ["native-a.so", "rk4-b.so", "native-c.so", "rk4-d.so", "native-e.so"]
+    older = ["native-a.so", "native-b.so", "native-c.so", "native-d.so", "native-e.so"]
     for age, name in enumerate(older):
         (cache / name).write_bytes(b"")
         os.utime(cache / name, ns=(0, 10**18 - 10**9 * (age + 1)))
     (cache / "other.so").write_bytes(b"")
     monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(cache),))
-    assert dynamics._native_kernel() is not None
+    assert kernel("sln_rk4") is not None
     (lib,) = set(os.listdir(cache)) - set(older) - {"other.so"}
     assert lib.startswith("native-") and lib.endswith(".so")
     assert sorted(os.listdir(cache)) == sorted(older[:3] + ["other.so", lib])
     assert os.stat(cache).st_mode & 0o077 == 0
     built = os.stat(cache / lib).st_mtime_ns
     _native.library.cache_clear()
-    dynamics._native_kernel.cache_clear()
-    assert dynamics._native_kernel() is not None
+    _native.kernel.cache_clear()
+    assert kernel("sln_rk4") is not None
     assert sorted(os.listdir(cache)) == sorted(older[:3] + ["other.so", lib])
     assert os.stat(cache / lib).st_mtime_ns == built
 
 
 @needs_compiler
 def test_native_kernel_falls_back_when_it_does_not_match_numpy(rebuild,
-                                                              monkeypatch):
+                                                              monkeypatch,
+                                                              caplog):
     monkeypatch.setattr(dynamics, "_probe", lambda rk4: False)
-    _fallback_is_silent(monkeypatch)
+    _fallback_is_silent(monkeypatch, caplog, "probe refused")
+
+
+@needs_compiler
+def test_loading_every_kernel_logs_no_fallback(rebuild, caplog):
+    caplog.set_level(logging.INFO, logger="slnoise")
+    for symbol in ("sln_rk4", "sln_normals", "sln_mix", "sln_transpose",
+                   "sln_sums"):
+        assert kernel(symbol) is not None, symbol
+    assert _fallbacks(caplog) == []
+
+
+@needs_compiler
+def test_failed_build_logs_the_tail_of_the_compiler_errors(rebuild, monkeypatch,
+                                                           tmp_path, caplog):
+    # a source that uses an undeclared name: the last lines of gcc's
+    # errors, which name it, are the reason, and no file is left behind
+    import os
+
+    broken = tmp_path / "_native.c"
+    broken.write_text(_native._SOURCE.read_text()
+                      + "\nint sln_broken(void) { return no_such_name; }\n")
+    monkeypatch.setattr(_native, "_SOURCE", broken)
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
+    caplog.set_level(logging.INFO, logger="slnoise")
+    assert kernel("sln_sums") is None
+    (message,) = _fallbacks(caplog)
+    head = "sln_sums falls back to numpy: no library: the build failed: "
+    assert message.startswith(head)
+    tail = message[len(head):].splitlines()
+    assert 1 <= len(tail) <= _native._TAIL_LINES
+    assert any("error:" in line and "no_such_name" in line for line in tail)
+    assert os.listdir(tmp_path / "cache") == []
 
 
 def test_kernel_source_ships_with_the_package():
@@ -546,7 +593,7 @@ def test_native_kernel_decides_divergence_as_np_abs_at_the_threshold():
     # np.abs puts this modulus one ulp above the threshold and libm's hypot
     # at it; without coupling, noise or drives the state stays put, and
     # both kernels must flag it at step 1
-    rk4 = dynamics._native_kernel()
+    rk4 = kernel("sln_rk4")
     assert rk4 is not None
     z = 765406082731.0397 + 643547611694.9894j
     nh = 2 * 3 + 1

@@ -27,6 +27,8 @@ from slnoise import (
 from slnoise.ensemble import _pooled_window_stats
 from slnoise.noise import CHUNK_ROWS
 
+from conftest import kernel
+
 BATH = BathParams(beta=1.0, omega_c=25.0)
 RHO0 = 0.5 * (np.eye(2) + SIGMA_Z)
 MODEL = SystemModel(delta=1.0, epsilon=-1.0, alpha=0.05, rho0=RHO0)
@@ -633,8 +635,9 @@ def test_scan_lambda_validates_grid():
         scan_lambda(small_cfg(), [], 16)
     with pytest.raises(ConfigError):
         scan_lambda(small_cfg(), [-1.0], 16)
-    with pytest.raises(ConfigError, match="n_realizations"):
-        scan_lambda(small_cfg(), [0.5], 1)
+    for runs in (1, -5):
+        with pytest.raises(ConfigError, match="runs_per_point"):
+            scan_lambda(small_cfg(), [0.5], runs)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -743,7 +746,7 @@ def test_unit_sums_equal_in_order_sums_bitwise(native):
     if native:
         if _native.library() is None:
             pytest.skip("the native library could not be built")
-        fn = ens._native_sums()
+        fn = kernel("sln_sums")
         assert fn is not None, "the native sums failed their probe"
     rng = np.random.default_rng(11)
     m = 3
@@ -771,14 +774,32 @@ def test_native_sums_refused_when_probe_fails(rebuild, monkeypatch):
     import slnoise.ensemble as ens
 
     want = run_ensemble(small_cfg(n_realizations=20))
-    ens._native_sums.cache_clear()
     monkeypatch.setattr(ens, "_sums_probe", lambda native: False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ens._native_sums() is None
+        assert kernel("sln_sums") is None
         got = run_ensemble(small_cfg(n_realizations=20))
     for name in ("mean_tr", "var_tr", "se_tr", "mean_sx", "mean_sy", "mean_sz"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_refused_sums_probe_is_logged_once(rebuild, monkeypatch, caplog):
+    # one record for the kernel whose probe fails, however often a run
+    # asks for it; the other kernels still load
+    import logging
+
+    import slnoise.ensemble as ens
+    from slnoise import _native
+
+    if _native.library() is None:
+        pytest.skip("the native library could not be built")
+    monkeypatch.setattr(ens, "_sums_probe", lambda native: False)
+    caplog.set_level(logging.INFO, logger="slnoise")
+    run_ensemble(small_cfg(n_realizations=300))
+    assert [r.getMessage() for r in caplog.records if r.name == "slnoise"] == [
+        "sln_sums falls back to numpy: probe refused"]
+    for symbol in ("sln_rk4", "sln_normals", "sln_mix", "sln_transpose"):
+        assert kernel(symbol) is not None, symbol
 
 
 def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):

@@ -34,6 +34,8 @@ from slnoise import _native, dynamics, noise
 from slnoise.ensemble import seed_for
 from slnoise.noise import CHUNK_ROWS, _lagged_products, chunk_rows, workspace_bytes
 
+from conftest import force_numpy, kernel
+
 BATH = BathParams(beta=1.0, omega_c=25.0)
 GRID = TimeGrid(dt=0.01, t_max=5.0)
 
@@ -296,11 +298,11 @@ def test_noise_pairs_are_the_noise_the_ensemble_integrates(table, monkeypatch,
     if native:
         if shutil.which(_native._COMPILER) is None:
             pytest.skip("no C compiler to build the library")
-        assert noise._native_normals() is not None
-        assert noise._native_colour() is not None
+        assert kernel("sln_normals") is not None
+        assert kernel("sln_mix") is not None
+        assert kernel("sln_transpose") is not None
     else:
-        monkeypatch.setattr(noise, "_native_normals", lambda: None)
-        monkeypatch.setattr(noise, "_native_colour", lambda: None)
+        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_transpose")
     fs = make_filters(scheme, table, gamma=0.01)
     seeds = _seeds("seed_for", CHUNK_ROWS + 5)
     if lam is not None and not fs.has_cross_pair:
@@ -496,11 +498,11 @@ def _packed_normals(structure, seeds, n=GRID.n):
 @pytest.mark.parametrize("rows", [1, 3, 16])
 @pytest.mark.parametrize("kind", ["int", "seed_for"])
 def test_native_draw_bitwise_equals_numpy(monkeypatch, table, kind, rows):
-    assert noise._native_normals() is not None
+    assert kernel("sln_normals") is not None
     fs = make_filters(SchemeId.LIKE, table)
     seeds = _seeds(kind, rows)
     native = Synthesizer(fs, GRID, rows=rows)._draw(seeds).copy()
-    monkeypatch.setattr(noise, "_native_normals", lambda: None)
+    force_numpy(monkeypatch, "sln_normals")
     numpy_draw = Synthesizer(fs, GRID, rows=rows)._draw(seeds)
     want = np.array(_packed_normals(FilterStructure.ORTHOGONAL, seeds))
     assert native.tobytes() == want.tobytes()
@@ -516,9 +518,9 @@ def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure
     if native:
         if shutil.which(_native._COMPILER) is None:
             pytest.skip("no C compiler to build the library")
-        assert noise._native_normals() is not None
+        assert kernel("sln_normals") is not None
     else:
-        monkeypatch.setattr(noise, "_native_normals", lambda: None)
+        force_numpy(monkeypatch, "sln_normals")
     fs = _random_filters(structure, GRID.n, GRID.dt)
     synth = Synthesizer(fs, GRID, rows=5)
     z = synth._buffer("z", 5)
@@ -543,7 +545,7 @@ def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure
 def test_native_draw_bitwise_equals_numpy_on_a_long_stream():
     # 10^7 normals of one stream, among them a few thousand from the
     # ziggurat's tail, beyond its radius
-    normals = noise._native_normals()
+    normals = kernel("sln_normals")
     assert normals is not None
     count = 10**7
     got = np.empty(count)
@@ -570,7 +572,7 @@ def test_both_compiled_draws_give_numpys_bits(rebuild, monkeypatch, build):
         flags = _native._compile_flags
         monkeypatch.setattr(_native, "_compile_flags", lambda: _without_avx512(flags()))
         assert not any(f.startswith("-mavx512") for f in _native._compile_flags())
-    assert noise._native_normals() is not None
+    assert kernel("sln_normals") is not None
     for structure in FilterStructure:
         for k in (1, 2, 3, 4, 12):
             grid = TimeGrid(dt=0.01, t_max=0.01 * 2 ** (k - 1))
@@ -684,16 +686,16 @@ def _numpy_draw_is_silent(table, native):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert noise._native_normals() is None
+        assert kernel("sln_normals") is None
         assert _fill_and_pairs(table) == native
 
 
 @needs_compiler
 def test_native_draw_falls_back_without_compiler(table, rebuild, monkeypatch):
-    assert noise._native_normals() is not None
+    assert kernel("sln_normals") is not None
     native = _fill_and_pairs(table)
     _native.library.cache_clear()
-    noise._native_normals.cache_clear()
+    _native.kernel.cache_clear()
     monkeypatch.setattr(_native, "_COMPILER", "no-such-compiler-for-slnoise")
     _numpy_draw_is_silent(table, native)
 
@@ -701,23 +703,24 @@ def test_native_draw_falls_back_without_compiler(table, rebuild, monkeypatch):
 @needs_compiler
 def test_native_draw_falls_back_when_it_does_not_match_numpy(table, rebuild,
                                                             monkeypatch):
-    # the RK4 kernel of the same library runs on its own probe's result
-    assert noise._native_normals() is not None
+    # the other kernels of the same library run on their own probes'
+    # results
+    assert kernel("sln_normals") is not None
     native = _fill_and_pairs(table)
-    noise._native_normals.cache_clear()
     monkeypatch.setattr(noise, "_probe", lambda normals: False)
     _numpy_draw_is_silent(table, native)
-    assert dynamics._native_kernel() is not None
-    assert noise._native_colour() is not None
+    for symbol in ("sln_rk4", "sln_mix", "sln_transpose", "sln_sums"):
+        assert kernel(symbol) is not None, symbol
 
 
 @needs_compiler
 def test_native_draw_runs_when_the_rk4_kernel_does_not_match(rebuild,
                                                             monkeypatch):
     monkeypatch.setattr(dynamics, "_probe", lambda rk4: False)
-    assert dynamics._native_kernel() is None
-    assert noise._native_normals() is not None
-    assert noise._native_colour() is not None
+    assert kernel("sln_rk4") is None
+    assert kernel("sln_normals") is not None
+    assert kernel("sln_mix") is not None
+    assert kernel("sln_transpose") is not None
 
 
 # ------------------------------------------------------ native colouring
@@ -765,13 +768,14 @@ def _native_and_numpy_colouring(monkeypatch, fs, grid, lam, chunk, seeds):
     """The outputs of :func:`_colour_outputs` with the native colouring
     and the native draw, with the native colouring and numpy's draw, and
     with numpy alone."""
-    assert noise._native_colour() is not None
-    assert noise._native_normals() is not None
+    assert kernel("sln_mix") is not None
+    assert kernel("sln_transpose") is not None
+    assert kernel("sln_normals") is not None
     runs = [_colour_outputs(fs, grid, lam, chunk, seeds)]
     with monkeypatch.context() as m:
-        m.setattr(noise, "_native_normals", lambda: None)
+        force_numpy(m, "sln_normals")
         runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
-        m.setattr(noise, "_native_colour", lambda: None)
+        force_numpy(m, "sln_mix", "sln_transpose")
         runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
     return runs
 
@@ -818,8 +822,9 @@ def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
 
     if lam is not None and structure is FilterStructure.CONVEX:
         return
-    assert noise._native_colour() is not None
-    assert noise._native_normals() is not None
+    assert kernel("sln_mix") is not None
+    assert kernel("sln_transpose") is not None
+    assert kernel("sln_normals") is not None
     scheme = (SchemeId.CONVEX if structure is FilterStructure.CONVEX
               else SchemeId.ETANU_OPTIMISED)
     fs = make_filters(scheme, build_kernel_table(GRID.freq(), BATH))
@@ -846,17 +851,17 @@ def _colour_is_silent(table, native):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert noise._native_colour() is None
+        assert kernel("sln_mix") is None
+        assert kernel("sln_transpose") is None
         assert _fill_and_pairs(table) == native
 
 
 @needs_compiler
 def test_native_colouring_falls_back_without_compiler(table, rebuild, monkeypatch):
-    assert noise._native_colour() is not None
+    assert kernel("sln_mix") is not None
     native = _fill_and_pairs(table)
     _native.library.cache_clear()
-    noise._native_colour.cache_clear()
-    noise._native_normals.cache_clear()
+    _native.kernel.cache_clear()
     monkeypatch.setattr(_native, "_COMPILER", "no-such-compiler-for-slnoise")
     _colour_is_silent(table, native)
 
@@ -866,13 +871,13 @@ def test_native_colouring_falls_back_when_it_does_not_match_numpy(
         table, rebuild, monkeypatch):
     # the draw and the RK4 kernel of the same library run on their own
     # probes' results
-    assert noise._native_colour() is not None
+    assert kernel("sln_mix") is not None
     native = _fill_and_pairs(table)
-    noise._native_colour.cache_clear()
-    monkeypatch.setattr(noise, "_colour_probe", lambda colouring: False)
+    monkeypatch.setattr(noise, "_colour_probe", lambda mix: False)
+    monkeypatch.setattr(noise, "_write_probe", lambda transpose: False)
     _colour_is_silent(table, native)
-    assert noise._native_normals() is not None
-    assert dynamics._native_kernel() is not None
+    assert kernel("sln_normals") is not None
+    assert kernel("sln_rk4") is not None
 
 
 @needs_compiler
@@ -894,8 +899,9 @@ def test_colour_probe_refuses_a_flipped_operand_order(rebuild, monkeypatch,
     mutated.write_text(source.replace(call, flipped))
     monkeypatch.setattr(_native, "_SOURCE", mutated)
     monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
-    assert noise._native_normals() is not None
-    assert noise._native_colour() is None
+    assert kernel("sln_normals") is not None
+    assert kernel("sln_transpose") is not None
+    assert kernel("sln_mix") is None
 
 
 def test_chunk_factors_equal_per_row_rescale_factor(table):

@@ -30,18 +30,26 @@ _native._compile_flags = lambda: _flags() + {SANITIZE!r}
 """
 
 ENTRY_POINTS = """
+import logging.handlers
+
 import numpy as np
 
 from slnoise import (BathParams, RunConfig, SchemeId, Synthesizer, SystemModel,
                      TimeGrid, build_kernel_table, make_filters, SIGMA_Z)
-from slnoise import dynamics, ensemble, noise
+from slnoise import _native, dynamics, ensemble, noise
 from slnoise.dynamics import integrate_blocks, qnd_sln_config
 
+# every record of the package's logger, a kernel's fallback among them
+records = logging.handlers.BufferingHandler(10**6)
+logging.getLogger("slnoise").addHandler(records)
+logging.getLogger("slnoise").setLevel(logging.INFO)
+
 # every probe passes, so the runs below go through the native kernels
-assert dynamics._native_kernel() is not None
-assert noise._native_normals() is not None
-assert noise._native_colour() is not None
-assert ensemble._native_sums() is not None
+probes = {"sln_rk4": dynamics._probe, "sln_normals": noise._probe,
+          "sln_mix": noise._colour_probe, "sln_transpose": noise._write_probe,
+          "sln_sums": ensemble._sums_probe}
+for symbol, probe in probes.items():
+    assert _native.kernel(symbol, probe) is not None, symbol
 
 bath = BathParams(1.0, 25.0)
 lams = np.logspace(-2, 1, 13)
@@ -81,7 +89,8 @@ for rows in (1, 3, 16):
 for width in range(1, 301, 7):
     for nq, points in ((4, 1), (2, 13)):
         for chunk in (1, 3, 16):
-            sums = ensemble._Sums(points + 1, 4, nq, ensemble._native_sums())
+            sums = ensemble._Sums(points + 1, 4, nq,
+                                  _native.kernel("sln_sums", ensemble._sums_probe))
             for col in range(0, width, chunk):
                 rows = min(chunk, width - col)
                 block = rng.standard_normal((3, nq, 2 * points * rows)).view(complex)
@@ -98,6 +107,8 @@ kernel, qnd = qnd_sln_config()
 ensemble.run_coherence(RunConfig(scheme=SchemeId.ETANU_OPTIMISED, model=qnd,
                                  grid=TimeGrid(dt=0.01, t_max=1.0),
                                  n_realizations=20, master_seed=0, kernel=kernel))
+# no kernel fell back to numpy, so the runs tested the native code
+assert not records.buffer, [r.getMessage() for r in records.buffer]
 print("ok")
 """
 
