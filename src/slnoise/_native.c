@@ -786,9 +786,9 @@ static __attribute__((noinline)) double slow_normal(philox *s, uint64_t r,
 /* The rectangle test of the next count (1 .. 8) words of the buffer, side
    by side: ki and wi are gathered by each word's layer, x is formed as
    the scalar code forms it, and the normals of the leading words that
-   fall in their rectangles go to o[0], o[step], ... in one or two masked
-   stores (a scatter for a step other than 2).  Returns how many. */
-INLINE int rectangles(const uint64_t *words, int count, double *o, int64_t step)
+   fall in their rectangles go to o[0], o[2], ... in two masked stores.
+   Returns how many. */
+INLINE int rectangles(const uint64_t *words, int count, double *o)
 {
     const __mmask8 valid = (__mmask8)((1u << count) - 1);
     const __m512i raw = _mm512_maskz_loadu_epi64(valid, words);
@@ -805,17 +805,11 @@ INLINE int rectangles(const uint64_t *words, int count, double *o, int64_t step)
                                     _mm512_i64gather_pd(idx, wi_double, 8));
     const __m512d xs = _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(x),
                                                             _mm512_slli_epi64(r, 63)));
-    if (step == 2) {
-        const unsigned m = 0x5555u & ((1u << (2 * took)) - 1);
-        _mm512_mask_storeu_pd(o, (__mmask8)m, _mm512_permutexvar_pd(
-            _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0), xs));
-        _mm512_mask_storeu_pd(o + 8, (__mmask8)(m >> 8), _mm512_permutexvar_pd(
-            _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4), xs));
-    } else {
-        const __m512i at = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
-                                              _mm512_set1_epi64(step));
-        _mm512_mask_i64scatter_pd(o, (__mmask8)((1u << took) - 1), at, xs, 8);
-    }
+    const unsigned m = 0x5555u & ((1u << (2 * took)) - 1);
+    _mm512_mask_storeu_pd(o, (__mmask8)m, _mm512_permutexvar_pd(
+        _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0), xs));
+    _mm512_mask_storeu_pd(o + 8, (__mmask8)(m >> 8), _mm512_permutexvar_pd(
+        _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4), xs));
     return took;
 }
 #endif
@@ -823,9 +817,8 @@ INLINE int rectangles(const uint64_t *words, int count, double *o, int64_t step)
 /* The unit normals of rows streams, n per channel of each: the stream of
    row i is that of numpy's Philox with key keys[2i], keys[2i+1] and
    counter 0, and its normal ch*n + t goes to
-   out[i*row_stride + offsets[ch] + t*step].  A (rows, channels, n) array
-   has row_stride channels*n, offsets ch*n and step 1; a channel may as
-   well go to the real or imaginary parts of a complex buffer (step 2).
+   out[i*row_stride + offsets[ch] + 2*t]: each channel goes to the real
+   or the imaginary parts of a complex buffer.
    The rectangles, 99.3 % of the draws, are taken inline; where AVX-512 is
    compiled in, eight draws at a time, or as many as are left in the
    buffer and the channel: the draws before the first one outside its
@@ -834,7 +827,7 @@ INLINE int rectangles(const uint64_t *words, int count, double *o, int64_t step)
    goes to slow_normal. */
 void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
                  int64_t n, double *out, int64_t row_stride,
-                 const int64_t *offsets, int64_t step)
+                 const int64_t *offsets)
 {
     for (int64_t i = 0; i < rows; i++) {
         philox s;
@@ -850,7 +843,7 @@ void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
 #ifdef PHILOX_AVX512
                 const int64_t count = n - j < WORDS - pos ? n - j : WORDS - pos;
                 const int took = rectangles(s.buf + pos, count < 8 ? (int)count : 8,
-                                            o + j * step, step);
+                                            o + 2 * j);
                 pos += took;
                 j += took;
                 if (took)
@@ -861,10 +854,10 @@ void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
                 r >>= 8;
                 const uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
                 if (rabs < ki_double[idx]) {
-                    o[j * step] = signed_x(r, rabs, idx);
+                    o[2 * j] = signed_x(r, rabs, idx);
                 } else {
                     s.pos = pos;
-                    o[j * step] = slow_normal(&s, r, idx);
+                    o[2 * j] = slow_normal(&s, r, idx);
                     pos = s.pos;
                 }
                 j++;

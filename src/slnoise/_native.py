@@ -70,7 +70,7 @@ class SlnRun(ctypes.Structure):
 _INT, _PTR = ctypes.c_int64, ctypes.c_void_p
 _ARGTYPES = {
     "sln_rk4": [ctypes.POINTER(SlnRun), _INT, _INT],
-    "sln_normals": [_PTR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT],
+    "sln_normals": [_PTR, _INT, _INT, _INT, _PTR, _INT, _PTR],
     "sln_mix": [_INT] * 3 + [_PTR] * 3 + [_INT] * 4,
     "sln_transpose": [_PTR, _INT, _INT, _INT, _PTR, _INT],
     "sln_sums": [_PTR] + [_INT] * 4 + [_PTR] * 2 + [_INT],

@@ -24,11 +24,12 @@ import numpy as np
 
 from .dynamics import QndModel, SystemModel, qnd_exact, qnd_sln_config
 from .ensemble import RunConfig, run_coherence, run_ensemble, scan_lambda, seed_for
-from .exceptions import ConfigError, SlnoiseError, ZeroComponent
+from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, build_kernel_table, kernel_time
-from .noise import (check_memory, estimate_correlations, lag_steps, synthesize,
-                    synthesize_batch)
+from .noise import (TABLE_BYTES, check_memory, chunk_rows, estimate_correlations,
+                    grid_name, lag_steps, synthesize, synthesize_batch,
+                    workspace_bytes)
 from .schemes import SchemeId, make_filters
 
 __all__ = ["main", "load_config", "build_run_config"]
@@ -234,7 +235,7 @@ def _cmd_kernels(args, settings):
         raise ConfigError("missing required key 'beta'")
     bath = BathParams(settings["beta"], settings["omega_c"])
     time_grid = TimeGrid(settings["dt"], settings["t_max"], settings["pad_factor"])
-    check_memory(time_grid, rows=1)
+    check_memory({grid_name(time_grid): TABLE_BYTES * time_grid.n})
     grid = time_grid.freq()
     table = build_kernel_table(grid, bath)
     order = np.argsort(grid.omega, kind="stable")
@@ -250,11 +251,16 @@ def _cmd_kernels(args, settings):
 def _noise_filters(settings):
     """Run config and filters of the noise commands, which colour noise
     on the dt grid itself (the ensemble commands use dt/2).  First refuses
-    a grid too large for memory: validate holds every realization, and
-    its estimate up to three rows of lagged products per realization."""
+    a run too large for memory: validate holds every realization (four
+    series) and up to three rows of lagged products per realization."""
     cfg = build_run_config(settings)
-    rows = cfg.n_realizations
-    check_memory(cfg.grid, rows, extra=3 * 16 * (2 * cfg.grid.n_phys - 1) * rows)
+    rows, n, n_phys = cfg.n_realizations, cfg.grid.n, cfg.grid.n_phys
+    check_memory({
+        grid_name(cfg.grid): workspace_bytes(chunk_rows(n, 4, rows), 4, n)
+        + TABLE_BYTES * n,
+        f"{rows} realizations and their lagged products":
+            (64 * n_phys + 3 * 16 * (2 * n_phys - 1)) * rows,
+    })
     table = build_kernel_table(cfg.grid.freq(), cfg.bath)
     return cfg, make_filters(cfg.scheme, table, cfg.gamma)
 
@@ -385,9 +391,7 @@ def main(argv=None) -> int:
         if settings["output"]:
             _check_output(settings["output"])
         _write_csv(settings, *args.func(args, settings))
-    except (ConfigError, ZeroComponent) as exc:
-        # ZeroComponent: rescaling asked of a scheme without a
-        # cross-correlative pair, refused before any noise is drawn
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SlnoiseError as exc:

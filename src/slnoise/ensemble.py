@@ -13,9 +13,11 @@ integrates it with :func:`integrate_blocks` at every rescaling strength
 of the run, and adds each block of states, column after column in
 realization order, into the unit's per-step sums (:class:`_Sums`).  The
 draw, the FFTs, RK4 and the adds (``sln_sums``) release the interpreter
-lock, so the units run on all cores.  The calling thread adds the units'
-sums into the running sums in unit order, while the threads work the
-next units.  No noise array of more than a chunk exists.  A
+lock, so the units run on all cores.  The calling thread adds each unit's
+sums into running sums of the same class, and its first divergences into
+a histogram, in unit order, while the threads work the next units; every
+ensemble, run_coherence's too, is reduced by that one loop
+(:func:`_reduce`).  No noise array of more than a chunk exists.  A
 realization's noise and trajectory depend only on its seed, never on the
 thread, the chunk or the kernel that computed them, and every sum is
 taken in one fixed order, so every statistic depends on the config
@@ -40,6 +42,12 @@ into accumulators kept per strength, so each point of :func:`scan_lambda`
 equals a stand-alone :func:`run_ensemble` with that lambda, bitwise; a
 single rescaled run is the one-strength case.
 
+Before any noise is drawn, a run is charged its memory in two named parts
+(:func:`~slnoise.noise.check_memory`), each term sized by the helper its
+allocation uses: the grid (each thread's chunk noise, numpy's colouring
+workspace and RK4 pass, and the kernel table and filters) and the
+strengths (the units in flight, the running sums and the statistics).
+
 The trace variance and standard error are pooled over sliding windows of
 time steps (default 100): every step inside a window is treated as a
 sample alongside the realizations, which stabilises the estimate exactly
@@ -50,7 +58,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,8 +75,9 @@ from .dynamics import BATCH_ROWS, _probe as _rk4_probe
 from .exceptions import ConfigError, SlnoiseError
 from .grids import TimeGrid
 from .kernels import BathParams, CustomKernel, KernelTable, build_kernel_table
-from .noise import (Synthesizer, check_memory, chunk_rows,  # noqa: F401
-                    sample_white, synthesize_from_white)
+from .noise import (TABLE_BYTES, Synthesizer, check_memory, chunk_rows,  # noqa: F401
+                    grid_name, sample_white, synthesize_from_white,
+                    workspace_bytes)
 from .schemes import FilterSet, SchemeId, make_filters
 
 __all__ = [
@@ -138,9 +146,14 @@ class RunConfig:
             raise ConfigError(f"lambda must be positive and finite, got {self.lam:g}")
 
     def noise_grid(self) -> TimeGrid:
-        """Noise is sampled at half the integration step for RK4 stages."""
-        return TimeGrid(self.grid.dt / 2.0, self.grid.t_max,
-                        self.grid.pad_factor)
+        """Noise is sampled at half the integration step for RK4 stages;
+        refuses a t_max that rounds to other than 2 half steps a step."""
+        ngrid = TimeGrid(self.grid.dt / 2.0, self.grid.t_max, self.grid.pad_factor)
+        if ngrid.n_phys != 2 * self.grid.n_phys - 1:
+            raise ConfigError(
+                f"t_max = {self.grid.t_max:g} is not a whole number of steps "
+                f"dt = {self.grid.dt:g}")
+        return ngrid
 
     def kernel_table(self) -> KernelTable:
         source = self.bath if self.bath is not None else self.kernel
@@ -209,7 +222,8 @@ class _Sums:
     the squared modulus of the last one, formed as re*re + im*im, ``f``
     (points, steps), at each of ``n_points`` strengths and ``n_steps``
     steps.  ``native`` is the native pass ``sln_sums``, or None for numpy's
-    in-order adds, the reference; both give the same bits."""
+    in-order adds, the reference; both give the same bits.  A run's running
+    sums, the units' sums added in unit order, are one too."""
 
     def __init__(self, n_points: int, n_steps: int, nq: int, native):
         self.native = native
@@ -218,7 +232,7 @@ class _Sums:
 
     @staticmethod
     def nbytes(n_points: int, n_steps: int, nq: int = 4) -> int:
-        """Bytes of the sums of a unit."""
+        """Bytes of the sums, of a unit or of a run."""
         return n_points * n_steps * (16 * nq + 8)
 
     def add(self, block: np.ndarray, rows: int, point: int, step: int) -> None:
@@ -283,29 +297,32 @@ def _sums_probe(native) -> bool:
                for p, q in ((a.c, b.c), (a.f, b.f)))
 
 
-# Bytes per strength and state step that a run keeps to its end: the
-# running sums of the trace, its |.|^2, the three spin components and the
-# first divergences, then the EnsembleStats built from them (mean trace,
-# its modulus, variance, SE, three spin means and diverged counts).
-_POINT_STEP_BYTES = (16 + 8 + 3 * 16 + 8) + (16 + 8 + 8 + 8 + 3 * 16 + 8)
+# Bytes per strength and state step of a run's statistics: the histogram
+# of first divergences, then the EnsembleStats built from the running sums
+# (mean trace, its modulus, variance, SE, three spin means and diverged
+# counts).
+_POINT_STEP_BYTES = 8 + (16 + 8 + 8 + 8 + 3 * 16 + 8)
 
 
 def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int,
                   channels: int = 4, first: int = 0) -> None:
-    # each thread holds the noise of its chunk, its colouring workspace
-    # and the buffers of one RK4 pass over up to RK4_COLUMNS columns; up
-    # to 2 * SYNTH_THREADS units are queued or running and one more is
-    # being added up, each with its sums and first divergences; every
-    # strength keeps its running sums and statistics.  Sums and statistics
-    # cover the steps from ``first`` on.
+    # up to 2 * SYNTH_THREADS units are queued or running and one more is
+    # being added up, each with its sums and first divergences; sums and
+    # statistics cover the steps from ``first`` on
     n_steps = (ngrid.n_phys - 1) // 2
     rows = chunk_rows(ngrid.n, channels, batch_rows)
     kept = n_steps + 1 - first
     unit = (_Sums.nbytes(n_points, kept)
             + 8 * n_points * min(batch_rows, BATCH_ROWS // 2))
-    rk4 = SYNTH_THREADS * rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points))
-    check_memory(ngrid, rows, SYNTH_THREADS, rk4, channels, n_points,
-                 (2 * SYNTH_THREADS + 1) * unit + _POINT_STEP_BYTES * n_points * kept)
+    thread = (64 * ngrid.n_phys * rows + workspace_bytes(rows, channels, ngrid.n)
+              + rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points)))
+    check_memory({
+        f"{grid_name(ngrid)} with {SYNTH_THREADS * rows} realizations at once":
+            SYNTH_THREADS * thread + TABLE_BYTES * ngrid.n,
+        f"the sums and statistics of {n_points} rescaling strengths":
+            (2 * SYNTH_THREADS + 1) * unit + _Sums.nbytes(n_points, kept)
+            + _POINT_STEP_BYTES * n_points * kept,
+    })
 
 
 def _synthesizer(cfg: RunConfig, lams=None, first: int = 0) -> Synthesizer:
@@ -367,8 +384,8 @@ def _unit(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int,
     ``quantities(states, start)`` forms from each block, (m, nq, columns)
     complex, at the steps from ``first`` on, and of the squared modulus of
     the last one; and the step at which each column first diverged, or
-    -1.  Returns (complex sums (points, steps, nq), float sums (points,
-    steps), first divergences (points, hi - lo))."""
+    -1.  Returns (the :class:`_Sums`, first divergences (points, hi -
+    lo))."""
     n_points = 1 if synth.lam is None else len(synth.lam)
     sums = _Sums(n_points, cfg.grid.n_phys - first, nq,
                  _native.kernel("sln_sums", _sums_probe))
@@ -383,28 +400,43 @@ def _unit(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int,
             if skip < len(states):
                 sums.add(quantities(states[skip:], start + skip), rows,
                          points.start, start + skip - first)
-    return sums.c, sums.f, first_div
+    return sums, first_div
 
 
-def _unit_sums(cfg: RunConfig, unit):
-    """The units of the run, ``unit(lo, hi)``, run on SYNTH_THREADS
-    threads; yields each unit's sums in unit order.  A unit is a run of at
-    most BATCH_ROWS // 2 realizations that starts at a multiple of it.  Up
-    to two units per thread are queued ahead of the one awaited, so that
-    the threads do not wait for the calling one."""
+def _reduce(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int):
+    """The units of the run, :func:`_unit` of ``quantities`` on
+    SYNTH_THREADS threads, with up to two per thread queued ahead of the
+    one awaited, added up in unit order: the running :class:`_Sums` of the
+    steps from ``first`` on, and the histogram (points, steps) of first
+    divergences, one before ``first`` counted at its first step."""
+    n_points = 1 if synth.lam is None else len(synth.lam)
+    n_steps = cfg.grid.n_phys - first
+    total = _Sums(n_points, n_steps, nq, None)
+    first_divs = np.zeros((n_points, n_steps), dtype=int)
     nreal, width = cfg.n_realizations, BATCH_ROWS // 2
     jobs = collections.deque()
-    with ThreadPoolExecutor(SYNTH_THREADS) as pool:
+
+    def add(job):
+        sums, div = job.result()
+        total.c += sums.c
+        total.f += sums.f
+        point, col = np.nonzero(div >= 0)
+        np.add.at(first_divs, (point, np.maximum(div[point, col] - first, 0)), 1)
+
+    with ThreadPoolExecutor(SYNTH_THREADS) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):
         try:
             for lo in range(0, nreal, width):
-                jobs.append(pool.submit(unit, lo, min(lo + width, nreal)))
+                jobs.append(pool.submit(_unit, cfg, synth, first, quantities, nq,
+                                        lo, min(lo + width, nreal)))
                 if len(jobs) > 2 * SYNTH_THREADS:
-                    yield jobs.popleft().result()
+                    add(jobs.popleft())
             while jobs:
-                yield jobs.popleft().result()
+                add(jobs.popleft())
         finally:
             for job in jobs:
                 job.cancel()
+    return total, first_divs
 
 
 def _ensembles(cfg: RunConfig, lams=None, first: int = 0):
@@ -414,40 +446,27 @@ def _ensembles(cfg: RunConfig, lams=None, first: int = 0):
     stats window (0, all steps, by default).  A trajectory that diverged
     before ``first`` counts as diverged from it on."""
     synth = _synthesizer(cfg, lams, first)
-    n_points = 1 if synth.lam is None else len(synth.lam)
-    n_steps = cfg.grid.n_phys - first
-    sum_tr = np.zeros((n_points, n_steps), dtype=complex)
-    sum_abs2 = np.zeros((n_points, n_steps))
-    sum_s = np.zeros((n_points, 3, n_steps), dtype=complex)
-    first_divs = np.zeros((n_points, n_steps), dtype=int)
-    nreal = cfg.n_realizations
     # the quantities are the states (sx, sy, sz, tr) themselves
-    unit = functools.partial(_unit, cfg, synth, first, lambda states, start: states, 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sums, abs2, div in _unit_sums(cfg, unit):
-            sum_tr += sums[:, :, 3]
-            sum_abs2 += abs2
-            sum_s += sums[:, :, :3].transpose(0, 2, 1)
-            point, col = np.nonzero(div >= 0)
-            np.add.at(first_divs, (point, np.maximum(div[point, col] - first, 0)), 1)
+    sums, first_divs = _reduce(cfg, synth, first, lambda states, start: states, 4)
+    nreal = cfg.n_realizations
     t = cfg.model.t0 + cfg.grid.dt * np.arange(first, cfg.grid.n_phys)
     runs = []
-    for p in range(n_points):
-        var, se = _pooled_window_stats(sum_tr[p], sum_abs2[p], nreal,
-                                       cfg.stats_window)
-        if not first_divs[p].any():
-            _check_finite(sum_tr[p], sum_s[p], var, se)
-        mean_tr = sum_tr[p] / nreal
+    for c, abs2, divs in zip(sums.c, sums.f, first_divs):
+        sum_tr = c[:, 3]
+        var, se = _pooled_window_stats(sum_tr, abs2, nreal, cfg.stats_window)
+        if not divs.any():
+            _check_finite(c, var, se)
+        mean_tr = sum_tr / nreal
         runs.append(EnsembleStats(
             t=t,
             mean_tr=mean_tr,
             abs_mean_tr=np.abs(mean_tr),
             var_tr=var,
             se_tr=se,
-            mean_sx=sum_s[p, 0] / nreal,
-            mean_sy=sum_s[p, 1] / nreal,
-            mean_sz=sum_s[p, 2] / nreal,
-            diverged=np.cumsum(first_divs[p]),
+            mean_sx=c[:, 0] / nreal,
+            mean_sy=c[:, 1] / nreal,
+            mean_sz=c[:, 2] / nreal,
+            diverged=np.cumsum(divs),
             n_realizations=nreal,
             stats_window=cfg.stats_window,
         ))
@@ -501,26 +520,17 @@ def run_coherence(cfg: RunConfig):
         np.subtract(r01, shift[start:start + len(states), None], out=out[:, 1])
         return out
 
-    sum_r = np.zeros(n_steps, dtype=complex)
-    sum_d = np.zeros(n_steps, dtype=complex)
-    sum_d2 = np.zeros(n_steps)
-    diverged, first_div = 0, n_steps
+    sums, first_divs = _reduce(cfg, synth, 0, quantities, 2)
     nreal = cfg.n_realizations
-    unit = functools.partial(_unit, cfg, synth, 0, quantities, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sums, abs2, div in _unit_sums(cfg, unit):
-            sum_r += sums[0, :, 0]
-            sum_d += sums[0, :, 1]
-            sum_d2 += abs2[0]
-            hit = div[div >= 0]
-            diverged += hit.size
-            first_div = hit.min(initial=first_div)
+    diverged = first_divs[0].sum()
     if diverged:
+        first_div = np.flatnonzero(first_divs[0])[0]
         raise SlnoiseError(
             f"{diverged} of {nreal} trajectories diverged, the first at step "
             f"{first_div} (t = {cfg.model.t0 + cfg.grid.dt * first_div:g})")
-    mean = sum_r / nreal
-    var = np.maximum(sum_d2 - np.abs(sum_d) ** 2 / nreal, 0.0) / max(nreal - 1, 1)
+    mean = sums.c[0, :, 0] / nreal
+    var = (np.maximum(sums.f[0] - np.abs(sums.c[0, :, 1]) ** 2 / nreal, 0.0)
+           / max(nreal - 1, 1))
     se = np.sqrt(var / nreal)
     _check_finite(mean, se)
     t = cfg.model.t0 + cfg.grid.dt * np.arange(n_steps)

@@ -20,11 +20,6 @@ class DivisionByZeroSpectrum(SlnoiseError):
     a regularisation parameter gamma > 0 is required."""
 
 
-class ZeroComponent(SlnoiseError):
-    """Rescaling requested for a scheme without cross-correlative
-    components."""
-
-
 class GridMismatch(SlnoiseError):
     """Filter set and time grid were built on different grids."""
 
@@ -36,3 +31,8 @@ class InsufficientSample(SlnoiseError):
 class ConfigError(SlnoiseError, ValueError):
     """Invalid configuration: a refused value, config file or option.
     Also a ValueError."""
+
+
+class ZeroComponent(ConfigError):
+    """Rescaling requested for a scheme without cross-correlative
+    components."""

@@ -89,9 +89,9 @@ for every later one, so a run pays the page faults of its chunk buffers
 once per thread, not once per chunk.  A chunk is at most CHUNK_ROWS
 realizations, and fewer where that many would take more than
 CHUNK_BYTES (16 rows at n <= 16384, 8 at n = 32768); the rows of a
-chunk do not change any output bit.  :func:`check_memory` charges the
-workspaces with :func:`workspace_bytes`, the helper that sizes numpy's,
-the largest.
+chunk do not change any output bit.  The callers of :func:`check_memory`
+charge the workspaces with :func:`workspace_bytes`, the helper that sizes
+numpy's, the largest.
 The correlation estimator's lagged products are one FFT convolution
 each, computed with ``scipy.fft`` as ``scipy.signal.fftconvolve``
 computes it for complex input.
@@ -103,7 +103,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -138,6 +138,10 @@ SeedLike = Union[int, np.random.SeedSequence]
 # 4-channel footprint of CHUNK_ROWS rows at n = 16384 (24 MiB).
 CHUNK_ROWS = 16
 CHUNK_BYTES = 24 * 2**20
+
+# Bytes per sample of the padded grid that the kernel table and the
+# filters take, with the transients of their build.
+TABLE_BYTES = 320
 
 
 def workspace_bytes(rows: int, channels: int, n: int) -> int:
@@ -199,11 +203,11 @@ _PROBE_COUNT = 2**16 + 10
 
 def _probe(normals) -> bool:
     """Whether ``normals`` gives numpy's bits on the first _PROBE_COUNT
-    normals of _PROBE_SEED's stream, written as two channels at step 2
-    into a complex buffer of 0.5 MB and compared about 4096 at a time."""
+    normals of _PROBE_SEED's stream, written as two channels into a
+    complex buffer of 0.5 MB and compared about 4096 at a time."""
     n = _PROBE_COUNT // 2
     got = np.empty(n, dtype=complex)
-    _draw_native(normals, [_PROBE_SEED], n, got, 2 * n, [0, 1], 2)
+    _draw_native(normals, [_PROBE_SEED], n, got, 2 * n, [0, 1])
     numpy_stream = _generator(_PROBE_SEED)
     return all(np.array_equal(part.view(np.uint64),
                               numpy_stream.standard_normal(len(part)).view(np.uint64))
@@ -212,17 +216,18 @@ def _probe(normals) -> bool:
 
 
 def _draw_native(normals, seeds: Sequence[SeedLike], n: int, out: np.ndarray,
-                 row_stride: int, offsets: Sequence[int], step: int) -> None:
+                 row_stride: int, offsets: Sequence[int]) -> None:
     """One call of the native draw: ``len(offsets)`` channels of ``n``
     unit normals per seed, from the seed's Philox key, the normal t of
-    channel ch of row i into float64 ``i*row_stride + offsets[ch] +
-    t*step`` of ``out``'s data."""
+    channel ch of row i into float64 ``i*row_stride + offsets[ch] + 2*t``
+    of ``out``'s data, the real or the imaginary parts of a complex
+    buffer."""
     keys = np.empty((len(seeds), 2), dtype=np.uint64)
     for key, seed in zip(keys, seeds):
         key[:] = _philox_key(seed)
     offsets = np.asarray(offsets, dtype=np.int64)
     normals(keys.ctypes.data, len(seeds), len(offsets), n, out.ctypes.data,
-            row_stride, offsets.ctypes.data, step)
+            row_stride, offsets.ctypes.data)
 
 
 def _colour_probe(mix) -> bool:
@@ -344,46 +349,31 @@ def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
     return rng.standard_normal((channels, grid.n)) / np.sqrt(grid.dt)
 
 
-def check_memory(grid: TimeGrid, rows: int, threads: int = 1,
-                 extra: int = 0, channels: int = 4, strengths: int = 0,
-                 strength_bytes: int = 0) -> None:
-    """Refuse a grid whose working set exceeds physical memory.
+def grid_name(grid: TimeGrid) -> str:
+    """The grid as a memory refusal names it."""
+    return f"the grid dt={grid.dt:g}, t_max={grid.t_max:g} (n={grid.n})"
 
-    ``rows`` is the most realizations each of ``threads`` threads holds
-    at once, each charged as four complex series on the physical window:
-    an ensemble's thread holds the noise of its chunk, two series per
-    realization or four while rescaled, and NoisePairs hold two.  Each
-    thread also holds the colouring workspace of a :class:`Synthesizer`
-    asked for ``rows`` realizations of ``channels`` white channels
-    (:func:`workspace_bytes` of :func:`chunk_rows`), charged at numpy's
-    colouring, which bounds the native one's, so that a grid is refused
-    alike whichever runs; the kernel table and the filters on the padded
-    grid are counted too.  ``extra`` is the bytes of the run's other
-    buffers of the grid, for an ensemble each thread's RK4 pass
-    (:func:`~slnoise.dynamics.rk4_bytes`), and ``strength_bytes`` those
-    that an ensemble holds for its ``strengths`` rescaling strengths: the
-    sums of every unit of realizations queued, running or being added,
-    and the sums and statistics the run keeps.  The refusal names the
-    larger part, the grid's or the strengths'.
-    Raises :class:`ConfigError` before any of it is allocated.
+
+def check_memory(parts: Mapping[str, int]) -> None:
+    """Refuse a run whose working set exceeds physical memory.
+
+    ``parts`` maps what each part of the run holds to its bytes, each
+    sized by the helper that its allocation uses: for a thread's colouring
+    workspace :func:`workspace_bytes` of :func:`chunk_rows`, charged at
+    numpy's colouring, which bounds the native one's, so that a run is
+    refused alike whichever colours it; for the kernel table and the
+    filters TABLE_BYTES per sample of the padded grid.  Raises
+    :class:`ConfigError` naming the largest part, its size and the total,
+    to be called before any of it is allocated.
     """
-    workspace = workspace_bytes(chunk_rows(grid.n, channels, rows), channels, grid.n)
-    grid_bytes = threads * (64 * grid.n_phys * rows + workspace) + 320 * grid.n + extra
-    need = grid_bytes + strength_bytes
+    need = sum(parts.values())
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need <= have:
-        return
-    if strength_bytes > grid_bytes:
+    if need > have:
+        name, largest = max(parts.items(), key=lambda part: part[1])
         raise ConfigError(
-            f"the running sums and statistics of {strengths} rescaling strengths "
-            f"need about {strength_bytes / 2**30:.3g} GiB (about {need / 2**30:.3g} "
-            f"GiB in all), more than the {have / 2**30:.3g} GiB of physical memory"
-        )
-    raise ConfigError(
-        f"the grid dt={grid.dt:g}, t_max={grid.t_max:g} (n={grid.n}) needs "
-        f"about {need / 2**30:.3g} GiB for {threads * rows} realizations at "
-        f"once, more than the {have / 2**30:.3g} GiB of physical memory"
-    )
+            f"{name} would need about {largest / 2**30:.3g} GiB (about "
+            f"{need / 2**30:.3g} GiB in all), more than the {have / 2**30:.3g} "
+            "GiB of physical memory")
 
 
 # Where each wiring packs its white channels: channel ch goes to half h of
@@ -492,7 +482,7 @@ class Synthesizer:
         if normals is not None:
             half, row = (stride // 8 for stride in z.strides[:2])
             _draw_native(normals, seeds, z.shape[2], z, row,
-                         [h * half + part for h, part in wiring], 2)
+                         [h * half + part for h, part in wiring])
             return z
         white = self._buffer("white", len(seeds))
         for row, seed in zip(white, seeds):

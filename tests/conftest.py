@@ -26,6 +26,12 @@ def force_numpy(monkeypatch, *symbols):
         None if symbol in symbols else load(symbol, probe)))
 
 
+def without_avx512(flags):
+    """The compiler flags ``flags`` without those that target AVX-512."""
+    return [f for f in flags if not f.startswith("-mavx512")
+            and f != "-mprefer-vector-width=512"]
+
+
 def forget_native():
     """Forget the loaded native library and the kernels taken from it."""
     _native.library.cache_clear()

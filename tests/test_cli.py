@@ -140,6 +140,11 @@ def test_exit_code_config_error(tmp_path):
      "--t-max", "0.004"],
     ["kernels", "--beta", "1", "--dt", "0.01", "--t-max", "0.004"],
     ["simulate", "--scheme", "like", "--beta", "1", "--t-max", "1e-300"],
+    # 1000.4 steps of dt round to 1000, but 2000.8 half steps to 2001
+    ["simulate", "--scheme", "like", "--beta", "1", "--t-max", "10.004"],
+    ["qnd-verify", "--t-max", "10.004"],
+    ["scan-lambda", "--scheme", "etanu-optimised", "--beta", "1",
+     "--t-max", "10.004"],
 ])
 def test_exit_code_bad_values(argv, capsys):
     assert main(argv) == 1

@@ -825,3 +825,64 @@ def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < batch_noise / 2
+
+
+# The whole-run memory gate, at two threads: long_window's and
+# scheme_comparison's ensembles (like, beta 0.1, t_max 80 and 40) of
+# 2 * 2 + 1 units and one realization more, past which the units in flight
+# and so the peak no longer grow, and a scan of 10^4 points at
+# lambda_scan's grid, 8 runs each.  The charge was measured at 2.6, 2.6
+# and 2.5 times the tracemalloc peak with the native kernels (it counts
+# numpy's colouring workspace and four noise series per chunk row, which
+# the native colouring does not hold) and at 1.3 and 1.2 times it with the
+# colouring forced to numpy.  The scan colours one chunk of 8
+# realizations, a 3 MiB workspace, so it runs with the native kernels only.
+MEMORY_FACTOR = 3.0
+MEMORY_SHAPES = {
+    "long_window": lambda: run_ensemble(small_cfg(
+        scheme=SchemeId.LIKE, grid=TimeGrid(dt=0.01, t_max=80.0),
+        n_realizations=5 * 128 + 1, bath=BathParams(0.1, 25.0),
+        stats_window=100)),
+    "scheme_comparison": lambda: run_ensemble(small_cfg(
+        scheme=SchemeId.LIKE, grid=TimeGrid(dt=0.01, t_max=40.0),
+        n_realizations=5 * 128 + 1, bath=BathParams(0.1, 25.0),
+        stats_window=100)),
+    "scan": lambda: scan_lambda(small_cfg(
+        grid=TimeGrid(dt=0.01, t_max=10.0), stats_window=100),
+        np.logspace(-2, 1, 10**4), runs_per_point=8),
+}
+
+
+@pytest.mark.parametrize("shape, colouring", [
+    ("long_window", "native"), ("long_window", "numpy"),
+    ("scheme_comparison", "native"), ("scheme_comparison", "numpy"),
+    ("scan", "native")])
+def test_run_stays_within_its_memory_charge(shape, colouring, monkeypatch):
+    import tracemalloc
+
+    import slnoise.ensemble as ens
+    from slnoise import _native
+
+    from conftest import force_numpy
+
+    if _native.library() is None:
+        pytest.skip("the native library could not be built")
+    if colouring == "numpy":
+        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_transpose")
+    monkeypatch.setattr(ens, "SYNTH_THREADS", 2)
+    charges = []
+    check = ens.check_memory
+
+    def charging(parts):
+        charges.append(sum(parts.values()))
+        check(parts)
+
+    monkeypatch.setattr(ens, "check_memory", charging)
+    tracemalloc.start()
+    try:
+        MEMORY_SHAPES[shape]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [charge] = charges
+    assert peak <= charge <= MEMORY_FACTOR * peak, (charge, peak)

@@ -34,7 +34,7 @@ from slnoise import _native, dynamics, noise
 from slnoise.ensemble import seed_for
 from slnoise.noise import CHUNK_ROWS, _lagged_products, chunk_rows, workspace_bytes
 
-from conftest import force_numpy, kernel
+from conftest import force_numpy, kernel, without_avx512
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 GRID = TimeGrid(dt=0.01, t_max=5.0)
@@ -231,6 +231,9 @@ def test_rescaling_preserves_product_and_sets_ratio(table):
 def test_convex_rescaling_undefined(table):
     fs = make_filters(SchemeId.CONVEX, table)
     with pytest.raises(ZeroComponent):
+        synthesize(fs, GRID, 0, lam=0.5)
+    # a configuration error, as the README lists it
+    with pytest.raises(ConfigError):
         synthesize(fs, GRID, 0, lam=0.5)
 
 
@@ -543,21 +546,18 @@ def test_draw_into_the_transform_buffer_packs_each_wiring(monkeypatch, structure
 
 @needs_compiler
 def test_native_draw_bitwise_equals_numpy_on_a_long_stream():
-    # 10^7 normals of one stream, among them a few thousand from the
-    # ziggurat's tail, beyond its radius
+    # 10^7 normals of one stream, as two channels of 5 * 10^6 into the real
+    # and imaginary parts of one complex buffer, among them a few thousand
+    # from the ziggurat's tail, beyond its radius
     normals = kernel("sln_normals")
     assert normals is not None
-    count = 10**7
-    got = np.empty(count)
-    noise._draw_native(normals, [77], count, got, count, [0], 1)
-    want = _numpy_normals(77, count)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    count = 5 * 10**6
+    got = np.empty(count, dtype=complex)
+    noise._draw_native(normals, [77], count, got, 2 * count, [0, 1])
+    want = _numpy_normals(77, 2 * count)
+    assert np.array_equal(got.real.view(np.uint64), want[:count].view(np.uint64))
+    assert np.array_equal(got.imag.view(np.uint64), want[count:].view(np.uint64))
     assert (np.abs(want) > ZIGGURAT_R).sum() > 1000
-
-
-def _without_avx512(flags):
-    return [f for f in flags if not f.startswith("-mavx512")
-            and f != "-mprefer-vector-width=512"]
 
 
 @needs_compiler
@@ -570,7 +570,7 @@ def test_both_compiled_draws_give_numpys_bits(rebuild, monkeypatch, build):
     # of 1, 3 and 16 rows
     if build == "without AVX-512":
         flags = _native._compile_flags
-        monkeypatch.setattr(_native, "_compile_flags", lambda: _without_avx512(flags()))
+        monkeypatch.setattr(_native, "_compile_flags", lambda: without_avx512(flags()))
         assert not any(f.startswith("-mavx512") for f in _native._compile_flags())
     assert kernel("sln_normals") is not None
     for structure in FilterStructure:
@@ -649,17 +649,17 @@ def test_probe_seed_reaches_the_wedges_and_the_tail():
 def test_probe_refuses_a_draw_one_bit_off(flip):
     # a stand-in for the library that writes numpy's probe stream where
     # it is asked to, with the last bit of one normal flipped
-    def normals(keys, rows, channels, count, out, row_stride, offsets, step):
+    def normals(keys, rows, channels, count, out, row_stride, offsets):
         assert rows == 1 and channels * count == noise._PROBE_COUNT
         at = np.ctypeslib.as_array(ctypes.cast(offsets, ctypes.POINTER(ctypes.c_int64)),
                                    (channels,))
         got = np.ctypeslib.as_array(ctypes.cast(out, ctypes.POINTER(ctypes.c_double)),
-                                    (at.max() + (count - 1) * step + 1,))
+                                    (at.max() + 2 * (count - 1) + 1,))
         want = _numpy_normals(noise._PROBE_SEED, (channels, count))
         if flip is not None:
             want.reshape(-1).view(np.uint64)[flip] ^= 1
         for offset, channel in zip(at, want):
-            got[offset::step][:count] = channel
+            got[offset::2][:count] = channel
 
     assert noise._probe(normals) is (flip is None)
 

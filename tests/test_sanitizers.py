@@ -5,7 +5,10 @@ temporary cache (the test replaces ``_native._compile_flags`` in a child
 process), then a second child process, with gcc's ``libasan`` and
 ``libubsan`` preloaded, runs every entry point of the library through the
 package: a read or write outside an array, or undefined behaviour, ends it
-with an error report.  Skipped where gcc has no sanitizer runtime.
+with an error report.  Both builds are checked: as built for this
+processor, and without the AVX-512 flags, whose draw refills Philox with
+the scalar code that an AVX-512 build reaches only when a counter
+carries.  Skipped where gcc has no sanitizer runtime.
 """
 
 import os
@@ -16,17 +19,20 @@ from pathlib import Path
 
 import pytest
 
+from slnoise import _native
+
+from conftest import without_avx512
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SANITIZE = ["-fsanitize=address,undefined", "-fno-omit-frame-pointer",
             "-fno-sanitize-recover=undefined"]
 
-# run first in each child: the library the package builds is the
-# sanitized one
-PATCH = f"""
+# run first in each child, formatted with the build's flags: the library
+# the package builds is the sanitized one
+PATCH = """
 from slnoise import _native
-_flags = _native._compile_flags
-_native._compile_flags = lambda: _flags() + {SANITIZE!r}
+_native._compile_flags = lambda: {flags!r}
 """
 
 ENTRY_POINTS = """
@@ -123,22 +129,27 @@ def _runtime(name):
     return path if os.path.isabs(path) and os.path.isfile(path) else None
 
 
-def test_native_library_is_clean_under_sanitizers(tmp_path):
+@pytest.mark.parametrize("build", ["as built", "without AVX-512"])
+def test_native_library_is_clean_under_sanitizers(tmp_path, build):
     runtimes = [_runtime("libasan.so"), _runtime("libubsan.so")]
     if None in runtimes:
         pytest.skip("gcc's libasan or libubsan is missing")
+    flags = _native._compile_flags()
+    if build == "without AVX-512":
+        flags = without_avx512(flags)
+    patch = PATCH.format(flags=flags + SANITIZE)
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
                                           os.environ.get("PYTHONPATH", "")])}
     # the build runs without the runtimes, so that gcc itself is not
     # sanitized
-    build = subprocess.run([sys.executable, "-c", PATCH + "assert _native._build()"],
+    build = subprocess.run([sys.executable, "-c", patch + "assert _native._build()"],
                            env=env, capture_output=True, text=True, timeout=600)
     assert build.returncode == 0, build.stderr[-4000:]
     env.update(LD_PRELOAD=":".join(runtimes),
                ASAN_OPTIONS="detect_leaks=0",
                UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1")
-    run = subprocess.run([sys.executable, "-c", PATCH + ENTRY_POINTS], env=env,
+    run = subprocess.run([sys.executable, "-c", patch + ENTRY_POINTS], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-4000:]
     assert run.stdout.split() == ["ok"]
