@@ -5,11 +5,12 @@ The library holds the kernels below, each called through ctypes, which
 releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
 :func:`~slnoise.dynamics.integrate_blocks`; ``sln_normals``, the
 unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`;
-``sln_mix`` and ``sln_transpose``, the spectral pass and the write-out
-of :class:`~slnoise.noise.Synthesizer`'s colouring; and ``sln_sums``, the
-ensemble sums of :mod:`slnoise.ensemble`, taken in realization order.
-Each gives the bits of its numpy counterpart (for ``sln_sums``, numpy's
-in-order adds, a nan taken as nan).  The module that uses a kernel has a
+``sln_fft``, ``sln_mix`` and ``sln_transpose``, the FFTs, the spectral
+pass and the write-out of :class:`~slnoise.noise.Synthesizer`'s
+colouring; and ``sln_sums``, the ensemble sums of :mod:`slnoise.ensemble`,
+taken in realization order.  Each gives the bits of its numpy
+counterpart (for ``sln_sums``, numpy's in-order adds, a nan taken as
+nan; for ``sln_fft``, scipy.fft's).  The module that uses a kernel has a
 probe that checks this on a small case, and :func:`kernel` hands the
 kernel out only if its probe passes; otherwise that module runs its
 numpy code.
@@ -74,6 +75,7 @@ _ARGTYPES = {
     "sln_mix": [_INT] * 3 + [_PTR] * 3 + [_INT] * 4,
     "sln_transpose": [_PTR, _INT, _INT, _INT, _PTR, _INT],
     "sln_sums": [_PTR] + [_INT] * 4 + [_PTR] * 2 + [_INT],
+    "sln_fft": [_INT, _INT] + [_PTR] * 3 + [_INT] * 4,
 }
 
 
@@ -99,7 +101,10 @@ def _compile_flags() -> list:
     """Optimised, with numpy's rounding (no contraction, no fast math); FMA
     and AVX2 instructions where the processor has them, and AVX-512 in
     512-bit vectors where it has the foundation, doubleword-quadword and
-    vector-length extensions.  The ggc parameters make gcc collect its
+    vector-length extensions.  Even under -ffp-contract=off, gcc 12 with
+    -mfma turns scalar complex multiplies into vfmaddsub and vfmsubadd,
+    which round once where numpy rounds twice; ``_native.c`` writes no
+    such code (see sln_fft there).  The ggc parameters make gcc collect its
     garbage more often, which keeps a first compile near 60 MB of memory
     instead of 70."""
     flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",

@@ -187,18 +187,24 @@ class EnsembleStats:
 
 def _pooled_window_stats(sum_tr: np.ndarray, sum_abs2: np.ndarray,
                          nreal: int, window: int):
-    """Windowed pooled variance/SE series from per-step accumulators
-    (inf or nan where diverged trajectories overflowed them)."""
-    n_steps = sum_tr.shape[0]
-    var = np.empty(n_steps)
+    """Windowed pooled variance/SE series from per-step accumulators, the
+    steps on the last axis, one series for each index of the others, all
+    of a window at once (inf or nan where diverged trajectories
+    overflowed them)."""
+    n_steps = sum_tr.shape[-1]
+    var = np.empty(sum_abs2.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, window):
             sl = slice(start, min(start + window, n_steps))
             m = (sl.stop - sl.start) * nreal
-            s1 = np.sum(sum_tr[sl])
-            s2 = np.sum(sum_abs2[sl])
-            v = (s2 - np.abs(s1) ** 2 / m) / max(m - 1, 1)
-            var[sl] = max(v, 0.0)
+            s1 = np.sum(sum_tr[..., sl], axis=-1)
+            s2 = np.sum(sum_abs2[..., sl], axis=-1)
+            # |s1|^2 as a float's ** 2 forms it, with libm's pow, which
+            # differs from |s1|*|s1| in the last bit for about 1 value in
+            # 1000 (the ** of an array squares)
+            v = (s2 - np.float_power(np.abs(s1), 2.0) / m) / max(m - 1, 1)
+            # max(v, 0.0), which keeps a nan and a -0.0
+            var[..., sl] = np.where(v < 0.0, 0.0, v)[..., None]
     se = np.sqrt(var / nreal)
     return var, se
 
@@ -450,10 +456,11 @@ def _ensembles(cfg: RunConfig, lams=None, first: int = 0):
     sums, first_divs = _reduce(cfg, synth, first, lambda states, start: states, 4)
     nreal = cfg.n_realizations
     t = cfg.model.t0 + cfg.grid.dt * np.arange(first, cfg.grid.n_phys)
+    var_tr, se_tr = _pooled_window_stats(sums.c[:, :, 3], sums.f, nreal,
+                                         cfg.stats_window)
     runs = []
-    for c, abs2, divs in zip(sums.c, sums.f, first_divs):
+    for c, var, se, divs in zip(sums.c, var_tr, se_tr, first_divs):
         sum_tr = c[:, 3]
-        var, se = _pooled_window_stats(sum_tr, abs2, nreal, cfg.stats_window)
         if not divs.any():
             _check_finite(c, var, se)
         mean_tr = sum_tr / nreal

@@ -33,8 +33,8 @@ of eta and nu: 6 FFTs.  Convex wiring packs ``z = ifft(x1 + i x2)``; then
 FFTs instead of 6.  The results equal the per-channel form,
 :func:`synthesize_from_white`, up to rounding.
 
-A chunk is coloured in five steps, of which only the two FFTs
-(``scipy.fft``) are not native where the native library loads:
+A chunk is coloured in five steps, each native where the native library
+loads:
 
 1. the draw: one call of the native library's ``sln_normals``
    (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
@@ -45,24 +45,30 @@ A chunk is coloured in five steps, of which only the two FFTs
    ziggurat's rectangle test is taken for eight draws at once, a draw
    outside its rectangle falling back to the scalar code, so that the
    stream is consumed as numpy consumes it;
-2. the inverse FFT of z, in place;
+2. the inverse FFT of z, in place, by ``sln_fft``: pocketfft's passes,
+   the transform of ``scipy.fft``, eight butterflies at a time in vector
+   lanes, with its twiddles (:func:`_fft_twiddles`, built once per
+   :class:`Synthesizer`) and a scratch row per thread.  The convex wiring
+   transforms z's first half only: it draws into that half, and the
+   spectral pass writes every bin of the other;
 3. one spectral pass, ``sln_mix``: the conjugate flips, the filter taps
    and the sums of the wiring, bins k and n-k together, in place in z
    (and into a second buffer c where the cross-correlative pair is
    transformed apart);
-4. the forward FFT, in place;
+4. the forward FFT, in place, by ``sln_fft``;
 5. the write-out, ``sln_transpose``: the physical window of each row into
    the caller's time-major columns.
 
-Each native step gives numpy's bits: :func:`slnoise._native.kernel`,
-the one loader of the native kernels, hands a kernel out only if its
-probe here checks it (:func:`_probe`, :func:`_colour_probe`,
-:func:`_write_probe`).  Where it does not, or the library cannot be
-built, numpy runs that step, and the loader logs why at INFO on the
-``slnoise`` logger: the draw is ``Generator(Philox(seed)).standard_normal``
-into a white-channel buffer that numpy packs into z, the spectral pass
-is :func:`_mix`, numpy's ufuncs with c as scratch, and the write-out a
-numpy copy.  So the output never depends on which code ran.
+Each native step gives numpy's bits (scipy's for the FFTs):
+:func:`slnoise._native.kernel`, the one loader of the native kernels,
+hands a kernel out only if its probe here checks it (:func:`_probe`,
+:func:`_colour_probe`, :func:`_write_probe`, :func:`_fft_probe`).  Where
+it does not, or the library cannot be built, numpy or scipy runs that
+step, and the loader logs why at INFO on the ``slnoise`` logger: the
+draw is ``Generator(Philox(seed)).standard_normal`` into a white-channel
+buffer that numpy packs into z, the FFTs are ``scipy.fft``'s, the
+spectral pass is :func:`_mix`, numpy's ufuncs with c as scratch, and the
+write-out a numpy copy.  So the output never depends on which code ran.
 
 :meth:`Synthesizer.fill` is the one colouring loop.  An ensemble's
 worker threads call it one chunk at a time, into time-major buffers of
@@ -82,8 +88,9 @@ noise an ensemble integrates.
 Every thread that colours noise with a :class:`Synthesizer` holds one
 workspace for it, of the buffers its chunks use: the complex transform
 buffer z, (2, rows, n); c, of the same shape, where numpy mixes or the
-cross-correlative pair is transformed apart; and the white channels
-(rows, channels, n) where numpy draws them.  The
+cross-correlative pair is transformed apart; the white channels
+(rows, channels, n) where numpy draws them; and the native transform's
+scratch row of n samples.  The
 thread allocates each on its first chunk that needs it and reuses it
 for every later one, so a run pays the page faults of its chunk buffers
 once per thread, not once per chunk.  A chunk is at most CHUNK_ROWS
@@ -100,6 +107,7 @@ computes it for complex input.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -148,9 +156,10 @@ def workspace_bytes(rows: int, channels: int, n: int) -> int:
     """Bytes of one thread's colouring workspace for ``rows`` realizations
     of ``channels`` white channels on ``n`` samples, as numpy colours
     them: the channels, and the complex (2, rows, n) buffers z and c.  It
-    bounds the native colouring's workspace too, which is z, with c only
-    where the cross-correlative pair is transformed apart and the
-    channels only where numpy draws them."""
+    bounds the native colouring's workspace too, which is z and the
+    transform's scratch row of n complex samples, with c only where the
+    cross-correlative pair is transformed apart and the channels only
+    where numpy draws them."""
     return rows * n * (8 * channels + 2 * 2 * 16)
 
 
@@ -275,6 +284,149 @@ def _write_probe(transpose) -> bool:
     _write(transpose, src, dst[:, 1:1 + rows])
     return (dst[:, 1:1 + rows].tobytes() == src.T.tobytes()
             and np.isnan(dst[:, 0]).all() and np.isnan(dst[:, 1 + rows:]).all())
+
+
+# The transform probe compares the native transform with scipy.fft on
+# every power of two up to 2^_FFT_PROBE_LOG, which takes every radix and
+# every kind of pass: groups of fewer lanes than 8 (n <= 32), columns
+# loaded as they lie for one k and for several (ido >= 8), in two runs
+# (ido = 4) and transposed (ido = 1, radix 8 and 4), and the radix 2 put
+# first (n = 128).
+_FFT_PROBE_LOG = 9
+
+
+def _fft_probe(fft) -> bool:
+    """Whether the transform ``fft`` gives scipy.fft's bits, forward and
+    inverse, on random rows of 2 to 2^_FFT_PROBE_LOG samples with signed
+    zeros among them, two rows apart in each half of a (2, 3, n) buffer."""
+    rng = np.random.default_rng(2020)
+    for n in 2 ** np.arange(1, _FFT_PROBE_LOG + 1):
+        a = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+        a[0, 0, 0], a[1, 1, -1] = -0.0, complex(0.0, -0.0)
+        twiddles, scratch = _fft_twiddles(n), np.empty(n, dtype=complex)
+        for inverse, reference in ((False, scipy.fft.fft), (True, scipy.fft.ifft)):
+            got = a.copy()
+            _fft_native(fft, got[:, :2], inverse, twiddles, scratch)
+            want = reference(a[:, :2], axis=-1)
+            if (got[:, :2].tobytes() != want.tobytes()
+                    or got[:, 2].tobytes() != a[:, 2].tobytes()):
+                return False
+    return True
+
+
+def _fft_native(fft, a: np.ndarray, inverse: bool, twiddles: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """One call of the native transform ``fft``: scipy.fft.fft, or ifft if
+    ``inverse``, of every row of the complex128 array ``a`` of 1 to 3
+    dimensions with contiguous rows, in place.  ``twiddles`` are those of
+    :func:`_fft_twiddles` for a's rows, ``scratch`` a row's worth of
+    complex128.  Returns a."""
+    n = a.shape[-1]
+    if (a.dtype != np.complex128 or not 1 <= a.ndim <= 3 or n < 2 or n & (n - 1)
+            or a.strides[-1] != 16 or any(st % 16 for st in a.strides)
+            or twiddles.dtype != np.float64 or twiddles.shape != (_twiddle_count(n),)
+            or scratch.dtype != np.complex128 or scratch.shape != (n,)
+            or not scratch.flags.c_contiguous):
+        raise ValueError("sln_fft takes rows of 2^m complex128 samples in "
+                         "place, with their twiddles and a scratch row")
+    shape = (1,) * (3 - a.ndim) + a.shape
+    strides = (0,) * (3 - a.ndim) + a.strides
+    fft(int(inverse), shape[2], twiddles.ctypes.data, scratch.ctypes.data,
+        a.ctypes.data, shape[0], strides[0] // 16, shape[1], strides[1] // 16)
+    return a
+
+
+def _aligned_empty(shape, dtype=complex) -> np.ndarray:
+    """An empty array whose data starts on a 64-byte cache line, so that
+    the native transform's 64-byte loads and stores do not straddle two
+    lines (numpy aligns large arrays to 16 bytes only), which made it
+    about a quarter slower."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def _fft_radices(n: int) -> List[int]:
+    """The radices of pocketfft's passes for n = 2^m, as ``sln_fft`` takes
+    them: as many 8s as divide n, then a 4, or a 2 put first."""
+    radices = []
+    while n % 8 == 0:
+        radices.append(8)
+        n //= 8
+    if n == 4:
+        radices.append(4)
+    elif n == 2:
+        radices.insert(0, 2)
+    return radices
+
+
+def _twiddle_count(n: int) -> int:
+    """The length of :func:`_fft_twiddles`(n)."""
+    count, l1 = 0, 1
+    for ip in _fft_radices(n):
+        count += 2 * (ip - 1) * max(n // (l1 * ip), 8)
+        l1 *= ip
+    return count
+
+
+def _root(x: int, n: int, ang: float):
+    """pocketfft's exp(2 pi i x / n) for x <= n/2, from libm's cos and sin
+    of an angle of at most pi/4, ang = pi / (4n), by the octant of x."""
+    x *= 8
+    conj = x >= 4 * n
+    if conj:
+        x = 8 * n - x
+    quarter = x >= 2 * n
+    if quarter:
+        x -= 2 * n
+    if x < n:
+        c, s = math.cos(x * ang), math.sin(x * ang)
+    else:
+        s, c = math.cos((2 * n - x) * ang), math.sin((2 * n - x) * ang)
+    re, im = (-s, c) if quarter else (c, s)
+    return (re, -im) if conj else (re, im)
+
+
+def _fft_twiddles(n: int) -> np.ndarray:
+    """The twiddles of ``sln_fft`` for rows of n = 2^m samples, as
+    pocketfft's cfftp computes them (its sincos_2pibyn): the root
+    w(x) = exp(-2 pi i x / n) of the forward transform is the product of
+    v1[x & mask] and v2[x >> shift], two tables of libm's cos and sin at
+    most pi/4 from an axis, for x <= n/2, and the conjugate of w(n - x)
+    beyond.  For each pass of radix ip after l1 samples' worth of passes,
+    with ido = n / (l1 ip), rows j = 1 .. ip-1 of max(ido, 8) real parts
+    and as many imaginary parts: entry e is w(j l1 (e mod ido)), which is
+    w(0) = 1 in the column e mod ido = 0 that is not twiddled.  Aligned to
+    64 bytes."""
+    ang = math.pi / (4 * n)  # double(0.25L pi / n), as n is a power of two
+    count = (n + 2) // 2
+    shift = 1
+    while 4 ** shift < count:
+        shift += 1
+    mask = (1 << shift) - 1
+    v1 = np.array([(1.0, 0.0)] + [_root(x, n, ang) for x in range(1, mask + 1)])
+    v2 = np.array([(1.0, 0.0)] + [_root(x * (mask + 1), n, ang)
+                                  for x in range(1, (count + mask) // (mask + 1))])
+
+    def roots(x):
+        flip = 2 * x > n
+        x = np.where(flip, n - x, x)
+        a, b = v1[x & mask], v2[x >> shift]
+        re = a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+        im = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
+        return re, np.where(flip, -im, im)
+
+    rows, l1 = [], 1
+    for ip in _fft_radices(n):
+        ido = n // (l1 * ip)
+        re, im = roots(np.outer(np.arange(1, ip) * l1, np.arange(max(ido, 8)) % ido))
+        rows.append(np.stack((re, im), axis=1).ravel())
+        l1 *= ip
+    table = np.concatenate(rows)
+    aligned = _aligned_empty(table.shape, float)
+    aligned[...] = table
+    return aligned
 
 
 def _mix_native(mix, taps: np.ndarray, z: np.ndarray, c: Optional[np.ndarray],
@@ -432,6 +584,7 @@ class Synthesizer:
         _native.kernel("sln_normals", _probe)
         _native.kernel("sln_mix", _colour_probe)
         _native.kernel("sln_transpose", _write_probe)
+        _native.kernel("sln_fft", _fft_probe)
         s = 1.0 / np.sqrt(grid.dt)
         self.fs = fs
         self.grid = grid
@@ -448,11 +601,13 @@ class Synthesizer:
         # one complex128 (taps, n) array: a real tap is cast once, with a
         # +0.0 imaginary part, as numpy would cast it for every multiply
         self._taps = np.array(taps, dtype=complex)
+        self._twiddles = _fft_twiddles(grid.n)
 
-    def _buffer(self, name: str, rows: int) -> np.ndarray:
+    def _buffer(self, name: str, rows: int = 0) -> np.ndarray:
         """The calling thread's buffer ``name``, for ``rows`` realizations:
-        the white channels, "white", (rows, channels, n), or one of the
-        complex transform buffers "z" and "c", (2, rows, n) each.  Each is
+        the white channels, "white", (rows, channels, n), one of the
+        complex transform buffers "z" and "c", (2, rows, n) each, or the
+        native transform's scratch row, "row", (n,) complex.  Each is
         allocated with :attr:`chunk_rows` rows on the thread's first use of
         it, then reused, so its pages are touched once per thread.  z and c
         keep their two halves apart in memory, so an in-place sum of one
@@ -460,11 +615,30 @@ class Synthesizer:
         buf = getattr(self._local, name, None)
         if buf is None:
             n = self.grid.n
-            buf = (np.empty((self.chunk_rows, self.fs.n_channels, n))
-                   if name == "white"
-                   else np.empty((2, self.chunk_rows, n), dtype=complex))
+            if name == "white":
+                buf = np.empty((self.chunk_rows, self.fs.n_channels, n))
+            elif name == "row":
+                buf = _aligned_empty(n)
+            else:
+                buf = _aligned_empty((2, self.chunk_rows, n))
             setattr(self._local, name, buf)
+        if name == "row":
+            return buf
         return buf[:rows] if name == "white" else buf[:, :rows]
+
+    def _transform(self, a: np.ndarray, inverse: bool) -> np.ndarray:
+        """scipy.fft.fft, or ifft if ``inverse``, of every row of a,
+        (halves, rows, n) of the thread's workspace, in place: in one call of
+        the native ``sln_fft`` where it is available, else by scipy.fft.
+        Both give the same bits.  Returns a."""
+        fft = _native.kernel("sln_fft", _fft_probe)
+        if fft is not None:
+            return _fft_native(fft, a, inverse, self._twiddles, self._buffer("row"))
+        out = (scipy.fft.ifft if inverse else scipy.fft.fft)(a, axis=-1,
+                                                              overwrite_x=True)
+        if not np.may_share_memory(out, a):
+            a[...] = out
+        return a
 
     def _draw(self, seeds: Sequence[SeedLike]) -> np.ndarray:
         """The calling thread's transform buffer z (2, rows, n), with the
@@ -502,11 +676,14 @@ class Synthesizer:
         are None.  They are never rescaled here.  The spectral pass
         between the two FFTs is the native one (``sln_mix``) where it is
         available, else numpy's (:func:`_mix`); both give the same bits.
+        The convex wiring draws into z's first half only, and its second
+        half is scratch to the pass, so only the first is transformed.
         """
         rows, n_phys = len(seeds), self.n_phys
         convex = self.fs.structure is FilterStructure.CONVEX
         split = self.lam is not None
-        z = scipy.fft.ifft(self._draw(seeds), axis=-1, overwrite_x=True)
+        z = self._draw(seeds)
+        self._transform(z[:1] if convex else z, inverse=True)
         mix = _native.kernel("sln_mix", _colour_probe)
         if mix is None:
             spectra = _mix(self._taps, z, self._buffer("c", rows), split, convex)
@@ -514,10 +691,9 @@ class Synthesizer:
             c = self._buffer("c", rows) if split else None
             spectra = _mix_native(mix, self._taps, z, c, convex)
         if len(spectra) == 1:
-            out = scipy.fft.fft(spectra[0], axis=-1, overwrite_x=True)
+            out = self._transform(spectra[0], inverse=False)
             return out[0, :, :n_phys], out[1, :, :n_phys], None, None
-        eta, nu = (scipy.fft.fft(a, axis=-1, overwrite_x=True)[..., :n_phys]
-                   for a in spectra)
+        eta, nu = (self._transform(a, inverse=False)[..., :n_phys] for a in spectra)
         return eta[0], nu[0], eta[1], nu[1]
 
     def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ from slnoise import _native, dynamics, ensemble, noise
 PROBES = {"sln_rk4": (dynamics, "_probe"), "sln_normals": (noise, "_probe"),
           "sln_mix": (noise, "_colour_probe"),
           "sln_transpose": (noise, "_write_probe"),
-          "sln_sums": (ensemble, "_sums_probe")}
+          "sln_sums": (ensemble, "_sums_probe"),
+          "sln_fft": (noise, "_fft_probe")}
 
 
 def kernel(symbol):

@@ -551,7 +551,7 @@ def test_native_kernel_falls_back_when_it_does_not_match_numpy(rebuild,
 def test_loading_every_kernel_logs_no_fallback(rebuild, caplog):
     caplog.set_level(logging.INFO, logger="slnoise")
     for symbol in ("sln_rk4", "sln_normals", "sln_mix", "sln_transpose",
-                   "sln_sums"):
+                   "sln_sums", "sln_fft"):
         assert kernel(symbol) is not None, symbol
     assert _fallbacks(caplog) == []
 

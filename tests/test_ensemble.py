@@ -137,6 +137,51 @@ def _assert_stats_of_states(stats, states, unit, window):
             assert np.array_equal(_bits(got), _bits(want))
 
 
+def _pooled_window_stats_one_series(sum_tr, sum_abs2, nreal, window):
+    """The reference of _pooled_window_stats: one series, window by window,
+    in scalars."""
+    n_steps = sum_tr.shape[0]
+    var = np.empty(n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, window):
+            sl = slice(start, min(start + window, n_steps))
+            m = (sl.stop - sl.start) * nreal
+            s1 = np.sum(sum_tr[sl])
+            s2 = np.sum(sum_abs2[sl])
+            v = (s2 - np.abs(s1) ** 2 / m) / max(m - 1, 1)
+            var[sl] = max(v, 0.0)
+    return var, np.sqrt(var / nreal)
+
+
+@pytest.mark.parametrize("strengths, steps, window, nreal", [
+    (1, 1, 100, 500), (13, 1001, 100, 500), (13, 1, 100, 500),
+    (1000, 37, 10, 500), (3, 1000, 1, 500), (1000, 20, 1, 1)])
+def test_windowed_stats_of_many_strengths_equal_one_at_a_time(strengths, steps,
+                                                              window, nreal):
+    # every strength's series at once, bitwise as one at a time, from a
+    # run's running sums (points, steps, quantities); a window whose
+    # variance rounds below zero is clipped to 0, an overflowed one is
+    # inf or nan.  With one realization, the variance is the rounding of
+    # |s1|^2 against the sum of squares, so the last bit of |s1|^2 shows
+    rng = np.random.default_rng(steps)
+    c = (rng.standard_normal((strengths, steps, 4))
+         + 1j * rng.standard_normal((strengths, steps, 4))) * 50.0
+    tr = c[:, :, 3]
+    f = tr.real * tr.real + tr.imag * tr.imag
+    f[0, 0] = 0.0
+    if strengths > 2:
+        with np.errstate(over="ignore"):
+            f[1] *= 1e308
+        c[2, 0, 3] = np.nan
+    var, se = _pooled_window_stats(tr, f, nreal, window)
+    for p in range(strengths):
+        want_var, want_se = _pooled_window_stats_one_series(tr[p], f[p], nreal,
+                                                            window)
+        assert np.array_equal(_bits(var[p]), _bits(want_var))
+        assert np.array_equal(_bits(se[p]), _bits(want_se))
+    assert (var >= 0.0).sum() + np.isnan(var).sum() == var.size
+
+
 def test_windowed_stats_constant_series():
     traces = np.ones((8, 50), dtype=complex)
     var, se = windowed_stats(traces, 10)

@@ -2,6 +2,7 @@
 
 import ctypes
 import shutil
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -304,8 +305,10 @@ def test_noise_pairs_are_the_noise_the_ensemble_integrates(table, monkeypatch,
         assert kernel("sln_normals") is not None
         assert kernel("sln_mix") is not None
         assert kernel("sln_transpose") is not None
+        assert kernel("sln_fft") is not None
     else:
-        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_transpose")
+        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_transpose",
+                    "sln_fft")
     fs = make_filters(scheme, table, gamma=0.01)
     seeds = _seeds("seed_for", CHUNK_ROWS + 5)
     if lam is not None and not fs.has_cross_pair:
@@ -775,7 +778,7 @@ def _native_and_numpy_colouring(monkeypatch, fs, grid, lam, chunk, seeds):
     with monkeypatch.context() as m:
         force_numpy(m, "sln_normals")
         runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
-        force_numpy(m, "sln_mix", "sln_transpose")
+        force_numpy(m, "sln_mix", "sln_transpose", "sln_fft")
         runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
     return runs
 
@@ -810,6 +813,148 @@ def test_native_colouring_bitwise_equals_numpy_on_16384_samples(monkeypatch,
         monkeypatch, fs, grid, lam, CHUNK_ROWS, _seeds("int", CHUNK_ROWS + 3))
     assert native == numpy_only
     assert numpy_draw == numpy_only
+
+
+def _nan_as_nan(a):
+    """The bits of ``a``, every nan as numpy's default nan."""
+    a = np.array(a)
+    a.view(float)[np.isnan(a.view(float))] = np.nan
+    return a.tobytes()
+
+
+def _fft_rows(rng, rows, n):
+    """rows rows of n complex numbers: random with signed zeros among them
+    (row 0 and every fourth), with an inf and a -inf (row 1), with a nan
+    (row 2), and signed zeros alone (row 3)."""
+    a = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    a.real[:, ::5] = 0.0
+    a.imag[:, 1::7] = -0.0
+    for r in range(rows):
+        if r % 4 == 1:
+            a.real[r, rng.integers(n)] = np.inf
+            a.imag[r, rng.integers(n)] = -np.inf
+        elif r % 4 == 2:
+            a.real[r, rng.integers(n)] = np.nan
+        elif r % 4 == 3:
+            a[r] = np.where(rng.random(n) < 0.5, -0.0, 0.0) + 1j * np.where(
+                rng.random(n) < 0.5, -0.0, 0.0)
+    return a
+
+
+@needs_compiler
+@pytest.mark.parametrize("build", ["as built", "without AVX-512"])
+def test_native_fft_gives_scipys_bits(rebuild, monkeypatch, build):
+    # every power of two from 2 to 2^16, forward and inverse, on 1, 3 and
+    # 17 rows, nan compared as nan: the library built as usual (in AVX-512
+    # lanes where the processor has them) and built without AVX-512
+    import scipy.fft
+
+    if build == "without AVX-512":
+        flags = _native._compile_flags
+        monkeypatch.setattr(_native, "_compile_flags", lambda: without_avx512(flags()))
+    fft = kernel("sln_fft")
+    assert fft is not None
+    rng = np.random.default_rng(25)
+    for k in range(1, 17):
+        n = 2 ** k
+        twiddles, scratch = noise._fft_twiddles(n), np.empty(n, dtype=complex)
+        for rows in (1, 3, 17):
+            a = _fft_rows(rng, rows, n)
+            for inverse, reference in ((False, scipy.fft.fft), (True, scipy.fft.ifft)):
+                got = noise._fft_native(fft, a.copy(), inverse, twiddles, scratch)
+                assert _nan_as_nan(got) == _nan_as_nan(reference(a, axis=-1)), (
+                    n, rows, inverse)
+
+
+def test_native_fft_refuses_rows_it_cannot_transform():
+    # the checks run before any pointer reaches the library
+    twiddles, scratch = noise._fft_twiddles(8), np.empty(8, dtype=complex)
+    good = np.zeros((2, 3, 8), dtype=complex)
+    for a, tw, row in ((np.zeros(6, dtype=complex), noise._fft_twiddles(8), scratch),
+                       (good[:, :, ::2], noise._fft_twiddles(4), scratch[:4]),
+                       (good.real.copy(), twiddles, scratch),
+                       (good, noise._fft_twiddles(16), scratch),
+                       (good, twiddles, np.empty(16, dtype=complex)[::2]),
+                       (np.zeros((1, 2, 3, 8), dtype=complex), twiddles, scratch)):
+        with pytest.raises(ValueError, match="sln_fft"):
+            noise._fft_native(None, a, False, tw, row)
+
+
+@needs_compiler
+def test_native_fft_has_no_fused_multiply_add():
+    # gcc 12 with -mfma turns a scalar complex multiply into vfmaddsub or
+    # vfmsubadd even under -ffp-contract=off: the library holds neither,
+    # and the transform's functions no fused multiply-add at all, whose
+    # one rounding would break the bitwise contract where pocketfft
+    # rounds twice
+    import re
+
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("no objdump to disassemble the library")
+    assert kernel("sln_fft") is not None
+    code = subprocess.run([objdump, "-d", "--no-show-raw-insn", _native._build()],
+                          capture_output=True, text=True, check=True).stdout
+    assert "vfmaddsub" not in code and "vfmsubadd" not in code
+    functions = re.split(r"\n(?=[0-9a-f]+ <)", code)
+    fft = [f for f in functions if re.match(r"[0-9a-f]+ <(sln_fft|pass)[.>]", f)]
+    assert fft and not any(re.search(r"\bvfn?m(add|sub)", f) for f in fft)
+
+
+@needs_compiler
+@pytest.mark.parametrize("call, changed", [
+    ("HSQT2 * (a.r + a.i), HSQT2 * (a.i - a.r)",
+     "HSQT2 * a.r + HSQT2 * a.i, HSQT2 * (a.i - a.r)"),
+    ("y[0] = cadd(t2, t3);", "y[0] = cadd(cadd(x[0], x[1]), cadd(x[2], x[3]));"),
+    ("const vc t = fwd ? (vc){a.r * wr + a.i * wi, a.i * wr - a.r * wi}",
+     "const vc t = fwd ? (vc){a.r * wr + a.i * wi, (a.i - a.r * wi / wr) * wr}"),
+], ids=["rot45", "butterfly4", "twiddle"])
+def test_fft_probe_refuses_a_transform_off_in_the_last_bit(rebuild, monkeypatch,
+                                                           tmp_path, call, changed):
+    # the library built from a source whose transform rounds once more or
+    # once less somewhere: the colouring's other kernels still load from it
+    source = _native._SOURCE.read_text()
+    assert source.count(call) == 1
+    mutated = tmp_path / "_native.c"
+    mutated.write_text(source.replace(call, changed))
+    monkeypatch.setattr(_native, "_SOURCE", mutated)
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
+    assert kernel("sln_mix") is not None
+    assert kernel("sln_fft") is None
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [16, 4096])
+@pytest.mark.parametrize("structure, lam", WIRINGS, ids=WIRING_IDS)
+def test_fill_with_native_fft_bitwise_equals_scipy_fft(monkeypatch, structure,
+                                                       lam, n):
+    fs = _random_filters(structure, n)
+    grid = TimeGrid(1.0, n / 2)
+    seeds = _seeds("seed_for", 19)
+    assert kernel("sln_fft") is not None
+    native = _colour_outputs(fs, grid, lam, 3, seeds)
+    force_numpy(monkeypatch, "sln_fft")
+    assert _colour_outputs(fs, grid, lam, 3, seeds) == native
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "scipy"])
+@pytest.mark.parametrize("structure, lam, per_realization", [
+    (FilterStructure.ORTHOGONAL, None, 4), (FilterStructure.ORTHOGONAL, [0.5], 6),
+    (FilterStructure.CONVEX, None, 3)], ids=["orthogonal", "rescaled", "convex"])
+def test_colouring_transforms_as_many_rows_as_the_wiring_needs(
+        monkeypatch, structure, lam, per_realization, native):
+    # 4 FFTs per realization, 6 with the cross-correlative pair apart, 3
+    # convex, whose second half of z is only scratch
+    if not native:
+        force_numpy(monkeypatch, "sln_fft")
+    rows = []
+    transform = Synthesizer._transform
+    monkeypatch.setattr(Synthesizer, "_transform", lambda self, a, inverse: (
+        rows.append(a.shape[0] * a.shape[1]), transform(self, a, inverse))[1])
+    fs = _random_filters(structure, 16)
+    _colour_outputs(fs, TimeGrid(1.0, 8.0), lam, 5, _seeds("int", 5))
+    # a fill and the pairs of the same seeds
+    assert sum(rows) == 2 * 5 * per_realization
 
 
 @needs_compiler

@@ -53,13 +53,13 @@ logging.getLogger("slnoise").setLevel(logging.INFO)
 # every probe passes, so the runs below go through the native kernels
 probes = {"sln_rk4": dynamics._probe, "sln_normals": noise._probe,
           "sln_mix": noise._colour_probe, "sln_transpose": noise._write_probe,
-          "sln_sums": ensemble._sums_probe}
+          "sln_sums": ensemble._sums_probe, "sln_fft": noise._fft_probe}
 for symbol, probe in probes.items():
     assert _native.kernel(symbol, probe) is not None, symbol
 
 bath = BathParams(1.0, 25.0)
 lams = np.logspace(-2, 1, 13)
-# sln_normals, sln_mix and sln_transpose: n = 8 ... 32768, every wiring
+# sln_normals, sln_mix, sln_transpose and sln_fft: n = 8 ... 32768, every wiring
 # (orthogonal, orthogonal with the pair apart at 1 and 13 strengths,
 # convex), chunks of 1, 3 and 16 rows
 for k in range(3, 16):
@@ -73,6 +73,18 @@ for k in range(3, 16):
             out = [np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
             factors = np.empty((0 if lam is None else len(lam), rows))
             synth.fill(list(range(rows)), out[0], out[1], (out[2], out[3], factors))
+
+# sln_fft: n = 2 ... 65536, forward and inverse, on 1 row and on two
+# rows of each half of a (2, 3, n) buffer (the fills above run it too)
+fft = _native.kernel("sln_fft", noise._fft_probe)
+gen = np.random.default_rng(2)
+for k in range(1, 17):
+    n = 2 ** k
+    twiddles, scratch = noise._fft_twiddles(n), np.empty(n, dtype=complex)
+    a = gen.standard_normal((2, 3, n)) + 1j * gen.standard_normal((2, 3, n))
+    for rows in (a[0, 0], a[:, :2]):
+        for inverse in (False, True):
+            noise._fft_native(fft, rows, inverse, twiddles, scratch)
 
 # sln_rk4: 1, 3 and 16 rows, without factors and with 1 and 13 factor
 # rows, some columns diverging through inf into nan
