@@ -10,10 +10,10 @@ pass and the write-out of :class:`~slnoise.noise.Synthesizer`'s
 colouring; and ``sln_sums``, the ensemble sums of :mod:`slnoise.ensemble`,
 taken in realization order.  Each gives the bits of its numpy
 counterpart (for ``sln_sums``, numpy's in-order adds, a nan taken as
-nan; for ``sln_fft``, scipy.fft's).  The module that uses a kernel has a
-probe that checks this on a small case, and :func:`kernel` hands the
-kernel out only if its probe passes; otherwise that module runs its
-numpy code.
+nan; for ``sln_fft``, numpy.fft's, which are scipy.fft's).  The module
+that uses a kernel has a probe that checks this on a small case, and
+:func:`kernel` hands the kernel out only if its probe passes; otherwise
+that module runs its numpy code.
 
 The library is compiled once into a cache outside the package
 (``$XDG_CACHE_HOME/slnoise``, else ``~/.cache/slnoise``, else a private

@@ -14,10 +14,11 @@ The chirp-z transform is Bluestein's (Bluestein 1968; Rabiner, Schafer &
 Rader, Bell Syst. Tech. J. 48, 1249 (1969)): a convolution of the chirped
 samples with a chirp, done by FFT on one zero-padded buffer that every
 step overwrites in place.  It repeats the operations of
-``scipy.signal.czt`` in the same order, less an exact multiply by one, so
-the table is bitwise what that function gives, without importing
-``scipy.signal`` (about 50 MB and most of a second of start-up per
-process).
+``scipy.signal.czt`` in the same order, less an exact multiply by one, with
+``numpy.fft``'s transforms, which are scipy.fft's bits (numpy >= 2.0 and
+scipy run the same C++ pocketfft), so the table is bitwise what that
+function gives without importing scipy, whose ``scipy.fft`` would add to
+every process's start-up time and resident memory (README, Start-up).
 
 ``kernel_time`` evaluates the same kernels at arbitrary lags by composite
 Gauss-Legendre quadrature; it serves pointwise targets and reference
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 from .exceptions import AsymmetryExceeded, ConfigError, SingularPoint
 from .grids import FrequencyGrid, flip_freq
@@ -282,7 +283,8 @@ def _czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
     spectrum product, inverse FFT and final chirp in that order.  scipy
     also multiplies by a^-k, an exact multiply by one that is left out;
     the forward FFT, the product and the inverse FFT are done in one
-    buffer.
+    buffer.  The transforms are ``numpy.fft``'s, which give scipy.fft's
+    bits.
     """
     n = x.shape[-1]
     wk2 = _chirp(w, max(m, n))
@@ -290,10 +292,37 @@ def _czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
     fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
     buf = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
     np.multiply(x, wk2[:n], out=buf[..., :n])
-    fft(buf, overwrite_x=True)
+    fft(buf, out=buf)
     np.multiply(fwk2, buf, out=buf)
-    ifft(buf, overwrite_x=True)
+    ifft(buf, out=buf)
     return buf[..., n - 1:n + m - 1] * wk2[:m]
+
+
+def next_fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n, for n >= 1: the complex transform
+    length that ``scipy.fft.next_fast_len(n, False)`` gives, since
+    pocketfft has passes for the radices up to 11.
+
+    Each odd 11-smooth factor f below the best length so far is raised by
+    the least power of two that takes it to n or above.
+    """
+    best = 1 << (n - 1).bit_length()
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f3 = f5
+                while f3 < best:
+                    x = f3 << (-(-n // f3) - 1).bit_length()
+                    if x < best:
+                        best = x
+                    f3 *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
 
 
 def _filon_fourier(g: np.ndarray, omega_c: float, dt: float, m: int) -> np.ndarray:

@@ -46,11 +46,12 @@ loads:
    outside its rectangle falling back to the scalar code, so that the
    stream is consumed as numpy consumes it;
 2. the inverse FFT of z, in place, by ``sln_fft``: pocketfft's passes,
-   the transform of ``scipy.fft``, eight butterflies at a time in vector
-   lanes, with its twiddles (:func:`_fft_twiddles`, built once per
-   :class:`Synthesizer`) and a scratch row per thread.  The convex wiring
-   transforms z's first half only: it draws into that half, and the
-   spectral pass writes every bin of the other;
+   the transform of ``numpy.fft`` (and of scipy.fft, which gives the same
+   bits), eight butterflies at a time in vector lanes, with its twiddles
+   (:func:`_fft_twiddles`, built once per :class:`Synthesizer`) and a
+   scratch row per thread.  The convex wiring transforms z's first half
+   only: it draws into that half, and the spectral pass writes every bin
+   of the other;
 3. one spectral pass, ``sln_mix``: the conjugate flips, the filter taps
    and the sums of the wiring, bins k and n-k together, in place in z
    (and into a second buffer c where the cross-correlative pair is
@@ -59,16 +60,17 @@ loads:
 5. the write-out, ``sln_transpose``: the physical window of each row into
    the caller's time-major columns.
 
-Each native step gives numpy's bits (scipy's for the FFTs):
-:func:`slnoise._native.kernel`, the one loader of the native kernels,
-hands a kernel out only if its probe here checks it (:func:`_probe`,
-:func:`_colour_probe`, :func:`_write_probe`, :func:`_fft_probe`).  Where
-it does not, or the library cannot be built, numpy or scipy runs that
-step, and the loader logs why at INFO on the ``slnoise`` logger: the
-draw is ``Generator(Philox(seed)).standard_normal`` into a white-channel
-buffer that numpy packs into z, the FFTs are ``scipy.fft``'s, the
-spectral pass is :func:`_mix`, numpy's ufuncs with c as scratch, and the
-write-out a numpy copy.  So the output never depends on which code ran.
+Each native step gives numpy's bits (for the FFTs ``numpy.fft``'s, which
+are scipy's): :func:`slnoise._native.kernel`, the one loader of the
+native kernels, hands a kernel out only if its probe here checks it
+(:func:`_probe`, :func:`_colour_probe`, :func:`_write_probe`,
+:func:`_fft_probe`).  Where it does not, or the library cannot be built,
+numpy runs that step, and the loader logs why at INFO on the ``slnoise``
+logger: the draw is ``Generator(Philox(seed)).standard_normal`` into a
+white-channel buffer that numpy packs into z, the FFTs are
+``numpy.fft``'s, the spectral pass is :func:`_mix`, numpy's ufuncs with c
+as scratch, and the write-out a numpy copy.  So the output never depends
+on which code ran.
 
 :meth:`Synthesizer.fill` is the one colouring loop.  An ensemble's
 worker threads call it one chunk at a time, into time-major buffers of
@@ -100,8 +102,8 @@ chunk do not change any output bit.  The callers of :func:`check_memory`
 charge the workspaces with :func:`workspace_bytes`, the helper that sizes
 numpy's, the largest.
 The correlation estimator's lagged products are one FFT convolution
-each, computed with ``scipy.fft`` as ``scipy.signal.fftconvolve``
-computes it for complex input.
+each, computed with ``numpy.fft`` as ``scipy.signal.fftconvolve``
+computes it for complex input, bit for bit.
 """
 
 from __future__ import annotations
@@ -114,12 +116,12 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.fft
 
 from . import _native
 from .exceptions import (ConfigError, GridMismatch, InsufficientSample,
                          SlnoiseError, ZeroComponent)
 from .grids import TimeGrid
+from .kernels import next_fast_len
 from .schemes import FilterSet, FilterStructure, SchemeId, rescale_factor
 
 __all__ = [
@@ -286,7 +288,7 @@ def _write_probe(transpose) -> bool:
             and np.isnan(dst[:, 0]).all() and np.isnan(dst[:, 1 + rows:]).all())
 
 
-# The transform probe compares the native transform with scipy.fft on
+# The transform probe compares the native transform with numpy.fft on
 # every power of two up to 2^_FFT_PROBE_LOG, which takes every radix and
 # every kind of pass: groups of fewer lanes than 8 (n <= 32), columns
 # loaded as they lie for one k and for several (ido >= 8), in two runs
@@ -296,15 +298,16 @@ _FFT_PROBE_LOG = 9
 
 
 def _fft_probe(fft) -> bool:
-    """Whether the transform ``fft`` gives scipy.fft's bits, forward and
-    inverse, on random rows of 2 to 2^_FFT_PROBE_LOG samples with signed
-    zeros among them, two rows apart in each half of a (2, 3, n) buffer."""
+    """Whether the transform ``fft`` gives numpy.fft's bits (scipy.fft's),
+    forward and inverse, on random rows of 2 to 2^_FFT_PROBE_LOG samples
+    with signed zeros among them, two rows apart in each half of a
+    (2, 3, n) buffer."""
     rng = np.random.default_rng(2020)
     for n in 2 ** np.arange(1, _FFT_PROBE_LOG + 1):
         a = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
         a[0, 0, 0], a[1, 1, -1] = -0.0, complex(0.0, -0.0)
         twiddles, scratch = _fft_twiddles(n), np.empty(n, dtype=complex)
-        for inverse, reference in ((False, scipy.fft.fft), (True, scipy.fft.ifft)):
+        for inverse, reference in ((False, np.fft.fft), (True, np.fft.ifft)):
             got = a.copy()
             _fft_native(fft, got[:, :2], inverse, twiddles, scratch)
             want = reference(a[:, :2], axis=-1)
@@ -316,11 +319,11 @@ def _fft_probe(fft) -> bool:
 
 def _fft_native(fft, a: np.ndarray, inverse: bool, twiddles: np.ndarray,
                 scratch: np.ndarray) -> np.ndarray:
-    """One call of the native transform ``fft``: scipy.fft.fft, or ifft if
-    ``inverse``, of every row of the complex128 array ``a`` of 1 to 3
-    dimensions with contiguous rows, in place.  ``twiddles`` are those of
-    :func:`_fft_twiddles` for a's rows, ``scratch`` a row's worth of
-    complex128.  Returns a."""
+    """One call of the native transform ``fft``: numpy.fft.fft, or ifft if
+    ``inverse``, bitwise scipy.fft's, of every row of the complex128 array
+    ``a`` of 1 to 3 dimensions with contiguous rows, in place.
+    ``twiddles`` are those of :func:`_fft_twiddles` for a's rows,
+    ``scratch`` a row's worth of complex128.  Returns a."""
     n = a.shape[-1]
     if (a.dtype != np.complex128 or not 1 <= a.ndim <= 3 or n < 2 or n & (n - 1)
             or a.strides[-1] != 16 or any(st % 16 for st in a.strides)
@@ -627,18 +630,14 @@ class Synthesizer:
         return buf[:rows] if name == "white" else buf[:, :rows]
 
     def _transform(self, a: np.ndarray, inverse: bool) -> np.ndarray:
-        """scipy.fft.fft, or ifft if ``inverse``, of every row of a,
+        """numpy.fft.fft, or ifft if ``inverse``, of every row of a,
         (halves, rows, n) of the thread's workspace, in place: in one call of
-        the native ``sln_fft`` where it is available, else by scipy.fft.
-        Both give the same bits.  Returns a."""
+        the native ``sln_fft`` where it is available, else by numpy.fft.
+        Both give the same bits, which are scipy.fft's.  Returns a."""
         fft = _native.kernel("sln_fft", _fft_probe)
         if fft is not None:
             return _fft_native(fft, a, inverse, self._twiddles, self._buffer("row"))
-        out = (scipy.fft.ifft if inverse else scipy.fft.fft)(a, axis=-1,
-                                                              overwrite_x=True)
-        if not np.may_share_memory(out, a):
-            a[...] = out
-        return a
+        return (np.fft.ifft if inverse else np.fft.fft)(a, axis=-1, out=a)
 
     def _draw(self, seeds: Sequence[SeedLike]) -> np.ndarray:
         """The calling thread's transform buffer z (2, rows, n), with the
@@ -828,10 +827,9 @@ def _lagged_products(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     # the 'full' convolution of a with reversed b, as fftconvolve forms it
     # for complex input: complex FFTs at the next fast length
     size = 2 * t - 1
-    fsize = scipy.fft.next_fast_len(size, False)
-    full = scipy.fft.ifftn(scipy.fft.fftn(a, [fsize], axes=[0])
-                           * scipy.fft.fftn(b[::-1], [fsize], axes=[0]),
-                           [fsize], axes=[0])
+    fsize = next_fast_len(size)
+    full = np.fft.ifft(np.fft.fft(a, fsize, axis=0)
+                       * np.fft.fft(b[::-1], fsize, axis=0), fsize, axis=0)
     sums = full[t - 1 - m:t + m]
     counts = t - np.abs(np.arange(-m, m + 1))
     return sums / counts

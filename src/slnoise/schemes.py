@@ -168,9 +168,11 @@ def convex_c(k_etaeta_w: np.ndarray, r_w: np.ndarray) -> np.ndarray:
     return c
 
 
-def _branch_bins(radicand: np.ndarray) -> np.ndarray:
+def _branch_cut(radicand: np.ndarray) -> np.ndarray:
+    """Where the radicand lies on the negative real axis, the square
+    root's branch cut."""
     z = np.asarray(radicand)
-    return np.flatnonzero((z.real < 0) & (np.abs(z.imag) <= 1e-12 * np.abs(z.real)))
+    return (z.real < 0) & (np.abs(z.imag) <= 1e-12 * np.abs(z.real))
 
 
 def mixed_filters(scheme: SchemeId, kt: KernelTable, a_w: np.ndarray,
@@ -206,7 +208,7 @@ def mixed_filters(scheme: SchemeId, kt: KernelTable, a_w: np.ndarray,
         f2_w=np.sqrt(rad_f2),
         g1_w=g1,
         g2_w=np.sqrt(rad_g2),
-        branch_bins=np.union1d(_branch_bins(rad_f2), _branch_bins(rad_g2)),
+        branch_bins=np.flatnonzero(_branch_cut(rad_f2) | _branch_cut(rad_g2)),
     )
 
 

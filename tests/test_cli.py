@@ -392,9 +392,9 @@ def test_python_m_slnoise_runs_the_cli():
     assert proc.stdout.startswith("usage: slnoise")
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal costs every process about 50 MB and most of a second
-    # of start-up; the library and the CLI must not pull it in
+def _fresh_python(code):
+    """stdout of ``code`` run by a new interpreter that imports the
+    package from this checkout."""
     import os
     import subprocess
     import sys
@@ -403,13 +403,47 @@ def test_import_leaves_scipy_signal_out():
     import slnoise
 
     src = str(Path(slnoise.__file__).resolve().parents[1])
-    code = ("import sys, slnoise, slnoise.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    # scipy.fft adds to every process's start-up time and resident memory
+    # (README, Start-up); the library and the CLI take no module of scipy,
+    # whose FFTs numpy.fft gives bit for bit
+    code = ("import sys, slnoise, slnoise.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_first_run_imports_no_module(kernel_cache):
+    # a module first imported inside a run is paid for inside it: numpy
+    # imports numpy.fft and numpy.ma on first use (np.unique takes
+    # numpy.ma), which an import of scipy used to hide
+    code = f"""
+import sys
+
+import numpy as np
+
+import slnoise, slnoise.cli
+from slnoise import (BathParams, RunConfig, SchemeId, SystemModel, TimeGrid,
+                     SIGMA_Z, _native, run_ensemble)
+
+_native._cache_dirs = lambda: ({kernel_cache!r},)
+loaded = set(sys.modules)
+cfg = RunConfig(scheme=SchemeId.ETANU_OPTIMISED,
+                model=SystemModel(1.0, -1.0, 0.05, 0.5 * (np.eye(2) + SIGMA_Z)),
+                grid=TimeGrid(dt=0.01, t_max=2.0), n_realizations=8,
+                master_seed=0, bath=BathParams(1.0, 25.0))
+cfg.filters()
+print(sorted(set(sys.modules) - loaded))
+run_ensemble(cfg)
+print(sorted(set(sys.modules) - loaded))
+"""
+    assert _fresh_python(code).split("\n") == ["[]", "[]"]
 
 
 def test_csv_output_file_closed_when_writing_raises(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the spectral density and correlation kernels."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +13,7 @@ from slnoise import (
     CustomKernel,
     FrequencyGrid,
     SingularPoint,
+    TimeGrid,
     build_kernel_table,
     k_etaeta_freq,
     k_etanu_freq,
@@ -18,7 +21,10 @@ from slnoise import (
     qnd_kernel,
     spectral_density,
 )
-from slnoise.kernels import FILON_NODES, _chirp, _czt, _half_hat, _pv_cutoff_integral
+from slnoise import kernels, noise
+from slnoise.cli import build_run_config, load_config
+from slnoise.kernels import (FILON_NODES, _chirp, _czt, _half_hat, _pv_cutoff_integral,
+                             next_fast_len)
 
 BATH = BathParams(beta=1.0, omega_c=25.0)
 
@@ -273,6 +279,80 @@ def test_czt_equals_scipy_signal_czt(n, dt):
     want = czt(g, m, w=w, a=1.0)
     assert got.shape == want.shape == (2, m)
     assert got.tobytes() == want.tobytes()
+
+
+# numpy >= 2.0 runs the C++ pocketfft that scipy.fft runs; the package's
+# transforms are numpy.fft's, and its bitwise contracts are stated in
+# scipy.fft's bits, so the two must agree at every length it asks for
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _transform_lengths():
+    """The lengths the package asks numpy.fft for at the grids of
+    configs/*.cfg and at the benchmark's long_window grid (dt 0.01,
+    t_max 80; its other workloads run on configs' grids): each kernel
+    table's chirp-z transform, and a correlation estimate's lagged products
+    over the physical window."""
+    grids = [build_run_config(load_config(str(path))).grid
+             for path in sorted(CONFIGS.glob("*.cfg"))] + [TimeGrid(0.01, 80.0)]
+    lengths = set()
+
+    def spy(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.add(a.shape[-1] if n is None else n)
+            return transform(a, n, *args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "fft", spy(np.fft.fft))
+        m.setattr(np.fft, "fft", spy(np.fft.fft))
+        for grid in grids:
+            build_kernel_table(grid.freq(), BATH)
+            x = np.zeros(grid.n_phys, dtype=complex)
+            noise._lagged_products(x, x, 1)
+    return sorted(lengths)
+
+
+def _assert_numpy_fft_gives_scipys_bits(n, rng):
+    """Forward and inverse at n samples: as a new array, in place through
+    ``out=``, and zero-padded to n through ``n=``."""
+    import scipy.fft
+
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    short = x[:(n + 1) // 2]
+    for ours, theirs in ((np.fft.fft, scipy.fft.fft), (np.fft.ifft, scipy.fft.ifft)):
+        want = theirs(x).tobytes()
+        assert ours(x).tobytes() == want, (ours.__name__, n)
+        buf = x.copy()
+        ours(buf, out=buf)
+        assert buf.tobytes() == want, (ours.__name__, n, "out=")
+        assert ours(short, n).tobytes() == theirs(short, n).tobytes(), (
+            ours.__name__, n, "n=")
+
+
+def test_numpy_fft_gives_scipys_bits_at_the_lengths_asked_for():
+    lengths = _transform_lengths()
+    # the chirp-z transforms of t_max = 10 and 80 among them
+    assert {66825, 73920} <= set(lengths)
+    rng = np.random.default_rng(26)
+    for n in lengths:
+        _assert_numpy_fft_gives_scipys_bits(n, rng)
+
+
+def test_numpy_fft_gives_scipys_bits_at_powers_of_two():
+    # the noise grids, and the transform sln_fft stands in for
+    rng = np.random.default_rng(27)
+    for k in range(1, 18):
+        _assert_numpy_fft_gives_scipys_bits(2 ** k, rng)
+
+
+def test_next_fast_len_is_scipys():
+    import scipy.fft
+
+    ns = range(1, 2 ** 18 + 1)
+    assert [next_fast_len(n) for n in ns] == [scipy.fft.next_fast_len(n, False)
+                                              for n in ns]
 
 
 class TestCustomKernelTable:

@@ -8,7 +8,8 @@ package: a read or write outside an array, or undefined behaviour, ends it
 with an error report.  Both builds are checked: as built for this
 processor, and without the AVX-512 flags, whose draw refills Philox with
 the scalar code that an AVX-512 build reaches only when a counter
-carries.  Skipped where gcc has no sanitizer runtime.
+carries.  The two builds are started at once, and each test waits for
+its own.  Skipped where gcc has no sanitizer runtime.
 """
 
 import os
@@ -141,26 +142,52 @@ def _runtime(name):
     return path if os.path.isabs(path) and os.path.isfile(path) else None
 
 
-@pytest.mark.parametrize("build", ["as built", "without AVX-512"])
-def test_native_library_is_clean_under_sanitizers(tmp_path, build):
+BUILDS = ["as built", "without AVX-512"]
+
+
+@pytest.fixture(scope="module")
+def sanitized_builds(tmp_path_factory):
+    """Each build's child process, started at once, with its log of
+    errors, the patch that makes its flags the package's and the
+    environment of its cache; and gcc's sanitizer runtimes."""
     runtimes = [_runtime("libasan.so"), _runtime("libubsan.so")]
     if None in runtimes:
         pytest.skip("gcc's libasan or libubsan is missing")
-    flags = _native._compile_flags()
-    if build == "without AVX-512":
-        flags = without_avx512(flags)
-    patch = PATCH.format(flags=flags + SANITIZE)
-    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
-           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
-                                          os.environ.get("PYTHONPATH", "")])}
-    # the build runs without the runtimes, so that gcc itself is not
-    # sanitized
-    build = subprocess.run([sys.executable, "-c", patch + "assert _native._build()"],
-                           env=env, capture_output=True, text=True, timeout=600)
-    assert build.returncode == 0, build.stderr[-4000:]
-    env.update(LD_PRELOAD=":".join(runtimes),
-               ASAN_OPTIONS="detect_leaks=0",
-               UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1")
+    started = {}
+    try:
+        for build in BUILDS:
+            flags = _native._compile_flags()
+            if build == "without AVX-512":
+                flags = without_avx512(flags)
+            patch = PATCH.format(flags=flags + SANITIZE)
+            cache = tmp_path_factory.mktemp("sanitized")
+            env = {**os.environ, "XDG_CACHE_HOME": str(cache),
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                  os.environ.get("PYTHONPATH", "")])}
+            log = cache / "build.log"
+            # the build runs without the runtimes, so that gcc itself is not
+            # sanitized
+            with open(log, "w") as err:
+                proc = subprocess.Popen(
+                    [sys.executable, "-c", patch + "assert _native._build()"],
+                    env=env, stdout=subprocess.DEVNULL, stderr=err)
+            started[build] = proc, log, patch, env
+        yield runtimes, started
+    finally:
+        for proc, *_ in started.values():
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_native_library_is_clean_under_sanitizers(sanitized_builds, build):
+    runtimes, started = sanitized_builds
+    proc, log, patch, env = started[build]
+    assert proc.wait(timeout=600) == 0, log.read_text()[-4000:]
+    env = {**env, "LD_PRELOAD": ":".join(runtimes),
+           "ASAN_OPTIONS": "detect_leaks=0",
+           "UBSAN_OPTIONS": "halt_on_error=1:print_stacktrace=1"}
     run = subprocess.run([sys.executable, "-c", patch + ENTRY_POINTS], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-4000:]
