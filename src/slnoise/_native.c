@@ -1,8 +1,8 @@
 /* The native kernels of slnoise, in C: the RK4 kernel of
  * slnoise.dynamics.integrate_blocks (sln_rk4), the unit-normal draw of
- * slnoise.noise.Synthesizer._draw (sln_normals), the pointwise passes
- * and the FFTs of slnoise.noise.Synthesizer's colouring (sln_mix,
- * sln_transpose, sln_fft), and the in-order ensemble sums of
+ * slnoise.noise.Synthesizer._draw (sln_normals), the spectral pass and
+ * the FFTs of slnoise.noise.Synthesizer's colouring (sln_mix, sln_fft),
+ * and the in-order ensemble sums of
  * slnoise.ensemble (sln_sums).  All are called from Python through
  * ctypes, which releases the interpreter lock, so that several threads
  * run them at once.  Each gives the bits of its numpy counterpart (of
@@ -873,7 +873,7 @@ void sln_normals(const uint64_t *keys, int64_t rows, int64_t channels,
 
 
 /* ------------------------------------------------------------------
- * sln_mix and sln_transpose: the pointwise passes of the colouring.
+ * sln_mix: the spectral pass of the colouring.
  *
  * z holds, per realization, the inverse transforms z0 and z1 of the
  * packed white channels, and c receives a second pair of spectra; the
@@ -973,21 +973,6 @@ void sln_mix(int64_t convex, int64_t rows, int64_t n, const double *taps,
         }
     }
 }
-
-/* dst(t, r) = src(r, t) for rows rows and cols samples, complex; rows of
-   src are src_row apart and rows of dst dst_row apart.  Sample by sample,
-   the rows of a chunk (at most 16) are read from their own streams and
-   written as one contiguous run of dst; copying the samples in blocks of
-   2 to 64 per row instead, in either loop order, was no faster. */
-void sln_transpose(const double *src, int64_t rows, int64_t cols,
-                   int64_t src_row, double *dst, int64_t dst_row)
-{
-    for (int64_t t = 0; t < cols; t++)
-        for (int64_t r = 0; r < rows; r++)
-            memcpy(dst + 2 * (t * dst_row + r), src + 2 * (r * src_row + t),
-                   2 * sizeof(double));
-}
-
 
 /* ------------------------------------------------------------------
  * sln_sums: the ensemble sums of a unit of realizations, column after

@@ -5,13 +5,13 @@ The library holds the kernels below, each called through ctypes, which
 releases the interpreter lock: ``sln_rk4``, the RK4 kernel of
 :func:`~slnoise.dynamics.integrate_blocks`; ``sln_normals``, the
 unit-normal draw of :meth:`~slnoise.noise.Synthesizer._draw`;
-``sln_fft``, ``sln_mix`` and ``sln_transpose``, the FFTs, the spectral
-pass and the write-out of :class:`~slnoise.noise.Synthesizer`'s
-colouring; and ``sln_sums``, the ensemble sums of :mod:`slnoise.ensemble`,
-taken in realization order.  Each gives the bits of its numpy
-counterpart (for ``sln_sums``, numpy's in-order adds, a nan taken as
-nan; for ``sln_fft``, numpy.fft's, which are scipy.fft's).  The module
-that uses a kernel has a probe that checks this on a small case, and
+``sln_fft`` and ``sln_mix``, the FFTs and the spectral pass of
+:class:`~slnoise.noise.Synthesizer`'s colouring; and ``sln_sums``, the
+ensemble sums of :mod:`slnoise.ensemble`, taken in realization order.
+Each gives the bits of its numpy counterpart (for ``sln_sums``, numpy's
+in-order adds, a nan taken as nan; for ``sln_fft``, numpy.fft's, which
+are scipy.fft's).  The module that uses a kernel has a probe that
+checks this on a small case, and
 :func:`kernel` hands the kernel out only if its probe passes; otherwise
 that module runs its numpy code.
 
@@ -73,7 +73,6 @@ _ARGTYPES = {
     "sln_rk4": [ctypes.POINTER(SlnRun), _INT, _INT],
     "sln_normals": [_PTR, _INT, _INT, _INT, _PTR, _INT, _PTR],
     "sln_mix": [_INT] * 3 + [_PTR] * 3 + [_INT] * 4,
-    "sln_transpose": [_PTR, _INT, _INT, _INT, _PTR, _INT],
     "sln_sums": [_PTR] + [_INT] * 4 + [_PTR] * 2 + [_INT],
     "sln_fft": [_INT, _INT] + [_PTR] * 3 + [_INT] * 4,
 }

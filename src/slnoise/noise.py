@@ -33,8 +33,8 @@ of eta and nu: 6 FFTs.  Convex wiring packs ``z = ifft(x1 + i x2)``; then
 FFTs instead of 6.  The results equal the per-channel form,
 :func:`synthesize_from_white`, up to rounding.
 
-A chunk is coloured in five steps, each native where the native library
-loads:
+A chunk is coloured in five steps, the first four native where the
+native library loads:
 
 1. the draw: one call of the native library's ``sln_normals``
    (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
@@ -57,20 +57,19 @@ loads:
    (and into a second buffer c where the cross-correlative pair is
    transformed apart);
 4. the forward FFT, in place, by ``sln_fft``;
-5. the write-out, ``sln_transpose``: the physical window of each row into
-   the caller's time-major columns.
+5. the write-out, one numpy copy ``out[:, cols] = x.T``: the physical
+   window of each row into the caller's time-major columns.
 
 Each native step gives numpy's bits (for the FFTs ``numpy.fft``'s, which
 are scipy's): :func:`slnoise._native.kernel`, the one loader of the
 native kernels, hands a kernel out only if its probe here checks it
-(:func:`_probe`, :func:`_colour_probe`, :func:`_write_probe`,
-:func:`_fft_probe`).  Where it does not, or the library cannot be built,
-numpy runs that step, and the loader logs why at INFO on the ``slnoise``
-logger: the draw is ``Generator(Philox(seed)).standard_normal`` into a
-white-channel buffer that numpy packs into z, the FFTs are
-``numpy.fft``'s, the spectral pass is :func:`_mix`, numpy's ufuncs with c
-as scratch, and the write-out a numpy copy.  So the output never depends
-on which code ran.
+(:func:`_probe`, :func:`_colour_probe`, :func:`_fft_probe`).  Where it
+does not, or the library cannot be built, numpy runs that step, and the
+loader logs why at INFO on the ``slnoise`` logger: the draw is
+``Generator(Philox(seed)).standard_normal`` into a white-channel buffer
+that numpy packs into z, the FFTs are ``numpy.fft``'s and the spectral
+pass is :func:`_mix`, numpy's ufuncs with c as scratch.  So the output
+never depends on which code ran.
 
 :meth:`Synthesizer.fill` is the one colouring loop.  An ensemble's
 worker threads call it one chunk at a time, into time-major buffers of
@@ -275,19 +274,6 @@ def _colour_probe(mix) -> bool:
     return True
 
 
-def _write_probe(transpose) -> bool:
-    """Whether the write-out ``transpose`` gives numpy's bits on random
-    spectra of 3 rows of 8 bins, written into the time-major columns of a
-    wider array, and leaves the columns beside them alone."""
-    rng = np.random.default_rng(2020)
-    rows, n = 3, 8
-    src = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    dst = np.full((n, 2 * rows), np.nan, dtype=complex)
-    _write(transpose, src, dst[:, 1:1 + rows])
-    return (dst[:, 1:1 + rows].tobytes() == src.T.tobytes()
-            and np.isnan(dst[:, 0]).all() and np.isnan(dst[:, 1 + rows:]).all())
-
-
 # The transform probe compares the native transform with numpy.fft on
 # every power of two up to 2^_FFT_PROBE_LOG, which takes every radix and
 # every kind of pass: groups of fewer lanes than 8 (n <= 32), columns
@@ -480,19 +466,6 @@ def _mix(taps, z: np.ndarray, c: np.ndarray, split: bool, convex: bool):
     return z, c
 
 
-def _write(transpose, src: np.ndarray, dst: np.ndarray) -> None:
-    """``dst[...] = src.T``, in one call of the native ``transpose`` where
-    both are complex128 with contiguous rows, else by numpy."""
-    if (transpose is None or src.dtype != np.complex128
-            or dst.dtype != np.complex128 or dst.shape != src.T.shape
-            or src.strides[1] != 16 or dst.strides[1] != 16
-            or src.strides[0] % 16 or dst.strides[0] % 16):
-        dst[...] = src.T
-        return
-    transpose(src.ctypes.data, src.shape[0], src.shape[1], src.strides[0] // 16,
-              dst.ctypes.data, dst.strides[0] // 16)
-
-
 def sample_white(grid: TimeGrid, seed: SeedLike, channels: int) -> np.ndarray:
     """Independent real white Gaussian channels, shape (channels, n).
 
@@ -586,7 +559,6 @@ class Synthesizer:
         # a compile runs beside a small process and never in a fill thread
         _native.kernel("sln_normals", _probe)
         _native.kernel("sln_mix", _colour_probe)
-        _native.kernel("sln_transpose", _write_probe)
         _native.kernel("sln_fft", _fft_probe)
         s = 1.0 / np.sqrt(grid.dt)
         self.fs = fs
@@ -717,16 +689,15 @@ class Synthesizer:
         (len(lam), len(seeds)), the rescale factor of each column at each
         strength.  The rescaled noise is eta + f eta0 and nu + nu0 / f.
         """
-        transpose = _native.kernel("sln_transpose", _write_probe)
         for a in range(0, len(seeds), self.chunk_rows):
             cols = slice(a, a + self.chunk_rows)
             eta, nu, eta0, nu0 = self._colour(seeds[cols])
-            _write(transpose, eta, eta_out[:, cols])
-            _write(transpose, nu, nu_out[:, cols])
+            eta_out[:, cols] = eta.T
+            nu_out[:, cols] = nu.T
             if self.lam is not None:
                 eta0_out, nu0_out, factors_out = cross
-                _write(transpose, eta0, eta0_out[:, cols])
-                _write(transpose, nu0, nu0_out[:, cols])
+                eta0_out[:, cols] = eta0.T
+                nu0_out[:, cols] = nu0.T
                 factors_out[:, cols] = self.factors(eta0, nu0).T
 
     def pairs(self, seeds: Sequence[SeedLike]) -> List[NoisePair]:

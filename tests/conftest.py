@@ -8,7 +8,6 @@ from slnoise import _native, dynamics, ensemble, noise
 # is asked for, so that a test's patch of a probe applies
 PROBES = {"sln_rk4": (dynamics, "_probe"), "sln_normals": (noise, "_probe"),
           "sln_mix": (noise, "_colour_probe"),
-          "sln_transpose": (noise, "_write_probe"),
           "sln_sums": (ensemble, "_sums_probe"),
           "sln_fft": (noise, "_fft_probe")}
 

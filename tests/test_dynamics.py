@@ -27,7 +27,7 @@ from slnoise import (
 from slnoise import _native, build_kernel_table, dynamics, kernels
 from slnoise.dynamics import BLOCK_STEPS, QndModel, rk4_bytes
 
-from conftest import force_numpy, kernel
+from conftest import PROBES, force_numpy, kernel
 
 
 def state_to_rho(state):
@@ -550,10 +550,20 @@ def test_native_kernel_falls_back_when_it_does_not_match_numpy(rebuild,
 @needs_compiler
 def test_loading_every_kernel_logs_no_fallback(rebuild, caplog):
     caplog.set_level(logging.INFO, logger="slnoise")
-    for symbol in ("sln_rk4", "sln_normals", "sln_mix", "sln_transpose",
-                   "sln_sums", "sln_fft"):
+    for symbol in PROBES:
         assert kernel(symbol) is not None, symbol
     assert _fallbacks(caplog) == []
+
+
+def test_source_abi_and_probes_name_the_same_kernels():
+    # a kernel removed from one of the three places only fails here
+    import re
+
+    defined = re.findall(r"^void (sln_\w+)\(", _native._SOURCE.read_text(),
+                         flags=re.MULTILINE)
+    assert set(defined) == set(_native._ARGTYPES) == set(PROBES)
+    assert set(PROBES) == {"sln_rk4", "sln_normals", "sln_mix", "sln_sums",
+                           "sln_fft"}
 
 
 @needs_compiler

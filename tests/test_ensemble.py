@@ -843,7 +843,7 @@ def test_refused_sums_probe_is_logged_once(rebuild, monkeypatch, caplog):
     run_ensemble(small_cfg(n_realizations=300))
     assert [r.getMessage() for r in caplog.records if r.name == "slnoise"] == [
         "sln_sums falls back to numpy: probe refused"]
-    for symbol in ("sln_rk4", "sln_normals", "sln_mix", "sln_transpose"):
+    for symbol in ("sln_rk4", "sln_normals", "sln_mix"):
         assert kernel(symbol) is not None, symbol
 
 
@@ -913,7 +913,7 @@ def test_run_stays_within_its_memory_charge(shape, colouring, monkeypatch):
     if _native.library() is None:
         pytest.skip("the native library could not be built")
     if colouring == "numpy":
-        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_transpose")
+        force_numpy(monkeypatch, "sln_normals", "sln_mix")
     monkeypatch.setattr(ens, "SYNTH_THREADS", 2)
     charges = []
     check = ens.check_memory

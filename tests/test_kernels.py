@@ -291,11 +291,17 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _transform_lengths():
     """The lengths the package asks numpy.fft for at the grids of
     configs/*.cfg and at the benchmark's long_window grid (dt 0.01,
-    t_max 80; its other workloads run on configs' grids): each kernel
-    table's chirp-z transform, and a correlation estimate's lagged products
-    over the physical window."""
-    grids = [build_run_config(load_config(str(path))).grid
-             for path in sorted(CONFIGS.glob("*.cfg"))] + [TimeGrid(0.01, 80.0)]
+    t_max 80; its other workloads run on configs' grids), each as the
+    integration grid and as the noise grid that RunConfig.filters() and
+    the ensembles build their tables on: each kernel table's chirp-z
+    transform, and a correlation estimate's lagged products over the
+    physical window."""
+    from dataclasses import replace
+
+    cfgs = [build_run_config(load_config(str(path)))
+            for path in sorted(CONFIGS.glob("*.cfg"))]
+    cfgs.append(replace(cfgs[0], grid=TimeGrid(0.01, 80.0)))
+    grids = [g for cfg in cfgs for g in (cfg.grid, cfg.noise_grid())]
     lengths = set()
 
     def spy(transform):
@@ -333,8 +339,9 @@ def _assert_numpy_fft_gives_scipys_bits(n, rng):
 
 def test_numpy_fft_gives_scipys_bits_at_the_lengths_asked_for():
     lengths = _transform_lengths()
-    # the chirp-z transforms of t_max = 10 and 80 among them
-    assert {66825, 73920} <= set(lengths)
+    # the chirp-z transforms of t_max = 10 and 80 on both grids among them:
+    # 82320 is long_window's, on its noise grid
+    assert {66825, 67760, 73920, 82320} <= set(lengths)
     rng = np.random.default_rng(26)
     for n in lengths:
         _assert_numpy_fft_gives_scipys_bits(n, rng)

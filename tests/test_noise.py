@@ -304,11 +304,9 @@ def test_noise_pairs_are_the_noise_the_ensemble_integrates(table, monkeypatch,
             pytest.skip("no C compiler to build the library")
         assert kernel("sln_normals") is not None
         assert kernel("sln_mix") is not None
-        assert kernel("sln_transpose") is not None
         assert kernel("sln_fft") is not None
     else:
-        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_transpose",
-                    "sln_fft")
+        force_numpy(monkeypatch, "sln_normals", "sln_mix", "sln_fft")
     fs = make_filters(scheme, table, gamma=0.01)
     seeds = _seeds("seed_for", CHUNK_ROWS + 5)
     if lam is not None and not fs.has_cross_pair:
@@ -712,7 +710,7 @@ def test_native_draw_falls_back_when_it_does_not_match_numpy(table, rebuild,
     native = _fill_and_pairs(table)
     monkeypatch.setattr(noise, "_probe", lambda normals: False)
     _numpy_draw_is_silent(table, native)
-    for symbol in ("sln_rk4", "sln_mix", "sln_transpose", "sln_sums"):
+    for symbol in ("sln_rk4", "sln_mix", "sln_sums"):
         assert kernel(symbol) is not None, symbol
 
 
@@ -723,7 +721,6 @@ def test_native_draw_runs_when_the_rk4_kernel_does_not_match(rebuild,
     assert kernel("sln_rk4") is None
     assert kernel("sln_normals") is not None
     assert kernel("sln_mix") is not None
-    assert kernel("sln_transpose") is not None
 
 
 # ------------------------------------------------------ native colouring
@@ -772,13 +769,12 @@ def _native_and_numpy_colouring(monkeypatch, fs, grid, lam, chunk, seeds):
     and the native draw, with the native colouring and numpy's draw, and
     with numpy alone."""
     assert kernel("sln_mix") is not None
-    assert kernel("sln_transpose") is not None
     assert kernel("sln_normals") is not None
     runs = [_colour_outputs(fs, grid, lam, chunk, seeds)]
     with monkeypatch.context() as m:
         force_numpy(m, "sln_normals")
         runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
-        force_numpy(m, "sln_mix", "sln_transpose", "sln_fft")
+        force_numpy(m, "sln_mix", "sln_fft")
         runs.append(_colour_outputs(fs, grid, lam, chunk, seeds))
     return runs
 
@@ -968,7 +964,6 @@ def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
     if lam is not None and structure is FilterStructure.CONVEX:
         return
     assert kernel("sln_mix") is not None
-    assert kernel("sln_transpose") is not None
     assert kernel("sln_normals") is not None
     scheme = (SchemeId.CONVEX if structure is FilterStructure.CONVEX
               else SchemeId.ETANU_OPTIMISED)
@@ -997,7 +992,6 @@ def _colour_is_silent(table, native):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kernel("sln_mix") is None
-        assert kernel("sln_transpose") is None
         assert _fill_and_pairs(table) == native
 
 
@@ -1019,7 +1013,6 @@ def test_native_colouring_falls_back_when_it_does_not_match_numpy(
     assert kernel("sln_mix") is not None
     native = _fill_and_pairs(table)
     monkeypatch.setattr(noise, "_colour_probe", lambda mix: False)
-    monkeypatch.setattr(noise, "_write_probe", lambda transpose: False)
     _colour_is_silent(table, native)
     assert kernel("sln_normals") is not None
     assert kernel("sln_rk4") is not None
@@ -1045,7 +1038,6 @@ def test_colour_probe_refuses_a_flipped_operand_order(rebuild, monkeypatch,
     monkeypatch.setattr(_native, "_SOURCE", mutated)
     monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
     assert kernel("sln_normals") is not None
-    assert kernel("sln_transpose") is not None
     assert kernel("sln_mix") is None
 
 

@@ -43,8 +43,10 @@ import numpy as np
 
 from slnoise import (BathParams, RunConfig, SchemeId, Synthesizer, SystemModel,
                      TimeGrid, build_kernel_table, make_filters, SIGMA_Z)
-from slnoise import _native, dynamics, ensemble, noise
+from slnoise import ensemble, noise
 from slnoise.dynamics import integrate_blocks, qnd_sln_config
+
+from conftest import PROBES, kernel
 
 # every record of the package's logger, a kernel's fallback among them
 records = logging.handlers.BufferingHandler(10**6)
@@ -52,15 +54,12 @@ logging.getLogger("slnoise").addHandler(records)
 logging.getLogger("slnoise").setLevel(logging.INFO)
 
 # every probe passes, so the runs below go through the native kernels
-probes = {"sln_rk4": dynamics._probe, "sln_normals": noise._probe,
-          "sln_mix": noise._colour_probe, "sln_transpose": noise._write_probe,
-          "sln_sums": ensemble._sums_probe, "sln_fft": noise._fft_probe}
-for symbol, probe in probes.items():
-    assert _native.kernel(symbol, probe) is not None, symbol
+for symbol in PROBES:
+    assert kernel(symbol) is not None, symbol
 
 bath = BathParams(1.0, 25.0)
 lams = np.logspace(-2, 1, 13)
-# sln_normals, sln_mix, sln_transpose and sln_fft: n = 8 ... 32768, every wiring
+# sln_normals, sln_mix and sln_fft: n = 8 ... 32768, every wiring
 # (orthogonal, orthogonal with the pair apart at 1 and 13 strengths,
 # convex), chunks of 1, 3 and 16 rows
 for k in range(3, 16):
@@ -77,7 +76,7 @@ for k in range(3, 16):
 
 # sln_fft: n = 2 ... 65536, forward and inverse, on 1 row and on two
 # rows of each half of a (2, 3, n) buffer (the fills above run it too)
-fft = _native.kernel("sln_fft", noise._fft_probe)
+fft = kernel("sln_fft")
 gen = np.random.default_rng(2)
 for k in range(1, 17):
     n = 2 ** k
@@ -108,8 +107,7 @@ for rows in (1, 3, 16):
 for width in range(1, 301, 7):
     for nq, points in ((4, 1), (2, 13)):
         for chunk in (1, 3, 16):
-            sums = ensemble._Sums(points + 1, 4, nq,
-                                  _native.kernel("sln_sums", ensemble._sums_probe))
+            sums = ensemble._Sums(points + 1, 4, nq, kernel("sln_sums"))
             for col in range(0, width, chunk):
                 rows = min(chunk, width - col)
                 block = rng.standard_normal((3, nq, 2 * points * rows)).view(complex)
@@ -162,8 +160,9 @@ def sanitized_builds(tmp_path_factory):
             patch = PATCH.format(flags=flags + SANITIZE)
             cache = tmp_path_factory.mktemp("sanitized")
             env = {**os.environ, "XDG_CACHE_HOME": str(cache),
-                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
-                                                  os.environ.get("PYTHONPATH", "")])}
+                   "PYTHONPATH": os.pathsep.join([
+                       str(ROOT / "src"), str(ROOT / "tests"),
+                       os.environ.get("PYTHONPATH", "")])}
             log = cache / "build.log"
             # the build runs without the runtimes, so that gcc itself is not
             # sanitized
