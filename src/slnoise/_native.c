@@ -19,10 +19,16 @@
  * takes the ziggurat's rectangle test eight draws at a time; the scalar
  * code that every build has makes the same numbers.
  *
- * sln_rk4 integrates columns c0 .. c1-1 of one block.  Every operation
- * is that of the numpy kernel, in its order and with its operands in
- * their order: the noise of a half step is formed as
- * (eta + f*eta0)*2a - eps and (nu + nu0/f)*ia, the right-hand side and
+ * sln_rk4 integrates every column over the steps of one block and stores
+ * the states of the steps from the run's first stored step on; the steps
+ * before it are integrated and checked for divergence but stored nowhere,
+ * so a caller that reduces only a final window writes no block rows
+ * before it.  The caller allocates the state, the block and the
+ * divergence rows, and an ensemble's worker thread allocates them once
+ * per run and reuses them for every chunk.  Every operation is that of
+ * the numpy kernel, in its order and with its operands in their order:
+ * the noise of a half step is formed as (eta + f*eta0)*2a - eps and
+ * (nu + nu0/f)*ia, the right-hand side and
  * the stage sums are the same chain of complex multiplies, adds and
  * subtracts, and the divergence check decides as np.abs(x) <= threshold
  * does.  The complex multiply is numpy's fused form,
@@ -51,6 +57,7 @@ typedef struct {
     double *block;               /* (block steps, 4, width) complex */
     int64_t *first_div, *new_div;  /* (width,) */
     int64_t rows, width;
+    int64_t first;               /* the first step stored in the block */
     /* complex constants of the numpy kernel; those not given have a zero
        imaginary part */
     double two_alpha, i_alpha_re, i_alpha_im, half_h, full_h, two, sixth_h;
@@ -157,6 +164,8 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
                  int64_t r0, int n)
 {
     const int64_t c0 = l * p->rows + r0, width = p->width;
+    /* the step that block row 0 holds */
+    const int64_t stored = start > p->first ? start : p->first;
     const double half_t = 0.5 * p->threshold;
     double y[8][TILE], rat[TILE], scl[TILE];
     double nz[3][4][TILE];  /* -w, v of three half steps, re and im */
@@ -223,7 +232,9 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
                         && !within(y, c, p->threshold))
                     p->first_div[c0 + c] = p->new_div[c0 + c] = i;
         }
-        double *row = p->block + 2 * (j * 4 * width + c0);
+        if (i < stored)
+            continue;
+        double *row = p->block + 2 * ((i - stored) * 4 * width + c0);
         for (int q = 0; q < 4; q++)
             for (int c = 0; c < n; c++) {
                 row[2 * (q * width + c)] = y[q][c];
@@ -235,9 +246,9 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
             p->y[q * width + c0 + c] = y[q][c];
 }
 
-/* Steps start .. start+m-1 of every column into block rows 0 .. m-1;
-   new_div[c] is the step at which column c first crossed the threshold
-   in this block, else -1. */
+/* Steps start .. start+m-1 of every column, those from p->first on into
+   block rows 0 ..; new_div[c] is the step at which column c first crossed
+   the threshold in this block, else -1. */
 void sln_rk4(const sln_run *p, int64_t start, int64_t m)
 {
     for (int64_t c = 0; c < p->width;) {

@@ -18,7 +18,13 @@ trajectories.  It reads the noise time-major, (half steps, trajectories),
 updates the four state components of every trajectory in place, and hands
 the states out in blocks of BLOCK_STEPS steps; callers reduce a block as
 soon as it is written, so the states of a whole run are never held at
-once.  :func:`integrate_batch` concatenates the blocks.
+once.  A caller that reduces only the steps from some step on (the lambda
+scan's final stats window) passes that step: every earlier step is
+integrated and checked for divergence, but no state of it is stored.  A
+caller that integrates many batches (an ensemble's worker thread) passes
+its own allocator of scratch arrays, so that the state, the block and the
+divergence rows are allocated once and reused for every batch.
+:func:`integrate_batch` concatenates the blocks.
 
 It has two kernels that give the same bits.  The numpy kernel, the
 reference and the fallback, is a chain of ufunc calls over contiguous
@@ -118,7 +124,10 @@ def rk4_bytes(rows: int, n_steps: int, n_points: int = 1) -> int:
     column and half step of a block: the two noise buffers.  And the
     drives on the half-step grid.  The native kernel holds the split
     state, the block and two divergence rows; its scratch is a few kB of
-    stack per thread."""
+    stack per thread.  A caller that passes ``scratch`` holds the block,
+    the native kernel's state and divergence rows and the numpy kernel's
+    noise buffers once for all its batches (an ensemble's worker thread,
+    once per run), not once per batch."""
     steps = _block_steps(rows, n_points, n_steps)
     half_steps = min(2 * steps + 1, 2 * n_steps + 1)
     width = rows * n_points
@@ -179,8 +188,14 @@ def _eval_drive(drive: Drive, t: np.ndarray) -> np.ndarray:
     return float(drive) * np.ones_like(t)
 
 
+def _new(name: str, shape, dtype) -> np.ndarray:
+    """A new array: the default ``scratch`` of :func:`integrate_blocks`."""
+    return np.empty(shape, dtype)
+
+
 def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
-                     nu_t: np.ndarray, dt_half: float, cross=None):
+                     nu_t: np.ndarray, dt_half: float, cross=None,
+                     first: int = 0, scratch: Callable = _new):
     """RK4 integration of a batch of trajectories, streamed in blocks.
 
     ``eta_t``/``nu_t`` are time-major, shape (2*n_steps + 1, rows): row k
@@ -207,7 +222,20 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     overwritten by the next block, so consume it before advancing.
     ``new_div[c]`` is the step at which column c first crossed the
     divergence threshold if that happened in this block, else -1.
-    :func:`rk4_bytes` counts the buffers.
+
+    Only the steps from ``first`` on are stored and yielded: the blocks
+    keep their bounds, the steps before ``first`` are integrated and
+    checked for divergence but stored nowhere, the block that holds
+    ``first`` yields its steps from ``first`` on (``start`` is then
+    ``first``), and its ``new_div`` names the crossings of every earlier
+    step too.
+
+    ``scratch(name, shape, dtype)`` allocates the block, the native
+    kernel's state and divergence rows and the numpy kernel's noise
+    buffers, each under its own name; a caller that integrates many
+    batches passes one that hands the same memory out again (see
+    :meth:`~slnoise.noise.Synthesizer.scratch`).  By default each is a new
+    array.  :func:`rk4_bytes` counts the buffers.
 
     Two kernels compute the blocks on the calling thread, with the same
     bits.  The native one (``sln_rk4``, see :func:`_probe`) runs
@@ -220,6 +248,8 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     if nh % 2 == 0 or nh < 3:
         raise ValueError("half-step series must have odd length >= 3")
     n_steps = (nh - 1) // 2
+    if not 0 <= first <= n_steps:
+        raise ValueError(f"first stored step {first} is not in 0 .. {n_steps}")
     n_points = 1
     if cross is not None:
         eta0_t, nu0_t, factor = cross
@@ -229,14 +259,15 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     run = _Run(rho_to_state(model.rho0), model.alpha, 2.0 * dt_half,
                _eval_drive(model.epsilon, t_half),
                _eval_drive(model.delta, t_half), eta_t, nu_t, cross,
-               _block_steps(rows, n_points, n_steps))
+               _block_steps(rows, n_points, n_steps), first, scratch)
     rk4 = _native.kernel("sln_rk4", _probe) if _native_fits(run) else None
     yield from _numpy_blocks(run) if rk4 is None else _native_blocks(run, rk4)
 
 
 class _Run(NamedTuple):
     """One integration: the initial state, the coupling, the step, the
-    drives at the half steps, the noise and the block length."""
+    drives at the half steps, the noise, the block length, the first step
+    stored and the allocator of the buffers."""
 
     y0: np.ndarray
     alpha: float
@@ -247,12 +278,15 @@ class _Run(NamedTuple):
     nu_t: np.ndarray
     cross: Optional[tuple]
     block_steps: int
+    first: int = 0
+    scratch: Callable = _new
 
 
 def _numpy_blocks(run: _Run):
     """The numpy kernel of :func:`integrate_blocks`: a chain of ufunc calls
-    over whole component rows, the divergence check once per block."""
-    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps = run
+    over whole component rows, the divergence check once per block on the
+    stored steps, and once per step before the first stored one."""
+    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps, first, scratch = run
     nh, rows = eta_t.shape
     n_steps = (nh - 1) // 2
     if cross is not None:
@@ -265,11 +299,11 @@ def _numpy_blocks(run: _Run):
     k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
     tmp = np.empty(width, dtype=complex)
     y_, k1_, k2_, k3_, k4_, ys_ = (tuple(a) for a in (y, k1, k2, k3, k4, ys))
-    block = np.empty((block_steps, 4, width), dtype=complex)
+    block = scratch("block", (block_steps, 4, width), complex)
     first_div = np.full(width, -1)
     # the noise terms of a block's half steps
-    mw_buf = np.empty((min(2 * block_steps + 1, nh), width), dtype=complex)
-    v_buf = np.empty_like(mw_buf)
+    half_steps = (min(2 * block_steps + 1, nh), width)
+    mw_buf, v_buf = (scratch(name, half_steps, complex) for name in ("mw", "v"))
     two_alpha, i_alpha = 2.0 * alpha, 1j * alpha
 
     # complex operands throughout: numpy multiplies a complex array by a
@@ -314,6 +348,9 @@ def _numpy_blocks(run: _Run):
                 mul(v, i_alpha, v)
             mw -= eps[lo:hi, None]
             md = -delta[lo:hi].astype(complex)
+            # the block's first stored step; the steps before it are
+            # checked one by one
+            stored = max(start, first)
             for j in range(m):
                 if start + j > 0:
                     k = 2 * (start + j - 1) - lo
@@ -330,16 +367,24 @@ def _numpy_blocks(run: _Run):
                     add(k1, mul(k3, two, k3), k1)
                     add(k1, k4, k1)
                     add(y, mul(k1, sixth_h, k1), y)
-                block[j] = y
-            states = block[:m]
+                if start + j >= stored:
+                    block[start + j - stored] = y
+                elif start + j > 0:
+                    bad = ~(np.abs(y) <= DIVERGENCE_THRESHOLD).all(axis=0)
+                    hit = bad & (first_div < 0)
+                    first_div[hit] = start + j
+            if start + m <= first:
+                continue
+            states = block[:start + m - stored]
             # |component| <= threshold fails for inf and nan too
             bad = ~(np.abs(states) <= DIVERGENCE_THRESHOLD).all(axis=1)
-            if start == 0:
+            if stored == 0:
                 bad[0] = False
             hit = bad.any(axis=0) & (first_div < 0)
-            new_div = np.where(hit, start + bad.argmax(axis=0), -1)
-            first_div[hit] = new_div[hit]
-            yield start, states, new_div
+            first_div[hit] = stored + bad.argmax(axis=0)[hit]
+            # the first block yielded names every crossing so far
+            new_div = first_div.copy() if start <= first else np.where(hit, first_div, -1)
+            yield stored, states, new_div
 
 
 def _native_fits(run: _Run) -> bool:
@@ -360,37 +405,46 @@ def _native_fits(run: _Run) -> bool:
 
 def _native_blocks(run: _Run, rk4):
     """The native kernel of :func:`integrate_blocks`: each block one
-    GIL-released call to ``rk4``."""
-    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps = run
+    GIL-released call to ``rk4``, which stores the steps from ``first``
+    on."""
+    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps, first, scratch = run
     nh, rows = eta_t.shape
     n_steps = (nh - 1) // 2
     width = rows if cross is None else cross[2].size
-    y = np.empty((2, 4, width))
+    y = scratch("state", (2, 4, width), float)
     y[0], y[1] = y0.real[:, None], y0.imag[:, None]
-    block = np.empty((block_steps, 4, width), dtype=complex)
-    first_div = np.full(width, -1, dtype=np.int64)
-    new_div = np.empty(width, dtype=np.int64)
+    block = scratch("block", (block_steps, 4, width), complex)
+    first_div, new_div = (scratch(name, (width,), np.int64)
+                          for name in ("first_div", "new_div"))
+    first_div.fill(-1)
     eta0_t, nu0_t, factor = cross if cross is not None else (None,) * 3
     i_alpha = 1j * alpha
     args = _native.SlnRun(
         *(None if a is None else a.ctypes.data
           for a in (eta_t, nu_t, eta0_t, nu0_t, factor, eps, delta, y, block,
                     first_div, new_div)),
-        rows, width, 2.0 * alpha, i_alpha.real, i_alpha.imag, 0.5 * h, h,
-        2.0, h / 6.0, DIVERGENCE_THRESHOLD)
+        rows, width, first, 2.0 * alpha, i_alpha.real, i_alpha.imag, 0.5 * h,
+        h, 2.0, h / 6.0, DIVERGENCE_THRESHOLD)
     for start in range(0, n_steps + 1, block_steps):
         m = min(block_steps, n_steps + 1 - start)
         rk4(args, start, m)
-        yield start, block[:m], new_div.copy()
+        if start + m > first:
+            stored = max(start, first)
+            # the first block yielded names every crossing so far
+            new = first_div if start <= first else new_div
+            yield stored, block[:start + m - stored], new.copy()
 
 
 def _probe(rk4) -> bool:
     """Whether ``rk4`` gives the numpy kernel's bits on a small random
-    batch, with and without a factor table; one trajectory crosses the
-    divergence threshold and ends in nan.  A third run holds a state whose
-    modulus np.abs puts just above the threshold and libm's hypot at it, so
-    that a numpy whose modulus is hypot refuses the kernel.  (The kernel's
-    complex multiply is fused, as numpy's is where the processor has FMA.)"""
+    batch, with and without a factor table, storing every step, the steps
+    from one inside the second block on, and those from the second
+    block's first on; one trajectory crosses the divergence threshold
+    before either and ends in nan.  A last run holds a state whose modulus
+    np.abs puts just above the threshold and libm's hypot at it, so that a
+    numpy whose modulus is hypot refuses the kernel.  (The kernel's
+    complex multiply is fused, as numpy's is where the processor has
+    FMA.)"""
     rng = np.random.default_rng(2020)
     rows, n_steps, block_steps = 5, 6, 4
     nh = 2 * n_steps + 1
@@ -404,14 +458,17 @@ def _probe(rk4) -> bool:
     y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     drives = rng.standard_normal((2, nh))
     table = rng.uniform(0.1, 10.0, (3, rows))
-    runs = [_Run(y0, 0.7, 0.05, *drives, eta_t, nu_t, cross, block_steps)
-            for cross in (None, (eta0_t, nu0_t, table))]
+    runs = [_Run(y0, 0.7, 0.05, *drives, eta_t, nu_t, cross, block_steps, first)
+            for cross in (None, (eta0_t, nu0_t, table)) for first in (0, 2, 4)]
     still = np.zeros((nh, 1), dtype=complex)
     runs.append(_Run(np.array([_AT_THRESHOLD, 0, 0, 1]), 0.0, 0.05,
                      *np.zeros((2, nh)), still, still, None, block_steps))
     for run in runs:
-        for (s0, a, da), (s1, b, db) in zip(_numpy_blocks(run),
-                                            _native_blocks(run, rk4)):
+        want, got = ([(s, a.copy(), d) for s, a, d in blocks]
+                     for blocks in (_numpy_blocks(run), _native_blocks(run, rk4)))
+        if len(want) != len(got):
+            return False
+        for (s0, a, da), (s1, b, db) in zip(want, got):
             if not (s0 == s1 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
                     and np.array_equal(da, db)):
                 return False

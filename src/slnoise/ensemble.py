@@ -8,10 +8,15 @@ whatever the thread count.
 One worker thread runs each unit, SYNTH_THREADS of them at once.  It
 takes the unit's realizations in chunks of the synthesizer's
 ``chunk_rows`` (at most 16, fewer on long grids): draws and colours a
-chunk into time-major buffers of its own, of the chunk's width only,
+chunk into time-major noise series of its own, of a chunk's width only,
 integrates it with :func:`integrate_blocks` at every rescaling strength
 of the run, and adds each block of states, column after column in
-realization order, into the unit's per-step sums (:class:`_Sums`).  The
+realization order, into the unit's per-step sums (:class:`_Sums`).
+Every per-chunk buffer, the colouring workspace, the noise series, the
+factor table and the RK4 state, block and divergence rows, is allocated
+once per worker per run, in the synthesizer's per-thread store
+(:meth:`~slnoise.noise.Synthesizer.scratch`), and reused for every chunk
+of every unit the worker takes; it is freed with the run.  The
 draw, the FFTs, RK4 and the adds (``sln_sums``) release the interpreter
 lock, so the units run on all cores.  The calling thread adds each unit's
 sums into running sums of the same class, and its first divergences into
@@ -24,11 +29,11 @@ taken in one fixed order, so every statistic depends on the config
 alone, independent of SYNTH_THREADS.  A sum of n values in order errs
 by at most n - 1 roundings of the sum of their moduli (Higham, SIAM J.
 Sci. Comput. 14, 783 (1993)): 127 within a unit, and one per unit in the
-running sums.  The lambda scan adds only the steps of the final stats
-window, the only ones it reports: the blocks that end before that window
-are integrated and checked for divergence, but not summed, and a
-trajectory that diverged in one counts as diverged from the window's
-first step on.
+running sums.  The lambda scan stores and adds only the steps of the
+final stats window, the only ones it reports: the steps before that
+window are integrated and checked for divergence, but no state of them
+is stored, and a trajectory that diverged in one counts as diverged from
+the window's first step on.
 
 Rescaled runs synthesize each realization's noise once, whatever the
 number of rescaling strengths lambda: a chunk keeps its noise without the
@@ -350,27 +355,29 @@ def _synthesizer(cfg: RunConfig, lams=None, first: int = 0) -> Synthesizer:
     return synth
 
 
-def _chunk_blocks(cfg: RunConfig, synth: Synthesizer, lo: int, hi: int):
-    """The states of realizations lo .. hi-1, chunk by chunk: each chunk of
-    up to ``synth.chunk_rows`` realizations is synthesized into time-major
-    buffers of this call and integrated at every rescaling strength of
-    ``synth`` (once if it has none), in passes of at most RK4_COLUMNS
-    columns.  Yields ``(col, points, rows, start, states, new_div)`` for
-    every :func:`integrate_blocks` block: the chunk's first realization is
-    lo + col, it has ``rows``, and ``points`` is the slice of strengths of
-    the pass, whose columns are those strengths' realizations,
+def _chunk_blocks(cfg: RunConfig, synth: Synthesizer, lo: int, hi: int,
+                  first: int = 0):
+    """The states of realizations lo .. hi-1 at the steps from ``first``
+    on, chunk by chunk: each chunk of up to ``synth.chunk_rows``
+    realizations is synthesized into time-major buffers of the calling
+    thread's and integrated at every rescaling strength of ``synth`` (once
+    if it has none), in passes of at most RK4_COLUMNS columns.  The chunk
+    series, the factor table and the RK4 buffers are the thread's
+    :meth:`~slnoise.noise.Synthesizer.scratch` arrays, allocated on its
+    first chunk of the run and reused for every later one.  Yields
+    ``(col, points, rows, start, states, new_div)`` for every
+    :func:`integrate_blocks` block: the chunk's first realization is lo +
+    col, it has ``rows``, and ``points`` is the slice of strengths of the
+    pass, whose columns are those strengths' realizations,
     strength-major."""
     n_points = 0 if synth.lam is None else len(synth.lam)
     n_phys = synth.n_phys
-    chunk = min(synth.chunk_rows, hi - lo)
     # eta, nu and, when rescaled, the unscaled pair eta0, nu0
-    series = [np.empty(n_phys * chunk, dtype=complex)
-              for _ in range(4 if n_points else 2)]
-    table = np.empty(n_points * chunk)
-    for a in range(lo, hi, chunk):
-        rows = min(chunk, hi - a)
-        eta, nu, *pair = (s[:n_phys * rows].reshape(n_phys, rows) for s in series)
-        factors = table[:n_points * rows].reshape(n_points, rows)
+    names = ("eta", "nu", "eta0", "nu0") if n_points else ("eta", "nu")
+    for a in range(lo, hi, synth.chunk_rows):
+        rows = min(synth.chunk_rows, hi - a)
+        eta, nu, *pair = (synth.scratch(name, (n_phys, rows)) for name in names)
+        factors = synth.scratch("factors", (n_points, rows), float)
         seeds = [seed_for(cfg.master_seed, i) for i in range(a, a + rows)]
         synth.fill(seeds, eta, nu, (*pair, factors) if n_points else None)
         n = n_points or 1
@@ -379,7 +386,8 @@ def _chunk_blocks(cfg: RunConfig, synth: Synthesizer, lo: int, hi: int):
             points = slice(p, min(p + group, n))
             cross = (*pair, factors[points]) if n_points else None
             for start, states, new_div in integrate_blocks(
-                    cfg.model, eta, nu, synth.grid.dt, cross):
+                    cfg.model, eta, nu, synth.grid.dt, cross, first,
+                    synth.scratch):
                 yield a - lo, points, rows, start, states, new_div
 
 
@@ -398,14 +406,11 @@ def _unit(cfg: RunConfig, synth: Synthesizer, first: int, quantities, nq: int,
     first_div = np.full((n_points, hi - lo), -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for col, points, rows, start, states, new_div in _chunk_blocks(
-                cfg, synth, lo, hi):
+                cfg, synth, lo, hi, first):
             # a column crosses the threshold in one block at most
             div = first_div[points, col:col + rows]
             np.maximum(div, new_div.reshape(div.shape), out=div)
-            skip = max(first - start, 0)
-            if skip < len(states):
-                sums.add(quantities(states[skip:], start + skip), rows,
-                         points.start, start + skip - first)
+            sums.add(quantities(states, start), rows, points.start, start - first)
     return sums, first_div
 
 
@@ -562,8 +567,9 @@ def scan_lambda(cfg: RunConfig, lambdas: Sequence[float],
     numbers), so repeated lambda values give identical results and the
     comparison between points is not blurred by independent sampling
     noise.  The reported figure of merit is the SE pooled over the final
-    stats window, and only that window's steps are reduced; the steps
-    before it are integrated, and checked for divergence, but not summed.
+    stats window, and only that window's steps are stored and reduced;
+    the steps before it are integrated, and checked for divergence, but
+    not stored.
     The filters are built once and each realization's noise is
     synthesized once.  RK4 runs once per chunk on that noise, for every
     point at once (in passes of at most RK4_COLUMNS columns), applying

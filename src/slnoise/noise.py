@@ -94,7 +94,10 @@ cross-correlative pair is transformed apart; the white channels
 scratch row of n samples.  The
 thread allocates each on its first chunk that needs it and reuses it
 for every later one, so a run pays the page faults of its chunk buffers
-once per thread, not once per chunk.  A chunk is at most CHUNK_ROWS
+once per thread, not once per chunk.  The workspace is kept by
+:meth:`Synthesizer.scratch`, which keeps a caller's own per-thread arrays
+the same way (an ensemble's chunk series, factor table and RK4 buffers),
+for as long as the synthesizer lives.  A chunk is at most CHUNK_ROWS
 realizations, and fewer where that many would take more than
 CHUNK_BYTES (16 rows at n <= 16384, 8 at n = 32768); the rows of a
 chunk do not change any output bit.  The callers of :func:`check_memory`
@@ -578,28 +581,37 @@ class Synthesizer:
         self._taps = np.array(taps, dtype=complex)
         self._twiddles = _fft_twiddles(grid.n)
 
-    def _buffer(self, name: str, rows: int = 0) -> np.ndarray:
-        """The calling thread's buffer ``name``, for ``rows`` realizations:
-        the white channels, "white", (rows, channels, n), one of the
-        complex transform buffers "z" and "c", (2, rows, n) each, or the
-        native transform's scratch row, "row", (n,) complex.  Each is
-        allocated with :attr:`chunk_rows` rows on the thread's first use of
-        it, then reused, so its pages are touched once per thread.  z and c
-        keep their two halves apart in memory, so an in-place sum of one
-        half into the other needs no copy."""
+    def scratch(self, name: str, shape, dtype=complex) -> np.ndarray:
+        """The calling thread's array ``name`` of ``shape`` and ``dtype``,
+        its contents undefined: a view of one flat buffer per thread and
+        name, allocated on the thread's first call and anew only when a
+        larger one is asked for, so that a thread that asks again and again
+        touches its pages once.  It holds the colouring workspace
+        (:meth:`_buffer`) and a caller's own per-thread arrays (an
+        ensemble's chunk series, factor table and RK4 buffers), and lives
+        as long as the synthesizer, or the thread."""
+        size = math.prod(shape)
         buf = getattr(self._local, name, None)
-        if buf is None:
-            n = self.grid.n
-            if name == "white":
-                buf = np.empty((self.chunk_rows, self.fs.n_channels, n))
-            elif name == "row":
-                buf = _aligned_empty(n)
-            else:
-                buf = _aligned_empty((2, self.chunk_rows, n))
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = _aligned_empty(size, dtype)
             setattr(self._local, name, buf)
+        return buf[:size].reshape(shape)
+
+    def _buffer(self, name: str, rows: int = 0) -> np.ndarray:
+        """The calling thread's workspace buffer ``name``, for ``rows``
+        realizations: the white channels, "white", (rows, channels, n), one
+        of the complex transform buffers "z" and "c", (2, rows, n) each, or
+        the native transform's scratch row, "row", (n,) complex.  Each is a
+        :meth:`scratch` array of :attr:`chunk_rows` rows.  z and c keep
+        their two halves apart in memory, so an in-place sum of one half
+        into the other needs no copy."""
+        n = self.grid.n
         if name == "row":
-            return buf
-        return buf[:rows] if name == "white" else buf[:, :rows]
+            return self.scratch(name, (n,))
+        if name == "white":
+            return self.scratch(name, (self.chunk_rows, self.fs.n_channels, n),
+                                float)[:rows]
+        return self.scratch(name, (2, self.chunk_rows, n))[:, :rows]
 
     def _transform(self, a: np.ndarray, inverse: bool) -> np.ndarray:
         """numpy.fft.fft, or ifft if ``inverse``, of every row of a,

@@ -349,10 +349,10 @@ needs_compiler = pytest.mark.skipif(shutil.which(_native._COMPILER) is None,
                                     reason="no C compiler to build the kernel")
 
 
-def _blocks(model, eta_t, nu_t, cross):
+def _blocks(model, eta_t, nu_t, cross, first=0):
     return [(start, states.copy(), new_div)
             for start, states, new_div in integrate_blocks(
-                model, eta_t, nu_t, 0.005, cross)]
+                model, eta_t, nu_t, 0.005, cross, first)]
 
 
 def _numpy_kernel_blocks(monkeypatch, *args):
@@ -381,8 +381,10 @@ def _noise(rng, n, rows, scale=1.0):
 @pytest.mark.parametrize("alpha, scale", [(0.3, 2.0), (40.0, 30.0)])
 def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
                                                    monkeypatch):
-    # every yielded state and new_div, by its bits; at alpha = 40 the
-    # trajectories diverge through inf into nan
+    # every yielded state and new_div, by its bits, storing every step, the
+    # steps from one inside the second block (of 128 steps) on, and those
+    # from its first on; at alpha = 40 the trajectories diverge through
+    # inf into nan, some before the first stored step
     assert kernel("sln_rk4") is not None
     rng = np.random.default_rng(7)
     n, rows = 260, 29
@@ -391,14 +393,34 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
     cross = None if table is None else (eta0, nu0, rng.uniform(0.05, 20.0, shape))
     model = SystemModel(lambda t: 1.0 + 0.1 * t, -1.0, alpha,
                         np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))
-    ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
-    _assert_same_bits(ref, _blocks(model, eta, nu, cross))
-    states = np.concatenate([s for _, s, _ in ref])
+    full = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross)
+    every = np.concatenate([s for _, s, _ in full])
+    first_div = np.max([d for _, _, d in full], axis=0)
     if alpha > 1:
-        assert np.isnan(states).any() and np.isinf(states).any()
-        assert any((d >= 0).any() for _, _, d in ref)
+        assert np.isnan(every).any() and np.isinf(every).any()
+        assert np.any((first_div >= 0) & (first_div < 128))
     else:
-        assert np.isfinite(states).all()
+        assert np.isfinite(every).all()
+    for first in (0, 200, 128):
+        ref = _numpy_kernel_blocks(monkeypatch, model, eta, nu, cross, first)
+        _assert_same_bits(ref, _blocks(model, eta, nu, cross, first))
+        # the steps from first on of the run that stores them all, and
+        # every first divergence, the earlier ones named by the first block
+        assert [start for start, _, _ in ref] == [first] + [
+            start for start, _, _ in full if start > first]
+        states = np.concatenate([s for _, s, _ in ref])
+        assert np.array_equal(states.view(np.uint64), every[first:].view(np.uint64))
+        assert np.array_equal(np.max([d for _, _, d in ref], axis=0), first_div)
+
+
+def test_integrate_blocks_refuses_a_first_step_outside_the_run():
+    eta = np.zeros((2 * 4 + 1, 2), dtype=complex)
+    model = SystemModel(1.0, -1.0, 0.3, 0.5 * (np.eye(2) + SIGMA_Z))
+    for first in (-1, 5):
+        with pytest.raises(ValueError, match="first stored step"):
+            next(integrate_blocks(model, eta, eta, 0.005, None, first))
+    assert [start for start, _, _ in integrate_blocks(model, eta, eta, 0.005,
+                                                      None, 4)] == [4]
 
 
 def _joined(blocks, n_points):

@@ -847,6 +847,63 @@ def test_refused_sums_probe_is_logged_once(rebuild, monkeypatch, caplog):
         assert kernel(symbol) is not None, symbol
 
 
+@pytest.mark.parametrize("rk4", ["native", "numpy"])
+@pytest.mark.parametrize("run", ["ensemble", "scan"])
+def test_one_worker_reuses_its_chunk_and_rk4_buffers(run, rk4, monkeypatch):
+    # one worker thread, three units of 128, 128 and 44 realizations in
+    # chunks of 16: every chunk is coloured into the same noise series and
+    # integrated into the same RK4 block (the scan storing its final
+    # window only), and no buffer of the thread, nor the synthesizer that
+    # keeps them, outlives the run
+    import weakref
+
+    import slnoise.ensemble as ens
+
+    from conftest import force_numpy
+
+    if rk4 == "numpy":
+        force_numpy(monkeypatch, "sln_rk4")
+    monkeypatch.setattr(ens, "SYNTH_THREADS", 1)
+    integrate, synthesizer = ens.integrate_blocks, ens._synthesizer
+    scratch = Synthesizer.scratch
+    held, buffers, synths = [], [], []
+
+    def spy_integrate(model, eta_t, nu_t, dt_half, cross=None, *args):
+        for start, states, new_div in integrate(model, eta_t, nu_t, dt_half,
+                                                cross, *args):
+            # kept until the run ends, so a buffer freed and allocated
+            # again could not take the same address
+            held.append((eta_t, nu_t, *(cross or ()), states))
+            yield start, states, new_div
+
+    def spy_scratch(self, *args):
+        a = scratch(self, *args)
+        buffers.append(weakref.ref(a.base))
+        return a
+
+    def spy_synthesizer(*args):
+        synth = synthesizer(*args)
+        synths.append(weakref.ref(synth))
+        return synth
+
+    monkeypatch.setattr(ens, "integrate_blocks", spy_integrate)
+    monkeypatch.setattr(Synthesizer, "scratch", spy_scratch)
+    monkeypatch.setattr(ens, "_synthesizer", spy_synthesizer)
+    cfg = small_cfg(n_realizations=300)
+    if run == "scan":
+        scan_lambda(cfg, [0.1, 1.0, 10.0], runs_per_point=300)
+    else:
+        run_ensemble(cfg)
+    chunks = 8 + 8 + 3
+    assert len(held) == chunks * (1 if run == "scan" else 2)
+    assert {len(a) for a in held} == {6 if run == "scan" else 3}
+    # one address per kind of array: eta, nu, (eta0, nu0, factors,) states
+    assert all(len({a.ctypes.data for a in arrays}) == 1 for arrays in zip(*held))
+    held.clear()
+    assert len(synths) == 1 and buffers
+    assert all(ref() is None for ref in synths + buffers)
+
+
 def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):
     # 256 realizations at dt = 0.01 and t_max = 40: the batch's two noise
     # series alone took 65.5 MB; each of two threads now holds a chunk

@@ -87,7 +87,8 @@ for k in range(1, 17):
             noise._fft_native(fft, rows, inverse, twiddles, scratch)
 
 # sln_rk4: 1, 3 and 16 rows, without factors and with 1 and 13 factor
-# rows, some columns diverging through inf into nan
+# rows, some columns diverging through inf into nan, storing every step,
+# those from one inside the second block on, and those from its first on
 rng = np.random.default_rng(1)
 model = SystemModel(1.0, -1.0, 40.0, 0.5 * (np.eye(2) + SIGMA_Z))
 for rows in (1, 3, 16):
@@ -96,10 +97,12 @@ for rows in (1, 3, 16):
                           for _ in range(4))
     for cross in (None, (eta0, nu0, rng.uniform(0.1, 10.0, (1, rows))),
                   (eta0, nu0, rng.uniform(0.1, 10.0, (13, rows)))):
-        diverged = False
-        for _, states, new_div in integrate_blocks(model, eta, nu, 0.005, cross):
-            diverged |= bool((new_div >= 0).any())
-        assert diverged
+        for first in (0, 150, 128):
+            diverged = False
+            for _, states, new_div in integrate_blocks(model, eta, nu, 0.005,
+                                                       cross, first):
+                diverged |= bool((new_div >= 0).any())
+            assert diverged
 
 # sln_sums: units of 1 ... 300 columns in chunks of 1, 3 and 16, two
 # and four quantities, 1 and 13 strengths, into the last strengths and
