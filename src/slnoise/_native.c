@@ -23,9 +23,15 @@
  * the states of the steps from the run's first stored step on; the steps
  * before it are integrated and checked for divergence but stored nowhere,
  * so a caller that reduces only a final window writes no block rows
- * before it.  The caller allocates the state, the block and the
- * divergence rows, and an ensemble's worker thread allocates them once
- * per run and reuses them for every chunk.  Every operation is that of
+ * before it.  It reads the noise as the colouring leaves it, row-major:
+ * each series is (rows, >= nh) complex with one row stride, the rows of
+ * the colouring's transform buffer, padded past the physical window.  At
+ * the start of a call it gathers the call's half steps of every row,
+ * once, into the caller's tile, time-major, and every column tile of
+ * every factor row then reads the tile.  The caller allocates the state,
+ * the block, the tile and the divergence rows, and an ensemble's worker
+ * thread allocates them once per run and reuses them for every chunk.
+ * Every operation is that of
  * the numpy kernel, in its order and with its operands in their order:
  * the noise of a half step is formed as (eta + f*eta0)*2a - eps and
  * (nu + nu0/f)*ia, the right-hand side and
@@ -35,9 +41,9 @@
  * re = fma(ar, br, -(ai*bi)) and im = fma(ar, bi, ai*br).
  *
  * The columns are worked through in tiles of at most TILE consecutive
- * trajectories of one factor row.  A tile's state, its stages and the
- * noise of three half steps are held in split real and imaginary arrays
- * on the stack, so the inner loops run over the tile's columns.
+ * trajectories of one factor row.  A column tile's state, its stages and
+ * the noise of three half steps are held in split real and imaginary
+ * arrays on the stack, so the inner loops run over the tile's columns.
  */
 
 #include <math.h>
@@ -48,15 +54,19 @@
 #define INLINE static inline __attribute__((always_inline))
 
 typedef struct {
-    /* (nh, rows) complex noise, time-major; eta0/nu0 are NULL unless the
-       batch carries a rescaled cross-correlative pair */
+    /* (rows, >= nh) complex noise, row-major, row r at r * stride complex
+       numbers; eta0/nu0 are NULL unless the batch carries a rescaled
+       cross-correlative pair */
     const double *eta, *nu, *eta0, *nu0;
     const double *factor;        /* (n_points, rows) rescale factors */
     const double *eps, *delta;   /* (nh,) drives at the half steps */
     double *y;                   /* (2, 4, width): state, real then imag */
     double *block;               /* (block steps, 4, width) complex */
+    /* (2 or 4 series, 2 * block steps + 1, rows) complex: a call's half
+       steps, time-major */
+    double *tile;
     int64_t *first_div, *new_div;  /* (width,) */
-    int64_t rows, width;
+    int64_t rows, width, stride;
     int64_t first;               /* the first step stored in the block */
     /* complex constants of the numpy kernel; those not given have a zero
        imaginary part */
@@ -71,18 +81,27 @@ INLINE void cmul(double ar, double ai, double br, double bi,
     *im = fma(ar, bi, ai * br);
 }
 
+/* The tile's half steps: series s of the call's half step lo + j, row r,
+   is the complex number (s * nk + j) * rows + r, with nk the call's half
+   steps; eta, nu, eta0, nu0 are series 0 .. 3. */
+typedef struct {
+    const double *tile;
+    int64_t lo, nk;
+} halves;
+
 /* Noise terms -w = 2a*eta' - eps and v = ia*nu' at half step k, for the
-   n columns of factor row l that start at trajectory r0; rat and scl are
-   numpy's Smith-division terms of each column's factor. */
-INLINE void noise(const sln_run *p, int64_t k, int64_t l, int64_t r0,
-                  int n, const double *rat, const double *scl,
+   n columns of factor row l that start at trajectory r0, from the tile;
+   rat and scl are numpy's Smith-division terms of each column's factor. */
+INLINE void noise(const sln_run *p, const halves *t, int64_t k, int64_t l,
+                  int64_t r0, int n, const double *rat, const double *scl,
                   double *mwr, double *mwi, double *vr, double *vi)
 {
-    const int64_t at = 2 * (k * p->rows + r0);
-    const double *eta = p->eta + at, *nu = p->nu + at;
+    const int64_t plane = 2 * t->nk * p->rows;
+    const double *eta = t->tile + 2 * ((k - t->lo) * p->rows + r0),
+                 *nu = eta + plane;
     const double eps = p->eps[k];
     if (p->eta0) {
-        const double *eta0 = p->eta0 + at, *nu0 = p->nu0 + at;
+        const double *eta0 = eta + 2 * plane, *nu0 = eta + 3 * plane;
         const double *f = p->factor + l * p->rows + r0;
         for (int c = 0; c < n; c++) {
             double ar, ai, br, bi;
@@ -160,8 +179,8 @@ INLINE int within(const double (*y)[TILE], int c, double threshold)
     return 1;
 }
 
-INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
-                 int64_t r0, int n)
+INLINE void column_tile(const sln_run *p, const halves *t, int64_t start,
+                        int64_t m, int64_t l, int64_t r0, int n)
 {
     const int64_t c0 = l * p->rows + r0, width = p->width;
     /* the step that block row 0 holds */
@@ -185,7 +204,7 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
     for (int c = 0; c < n; c++)
         p->new_div[c0 + c] = -1;
     /* the first step's first half step */
-    noise(p, start > 0 ? 2 * start - 2 : 0, l, r0, n, rat, scl,
+    noise(p, t, start > 0 ? 2 * start - 2 : 0, l, r0, n, rat, scl,
           a[0], a[1], a[2], a[3]);
 
     for (int64_t j = 0; j < m; j++) {
@@ -194,8 +213,8 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
             const int64_t k = 2 * (i - 1);
             const double md0r = -p->delta[k], md1r = -p->delta[k + 1],
                          md2r = -p->delta[k + 2], mdi = -0.0;
-            noise(p, k + 1, l, r0, n, rat, scl, b[0], b[1], b[2], b[3]);
-            noise(p, k + 2, l, r0, n, rat, scl, e[0], e[1], e[2], e[3]);
+            noise(p, t, k + 1, l, r0, n, rat, scl, b[0], b[1], b[2], b[3]);
+            noise(p, t, k + 2, l, r0, n, rat, scl, e[0], e[1], e[2], e[3]);
             for (int c = 0; c < n; c++) {
                 double s[8], k1[8], k2[8], k3[8], k4[8], ys[8];
                 for (int q = 0; q < 8; q++)
@@ -216,9 +235,9 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
                 for (int q = 0; q < 8; q++)
                     y[q][c] = s[q];
             }
-            double (*t)[TILE] = a;
+            double (*swap)[TILE] = a;
             a = e;
-            e = t;
+            e = swap;
             /* |re|, |im| <= threshold/2 implies |x| <= threshold, and
                fails for inf and nan: the modulus only where it does not hold */
             for (int c = 0; c < n; c++) {
@@ -248,9 +267,23 @@ INLINE void tile(const sln_run *p, int64_t start, int64_t m, int64_t l,
 
 /* Steps start .. start+m-1 of every column, those from p->first on into
    block rows 0 ..; new_div[c] is the step at which column c first crossed
-   the threshold in this block, else -1. */
+   the threshold in this block, else -1.  The steps read half steps
+   2*start - 2 (0 for start = 0) to 2*(start + m - 1) of every series, which
+   are gathered into the tile first, each row's a contiguous run. */
 void sln_rk4(const sln_run *p, int64_t start, int64_t m)
 {
+    const int64_t lo = start > 0 ? 2 * start - 2 : 0;
+    const halves t = {p->tile, lo, 2 * (start + m - 1) + 1 - lo};
+    const double *series[4] = {p->eta, p->nu, p->eta0, p->nu0};
+    for (int s = 0; s < (p->eta0 ? 4 : 2); s++)
+        for (int64_t r = 0; r < p->rows; r++) {
+            const double *src = series[s] + 2 * (r * p->stride + lo);
+            double *dst = p->tile + 2 * (s * t.nk * p->rows + r);
+            for (int64_t j = 0; j < t.nk; j++) {
+                dst[2 * j * p->rows] = src[2 * j];
+                dst[2 * j * p->rows + 1] = src[2 * j + 1];
+            }
+        }
     for (int64_t c = 0; c < p->width;) {
         const int64_t l = c / p->rows, r = c % p->rows;
         int64_t n = p->rows - r;
@@ -258,7 +291,7 @@ void sln_rk4(const sln_run *p, int64_t start, int64_t m)
             n = p->width - c;
         if (n > TILE)
             n = TILE;
-        tile(p, start, m, l, r, (int)n);
+        column_tile(p, &t, start, m, l, r, (int)n);
         c += n;
     }
 }
@@ -641,14 +674,21 @@ INLINE void bump(uint64_t *ctr)
         ++ctr[3];
 }
 
-/* the next two blocks of the stream into out[0 .. 7] */
+/* the next two blocks of the stream into out[0 .. 7].  Both counters are
+   formed in locals and the counter is written back once, so that no
+   block copy reads s->ctr right after word stores to it, which store-to-
+   load forwarding cannot serve. */
 INLINE void two_blocks(philox *s, uint64_t *out)
 {
     uint64_t a[4], b[4];
-    bump(s->ctr);
-    memcpy(a, s->ctr, sizeof a);
-    bump(s->ctr);
-    memcpy(b, s->ctr, sizeof b);
+    for (int w = 0; w < 4; w++)
+        a[w] = s->ctr[w];
+    bump(a);
+    for (int w = 0; w < 4; w++)
+        b[w] = a[w];
+    bump(b);
+    for (int w = 0; w < 4; w++)
+        s->ctr[w] = b[w];
     for (int r = 0; r < 10; r++) {
         philox_round(a, s->key[r]);
         philox_round(b, s->key[r]);

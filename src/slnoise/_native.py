@@ -60,9 +60,8 @@ class SlnRun(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "eta", "nu", "eta0", "nu0", "factor", "eps", "delta", "y", "block",
-        "first_div", "new_div")] + [
-        ("rows", ctypes.c_int64), ("width", ctypes.c_int64),
-        ("first", ctypes.c_int64)] + [
+        "tile", "first_div", "new_div")] + [
+        (name, ctypes.c_int64) for name in ("rows", "width", "stride", "first")] + [
         (name, ctypes.c_double) for name in (
             "two_alpha", "i_alpha_re", "i_alpha_im", "half_h", "full_h", "two",
             "sixth_h", "threshold")]

@@ -14,42 +14,48 @@ grid so the midpoint stages use exact samples rather than interpolants
 (the coloured noise is band-limited, hence smooth on the step scale).
 
 One function, :func:`integrate_blocks`, integrates a batch of
-trajectories.  It reads the noise time-major, (half steps, trajectories),
-updates the four state components of every trajectory in place, and hands
-the states out in blocks of BLOCK_STEPS steps; callers reduce a block as
-soon as it is written, so the states of a whole run are never held at
-once.  A caller that reduces only the steps from some step on (the lambda
-scan's final stats window) passes that step: every earlier step is
-integrated and checked for divergence, but no state of it is stored.  A
-caller that integrates many batches (an ensemble's worker thread) passes
-its own allocator of scratch arrays, so that the state, the block and the
-divergence rows are allocated once and reused for every batch.
+trajectories.  It reads the noise as the colouring leaves it, row-major,
+(trajectories, half steps), with rows that may be padded past the window
+(the rows of an ensemble's colouring workspace), updates the four state
+components of every trajectory in place, and hands the states out in
+blocks of BLOCK_STEPS steps; callers reduce a block as soon as it is
+written, so the states of a whole run are never held at once.  Each block
+first gathers its half steps of every row into a small time-major tile,
+so that every RK4 stage reads one contiguous row of it.  A caller that
+reduces only the steps from some step on (the lambda scan's final stats
+window) passes that step: every earlier step is integrated and checked
+for divergence, but no state of it is stored.  A caller that integrates
+many batches (an ensemble's worker thread) passes its own allocator of
+scratch arrays, so that the state, the block, the tile and the divergence
+rows are allocated once and reused for every batch.
 :func:`integrate_batch` concatenates the blocks.
 
 It has two kernels that give the same bits.  The numpy kernel, the
 reference and the fallback, is a chain of ufunc calls over contiguous
-component rows, with the divergence check once per block; it holds the
-interpreter lock between the calls, so it runs on one core.  The native
-kernel (``sln_rk4`` in ``_native.c``) fuses the noise formation, the RK4
-steps and the divergence check in one C loop per column, with numpy's
-operations in numpy's order.  It is compiled on first use into a cache
-outside the package and loaded by :func:`slnoise._native.kernel`, the
-loader of every native kernel, which hands it out only if :func:`_probe`
-finds it gives the numpy kernel's bits on a small batch; it releases the
-interpreter lock, so several threads may each integrate their own batch
-at once.  A column's bits depend neither on the kernel that ran nor on
-the other columns integrated with it.  Without a compiler, a writable
-cache or a bitwise match, the numpy kernel runs, and the loader logs why
-at INFO on the ``slnoise`` logger.
+rows of the tile and of the state, with the divergence check once per
+block; it holds the interpreter lock between the calls, so it runs on one
+core.  The native kernel (``sln_rk4`` in ``_native.c``) gathers the tile
+and fuses the noise formation, the RK4 steps and the divergence check in
+one C loop per column, with numpy's operations in numpy's order.  It is
+compiled on first use into a cache outside the package and loaded by
+:func:`slnoise._native.kernel`, the loader of every native kernel, which
+hands it out only if :func:`_probe` finds it gives the numpy kernel's
+bits on a small batch; it releases the interpreter lock, so several
+threads may each integrate their own batch at once.  A column's bits
+depend neither on the kernel that ran nor on the other columns integrated
+with it.  Without a compiler, a writable cache or a bitwise match, the
+numpy kernel runs, and the loader logs why at INFO on the ``slnoise``
+logger.
 
 A rescaled batch may be integrated at several rescaling strengths in one
 pass: with a table of L factor rows, the kernel runs L x rows columns, the
 batch's noise rescaled by each row of factors in turn.  The cost of a
 column-step falls as the width grows (in the numpy kernel, fewer ufunc
 calls per column), and each column's arithmetic is that of a stand-alone
-run, so every column is bitwise the same.  The wider the table, the fewer
-steps a block covers, so that it holds no more column-steps than a
-one-row block of a full batch; callers cap the width.
+run, so every column is bitwise the same.  A block gathers its tile once,
+whatever the number of factor rows, and every factor row reads it.  The
+wider the table, the fewer steps a block covers, so that it holds no more
+column-steps than a one-row block of a full batch; callers cap the width.
 
 The module also provides the exact solution of a pure-dephasing
 (quantum-non-demolition) model with kernel K(t) = (1/2) e^{-2|t|+i t},
@@ -121,18 +127,19 @@ def rk4_bytes(rows: int, n_steps: int, n_points: int = 1) -> int:
     the first divergences and the divergence bookkeeping of two blocks.
     Per column and block step: the block of states, the |state| array and
     mask of the divergence check, and the previous block's mask.  Per
-    column and half step of a block: the two noise buffers.  And the
-    drives on the half-step grid.  The native kernel holds the split
-    state, the block and two divergence rows; its scratch is a few kB of
-    stack per thread.  A caller that passes ``scratch`` holds the block,
-    the native kernel's state and divergence rows and the numpy kernel's
-    noise buffers once for all its batches (an ensemble's worker thread,
-    once per run), not once per batch."""
+    column and half step of a block: the two noise buffers.  Per
+    trajectory and half step of a block: the tile of four noise series.
+    And the drives on the half-step grid.  The native kernel holds the
+    split state, the block, the tile and two divergence rows; its scratch
+    is a few kB of stack per thread.  A caller that passes ``scratch``
+    holds the block, the tile, the native kernel's state and divergence
+    rows and the numpy kernel's noise buffers once for all its batches
+    (an ensemble's worker thread, once per run), not once per batch."""
     steps = _block_steps(rows, n_points, n_steps)
     half_steps = min(2 * steps + 1, 2 * n_steps + 1)
     width = rows * n_points
     return (width * (16 * (6 * 4 + 1) + 40 + (64 + 37) * steps + 32 * half_steps)
-            + 32 * (2 * n_steps + 1 + half_steps))
+            + 64 * rows * half_steps + 32 * (2 * n_steps + 1 + half_steps))
 
 
 Drive = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -193,25 +200,30 @@ def _new(name: str, shape, dtype) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
-                     nu_t: np.ndarray, dt_half: float, cross=None,
-                     first: int = 0, scratch: Callable = _new):
+def integrate_blocks(model: SystemModel, eta: np.ndarray, nu: np.ndarray,
+                     dt_half: float, cross=None, first: int = 0,
+                     scratch: Callable = _new):
     """RK4 integration of a batch of trajectories, streamed in blocks.
 
-    ``eta_t``/``nu_t`` are time-major, shape (2*n_steps + 1, rows): row k
-    holds every trajectory's noise at half step k, so each RK4 stage reads
-    one contiguous row.  The state is kept as four component rows
-    (sx, sy, sz, tr) of shape (rows,) and updated in place.
+    ``eta``/``nu`` are row-major, shape (rows, 2*n_steps + 1): row r holds
+    trajectory r's noise at every half step, as the colouring leaves it;
+    they may be views of longer rows, such as those of the colouring's
+    workspace, padded past the window.  Each block first gathers its half
+    steps of every row, once, into a time-major tile, (half steps, rows)
+    per series, so that each RK4 stage reads one contiguous row of it.
+    The state is kept as four component rows (sx, sy, sz, tr) of shape
+    (rows,) and updated in place.
 
-    ``cross`` = (eta0_t, nu0_t, factor) adds a rescaled cross-correlative
-    pair: the noise is eta_t + factor * eta0_t and nu_t + nu0_t / factor,
-    with one factor per trajectory, shape (rows,), or a table of L factor
-    rows, shape (L, rows).  A table integrates L x rows columns in one
-    pass: column l * rows + r is trajectory r rescaled by factor[l, r].
-    The noise is formed one block at a time, by broadcasting over the
-    table's rows, and rounded exactly as when formed in full beforehand,
-    so every column equals a stand-alone run with its factor row, bitwise,
-    and no copy of the noise is made per row.
+    ``cross`` = (eta0, nu0, factor) adds a rescaled cross-correlative
+    pair, laid out as eta and nu: the noise is eta + factor * eta0 and
+    nu + nu0 / factor, with one factor per trajectory, shape (rows,), or a
+    table of L factor rows, shape (L, rows).  A table integrates L x rows
+    columns in one pass: column l * rows + r is trajectory r rescaled by
+    factor[l, r].  The noise is formed one block at a time from the tile,
+    by broadcasting over the table's rows, and rounded exactly as when
+    formed in full beforehand, so every column equals a stand-alone run
+    with its factor row, bitwise, and no copy of the noise is made per
+    row.
 
     Yields ``(start, states, new_div)`` for consecutive blocks of up to
     BLOCK_STEPS steps, fewer for a wide table: a block holds at most
@@ -230,8 +242,8 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
     ``first``), and its ``new_div`` names the crossings of every earlier
     step too.
 
-    ``scratch(name, shape, dtype)`` allocates the block, the native
-    kernel's state and divergence rows and the numpy kernel's noise
+    ``scratch(name, shape, dtype)`` allocates the block, the tile, the
+    native kernel's state and divergence rows and the numpy kernel's noise
     buffers, each under its own name; a caller that integrates many
     batches passes one that hands the same memory out again (see
     :meth:`~slnoise.noise.Synthesizer.scratch`).  By default each is a new
@@ -239,12 +251,13 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
 
     Two kernels compute the blocks on the calling thread, with the same
     bits.  The native one (``sln_rk4``, see :func:`_probe`) runs
-    whenever it could be built, the noise is contiguous complex128 and
-    the factors are finite, non-zero and contiguous float64, one call per
+    whenever it could be built, the noise is complex128 rows of
+    contiguous samples, every series with the same row stride, and the
+    factors are finite, non-zero and contiguous float64, one call per
     block outside the interpreter lock.  Otherwise the numpy kernel, the
     reference, runs.
     """
-    nh, rows = eta_t.shape
+    rows, nh = eta.shape
     if nh % 2 == 0 or nh < 3:
         raise ValueError("half-step series must have odd length >= 3")
     n_steps = (nh - 1) // 2
@@ -252,13 +265,13 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
         raise ValueError(f"first stored step {first} is not in 0 .. {n_steps}")
     n_points = 1
     if cross is not None:
-        eta0_t, nu0_t, factor = cross
-        cross = eta0_t, nu0_t, np.reshape(factor, (-1, rows))
+        eta0, nu0, factor = cross
+        cross = eta0, nu0, np.reshape(factor, (-1, rows))
         n_points = len(cross[2])
     t_half = model.t0 + dt_half * np.arange(nh)
     run = _Run(rho_to_state(model.rho0), model.alpha, 2.0 * dt_half,
                _eval_drive(model.epsilon, t_half),
-               _eval_drive(model.delta, t_half), eta_t, nu_t, cross,
+               _eval_drive(model.delta, t_half), eta, nu, cross,
                _block_steps(rows, n_points, n_steps), first, scratch)
     rk4 = _native.kernel("sln_rk4", _probe) if _native_fits(run) else None
     yield from _numpy_blocks(run) if rk4 is None else _native_blocks(run, rk4)
@@ -266,33 +279,45 @@ def integrate_blocks(model: SystemModel, eta_t: np.ndarray,
 
 class _Run(NamedTuple):
     """One integration: the initial state, the coupling, the step, the
-    drives at the half steps, the noise, the block length, the first step
-    stored and the allocator of the buffers."""
+    drives at the half steps, the row-major noise, the block length, the
+    first step stored and the allocator of the buffers."""
 
     y0: np.ndarray
     alpha: float
     h: float
     eps: np.ndarray
     delta: np.ndarray
-    eta_t: np.ndarray
-    nu_t: np.ndarray
+    eta: np.ndarray
+    nu: np.ndarray
     cross: Optional[tuple]
     block_steps: int
     first: int = 0
     scratch: Callable = _new
 
+    def series(self) -> tuple:
+        """The noise series: eta, nu and, if rescaled, eta0 and nu0."""
+        return (self.eta, self.nu) + (self.cross[:2] if self.cross else ())
+
+    def tile(self) -> np.ndarray:
+        """The tile of a block's half steps, (series, half steps, rows)."""
+        rows, nh = self.eta.shape
+        return self.scratch("tile", (len(self.series()),
+                                     min(2 * self.block_steps + 1, nh), rows),
+                            complex)
+
 
 def _numpy_blocks(run: _Run):
-    """The numpy kernel of :func:`integrate_blocks`: a chain of ufunc calls
+    """The numpy kernel of :func:`integrate_blocks`: each block's half
+    steps copied from the rows into the tile, then a chain of ufunc calls
     over whole component rows, the divergence check once per block on the
     stored steps, and once per step before the first stored one."""
-    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps, first, scratch = run
-    nh, rows = eta_t.shape
+    y0, alpha, h, eps, delta, eta, nu, cross, block_steps, first, scratch = run
+    rows, nh = eta.shape
     n_steps = (nh - 1) // 2
-    if cross is not None:
-        eta0_t, nu0_t, factor = cross
+    factor = None if cross is None else cross[2]
     n_points = 1 if cross is None else len(factor)
     width = n_points * rows
+    series, tile = run.series(), run.tile()
 
     y = np.empty((4, width), dtype=complex)
     y[:] = y0[:, None]
@@ -302,7 +327,7 @@ def _numpy_blocks(run: _Run):
     block = scratch("block", (block_steps, 4, width), complex)
     first_div = np.full(width, -1)
     # the noise terms of a block's half steps
-    half_steps = (min(2 * block_steps + 1, nh), width)
+    half_steps = (tile.shape[1], width)
     mw_buf, v_buf = (scratch(name, half_steps, complex) for name in ("mw", "v"))
     two_alpha, i_alpha = 2.0 * alpha, 1j * alpha
 
@@ -332,19 +357,23 @@ def _numpy_blocks(run: _Run):
             # step i in the block
             lo = max(2 * start - 2, 0)
             hi = 2 * (start + m - 1) + 1
+            for plane, x in zip(tile, series):
+                plane[:hi - lo] = x[:, lo:hi].T
+            eta_t, nu_t, *pair = (plane[:hi - lo] for plane in tile)
             mw, v = mw_buf[:hi - lo], v_buf[:hi - lo]
             if cross is None:
-                mul(eta_t[lo:hi], two_alpha, mw)
-                mul(nu_t[lo:hi], i_alpha, v)
+                mul(eta_t, two_alpha, mw)
+                mul(nu_t, i_alpha, v)
             else:
+                eta0_t, nu0_t = pair
                 # (half steps, factor rows, trajectories) views
                 mw3 = mw.reshape(hi - lo, n_points, rows)
                 v3 = v.reshape(hi - lo, n_points, rows)
-                mul(eta0_t[lo:hi, None], factor, mw3)
-                add(mw3, eta_t[lo:hi, None], mw3)
+                mul(eta0_t[:, None], factor, mw3)
+                add(mw3, eta_t[:, None], mw3)
                 mul(mw, two_alpha, mw)
-                np.divide(nu0_t[lo:hi, None], factor, v3)
-                add(v3, nu_t[lo:hi, None], v3)
+                np.divide(nu0_t[:, None], factor, v3)
+                add(v3, nu_t[:, None], v3)
                 mul(v, i_alpha, v)
             mw -= eps[lo:hi, None]
             md = -delta[lo:hi].astype(complex)
@@ -389,12 +418,15 @@ def _numpy_blocks(run: _Run):
 
 def _native_fits(run: _Run) -> bool:
     """Whether the native kernel can read the run's arrays as they are:
-    contiguous complex128 noise of one shape, and finite non-zero float64
-    factors (numpy divides by them with Smith's method, which the kernel
-    writes out for that case only)."""
-    series = (run.eta_t, run.nu_t) + (run.cross[:2] if run.cross else ())
-    if not all(s.dtype == np.complex128 and s.flags.c_contiguous
-               and s.shape == run.eta_t.shape for s in series):
+    complex128 noise of one shape and one row stride, in rows of
+    contiguous samples, and finite non-zero float64 factors (numpy divides
+    by them with Smith's method, which the kernel writes out for that case
+    only)."""
+    eta = run.eta
+    if not (eta.dtype == np.complex128 and eta.strides[1] == 16
+            and eta.strides[0] % 16 == 0
+            and all(s.dtype == eta.dtype and s.shape == eta.shape
+                    and s.strides == eta.strides for s in run.series())):
         return False
     if run.cross is None:
         return True
@@ -405,26 +437,26 @@ def _native_fits(run: _Run) -> bool:
 
 def _native_blocks(run: _Run, rk4):
     """The native kernel of :func:`integrate_blocks`: each block one
-    GIL-released call to ``rk4``, which stores the steps from ``first``
-    on."""
-    y0, alpha, h, eps, delta, eta_t, nu_t, cross, block_steps, first, scratch = run
-    nh, rows = eta_t.shape
+    GIL-released call to ``rk4``, which gathers the block's half steps
+    into the tile and stores the steps from ``first`` on."""
+    y0, alpha, h, eps, delta, eta, nu, cross, block_steps, first, scratch = run
+    rows, nh = eta.shape
     n_steps = (nh - 1) // 2
     width = rows if cross is None else cross[2].size
     y = scratch("state", (2, 4, width), float)
     y[0], y[1] = y0.real[:, None], y0.imag[:, None]
-    block = scratch("block", (block_steps, 4, width), complex)
+    block, tile = scratch("block", (block_steps, 4, width), complex), run.tile()
     first_div, new_div = (scratch(name, (width,), np.int64)
                           for name in ("first_div", "new_div"))
     first_div.fill(-1)
-    eta0_t, nu0_t, factor = cross if cross is not None else (None,) * 3
+    eta0, nu0, factor = cross if cross is not None else (None,) * 3
     i_alpha = 1j * alpha
     args = _native.SlnRun(
         *(None if a is None else a.ctypes.data
-          for a in (eta_t, nu_t, eta0_t, nu0_t, factor, eps, delta, y, block,
+          for a in (eta, nu, eta0, nu0, factor, eps, delta, y, block, tile,
                     first_div, new_div)),
-        rows, width, first, 2.0 * alpha, i_alpha.real, i_alpha.imag, 0.5 * h,
-        h, 2.0, h / 6.0, DIVERGENCE_THRESHOLD)
+        rows, width, eta.strides[0] // 16, first, 2.0 * alpha, i_alpha.real,
+        i_alpha.imag, 0.5 * h, h, 2.0, h / 6.0, DIVERGENCE_THRESHOLD)
     for start in range(0, n_steps + 1, block_steps):
         m = min(block_steps, n_steps + 1 - start)
         rk4(args, start, m)
@@ -440,27 +472,29 @@ def _probe(rk4) -> bool:
     batch, with and without a factor table, storing every step, the steps
     from one inside the second block on, and those from the second
     block's first on; one trajectory crosses the divergence threshold
-    before either and ends in nan.  A last run holds a state whose modulus
-    np.abs puts just above the threshold and libm's hypot at it, so that a
-    numpy whose modulus is hypot refuses the kernel.  (The kernel's
-    complex multiply is fused, as numpy's is where the processor has
-    FMA.)"""
+    before either and ends in nan.  The noise is row-major, its rows views
+    of longer ones, as the colouring's rows are, so that a kernel that
+    reads another layout or another row stride is refused.  A last run
+    holds a state whose modulus np.abs puts just above the threshold and
+    libm's hypot at it, so that a numpy whose modulus is hypot refuses the
+    kernel.  (The kernel's complex multiply is fused, as numpy's is where
+    the processor has FMA.)"""
     rng = np.random.default_rng(2020)
     rows, n_steps, block_steps = 5, 6, 4
     nh = 2 * n_steps + 1
 
     def noise():
-        return 3.0 * (rng.standard_normal((nh, rows))
-                      + 1j * rng.standard_normal((nh, rows)))
+        return (3.0 * (rng.standard_normal((rows, nh + 3))
+                       + 1j * rng.standard_normal((rows, nh + 3))))[:, :nh]
 
-    eta_t, nu_t, eta0_t, nu0_t = (noise() for _ in range(4))
-    nu_t[:, 0] *= 1e60
+    eta, nu, eta0, nu0 = (noise() for _ in range(4))
+    nu[0] *= 1e60
     y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     drives = rng.standard_normal((2, nh))
     table = rng.uniform(0.1, 10.0, (3, rows))
-    runs = [_Run(y0, 0.7, 0.05, *drives, eta_t, nu_t, cross, block_steps, first)
-            for cross in (None, (eta0_t, nu0_t, table)) for first in (0, 2, 4)]
-    still = np.zeros((nh, 1), dtype=complex)
+    runs = [_Run(y0, 0.7, 0.05, *drives, eta, nu, cross, block_steps, first)
+            for cross in (None, (eta0, nu0, table)) for first in (0, 2, 4)]
+    still = np.zeros((1, nh), dtype=complex)
     runs.append(_Run(np.array([_AT_THRESHOLD, 0, 0, 1]), 0.0, 0.05,
                      *np.zeros((2, nh)), still, still, None, block_steps))
     for run in runs:
@@ -485,11 +519,11 @@ def integrate_batch(model: SystemModel, eta_half: np.ndarray,
     first_div is the first diverged step per trajectory (-1 if none).
     The blocks of :func:`integrate_blocks`, concatenated.
     """
-    eta_t = np.ascontiguousarray(np.atleast_2d(eta_half).T)
-    nu_t = np.ascontiguousarray(np.atleast_2d(nu_half).T)
+    eta = np.ascontiguousarray(np.atleast_2d(eta_half))
+    nu = np.ascontiguousarray(np.atleast_2d(nu_half))
     blocks = []
-    first_div = np.full(eta_t.shape[1], -1)
-    for _, states, new_div in integrate_blocks(model, eta_t, nu_t, dt_half):
+    first_div = np.full(len(eta), -1)
+    for _, states, new_div in integrate_blocks(model, eta, nu, dt_half):
         blocks.append(states.transpose(2, 0, 1).copy())
         first_div = np.where(new_div >= 0, new_div, first_div)
     return np.concatenate(blocks, axis=1), first_div

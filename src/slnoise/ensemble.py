@@ -8,12 +8,14 @@ whatever the thread count.
 One worker thread runs each unit, SYNTH_THREADS of them at once.  It
 takes the unit's realizations in chunks of the synthesizer's
 ``chunk_rows`` (at most 16, fewer on long grids): draws and colours a
-chunk into time-major noise series of its own, of a chunk's width only,
-integrates it with :func:`integrate_blocks` at every rescaling strength
-of the run, and adds each block of states, column after column in
-realization order, into the unit's per-step sums (:class:`_Sums`).
-Every per-chunk buffer, the colouring workspace, the noise series, the
-factor table and the RK4 state, block and divergence rows, is allocated
+chunk (:meth:`~slnoise.noise.Synthesizer.colour`), integrates the
+colouring's rows where they lie, views of its transform buffers, with
+:func:`integrate_blocks` at every rescaling strength of the run, and
+adds each block of states, column after column in realization order,
+into the unit's per-step sums (:class:`_Sums`).  No copy of a chunk's
+noise is made: RK4 gathers each block's half steps into a tile of a few
+hundred kB.  Every per-chunk buffer, the colouring workspace, the factor
+table and the RK4 state, block, tile and divergence rows, is allocated
 once per worker per run, in the synthesizer's per-thread store
 (:meth:`~slnoise.noise.Synthesizer.scratch`), and reused for every chunk
 of every unit the worker takes; it is freed with the run.  The
@@ -36,21 +38,22 @@ is stored, and a trajectory that diverged in one counts as diverged from
 the window's first step on.
 
 Rescaled runs synthesize each realization's noise once, whatever the
-number of rescaling strengths lambda: a chunk keeps its noise without the
-cross-correlative pair, the unscaled pair and the per-realization rescale
-factors of every strength.  RK4 integrates the chunk at all strengths in
-one pass, as one array of strengths x realizations columns, the factors
-applied block by block; strengths are grouped so that a pass has at most
-RK4_COLUMNS columns, which bounds its buffers whatever the number of
-strengths.  Each block is added for every strength of the pass at once,
-into accumulators kept per strength, so each point of :func:`scan_lambda`
-equals a stand-alone :func:`run_ensemble` with that lambda, bitwise; a
-single rescaled run is the one-strength case.
+number of rescaling strengths lambda: a chunk's colouring leaves its noise
+without the cross-correlative pair, the unscaled pair and the
+per-realization rescale factors of every strength.  RK4 integrates the
+chunk at all strengths in one pass, as one array of strengths x
+realizations columns, the factors applied block by block, each block's
+noise gathered once for all of them; strengths are grouped so that a pass
+has at most RK4_COLUMNS columns, which bounds its buffers whatever the
+number of strengths.  Each block is added for every strength of the pass
+at once, into accumulators kept per strength, so each point of
+:func:`scan_lambda` equals a stand-alone :func:`run_ensemble` with that
+lambda, bitwise; a single rescaled run is the one-strength case.
 
 Before any noise is drawn, a run is charged its memory in two named parts
 (:func:`~slnoise.noise.check_memory`), each term sized by the helper its
-allocation uses: the grid (each thread's chunk noise, numpy's colouring
-workspace and RK4 pass, and the kernel table and filters) and the
+allocation uses: the grid (each thread's colouring workspace, charged at
+numpy's, and RK4 pass, and the kernel table and filters) and the
 strengths (the units in flight, the running sums and the statistics).
 
 The trace variance and standard error are pooled over sliding windows of
@@ -325,7 +328,7 @@ def _check_memory(ngrid: TimeGrid, batch_rows: int, n_points: int,
     kept = n_steps + 1 - first
     unit = (_Sums.nbytes(n_points, kept)
             + 8 * n_points * min(batch_rows, BATCH_ROWS // 2))
-    thread = (64 * ngrid.n_phys * rows + workspace_bytes(rows, channels, ngrid.n)
+    thread = (workspace_bytes(rows, channels, ngrid.n)
               + rk4_bytes(rows, n_steps, _points_per_pass(rows, n_points)))
     check_memory({
         f"{grid_name(ngrid)} with {SYNTH_THREADS * rows} realizations at once":
@@ -359,10 +362,11 @@ def _chunk_blocks(cfg: RunConfig, synth: Synthesizer, lo: int, hi: int,
                   first: int = 0):
     """The states of realizations lo .. hi-1 at the steps from ``first``
     on, chunk by chunk: each chunk of up to ``synth.chunk_rows``
-    realizations is synthesized into time-major buffers of the calling
-    thread's and integrated at every rescaling strength of ``synth`` (once
-    if it has none), in passes of at most RK4_COLUMNS columns.  The chunk
-    series, the factor table and the RK4 buffers are the thread's
+    realizations is coloured and its rows, views of the calling thread's
+    transform buffers, are integrated where they lie at every rescaling
+    strength of ``synth`` (once if it has none), in passes of at most
+    RK4_COLUMNS columns.  The colouring workspace, the factor table and
+    the RK4 buffers are the thread's
     :meth:`~slnoise.noise.Synthesizer.scratch` arrays, allocated on its
     first chunk of the run and reused for every later one.  Yields
     ``(col, points, rows, start, states, new_div)`` for every
@@ -370,21 +374,15 @@ def _chunk_blocks(cfg: RunConfig, synth: Synthesizer, lo: int, hi: int,
     col, it has ``rows``, and ``points`` is the slice of strengths of the
     pass, whose columns are those strengths' realizations,
     strength-major."""
-    n_points = 0 if synth.lam is None else len(synth.lam)
-    n_phys = synth.n_phys
-    # eta, nu and, when rescaled, the unscaled pair eta0, nu0
-    names = ("eta", "nu", "eta0", "nu0") if n_points else ("eta", "nu")
+    n = 1 if synth.lam is None else len(synth.lam)
     for a in range(lo, hi, synth.chunk_rows):
         rows = min(synth.chunk_rows, hi - a)
-        eta, nu, *pair = (synth.scratch(name, (n_phys, rows)) for name in names)
-        factors = synth.scratch("factors", (n_points, rows), float)
-        seeds = [seed_for(cfg.master_seed, i) for i in range(a, a + rows)]
-        synth.fill(seeds, eta, nu, (*pair, factors) if n_points else None)
-        n = n_points or 1
+        eta, nu, pair = synth.colour([seed_for(cfg.master_seed, i)
+                                      for i in range(a, a + rows)])
         group = _points_per_pass(rows, n)
         for p in range(0, n, group):
             points = slice(p, min(p + group, n))
-            cross = (*pair, factors[points]) if n_points else None
+            cross = None if pair is None else (*pair[:2], pair[2][points])
             for start, states, new_div in integrate_blocks(
                     cfg.model, eta, nu, synth.grid.dt, cross, first,
                     synth.scratch):

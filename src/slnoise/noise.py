@@ -33,8 +33,9 @@ of eta and nu: 6 FFTs.  Convex wiring packs ``z = ifft(x1 + i x2)``; then
 FFTs instead of 6.  The results equal the per-channel form,
 :func:`synthesize_from_white`, up to rounding.
 
-A chunk is coloured in five steps, the first four native where the
-native library loads:
+A chunk is coloured in four steps, each native where the native
+library loads, and left where the last one writes it, row-major, one row
+of each transform buffer per realization:
 
 1. the draw: one call of the native library's ``sln_normals``
    (Philox4x64-10 and numpy's ziggurat in C, see ``_native.c``) outside
@@ -56,9 +57,7 @@ native library loads:
    and the sums of the wiring, bins k and n-k together, in place in z
    (and into a second buffer c where the cross-correlative pair is
    transformed apart);
-4. the forward FFT, in place, by ``sln_fft``;
-5. the write-out, one numpy copy ``out[:, cols] = x.T``: the physical
-   window of each row into the caller's time-major columns.
+4. the forward FFT, in place, by ``sln_fft``.
 
 Each native step gives numpy's bits (for the FFTs ``numpy.fft``'s, which
 are scipy's): :func:`slnoise._native.kernel`, the one loader of the
@@ -71,33 +70,35 @@ that numpy packs into z, the FFTs are ``numpy.fft``'s and the spectral
 pass is :func:`_mix`, numpy's ufuncs with c as scratch.  So the output
 never depends on which code ran.
 
-:meth:`Synthesizer.fill` is the one colouring loop.  An ensemble's
-worker threads call it one chunk at a time, into time-major buffers of
-the chunk's width, which RK4 integrates before the next chunk is drawn
-(see :mod:`slnoise.ensemble`).  The ensemble synthesizes each
-realization's noise once, whatever the number of rescaling strengths
-lambda: ``fill`` writes the noise without the cross-correlative pair, the
-unscaled pair and a table of the realization's rescale factors, one per
-strength, formed over the chunk's rows in one call
-(:meth:`Synthesizer.factors`).  RK4 applies the factors block by block,
-for several strengths in one pass
-(:func:`~slnoise.dynamics.integrate_blocks`).  :meth:`Synthesizer.pairs`
-(so :func:`synthesize` and :func:`synthesize_batch`) hands out the columns
-of a ``fill``, rescaled at one strength as RK4 rescales them: bitwise the
-noise an ensemble integrates.
+:meth:`Synthesizer.colour` is the one colouring step.  It hands out the
+physical window of each realization's rows in place, as views of the
+thread's transform buffers, padded past the window, with no copy.  An
+ensemble's worker threads call it one chunk at a time and integrate those
+views before the next chunk is drawn: RK4 reads the colouring's rows as
+they are (see :mod:`slnoise.ensemble` and
+:func:`~slnoise.dynamics.integrate_blocks`).  The ensemble synthesizes
+each realization's noise once, whatever the number of rescaling
+strengths lambda: ``colour`` hands out the noise without the
+cross-correlative pair, the unscaled pair and a table of the
+realizations' rescale factors, one per strength, formed over the chunk's
+rows in one call.  RK4 applies the factors block by block, for several
+strengths in one pass.  :meth:`Synthesizer.pairs` (so :func:`synthesize`
+and :func:`synthesize_batch`) copies the rows of each ``colour`` out,
+rescaled at one strength as RK4 rescales them: bitwise the noise an
+ensemble integrates.
 
 Every thread that colours noise with a :class:`Synthesizer` holds one
 workspace for it, of the buffers its chunks use: the complex transform
 buffer z, (2, rows, n); c, of the same shape, where numpy mixes or the
 cross-correlative pair is transformed apart; the white channels
-(rows, channels, n) where numpy draws them; and the native transform's
-scratch row of n samples.  The
-thread allocates each on its first chunk that needs it and reuses it
-for every later one, so a run pays the page faults of its chunk buffers
-once per thread, not once per chunk.  The workspace is kept by
-:meth:`Synthesizer.scratch`, which keeps a caller's own per-thread arrays
-the same way (an ensemble's chunk series, factor table and RK4 buffers),
-for as long as the synthesizer lives.  A chunk is at most CHUNK_ROWS
+(rows, channels, n) where numpy draws them, whose memory takes the moduli
+of the rescale factors; the factor table; and the native transform's
+scratch row of n samples.  The thread allocates each on its first chunk
+that needs it and reuses it for every later one, so a run pays the page
+faults of its chunk buffers once per thread, not once per chunk.  The
+workspace is kept by :meth:`Synthesizer.scratch`, which keeps a caller's
+own per-thread arrays the same way (an ensemble's RK4 buffers), for as
+long as the synthesizer lives.  A chunk is at most CHUNK_ROWS
 realizations, and fewer where that many would take more than
 CHUNK_BYTES (16 rows at n <= 16384, 8 at n = 32768); the rows of a
 chunk do not change any output bit.  The callers of :func:`check_memory`
@@ -161,9 +162,10 @@ def workspace_bytes(rows: int, channels: int, n: int) -> int:
     of ``channels`` white channels on ``n`` samples, as numpy colours
     them: the channels, and the complex (2, rows, n) buffers z and c.  It
     bounds the native colouring's workspace too, which is z and the
-    transform's scratch row of n complex samples, with c only where the
-    cross-correlative pair is transformed apart and the channels only
-    where numpy draws them."""
+    transform's scratch row of n complex samples, with c and the moduli of
+    the rescale factors, (rows, n_phys) floats, only where the
+    cross-correlative pair is transformed apart, and the channels only
+    where numpy draws them.  The moduli take the channels' memory."""
     return rows * n * (8 * channels + 2 * 2 * 16)
 
 
@@ -537,8 +539,9 @@ class Synthesizer:
     (convex) or whose pair f2 is zero on every bin of the table, so
     neither can first surface while noise is drawn.  Afterwards the object
     is only read, apart from each thread's own workspace: several threads
-    may call :meth:`fill` at once, and each realization's result does not
-    depend on which thread computed it, nor on the rows of its chunk.
+    may call :meth:`colour` and :meth:`pairs` at once, and each
+    realization's result does not depend on which thread computed it, nor
+    on the rows of its chunk.
     """
 
     def __init__(self, fs: FilterSet, grid: TimeGrid, lam=None,
@@ -559,7 +562,7 @@ class Synthesizer:
                 f"dt={fg.dt:g}), so lambda has no pair to rescale"
             )
         # build and probe the native code before any noise exists, so that
-        # a compile runs beside a small process and never in a fill thread
+        # a compile runs beside a small process and never in a worker thread
         _native.kernel("sln_normals", _probe)
         _native.kernel("sln_mix", _colour_probe)
         _native.kernel("sln_fft", _fft_probe)
@@ -587,9 +590,9 @@ class Synthesizer:
         name, allocated on the thread's first call and anew only when a
         larger one is asked for, so that a thread that asks again and again
         touches its pages once.  It holds the colouring workspace
-        (:meth:`_buffer`) and a caller's own per-thread arrays (an
-        ensemble's chunk series, factor table and RK4 buffers), and lives
-        as long as the synthesizer, or the thread."""
+        (:meth:`_buffer`), the factor table of :meth:`colour` and a
+        caller's own per-thread arrays (an ensemble's RK4 buffers), and
+        lives as long as the synthesizer, or the thread."""
         size = math.prod(shape)
         buf = getattr(self._local, name, None)
         if buf is None or buf.size < size or buf.dtype != dtype:
@@ -599,17 +602,23 @@ class Synthesizer:
 
     def _buffer(self, name: str, rows: int = 0) -> np.ndarray:
         """The calling thread's workspace buffer ``name``, for ``rows``
-        realizations: the white channels, "white", (rows, channels, n), one
+        realizations: the white channels, "white", (rows, channels, n), the
+        moduli of the rescale factors, "moduli", (rows, n_phys) float, one
         of the complex transform buffers "z" and "c", (2, rows, n) each, or
         the native transform's scratch row, "row", (n,) complex.  Each is a
-        :meth:`scratch` array of :attr:`chunk_rows` rows.  z and c keep
-        their two halves apart in memory, so an in-place sum of one half
-        into the other needs no copy."""
+        :meth:`scratch` array of :attr:`chunk_rows` rows.  The moduli take
+        the white channels' memory: numpy's draw is done with it by the
+        time they are formed, and the native draw never uses it.  z and c
+        keep their two halves apart in memory, so an in-place sum of one
+        half into the other needs no copy."""
         n = self.grid.n
         if name == "row":
             return self.scratch(name, (n,))
         if name == "white":
             return self.scratch(name, (self.chunk_rows, self.fs.n_channels, n),
+                                float)[:rows]
+        if name == "moduli":
+            return self.scratch("white", (self.chunk_rows, self.n_phys),
                                 float)[:rows]
         return self.scratch(name, (2, self.chunk_rows, n))[:, :rows]
 
@@ -648,21 +657,30 @@ class Synthesizer:
             (z[h].imag if part else z[h].real)[...] = white[:, ch]
         return z
 
-    def _colour(self, seeds: Sequence[SeedLike]):
-        """Noise on the physical window of the realizations of ``seeds``,
-        at most :attr:`chunk_rows`.
+    def colour(self, seeds: Sequence[SeedLike]):
+        """Draw and colour the realizations of ``seeds``, at most
+        :attr:`chunk_rows`, row-major: returns (eta, nu, cross), eta and nu
+        of shape (rows, n_phys), row j the realization of seeds[j], views of
+        the rows of the thread's transform buffers, which its next call
+        overwrites; they share one row stride, n samples, as the rows are
+        padded past the physical window.
 
-        Returns (eta, nu, eta0, nu0), each of shape (rows, n_phys), views
-        of the thread's workspace that its next call overwrites.  The
-        cross-correlative components eta0/nu0 are transformed apart, and
-        left out of eta/nu, exactly when ``lam`` is set; otherwise they
-        are None.  They are never rescaled here.  The spectral pass
-        between the two FFTs is the native one (``sln_mix``) where it is
-        available, else numpy's (:func:`_mix`); both give the same bits.
-        The convex wiring draws into z's first half only, and its second
-        half is scratch to the pass, so only the first is transformed.
+        With ``lam`` set, cross is (eta0, nu0, factors): eta and nu then
+        hold the noise without the cross-correlative pair, eta0 and nu0 the
+        unscaled pair, laid out as eta and nu, and factors, a (strengths,
+        rows) array of the thread's, the rescale factor of each row at each
+        strength (:func:`rescale_factor`, formed over the rows in one call).
+        The rescaled noise is eta + f eta0 and nu + nu0 / f.  Without
+        ``lam``, cross is None.  The spectral pass between the two FFTs is
+        the native one (``sln_mix``) where it is available, else numpy's
+        (:func:`_mix`); both give the same bits.  The convex wiring draws
+        into z's first half only, and its second half is scratch to the
+        pass, so only the first is transformed.
         """
         rows, n_phys = len(seeds), self.n_phys
+        if rows > self.chunk_rows:
+            raise ValueError(f"{rows} realizations are more than a chunk's "
+                             f"{self.chunk_rows}")
         convex = self.fs.structure is FilterStructure.CONVEX
         split = self.lam is not None
         z = self._draw(seeds)
@@ -675,65 +693,43 @@ class Synthesizer:
             spectra = _mix_native(mix, self._taps, z, c, convex)
         if len(spectra) == 1:
             out = self._transform(spectra[0], inverse=False)
-            return out[0, :, :n_phys], out[1, :, :n_phys], None, None
-        eta, nu = (self._transform(a, inverse=False)[..., :n_phys] for a in spectra)
-        return eta[0], nu[0], eta[1], nu[1]
+            return out[0, :, :n_phys], out[1, :, :n_phys], None
+        (eta, eta0), (nu, nu0) = (self._transform(a, inverse=False)[..., :n_phys]
+                                  for a in spectra)
+        return eta, nu, (eta0, nu0, self._factors(eta0, nu0))
 
-    def factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
+    def _factors(self, eta0: np.ndarray, nu0: np.ndarray) -> np.ndarray:
         """:func:`rescale_factor` of each row of eta0/nu0 at each strength
-        of ``lam``, shape (rows, strengths), in one call over the rows, for
-        the pair of the chunk this thread coloured last, once its eta is
-        written out: the moduli are formed in the first half of the
-        thread's transform buffer z, which held the chunk's eta."""
-        rows, n_phys = eta0.shape
-        scratch = self._buffer("z", rows)[0].view(float)[:, :n_phys]
-        return rescale_factor(eta0, nu0, self.lam, scratch)
-
-    def fill(self, seeds: Sequence[SeedLike], eta_out: np.ndarray,
-             nu_out: np.ndarray, cross=None) -> None:
-        """Draw and colour realizations, :attr:`chunk_rows` at a time, into
-        time-major views of shape (n_phys, len(seeds)): column j is the
-        realization of seeds[j].
-
-        With ``lam`` set, ``cross`` is (eta0_out, nu0_out, factors_out):
-        eta_out/nu_out then take the noise without the cross-correlative
-        pair, eta0_out/nu0_out the unscaled pair, and factors_out, of shape
-        (len(lam), len(seeds)), the rescale factor of each column at each
-        strength.  The rescaled noise is eta + f eta0 and nu + nu0 / f.
-        """
-        for a in range(0, len(seeds), self.chunk_rows):
-            cols = slice(a, a + self.chunk_rows)
-            eta, nu, eta0, nu0 = self._colour(seeds[cols])
-            eta_out[:, cols] = eta.T
-            nu_out[:, cols] = nu.T
-            if self.lam is not None:
-                eta0_out, nu0_out, factors_out = cross
-                eta0_out[:, cols] = eta0.T
-                nu0_out[:, cols] = nu0.T
-                factors_out[:, cols] = self.factors(eta0, nu0).T
+        of ``lam``, in one call over the rows, as the thread's (strengths,
+        rows) factor table; the moduli are formed in the thread's
+        "moduli" buffer."""
+        rows = len(eta0)
+        factors = self.scratch("factors", (len(self.lam), rows), float)
+        factors[...] = rescale_factor(eta0, nu0, self.lam,
+                                      self._buffer("moduli", rows)).T
+        return factors
 
     def pairs(self, seeds: Sequence[SeedLike]) -> List[NoisePair]:
-        """NoisePairs, one per seed: the noise :meth:`fill` writes, with
+        """NoisePairs, one per seed: the noise :meth:`colour` makes, with
         the cross-correlative pair rescaled at the one strength of ``lam``,
         if set, as :func:`~slnoise.dynamics.integrate_blocks` forms it, so
         each is bitwise the noise an ensemble integrates.  Each pair's
-        series are columns of two time-major arrays."""
+        series are rows of two arrays."""
         if self.lam is not None and len(self.lam) != 1:
             raise ValueError("NoisePairs are rescaled at one strength, not "
                              f"at {len(self.lam)}")
-        eta, nu, *pair = (np.empty((self.n_phys, len(seeds)), dtype=complex)
-                          for _ in range(2 if self.lam is None else 4))
-        factors = np.empty((1, len(seeds)))
-        self.fill(seeds, eta, nu, (*pair, factors))
-        lam = 1.0
-        if pair:
-            eta0, nu0 = pair
-            np.multiply(factors, eta0, out=eta0)
-            eta += eta0
-            np.divide(nu0, factors, out=nu0)
-            nu += nu0
-            lam = float(self.lam[0])
-        return [NoisePair(eta[:, j], nu[:, j], self.grid.dt, self.fs.scheme, seed, lam)
+        eta, nu = (np.empty((len(seeds), self.n_phys), dtype=complex)
+                   for _ in range(2))
+        for a in range(0, len(seeds), self.chunk_rows):
+            rows = slice(a, a + self.chunk_rows)
+            eta[rows], nu[rows], cross = self.colour(seeds[rows])
+            if cross is not None:
+                eta0, nu0, factors = cross
+                factor = factors.T
+                eta[rows] += np.multiply(factor, eta0, out=eta0)
+                nu[rows] += np.divide(nu0, factor, out=nu0)
+        lam = 1.0 if self.lam is None else float(self.lam[0])
+        return [NoisePair(eta[j], nu[j], self.grid.dt, self.fs.scheme, seed, lam)
                 for j, seed in enumerate(seeds)]
 
 

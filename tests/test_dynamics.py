@@ -297,13 +297,13 @@ def test_qnd_noise_free_coherence_rotates():
     assert np.max(np.abs(rho01 - expect)) < 1e-9
 
 
-def _streamed(model, eta_t, nu_t, dt_half, cross):
+def _streamed(model, eta, nu, dt_half, cross):
     """States of every step, first-divergence steps and block length of
     one integrate_blocks call, checking that each block's new_div names a
     step of that block and no column twice."""
     blocks = []
     first_div = np.full(np.size(cross[2]), -1)
-    for start, states, new_div in integrate_blocks(model, eta_t, nu_t,
+    for start, states, new_div in integrate_blocks(model, eta, nu,
                                                    dt_half, cross):
         hit = new_div >= 0
         assert np.all(first_div[hit] < 0)
@@ -322,9 +322,8 @@ def test_factor_table_columns_equal_one_row_runs():
     n, rows, n_points = 300, 90, 4
 
     def series():
-        return np.ascontiguousarray(
-            rng.standard_normal((2 * n + 1, rows))
-            + 1j * rng.standard_normal((2 * n + 1, rows)))
+        return (rng.standard_normal((rows, 2 * n + 1))
+                + 1j * rng.standard_normal((rows, 2 * n + 1)))
 
     eta, nu, eta0, nu0 = series(), series(), series(), series()
     factors = np.exp(rng.uniform(-6.0, 2.0, (n_points, rows)))
@@ -349,10 +348,10 @@ needs_compiler = pytest.mark.skipif(shutil.which(_native._COMPILER) is None,
                                     reason="no C compiler to build the kernel")
 
 
-def _blocks(model, eta_t, nu_t, cross, first=0):
+def _blocks(model, eta, nu, cross, first=0):
     return [(start, states.copy(), new_div)
             for start, states, new_div in integrate_blocks(
-                model, eta_t, nu_t, 0.005, cross, first)]
+                model, eta, nu, 0.005, cross, first)]
 
 
 def _numpy_kernel_blocks(monkeypatch, *args):
@@ -370,9 +369,13 @@ def _assert_same_bits(a, b):
         assert d0.dtype == d1.dtype and np.array_equal(d0, d1)
 
 
-def _noise(rng, n, rows, scale=1.0):
-    return [scale * (rng.standard_normal((2 * n + 1, rows))
-                     + 1j * rng.standard_normal((2 * n + 1, rows)))
+def _noise(rng, n, rows, scale=1.0, pad=7):
+    """Four row-major series of 2n + 1 half steps for ``rows``
+    trajectories, each row a view of one ``pad`` samples longer, as the
+    rows of the colouring's workspace are: the row stride exceeds the
+    series length."""
+    return [(scale * (rng.standard_normal((rows, 2 * n + 1 + pad))
+                      + 1j * rng.standard_normal((rows, 2 * n + 1 + pad))))[:, :2 * n + 1]
             for _ in range(4)]
 
 
@@ -384,11 +387,13 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
     # every yielded state and new_div, by its bits, storing every step, the
     # steps from one inside the second block (of 128 steps) on, and those
     # from its first on; at alpha = 40 the trajectories diverge through
-    # inf into nan, some before the first stored step
+    # inf into nan, some before the first stored step.  The noise is
+    # row-major with a row stride past the series' end
     assert kernel("sln_rk4") is not None
     rng = np.random.default_rng(7)
     n, rows = 260, 29
     eta, nu, eta0, nu0 = _noise(rng, n, rows, scale)
+    assert eta.strides[0] > 16 * eta.shape[1] and not eta.flags.c_contiguous
     shape = {"row": rows, "table": (3, rows)}.get(table)
     cross = None if table is None else (eta0, nu0, rng.uniform(0.05, 20.0, shape))
     model = SystemModel(lambda t: 1.0 + 0.1 * t, -1.0, alpha,
@@ -414,7 +419,7 @@ def test_native_kernel_bitwise_equals_numpy_kernel(table, alpha, scale,
 
 
 def test_integrate_blocks_refuses_a_first_step_outside_the_run():
-    eta = np.zeros((2 * 4 + 1, 2), dtype=complex)
+    eta = np.zeros((2, 2 * 4 + 1), dtype=complex)
     model = SystemModel(1.0, -1.0, 0.3, 0.5 * (np.eye(2) + SIGMA_Z))
     for first in (-1, 5):
         with pytest.raises(ValueError, match="first stored step"):
@@ -449,12 +454,59 @@ def test_native_kernel_independent_of_slab_count(monkeypatch):
     for slabs in (1, 2, 5):
         cuts = [37 * s // slabs for s in range(slabs + 1)]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            eta_s, nu_s, eta0_s, nu0_s, factor = (
-                np.ascontiguousarray(x[:, a:b]) for x in (eta, nu, eta0, nu0, cross[2]))
-            got, got_div = _joined(_blocks(model, eta_s, nu_s, (eta0_s, nu0_s, factor)), 13)
+            factor = np.ascontiguousarray(cross[2][:, a:b])
+            got, got_div = _joined(_blocks(model, eta[a:b], nu[a:b],
+                                           (eta0[a:b], nu0[a:b], factor)), 13)
             assert np.array_equal(got.view(np.uint64),
                                   want[..., a:b].copy().view(np.uint64))
             assert np.array_equal(got_div, want_div[:, a:b])
+
+
+def test_native_kernel_reads_rows_of_one_stride_only():
+    # padded rows of one stride, as the colouring leaves them, fit the
+    # native kernel; series of unequal strides, samples that are not
+    # contiguous (time-major noise, transposed) or real noise run numpy's
+    rng = np.random.default_rng(12)
+    eta, nu, eta0, nu0 = _noise(rng, 10, 6)
+    table = rng.uniform(0.5, 2.0, (3, 6))
+
+    def fits(*series, cross=True):
+        run = dynamics._Run(np.zeros(4), 0.1, 0.01, np.zeros(21), np.zeros(21),
+                            *series[:2], (*series[2:], table) if cross else None, 4)
+        return dynamics._native_fits(run)
+
+    assert fits(eta, nu, eta0, nu0) and fits(eta, nu, cross=False)
+    assert fits(*(np.ascontiguousarray(x) for x in (eta, nu, eta0, nu0)))
+    assert not fits(eta, nu, eta0, np.ascontiguousarray(nu0))
+    assert not fits(eta, np.ascontiguousarray(nu), cross=False)
+    assert not fits(*(np.ascontiguousarray(x.T).T for x in (eta, nu, eta0, nu0)))
+    assert not fits(eta.real, nu.real, cross=False)
+
+
+@needs_compiler
+@pytest.mark.parametrize("mutation", [
+    [("r * p->stride + lo", "r * (p->stride - 3) + lo")],
+    [("r * p->stride + lo", "lo * p->rows + r"),
+     ("dst[2 * j * p->rows] = src[2 * j];", "dst[2 * j * p->rows] = src[2 * j * p->rows];"),
+     ("dst[2 * j * p->rows + 1] = src[2 * j + 1];",
+      "dst[2 * j * p->rows + 1] = src[2 * j * p->rows + 1];")],
+], ids=["series-length-stride", "time-major"])
+def test_rk4_probe_refuses_a_kernel_that_reads_another_layout(
+        rebuild, monkeypatch, tmp_path, mutation):
+    # the library built from a source whose gather reads each row at the
+    # series' length, 3 samples short of the probe's row stride, or reads
+    # the noise time-major: the probe refuses sln_rk4, and the other
+    # kernels still load from it
+    source = _native._SOURCE.read_text()
+    for old, new in mutation:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    mutated = tmp_path / "_native.c"
+    mutated.write_text(source)
+    monkeypatch.setattr(_native, "_SOURCE", mutated)
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: (str(tmp_path / "cache"),))
+    assert kernel("sln_sums") is not None
+    assert kernel("sln_rk4") is None
 
 
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
@@ -629,7 +681,7 @@ def test_native_kernel_decides_divergence_as_np_abs_at_the_threshold():
     assert rk4 is not None
     z = 765406082731.0397 + 643547611694.9894j
     nh = 2 * 3 + 1
-    still = np.zeros((nh, 1), dtype=complex)
+    still = np.zeros((1, nh), dtype=complex)
     run = dynamics._Run(np.array([z, 0, 0, 1]), 0.0, 0.05, np.zeros(nh),
                         np.zeros(nh), still, still, None, 4)
     ref = list(dynamics._numpy_blocks(run))

@@ -211,13 +211,14 @@ def test_windowed_stats_window_pooling_shrinks_se():
 
 def test_force_nu_zero_keeps_trace_constant(monkeypatch):
     # the trace-driving noise nu zeroed as each chunk is synthesized
-    real = Synthesizer.fill
+    real = Synthesizer.colour
 
-    def zero_nu(self, seeds, eta_out, nu_out, cross=None):
-        real(self, seeds, eta_out, nu_out, cross)
-        nu_out[...] = 0.0
+    def zero_nu(self, seeds):
+        eta, nu, cross = real(self, seeds)
+        nu[...] = 0.0
+        return eta, nu, cross
 
-    monkeypatch.setattr(Synthesizer, "fill", zero_nu)
+    monkeypatch.setattr(Synthesizer, "colour", zero_nu)
     stats = run_ensemble(small_cfg())
     assert np.max(np.abs(stats.mean_tr - 1.0)) == 0.0
     assert np.all(stats.var_tr == 0.0)
@@ -282,12 +283,12 @@ def test_streamed_sums_match_integrated_states(monkeypatch):
     ngrid = cfg.noise_grid()
     synth = Synthesizer(cfg.filters(), ngrid)
     n = cfg.n_realizations
-    eta = np.empty((ngrid.n_phys, n), dtype=complex)
+    eta = np.empty((n, ngrid.n_phys), dtype=complex)
     nu = np.empty_like(eta)
     for a in range(0, n, CHUNK_ROWS):
-        synth.fill([seed_for(cfg.master_seed, i) for i in range(a, a + CHUNK_ROWS)],
-                   eta[:, a:a + CHUNK_ROWS], nu[:, a:a + CHUNK_ROWS])
-    states, first_div = integrate_batch(cfg.model, eta.T, nu.T, ngrid.dt)
+        eta[a:a + CHUNK_ROWS], nu[a:a + CHUNK_ROWS], _ = synth.colour(
+            [seed_for(cfg.master_seed, i) for i in range(a, a + CHUNK_ROWS)])
+    states, first_div = integrate_batch(cfg.model, eta, nu, ngrid.dt)
     assert 0 < np.sum(first_div >= 0) < n
     steps = np.arange(states.shape[1])
     diverged = ((first_div[:, None] >= 0) & (first_div[:, None] <= steps)).sum(axis=0)
@@ -654,12 +655,12 @@ def test_coherence_se_matches_two_pass_variance(monkeypatch):
     ngrid = cfg.noise_grid()
     synth = Synthesizer(cfg.filters(), ngrid)
     n = cfg.n_realizations
-    eta = np.empty((ngrid.n_phys, n), dtype=complex)
+    eta = np.empty((n, ngrid.n_phys), dtype=complex)
     nu = np.empty_like(eta)
     for a in range(0, n, CHUNK_ROWS):
-        synth.fill([seed_for(cfg.master_seed, i) for i in range(a, a + CHUNK_ROWS)],
-                   eta[:, a:a + CHUNK_ROWS], nu[:, a:a + CHUNK_ROWS])
-    states, _ = integrate_batch(cfg.model, eta.T, nu.T, ngrid.dt)
+        eta[a:a + CHUNK_ROWS], nu[a:a + CHUNK_ROWS], _ = synth.colour(
+            [seed_for(cfg.master_seed, i) for i in range(a, a + CHUNK_ROWS)])
+    states, _ = integrate_batch(cfg.model, eta, nu, ngrid.dt)
     r01 = 0.5 * (states[:, :, 0] - 1j * states[:, :, 1])
     want_mean = r01.mean(axis=0)
     var = np.sum(np.abs(r01 - want_mean) ** 2, axis=0) / (n - 1)
@@ -904,6 +905,48 @@ def test_one_worker_reuses_its_chunk_and_rk4_buffers(run, rk4, monkeypatch):
     assert all(ref() is None for ref in synths + buffers)
 
 
+@pytest.mark.parametrize("scheme, lam", [(SchemeId.LIKE, None),
+                                         (SchemeId.ETANU_OPTIMISED, [0.5, 2.0]),
+                                         (SchemeId.CONVEX, None)])
+def test_rk4_reads_the_colourings_rows_in_place(scheme, lam, monkeypatch):
+    # the worker hands integrate_blocks views of its transform buffers,
+    # rows of n samples cut to the window: every series in z or c, and eta
+    # in z (numpy's convex pass alone mixes it into c); and it asks its
+    # per-thread store for no time-major (n_phys, rows) series
+    import slnoise.ensemble as ens
+
+    monkeypatch.setattr(ens, "SYNTH_THREADS", 1)
+    integrate, scratch = ens.integrate_blocks, Synthesizer.scratch
+    seen, asked = [], []
+
+    def spy_integrate(model, eta, nu, dt_half, cross=None, first=0,
+                      scratch=None):
+        synth = scratch.__self__
+        z, c = (synth._buffer(name, synth.chunk_rows) for name in ("z", "c"))
+        series = (eta, nu) + (cross[:2] if cross else ())
+        seen.append((scheme is SchemeId.CONVEX or np.shares_memory(eta, z),
+                     all(np.shares_memory(x, z) or np.shares_memory(x, c)
+                         for x in series),
+                     eta.shape[1] == synth.n_phys and eta.strides[0] == 16 * synth.grid.n))
+        yield from integrate(model, eta, nu, dt_half, cross, first, scratch)
+
+    def spy_scratch(self, name, shape, dtype=complex):
+        asked.append((name, tuple(shape), np.dtype(dtype)))
+        return scratch(self, name, shape, dtype)
+
+    monkeypatch.setattr(ens, "integrate_blocks", spy_integrate)
+    monkeypatch.setattr(Synthesizer, "scratch", spy_scratch)
+    cfg = small_cfg(scheme=scheme, n_realizations=2 * CHUNK_ROWS + 3)
+    if lam is None:
+        run_ensemble(cfg)
+    else:
+        scan_lambda(cfg, lam, cfg.n_realizations)
+    assert len(seen) == 3 and all(all(call) for call in seen)
+    n_phys = cfg.noise_grid().n_phys
+    assert asked and not any(shape[0] == n_phys and dtype == complex
+                             for _, shape, dtype in asked)
+
+
 def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):
     # 256 realizations at dt = 0.01 and t_max = 40: the batch's two noise
     # series alone took 65.5 MB; each of two threads now holds a chunk
@@ -933,11 +976,12 @@ def test_run_ensemble_holds_no_batch_of_noise(monkeypatch):
 # scheme_comparison's ensembles (like, beta 0.1, t_max 80 and 40) of
 # 2 * 2 + 1 units and one realization more, past which the units in flight
 # and so the peak no longer grow, and a scan of 10^4 points at
-# lambda_scan's grid, 8 runs each.  The charge was measured at 2.6, 2.6
-# and 2.5 times the tracemalloc peak with the native kernels (it counts
-# numpy's colouring workspace and four noise series per chunk row, which
-# the native colouring does not hold) and at 1.3 and 1.2 times it with the
-# colouring forced to numpy.  The scan colours one chunk of 8
+# lambda_scan's grid, 8 runs each.  The charge was measured at 2.6, 2.8
+# and 2.3 times the tracemalloc peak with the native kernels (it counts
+# numpy's colouring workspace, the white channels and c among it, which
+# the native colouring does not hold) and at 1.1 and 1.1 times it with
+# the colouring forced to numpy; RK4 reads the colouring's rows, so no
+# chunk noise series is charged or held.  The scan colours one chunk of 8
 # realizations, a 3 MiB workspace, so it runs with the native kernels only.
 MEMORY_FACTOR = 3.0
 MEMORY_SHAPES = {

@@ -201,26 +201,31 @@ def test_stationarity(table):
     assert np.max(pull) < 5.0
 
 
-def _fill(fs, grid, lams, seeds):
-    """(eta, nu, eta0, nu0, factors) of a fill of the seeds at the
-    strengths ``lams``, if set; unrescaled, only eta and nu are written."""
-    series = [np.empty((grid.n_phys, len(seeds)), dtype=complex) for _ in range(4)]
-    factors = np.empty((1 if lams is None else len(lams), len(seeds)))
-    Synthesizer(fs, grid, lams).fill(seeds, series[0], series[1],
-                                     (series[2], series[3], factors))
-    return (*series, factors)
+def _colour_all(synth, seeds):
+    """:meth:`Synthesizer.colour` of the seeds, chunk by chunk, copied out:
+    (eta, nu, eta0, nu0, factors), row j of each series the realization of
+    seeds[j] and column j of the (strengths, realizations) factors; the
+    last three are None unless ``synth`` rescales."""
+    parts = []
+    for a in range(0, len(seeds), synth.chunk_rows):
+        eta, nu, cross = synth.colour(seeds[a:a + synth.chunk_rows])
+        parts.append([x.copy() for x in (eta, nu, *(cross or ()))])
+    joined = [np.concatenate(xs, axis=1 if k == 4 else 0)
+              for k, xs in enumerate(zip(*parts))]
+    return joined + [None] * (5 - len(joined))
+
 
 
 def test_rescaling_preserves_product_and_sets_ratio(table):
     fs = make_filters(SchemeId.ETANU_OPTIMISED, table)
     lam = 0.5
     seeds = [12, 13]
-    base_eta, base_nu, *_ = _fill(fs, GRID, None, seeds)
-    eta, nu, eta0, nu0, factors = _fill(fs, GRID, [lam], seeds)
-    scaled_eta0, scaled_nu0 = factors * eta0, nu0 / factors
+    base_eta, base_nu, *_ = _colour_all(Synthesizer(fs, GRID), seeds)
+    eta, nu, eta0, nu0, factors = _colour_all(Synthesizer(fs, GRID, [lam]), seeds)
+    scaled_eta0, scaled_nu0 = factors.T * eta0, nu0 / factors.T
     # product of the component pair is invariant sample by sample
     assert np.allclose(eta0 * nu0, scaled_eta0 * scaled_nu0, rtol=1e-12)
-    ratio = np.sum(np.abs(scaled_nu0), axis=0) / np.sum(np.abs(scaled_eta0), axis=0)
+    ratio = np.sum(np.abs(scaled_nu0), axis=1) / np.sum(np.abs(scaled_eta0), axis=1)
     assert ratio == pytest.approx([lam, lam], rel=1e-10)
     assert synthesize(fs, GRID, 12, lam=lam).lambda_applied == lam
     # the non-component parts are untouched: with the unscaled pair they
@@ -251,8 +256,9 @@ def test_constrained_rescaling_undefined(table):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam):
     # both batched outputs against the per-channel reference: the
-    # NoisePairs and the time-major fill of the ensemble (summed spectra
-    # when lam is unset, the parts and the rescale factors when it is set)
+    # NoisePairs and the row-major colouring of the ensemble (summed
+    # spectra when lam is unset, the parts and the rescale factors when it
+    # is set)
     fs = make_filters(scheme, table, gamma=0.01)
     seeds = [100 + i for i in range(rows)]
     lams = None if lam is None else [lam]
@@ -265,27 +271,20 @@ def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam
             synthesize_from_white(fs, GRID, sample_white(GRID, 0, fs.n_channels), lam)
         return
     pairs = synthesize_batch(fs, GRID, seeds, lam)
-    synth = Synthesizer(fs, GRID, lams)
-    eta_t, nu_t, eta0_t, nu0_t = (np.empty((GRID.n_phys, rows), dtype=complex)
-                                  for _ in range(4))
-    factors = np.empty((1, rows))
-    for a in range(0, rows, CHUNK_ROWS):
-        cols = slice(a, a + CHUNK_ROWS)
-        cross = (eta0_t[:, cols], nu0_t[:, cols], factors[:, cols])
-        synth.fill(seeds[cols], eta_t[:, cols], nu_t[:, cols], cross)
+    eta_r, nu_r, eta0, nu0, factors = _colour_all(Synthesizer(fs, GRID, lams), seeds)
     if lam is not None:
         # the rescaled noise that RK4 forms from the parts, bitwise the
         # noise of the NoisePairs
-        eta_t += factors * eta0_t
-        nu_t += nu0_t / factors
-        assert np.array_equal(eta_t.T, [p.eta_t for p in pairs])
-        assert np.array_equal(nu_t.T, [p.nu_t for p in pairs])
+        eta_r += factors.T * eta0
+        nu_r += nu0 / factors.T
+        assert np.array_equal(eta_r, [p.eta_t for p in pairs])
+        assert np.array_equal(nu_r, [p.nu_t for p in pairs])
     for j, seed in enumerate(seeds):
         ref = synthesize_from_white(fs, GRID, sample_white(GRID, seed, fs.n_channels),
                                     lam)
         eta, nu = ref.eta_t, ref.nu_t
         for got_eta, got_nu in ((pairs[j].eta_t, pairs[j].nu_t),
-                                (eta_t[:, j], nu_t[:, j])):
+                                (eta_r[j], nu_r[j])):
             for got, want in ((got_eta, eta), (got_nu, nu)):
                 scale = np.max(np.abs(want))
                 assert scale > 0
@@ -297,7 +296,7 @@ def test_packed_synthesis_matches_per_channel_reference(table, scheme, rows, lam
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_noise_pairs_are_the_noise_the_ensemble_integrates(table, monkeypatch,
                                                           scheme, lam, native):
-    # the NoisePairs are the columns of the fill, recombined as
+    # the NoisePairs are the rows of the colouring, recombined as
     # integrate_blocks forms a rescaled batch's noise, bitwise
     if native:
         if shutil.which(_native._COMPILER) is None:
@@ -313,14 +312,14 @@ def test_noise_pairs_are_the_noise_the_ensemble_integrates(table, monkeypatch,
         with pytest.raises(ZeroComponent):
             synthesize_batch(fs, GRID, seeds, lam)
         return
-    eta, nu, eta0, nu0, factors = _fill(fs, GRID, None if lam is None else [lam],
-                                        seeds)
+    eta, nu, eta0, nu0, factors = _colour_all(
+        Synthesizer(fs, GRID, None if lam is None else [lam]), seeds)
     if lam is not None:
-        eta = np.add(np.multiply(eta0, factors), eta)
-        nu = np.add(np.divide(nu0, factors), nu)
+        eta = np.add(np.multiply(eta0, factors.T), eta)
+        nu = np.add(np.divide(nu0, factors.T), nu)
     pairs = synthesize_batch(fs, GRID, seeds, lam)
-    assert [p.eta_t.tobytes() for p in pairs] == [a.tobytes() for a in eta.T]
-    assert [p.nu_t.tobytes() for p in pairs] == [a.tobytes() for a in nu.T]
+    assert [p.eta_t.tobytes() for p in pairs] == [a.tobytes() for a in eta]
+    assert [p.nu_t.tobytes() for p in pairs] == [a.tobytes() for a in nu]
     assert all(p.lambda_applied == (1.0 if lam is None else lam) for p in pairs)
 
 
@@ -330,6 +329,17 @@ def test_pairs_refuses_more_than_one_strength(table):
         synth.pairs([1, 2])
     # refused before any noise is drawn: the thread has no workspace
     assert not vars(synth._local)
+
+
+def test_colour_refuses_more_than_a_chunk(table):
+    # its rows are the workspace's, so more seeds than a chunk's rows
+    # would leave some undrawn; refused before any noise is drawn
+    synth = Synthesizer(make_filters(SchemeId.LIKE, table), GRID, rows=3)
+    with pytest.raises(ValueError, match="4 realizations are more than a chunk's 3"):
+        synth.colour([1, 2, 3, 4])
+    assert not vars(synth._local)
+    eta, nu, cross = synth.colour([1, 2, 3])
+    assert eta.shape == nu.shape == (3, GRID.n_phys) and cross is None
 
 
 @pytest.mark.parametrize("lam", [None, 0.5])
@@ -402,31 +412,27 @@ def test_second_fill_reuses_the_workspace(lam):
     rows = CHUNK_ROWS
     seeds = [[7 + i for i in range(rows)], [300 + i for i in range(rows)]]
 
-    def buffers():
-        return ([np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
-                + [np.empty((1, rows))])
-
-    def fill(synth, chunk, bufs):
-        eta, nu, eta0, nu0, factors = bufs
-        synth.fill(chunk, eta, nu, (eta0, nu0, factors))
+    def arrays(out):
+        eta, nu, cross = out
+        return (eta, nu, *(cross or ()))
 
     lams = None if lam is None else [lam]
     synth = Synthesizer(fs, grid, lams)
-    first, second = buffers(), buffers()
-    fill(synth, seeds[0], first)
+    first = arrays(synth.colour(seeds[0]))
     tracemalloc.start()
     try:
-        fill(synth, seeds[1], second)
+        second = arrays(synth.colour(seeds[1]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # a quarter of one complex series of the chunk on the padded grid,
     # far below any of the workspace's buffers
     assert peak < rows * grid.n * 4
-    fresh = buffers()
-    fill(Synthesizer(fs, grid, lams), seeds[1], fresh)
-    n_out = 5 if lam is not None else 2
-    for got, want in zip(second[:n_out], fresh[:n_out]):
+    # the second chunk's noise and factors lie where the first's did
+    assert len(second) == (5 if lam is not None else 2)
+    assert all(a.ctypes.data == b.ctypes.data for a, b in zip(first, second))
+    fresh = arrays(Synthesizer(fs, grid, lams).colour(seeds[1]))
+    for got, want in zip(second, fresh):
         assert got.tobytes() == want.tobytes()
 
 
@@ -434,7 +440,7 @@ def test_second_fill_reuses_the_workspace(lam):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_one_row_chunks_equal_full_chunks(table, monkeypatch, scheme, lam):
     # a byte budget forced down to one row per chunk changes no bit of
-    # the NoisePairs nor of the ensemble's fill
+    # the NoisePairs nor of the ensemble's colouring
     fs = make_filters(scheme, table, gamma=0.01)
     if lam is not None and not fs.has_cross_pair:
         return
@@ -443,13 +449,9 @@ def test_one_row_chunks_equal_full_chunks(table, monkeypatch, scheme, lam):
 
     def run():
         synth = Synthesizer(fs, GRID, None if lam is None else [lam], rows=rows)
-        bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
-        factors = np.empty((1, rows))
-        synth.fill(seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
+        coloured = [a for a in _colour_all(synth, seeds) if a is not None]
         pairs = synthesize_batch(fs, GRID, seeds, lam)
-        arrays = [p_.eta_t for p_ in pairs] + [p_.nu_t for p_ in pairs] + bufs[:2]
-        if lam is not None:
-            arrays += bufs[2:] + [factors]
+        arrays = [p_.eta_t for p_ in pairs] + [p_.nu_t for p_ in pairs] + coloured
         return synth.chunk_rows, [a.tobytes() for a in arrays]
 
     wide, want = run()
@@ -666,17 +668,15 @@ def test_probe_refuses_a_draw_one_bit_off(flip):
 
 
 def _fill_and_pairs(table):
-    """Bytes of an ensemble fill (rescaled at two strengths) and of
+    """Bytes of an ensemble's colouring (rescaled at two strengths) and of
     NoisePairs, 19 realizations of seed_for seeds each."""
     fs = make_filters(SchemeId.ETANU_OPTIMISED, table)
     seeds = _seeds("seed_for", 19)
     lam = np.array([0.5, 2.0])
     synth = Synthesizer(fs, GRID, lam, rows=len(seeds))
-    bufs = [np.empty((GRID.n_phys, len(seeds)), dtype=complex) for _ in range(4)]
-    factors = np.empty((len(lam), len(seeds)))
-    synth.fill(seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
     pairs = synthesize_batch(fs, GRID, seeds, 0.5)
-    arrays = bufs + [factors] + [a for p in pairs for a in (p.eta_t, p.nu_t)]
+    arrays = (_colour_all(synth, seeds)
+              + [a for p in pairs for a in (p.eta_t, p.nu_t)])
     return [a.tobytes() for a in arrays]
 
 
@@ -750,15 +750,11 @@ WIRING_IDS = ["unsplit", "rescaled-1", "rescaled-3", "convex"]
 
 
 def _colour_outputs(fs, grid, lam, chunk, seeds):
-    """Bytes of a fill (rescaled at the strengths ``lam``, if set) and of
-    the NoisePairs of the seeds (rescaled at the first strength), with
-    chunks of ``chunk`` rows."""
-    rows = len(seeds)
-    bufs = [np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
-    factors = np.empty((1 if lam is None else len(lam), rows))
-    Synthesizer(fs, grid, lam, rows=chunk).fill(
-        seeds, bufs[0], bufs[1], (bufs[2], bufs[3], factors))
-    arrays = bufs[:2] if lam is None else bufs + [factors]
+    """Bytes of the colouring (rescaled at the strengths ``lam``, if set)
+    and of the NoisePairs of the seeds (rescaled at the first strength),
+    with chunks of ``chunk`` rows."""
+    arrays = [a for a in _colour_all(Synthesizer(fs, grid, lam, rows=chunk), seeds)
+              if a is not None]
     pair_synth = Synthesizer(fs, grid, None if lam is None else lam[:1], rows=chunk)
     arrays += [a for p in pair_synth.pairs(seeds) for a in (p.eta_t, p.nu_t)]
     return [a.tobytes() for a in arrays]
@@ -949,7 +945,7 @@ def test_colouring_transforms_as_many_rows_as_the_wiring_needs(
         rows.append(a.shape[0] * a.shape[1]), transform(self, a, inverse))[1])
     fs = _random_filters(structure, 16)
     _colour_outputs(fs, TimeGrid(1.0, 8.0), lam, 5, _seeds("int", 5))
-    # a fill and the pairs of the same seeds
+    # the colouring and the pairs of the same seeds
     assert sum(rows) == 2 * 5 * per_realization
 
 
@@ -957,8 +953,9 @@ def test_colouring_transforms_as_many_rows_as_the_wiring_needs(
 @pytest.mark.parametrize("lam", [None, [0.5]])
 @pytest.mark.parametrize("structure", list(FilterStructure))
 def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
-    # the first fill of a fresh synthesizer allocates the thread's
-    # workspace; check_memory charges numpy's
+    # the first colouring of a fresh synthesizer allocates the thread's
+    # workspace, the moduli and the factors among it; check_memory charges
+    # numpy's
     import tracemalloc
 
     if lam is not None and structure is FilterStructure.CONVEX:
@@ -970,11 +967,9 @@ def test_native_colouring_allocates_no_more_than_the_charge(structure, lam):
     fs = make_filters(scheme, build_kernel_table(GRID.freq(), BATH))
     rows = CHUNK_ROWS
     synth = Synthesizer(fs, GRID, lam, rows=rows)
-    bufs = [np.empty((GRID.n_phys, rows), dtype=complex) for _ in range(4)]
-    factors = np.empty((1, rows))
     tracemalloc.start()
     try:
-        synth.fill(_seeds("int", rows), bufs[0], bufs[1], (bufs[2], bufs[3], factors))
+        synth.colour(_seeds("int", rows))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1053,15 +1048,14 @@ def test_chunk_factors_equal_per_row_rescale_factor(table):
     for grid in (GRID, TimeGrid(dt=0.005, t_max=10.0)):
         fs = make_filters(SchemeId.ETANU_OPTIMISED, build_kernel_table(grid.freq(), BATH))
         synth = Synthesizer(fs, grid, lams)
-        _, _, eta0, nu0 = synth._colour(_seeds("int", CHUNK_ROWS))
+        _, _, (eta0, nu0, got) = synth.colour(_seeds("int", CHUNK_ROWS))
         want = np.array([rescale_factor(e, v, lams) for e, v in zip(eta0, nu0)])
-        got = synth.factors(eta0, nu0)
-        assert got.shape == (CHUNK_ROWS, 13)
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == (13, CHUNK_ROWS)
+        assert got.tobytes() == want.T.tobytes()
     nu0 = nu0.copy()
     nu0[3] = 0.0
     with pytest.raises(ZeroComponent) as refused:
-        synth.factors(eta0, nu0)
+        synth._factors(eta0, nu0)
     with pytest.raises(ZeroComponent) as per_row:
         rescale_factor(eta0[3], nu0[3], lams)
     assert str(refused.value) == str(per_row.value)

@@ -70,12 +70,11 @@ for k in range(3, 16):
                         (SchemeId.ETANU_OPTIMISED, lams), (SchemeId.CONVEX, None)):
         synth = Synthesizer(make_filters(scheme, table), grid, lam)
         for rows in (1, 3, 16):
-            out = [np.empty((grid.n_phys, rows), dtype=complex) for _ in range(4)]
-            factors = np.empty((0 if lam is None else len(lam), rows))
-            synth.fill(list(range(rows)), out[0], out[1], (out[2], out[3], factors))
+            for a in range(0, rows, synth.chunk_rows):
+                synth.colour(list(range(a, min(a + synth.chunk_rows, rows))))
 
 # sln_fft: n = 2 ... 65536, forward and inverse, on 1 row and on two
-# rows of each half of a (2, 3, n) buffer (the fills above run it too)
+# rows of each half of a (2, 3, n) buffer (the colourings above run it too)
 fft = kernel("sln_fft")
 gen = np.random.default_rng(2)
 for k in range(1, 17):
@@ -88,13 +87,22 @@ for k in range(1, 17):
 
 # sln_rk4: 1, 3 and 16 rows, without factors and with 1 and 13 factor
 # rows, some columns diverging through inf into nan, storing every step,
-# those from one inside the second block on, and those from its first on
+# those from one inside the second block on, and those from its first on.
+# The noise is row-major, rows of 401 half steps at a stride of 409, as
+# the colouring's rows are padded, in an allocation that ends with the
+# last row's last half step: a gather into the tile past a row's end, in
+# the last block or in any other, reads outside it
 rng = np.random.default_rng(1)
 model = SystemModel(1.0, -1.0, 40.0, 0.5 * (np.eye(2) + SIGMA_Z))
+
+
+def padded(rows, nh=401, stride=409):
+    flat = 30.0 * rng.standard_normal(2 * ((rows - 1) * stride + nh)).view(complex)
+    return np.lib.stride_tricks.as_strided(flat, (rows, nh), (16 * stride, 16))
+
+
 for rows in (1, 3, 16):
-    eta, nu, eta0, nu0 = (30.0 * (rng.standard_normal((401, rows))
-                                  + 1j * rng.standard_normal((401, rows)))
-                          for _ in range(4))
+    eta, nu, eta0, nu0 = (padded(rows) for _ in range(4))
     for cross in (None, (eta0, nu0, rng.uniform(0.1, 10.0, (1, rows))),
                   (eta0, nu0, rng.uniform(0.1, 10.0, (13, rows)))):
         for first in (0, 150, 128):
